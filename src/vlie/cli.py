@@ -21,6 +21,7 @@ from .config import (
     load_config_file,
     parse_gram,
     parse_lambda,
+    parse_lattice,
     parse_state_json,
     state_to_json,
 )
@@ -277,8 +278,7 @@ def suite_p2(report: Report, args, config):
 
 def suite_lattice(report: Report, args):
     if args.gram:
-        gram = parse_gram(args.gram)
-        lattice = EvenLattice(gram)
+        lattice = parse_lattice(args.gram)
         info = detect_indefinite(lattice)
         if info["zero_algebra"]:
             report.run("lattice.degenerate", lambda: [])
@@ -345,9 +345,23 @@ def _echo_config(args) -> dict:
     return out
 
 
+def _require_basis(structure, *names: str):
+    for name in names:
+        if name not in structure.index:
+            raise ConfigError(f"unknown basis name {name!r}; basis: {', '.join(structure.basis)}")
+
+
+def _vacuum_module(structure, lam) -> VacuumModule:
+    try:
+        return VacuumModule(structure, lam)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def cmd_bracket(args) -> int:
     config = load_config_file(args.config) if args.config else None
     structure = build_structure(args.builder, config)
+    _require_basis(structure, args.a, args.b)
     element = structure.component_bracket(args.a, args.m, args.b, args.n)
     if args.format == "json":
         terms = []
@@ -365,7 +379,7 @@ def cmd_bracket(args) -> int:
 def cmd_character(args) -> int:
     config = load_config_file(args.config) if args.config else None
     structure = build_structure(args.builder, config)
-    module = VacuumModule(structure, parse_lambda(args.lam))
+    module = _vacuum_module(structure, parse_lambda(args.lam))
     values = module.character(args.depth)
     if args.format == "json":
         print(json.dumps({"depths": values}))
@@ -378,12 +392,16 @@ def cmd_act(args) -> int:
     config = load_config_file(args.config) if args.config else None
     structure = build_structure(args.builder, config)
     lam = parse_lambda(args.lam) if args.lam else None
-    module = VacuumModule(structure, lam)
+    module = _vacuum_module(structure, lam)
     name, _, mode = args.mode.partition(":")
-    if not mode:
-        raise ConfigError("mode looks like name:n, e.g. omega:3")
+    try:
+        n = int(mode)
+    except ValueError:
+        raise ConfigError("mode looks like name:n, e.g. omega:3") from None
+    name = name.strip()
+    _require_basis(structure, name)
     state = parse_state_json(module, args.state)
-    out = module.act(name.strip(), int(mode), state)
+    out = module.act(name, n, state)
     if args.format == "json":
         print(json.dumps({"state": state_to_json(module, out)}))
     else:
@@ -394,7 +412,7 @@ def cmd_act(args) -> int:
 def cmd_borcherds(args) -> int:
     config = load_config_file(args.config) if args.config else None
     structure = build_structure(args.builder, config)
-    module = VacuumModule(structure, parse_lambda(args.lam))
+    module = _vacuum_module(structure, parse_lambda(args.lam))
     if args.a:
         a = parse_state_json(module, args.a)
     else:
@@ -494,8 +512,7 @@ def cmd_pvpa(args) -> int:
 
 
 def cmd_lattice(args) -> int:
-    gram = parse_gram(args.gram)
-    lattice = EvenLattice(gram)
+    lattice = parse_lattice(args.gram)
     if args.action == "c2-set":
         if not lattice.is_positive_definite():
             raise ConfigError("the survivor set needs a positive definite lattice")
@@ -593,6 +610,13 @@ def cmd_decompose(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+def _nonnegative(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def _common(parser):
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--seed", type=int, default=0)
@@ -612,9 +636,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="run a verification suite")
     p.add_argument("suite", choices=("delta", "vla", "vacuum", "p2", "lattice", "all"))
     p.add_argument("--builder")
-    p.add_argument("--window", type=int, default=4)
-    p.add_argument("--depth", type=int, default=4)
-    p.add_argument("--samples", type=int, default=40)
+    p.add_argument("--window", type=_nonnegative, default=4)
+    p.add_argument("--depth", type=_nonnegative, default=4)
+    p.add_argument("--samples", type=_nonnegative, default=40)
     p.add_argument("--gram")
     p.add_argument("--lambda", dest="lam", action="append", default=[])
     _common(p)
@@ -633,7 +657,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--builder", required=True)
     p.add_argument("--lambda", dest="lam", action="append", default=[],
                    help="central character entries name=value")
-    p.add_argument("--depth", type=int, default=10)
+    p.add_argument("--depth", type=_nonnegative, default=10)
     _common(p)
     p.set_defaults(fn=cmd_character)
 
@@ -650,8 +674,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", action="append", default=[])
     p.add_argument("--a", help="JSON state (default: first generator)")
     p.add_argument("--b", help="JSON state (default: last generator)")
-    p.add_argument("--window", type=int, default=2)
-    p.add_argument("--depth", type=int, default=4)
+    p.add_argument("--window", type=_nonnegative, default=2)
+    p.add_argument("--depth", type=_nonnegative, default=4)
     _common(p)
     p.set_defaults(fn=cmd_borcherds)
 

@@ -11,6 +11,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .formal_calc import rat
+from .lattice_c2 import EvenLattice
 from .lie_core import BilinearForm, FiniteLieAlgebra, sl2, sl2_form
 from .vertex_lie import CommAlgebra, VLStructure, affine, heisenberg, loop, novikov, virasoro, witt
 
@@ -113,7 +114,7 @@ def vertex_lie_from_config(data: dict, certify: bool = True,
         )
         if "u0" in data:
             declared = tuple(data["u0"])
-            computed = tuple(structure.basis[i] for i in structure.u0_indices)
+            computed = structure.u0_names
             if declared != computed:
                 raise ConfigError(
                     f"declared u0 {declared} does not match ker d {computed}"
@@ -135,6 +136,14 @@ def parse_gram(text: str):
     if not isinstance(data, list):
         raise ConfigError("Gram matrix must be a JSON list of rows")
     return data
+
+
+def parse_lattice(text: str) -> EvenLattice:
+    gram = parse_gram(text)
+    try:
+        return EvenLattice(gram)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad Gram matrix: {exc}") from None
 
 
 def parse_lambda(pairs: list[str]) -> dict[str, Fraction]:

@@ -13,29 +13,35 @@ acts as the oracle that arbitrates every identity in this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
+from .linalg import add_into, clean, rat
 
 Rational = Fraction
-
-
-def rat(value) -> Fraction:
-    """Coerce ints, strings like '-1/12', or Fractions to Fraction."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
-    raise TypeError(f"not an exact rational: {value!r}")
+_ZERO = Fraction(0)
 
 
 def rat_str(q: Fraction) -> str:
     """Serialize a Fraction as 'p' or 'p/q' (never a float)."""
     q = Fraction(q)
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+
+
+def format_terms(terms: Iterable[tuple[str, Fraction]]) -> str:
+    """'2*a - b + 1/3' from (monomial text, coefficient) pairs, where the
+    empty text is the unit; '0' for no terms."""
+    bits = []
+    for body, c in terms:
+        if not body:
+            bits.append(rat_str(c))
+        elif c == 1:
+            bits.append(body)
+        elif c == -1:
+            bits.append(f"-{body}")
+        else:
+            bits.append(f"{rat_str(c)}*{body}")
+    return " + ".join(bits).replace("+ -", "- ") if bits else "0"
 
 
 def gen_binomial(m: int, i: int) -> Fraction:
@@ -60,140 +66,137 @@ def falling(n: int, k: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Laurent polynomials
+# Polynomials
 # ---------------------------------------------------------------------------
 
-class LaurentPoly:
-    """Multivariate Laurent polynomial with Fraction coefficients.
+class Poly:
+    """Sparse polynomial core: a map from monomials to nonzero Fractions.
 
-    Stored as a map from integer exponent vectors (tuples, one slot per
-    variable) to nonzero coefficients.  Instances are immutable by
-    convention; all arithmetic returns new objects.
+    Subclasses fix how a monomial is validated (``_monomial``), how two
+    monomials multiply (``_mono_mul``), the listing order (``terms``) and
+    the repr.  Instances are immutable by convention; all arithmetic
+    returns new objects.
     """
 
     __slots__ = ("vars", "coeffs")
 
     def __init__(self, variables: Iterable[str], coeffs: Mapping[tuple, object] | None = None):
         self.vars = tuple(variables)
-        clean: dict[tuple, Fraction] = {}
-        if coeffs:
-            for exps, c in coeffs.items():
-                exps = tuple(int(e) for e in exps)
-                if len(exps) != len(self.vars):
-                    raise ValueError("exponent arity does not match variable set")
-                c = rat(c)
-                if c:
-                    clean[exps] = clean.get(exps, Fraction(0)) + c
-                    if not clean[exps]:
-                        del clean[exps]
-        self.coeffs = clean
+        self.coeffs = clean((self._monomial(m), c) for m, c in coeffs.items()) if coeffs else {}
 
-    # -- constructors -------------------------------------------------------
+    def _monomial(self, exps) -> tuple:
+        exps = tuple(int(e) for e in exps)
+        if len(exps) != len(self.vars):
+            raise ValueError("exponent arity does not match variable set")
+        return exps
 
-    @classmethod
-    def constant(cls, variables: Iterable[str], c) -> "LaurentPoly":
-        variables = tuple(variables)
-        zero = (0,) * len(variables)
-        return cls(variables, {zero: rat(c)})
+    @staticmethod
+    def _mono_mul(m1: tuple, m2: tuple) -> tuple:
+        return tuple(a + b for a, b in zip(m1, m2))
 
-    @classmethod
-    def monomial(cls, variables: Iterable[str], exps: tuple, c=1) -> "LaurentPoly":
-        return cls(variables, {tuple(exps): rat(c)})
-
-    # -- queries ------------------------------------------------------------
+    def _new(self, coeffs: dict):
+        """Same class and variables around an already clean coefficient map."""
+        out = object.__new__(type(self))
+        out.vars = self.vars
+        out.coeffs = coeffs
+        return out
 
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def coefficient(self, exps: tuple) -> Fraction:
-        return self.coeffs.get(tuple(exps), Fraction(0))
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
 
     def terms(self):
-        """Terms sorted by exponent vector (deterministic canonical order)."""
+        """Terms sorted by monomial (deterministic canonical order)."""
         return sorted(self.coeffs.items())
 
-    def degree_span(self, var_index: int = 0) -> tuple[int, int]:
-        """(min, max) exponent in the given variable; (0, 0) for zero."""
-        if not self.coeffs:
-            return (0, 0)
-        exps = [e[var_index] for e in self.coeffs]
-        return (min(exps), max(exps))
-
-    # -- arithmetic ----------------------------------------------------------
-
-    def _check(self, other: "LaurentPoly"):
+    def _check(self, other: "Poly"):
         if self.vars != other.vars:
             raise ValueError("variable sets differ")
 
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
+    def __add__(self, other):
         self._check(other)
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return LaurentPoly(self.vars, out)
+        return self._new(add_into(dict(self.coeffs), other.coeffs))
 
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
-
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.vars, {e: -c for e, c in self.coeffs.items()})
-
-    def scale(self, c) -> "LaurentPoly":
-        c = rat(c)
-        return LaurentPoly(self.vars, {e: c * v for e, v in self.coeffs.items()})
-
-    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
+    def __sub__(self, other):
         self._check(other)
-        out: dict[tuple, Fraction] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return LaurentPoly(self.vars, out)
+        return self._new(add_into(dict(self.coeffs), other.coeffs, -1))
 
-    def derivative(self, var_index: int = 0, order: int = 1) -> "LaurentPoly":
-        """Laurent derivative d/dv, iterated ``order`` times."""
-        cur = self
-        for _ in range(order):
-            out: dict[tuple, Fraction] = {}
-            for e, c in cur.coeffs.items():
-                k = e[var_index]
-                if k == 0:
-                    continue
-                ne = list(e)
-                ne[var_index] = k - 1
-                out[tuple(ne)] = out.get(tuple(ne), Fraction(0)) + c * k
-            cur = LaurentPoly(self.vars, out)
-        return cur
+    def __neg__(self):
+        return self._new(add_into({}, self.coeffs, -1))
 
-    def rename(self, variables: Iterable[str]) -> "LaurentPoly":
-        return LaurentPoly(variables, self.coeffs)
+    def scale(self, c):
+        return self._new(add_into({}, self.coeffs, rat(c)))
+
+    def __mul__(self, other):
+        self._check(other)
+        mul = self._mono_mul
+        return self._new(clean(
+            (mul(m1, m2), c1 * c2)
+            for m1, c1 in self.coeffs.items() for m2, c2 in other.coeffs.items()
+        ))
+
+    def rename(self, variables: Iterable[str]):
+        """The same coefficients over new names for as many variables."""
+        out = self._new(self.coeffs)
+        out.vars = tuple(variables)
+        if len(out.vars) != len(self.vars):
+            raise ValueError("exponent arity does not match variable set")
+        return out
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, LaurentPoly)
+        return (type(other) is type(self)
                 and self.vars == other.vars and self.coeffs == other.coeffs)
 
     def __hash__(self):
         return hash((self.vars, frozenset(self.coeffs.items())))
 
     def __repr__(self):
+        return format_terms(
+            ("*".join(f"{v}^{e}" if e != 1 else v for v, e in zip(self.vars, exps) if e), c)
+            for exps, c in self.terms()
+        )
+
+
+class LaurentPoly(Poly):
+    """Laurent polynomial in one variable with Fraction coefficients.
+
+    Exponents are 1-tuples of any sign, so the variable name travels with
+    the polynomial (``("y",)`` or ``("x",)``).
+    """
+
+    __slots__ = ()
+
+    def _monomial(self, exps) -> tuple:
+        if len(self.vars) != 1:
+            raise ValueError("Laurent polynomials are univariate")
+        return super()._monomial(exps)
+
+    @classmethod
+    def constant(cls, variables: Iterable[str], c) -> "LaurentPoly":
+        return cls(variables, {(0,): c})
+
+    @classmethod
+    def monomial(cls, variables: Iterable[str], exps: tuple, c=1) -> "LaurentPoly":
+        return cls(variables, {tuple(exps): c})
+
+    def coefficient(self, exps: tuple) -> Fraction:
+        return self.coeffs.get(tuple(exps), _ZERO)
+
+    def degree_span(self) -> tuple[int, int]:
+        """(min, max) exponent; (0, 0) for zero."""
         if not self.coeffs:
-            return "0"
-        bits = []
-        for exps, c in self.terms():
-            mono = "*".join(
-                f"{v}^{e}" if e != 1 else v
-                for v, e in zip(self.vars, exps) if e != 0
-            )
-            if not mono:
-                bits.append(rat_str(c))
-            elif c == 1:
-                bits.append(mono)
-            elif c == -1:
-                bits.append(f"-{mono}")
-            else:
-                bits.append(f"{rat_str(c)}*{mono}")
-        return " + ".join(bits).replace("+ -", "- ")
+            return (0, 0)
+        exps = [e for (e,) in self.coeffs]
+        return (min(exps), max(exps))
+
+    def derivative(self, order: int = 1) -> "LaurentPoly":
+        """Laurent derivative, iterated ``order`` times."""
+        coeffs = self.coeffs
+        for _ in range(order):
+            coeffs = {(e - 1,): c * e for (e,), c in coeffs.items() if e}
+        return self._new(coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -260,12 +263,12 @@ class BiSeriesWindow:
         if m < 0:
             raise ValueError("power must be nonnegative")
         out = BiSeriesWindow(self.x_lo + m, self.x_hi, self.y_lo + m, self.y_hi)
+        weights = [(-1 if t % 2 else 1) * gen_binomial(m, t) for t in range(m + 1)]
         for a in range(out.x_lo, out.x_hi + 1):
             for b in range(out.y_lo, out.y_hi + 1):
                 acc = Fraction(0)
-                for t in range(m + 1):
-                    sign = -1 if t % 2 else 1
-                    acc += sign * gen_binomial(m, t) * self.get(a - m + t, b - t)
+                for t, w in enumerate(weights):
+                    acc += w * self.get(a - m + t, b - t)
                 out.table[a - out.x_lo][b - out.y_lo] = acc
         return out
 
@@ -422,7 +425,7 @@ def swap_side(series: DeltaSeries) -> DeltaSeries:
             c = gen_binomial(k, j)
             if to_y and (k + j) % 2:
                 c = -c
-            g = poly.derivative(0, k - j).rename(new_var).scale(c)
+            g = poly.derivative(k - j).rename(new_var).scale(c)
             out.append((j, g))
     return DeltaSeries(out, new_side)
 
@@ -447,7 +450,7 @@ def mul_other_var(series: DeltaSeries, poly: LaurentPoly) -> DeltaSeries:
             c = gen_binomial(k, j)
             if to_y and (k + j) % 2:
                 c = -c
-            moved = poly.derivative(0, k - j).rename(var).scale(c)
+            moved = poly.derivative(k - j).rename(var).scale(c)
             out.append((j, g * moved))
     return DeltaSeries(out, series.side)
 

@@ -16,8 +16,8 @@ import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .formal_calc import rat, rat_str
-from .lie_core import SymPoly
+from .formal_calc import format_terms
+from .linalg import Echelon, add_into, clean, det, inverse
 
 Vec = tuple[int, ...]
 
@@ -47,29 +47,7 @@ class EvenLattice:
 
     def minors(self) -> list[Fraction]:
         """Leading principal minors, exact."""
-        out = []
-        for k in range(1, self.rank + 1):
-            sub = [[Fraction(self.gram[i][j]) for j in range(k)] for i in range(k)]
-            det = Fraction(1)
-            ok = True
-            for col in range(k):
-                piv = next((r for r in range(col, k) if sub[r][col]), None)
-                if piv is None:
-                    det = Fraction(0)
-                    ok = False
-                    break
-                if piv != col:
-                    sub[col], sub[piv] = sub[piv], sub[col]
-                    det = -det
-                det *= sub[col][col]
-                inv = 1 / sub[col][col]
-                for r2 in range(col + 1, k):
-                    f = sub[r2][col] * inv
-                    if f:
-                        for c2 in range(col, k):
-                            sub[r2][c2] -= f * sub[col][c2]
-            out.append(det if ok else Fraction(0))
-        return out
+        return [det([row[:k] for row in self.gram[:k]]) for k in range(1, self.rank + 1)]
 
     def is_positive_definite(self) -> bool:
         return all(m > 0 for m in self.minors())
@@ -78,21 +56,10 @@ class EvenLattice:
         return self.minors()[-1] == 0 if self.rank else False
 
     def inverse_gram(self) -> list[list[Fraction]]:
-        r = self.rank
-        aug = [[Fraction(self.gram[i][j]) for j in range(r)]
-               + [Fraction(1 if i == j else 0) for j in range(r)] for i in range(r)]
-        for col in range(r):
-            piv = next((rr for rr in range(col, r) if aug[rr][col]), None)
-            if piv is None:
-                raise ValueError("degenerate Gram matrix")
-            aug[col], aug[piv] = aug[piv], aug[col]
-            inv = 1 / aug[col][col]
-            aug[col] = [x * inv for x in aug[col]]
-            for rr in range(r):
-                if rr != col and aug[rr][col]:
-                    f = aug[rr][col]
-                    aug[rr] = [x - f * y for x, y in zip(aug[rr], aug[col])]
-        return [row[r:] for row in aug]
+        try:
+            return inverse(self.gram)
+        except ValueError:
+            raise ValueError("degenerate Gram matrix") from None
 
     def dual_exponent(self) -> int:
         """Smallest k >= 1 with k * gram^{-1} integral."""
@@ -230,12 +197,10 @@ def power_of_linear(rank: int, alpha: Vec, e: int) -> dict[tuple, Fraction]:
     lin = {tuple(1 if t == i else 0 for t in range(rank)): Fraction(alpha[i])
            for i in range(rank) if alpha[i]}
     for _ in range(e):
-        nxt: dict[tuple, Fraction] = {}
-        for m1, c1 in out.items():
-            for m2, c2 in lin.items():
-                m = tuple(x + y for x, y in zip(m1, m2))
-                nxt[m] = nxt.get(m, Fraction(0)) + c1 * c2
-        out = {m: c for m, c in nxt.items() if c}
+        out = clean(
+            (tuple(x + y for x, y in zip(m1, m2)), c1 * c2)
+            for m1, c1 in out.items() for m2, c2 in lin.items()
+        )
     return out
 
 
@@ -251,7 +216,7 @@ class PowerIdealReducer:
     def __init__(self, rank: int, generators: Sequence[tuple[Vec, int]]):
         self.rank = rank
         self.generators = list(generators)
-        self._echelon: dict[int, dict[tuple, dict]] = {}
+        self._echelon: dict[int, Echelon] = {}
         self._basis: dict[int, list[tuple]] = {}
         self._max_degree: int | None = None
 
@@ -268,38 +233,20 @@ class PowerIdealReducer:
     def _prepare(self, degree: int):
         if degree in self._echelon:
             return
-        echelon: dict[tuple, dict] = {}
-
-        def insert(vec: dict):
-            vec = dict(vec)
-            while vec:
-                lead = max(vec)
-                row = echelon.get(lead)
-                if row is None:
-                    lv = vec[lead]
-                    echelon[lead] = {m: c / lv for m, c in vec.items()}
-                    return
-                f = vec[lead]
-                for m, c in row.items():
-                    v = vec.get(m, Fraction(0)) - f * c
-                    if v:
-                        vec[m] = v
-                    else:
-                        vec.pop(m, None)
-
+        # the largest-monomial pivots fix which monomials span the quotient
+        echelon = Echelon()
         for alpha, e in self.generators:
             if e > degree:
                 continue
             base = power_of_linear(self.rank, alpha, e)
             pad = degree - e
             for mono in self._monomials(pad):
-                shifted = {
+                echelon.insert({
                     tuple(x + y for x, y in zip(m, mono)): c
                     for m, c in base.items()
-                }
-                insert(shifted)
+                })
         self._echelon[degree] = echelon
-        self._basis[degree] = [m for m in self._monomials(degree) if m not in echelon]
+        self._basis[degree] = [m for m in self._monomials(degree) if m not in echelon.rows]
 
     def basis(self, degree: int) -> list[tuple]:
         self._prepare(degree)
@@ -318,30 +265,13 @@ class PowerIdealReducer:
         """Normal form of an arbitrary (graded-split) polynomial."""
         by_degree: dict[int, dict] = {}
         for m, c in coeffs.items():
-            if c:
-                part = by_degree.setdefault(sum(m), {})
-                part[m] = part.get(m, Fraction(0)) + c
+            by_degree.setdefault(sum(m), {})[m] = c
         out: dict[tuple, Fraction] = {}
         for degree, part in by_degree.items():
-            if degree > self.max_degree():
-                continue
-            self._prepare(degree)
-            echelon = self._echelon[degree]
-            vec = {m: c for m, c in part.items() if c}
-            while vec:
-                lead = max(vec)
-                row = echelon.get(lead)
-                if row is None:
-                    out[lead] = out.get(lead, Fraction(0)) + vec.pop(lead)
-                    continue
-                f = vec[lead]
-                for m, c in row.items():
-                    v = vec.get(m, Fraction(0)) - f * c
-                    if v:
-                        vec[m] = v
-                    else:
-                        vec.pop(m, None)
-        return {m: c for m, c in out.items() if c}
+            if degree <= self.max_degree():
+                self._prepare(degree)
+                out.update(self._echelon[degree].reduce(part))
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -404,24 +334,17 @@ class PLAlgebra:
     # -- element helpers ------------------------------------------------------
 
     def element(self, items) -> dict:
-        out: dict = {}
-        for (sector, mono), c in dict(items).items():
-            c = rat(c)
-            if c:
-                out[(sector, mono)] = out.get((sector, mono), Fraction(0)) + c
-        return {k: v for k, v in out.items() if v}
+        return clean(items)
 
     def z_gen(self, i: int) -> dict:
         mono = tuple(1 if t == i else 0 for t in range(self.lattice.rank))
         return self.reduce({((), mono): Fraction(1)})
 
     def z_of(self, alpha: Vec) -> dict:
-        out: dict = {}
-        for i, a in enumerate(alpha):
-            if a:
-                mono = tuple(1 if t == i else 0 for t in range(self.lattice.rank))
-                out[((), mono)] = out.get(((), mono), Fraction(0)) + a
-        return self.reduce(out)
+        rank = self.lattice.rank
+        return self.reduce(clean(
+            (((), tuple(int(t == i) for t in range(rank))), a) for i, a in enumerate(alpha)
+        ))
 
     def x_gen(self, beta: Vec) -> dict:
         beta = tuple(beta)
@@ -438,9 +361,7 @@ class PLAlgebra:
         out: dict = {}
         by_sector: dict[tuple, dict] = {}
         for (sector, mono), c in element.items():
-            by_sector.setdefault(sector, {})[mono] = (
-                by_sector.setdefault(sector, {}).get(mono, Fraction(0)) + c
-            )
+            by_sector.setdefault(sector, {})[mono] = c
         for sector, coeffs in by_sector.items():
             red = self.sectors[sector].reduce(coeffs)
             for mono, c in red.items():
@@ -464,8 +385,7 @@ class PLAlgebra:
                 c = c1 * c2
                 m = self._mono_mul(m1, m2)
                 if s1 == () or s2 == ():
-                    sector = s2 if s1 == () else s1
-                    out[(sector, m)] = out.get((sector, m), Fraction(0)) + c
+                    add_into(out, {(s2 if s1 == () else s1, m): c})
                     continue
                 alpha, beta = s1, s2
                 target = tuple(x + y for x, y in zip(alpha, beta))
@@ -477,11 +397,8 @@ class PLAlgebra:
                 sign = self.eps.value(alpha, beta)
                 power = self._power_of_linear(alpha, n)
                 sector = target if any(target) else ()
-                for pm, pc in power.items():
-                    mono = self._mono_mul(m, pm)
-                    out[(sector, mono)] = out.get((sector, mono), Fraction(0)) + (
-                        c * pc * Fraction(sign, fact)
-                    )
+                add_into(out, {(sector, self._mono_mul(m, pm)): pc for pm, pc in power.items()},
+                         c * Fraction(sign, fact))
         return self.reduce(out)
 
     # -- the Poisson bracket --------------------------------------------------------
@@ -496,8 +413,7 @@ class PLAlgebra:
             unit = tuple(1 if t == i else 0 for t in range(lat.rank))
             return self.element({(beta, (0,) * lat.rank): lat.pair(unit, beta)})
         if g1[0] == "x" and g2[0] == "z":
-            out = self._gen_bracket(g2, g1)
-            return {k: -v for k, v in out.items()}
+            return add_into({}, self._gen_bracket(g2, g1), -1)
         alpha, beta = g1[1], g2[1]
         pairing = lat.pair(alpha, beta)
         if pairing >= 0:
@@ -509,12 +425,8 @@ class PLAlgebra:
         sign = self.eps.value(alpha, beta)
         power = self._power_of_linear(alpha, n)
         sector = target if any(target) else ()
-        out: dict = {}
-        for pm, pc in power.items():
-            out[(sector, pm)] = out.get((sector, pm), Fraction(0)) + (
-                pc * Fraction(sign, math.factorial(n))
-            )
-        return self.reduce(out)
+        scale = Fraction(sign, math.factorial(n))
+        return self.reduce({(sector, pm): pc * scale for pm, pc in power.items()})
 
     def _basis_factors(self, key: tuple) -> list[tuple]:
         """A basis monomial as a list of generators."""
@@ -545,12 +457,7 @@ class PLAlgebra:
                         prod = core
                         for g in rest_a + rest_b:
                             prod = self.multiply(prod, self._gen_element(g))
-                        for k, v in prod.items():
-                            nv = out.get(k, Fraction(0)) + ca * cb * v
-                            if nv:
-                                out[k] = nv
-                            else:
-                                del out[k]
+                        add_into(out, prod, ca * cb)
         return self.reduce(out)
 
     def _gen_element(self, g: tuple) -> dict:
@@ -581,7 +488,7 @@ class PLAlgebra:
                         continue
                     val = self.bracket({ka: Fraction(1)}, {kb: Fraction(1)})
                     table[(i, j)] = val
-                    table[(j, i)] = {k: -v for k, v in val.items()}
+                    table[(j, i)] = add_into({}, val, -1)
             self._bracket_table = table
         return self._bracket_table
 
@@ -602,12 +509,7 @@ class PLAlgebra:
     def _combine(self, vec: dict[int, Fraction], table) -> dict:
         out: dict = {}
         for i, c in vec.items():
-            for k, v in table(i).items():
-                nv = out.get(k, Fraction(0)) + c * v
-                if nv:
-                    out[k] = nv
-                else:
-                    del out[k]
+            add_into(out, table(i), c)
         return out
 
     def verify_axioms(self) -> list[str]:
@@ -630,10 +532,7 @@ class PLAlgebra:
             for j in range(n):
                 if mult(i, j) != mult(j, i):
                     problems.append(f"commutativity fails at ({i},{j})")
-                anti = br(i, j)
-                other = br(j, i)
-                keys = set(anti) | set(other)
-                if any(anti.get(k, Fraction(0)) + other.get(k, Fraction(0)) for k in keys):
+                if add_into(dict(br(i, j)), br(j, i)):
                     problems.append(f"skew fails at ({i},{j})")
         for i in range(n):
             for j in range(n):
@@ -642,23 +541,14 @@ class PLAlgebra:
                         problems.append(f"associativity fails at ({i},{j},{k})")
                     # Leibniz: {i, jk} = {i,j}k + {i,k}j
                     lhs = self._combine(mult(j, k), lambda t: br(i, t))
-                    rhs: dict = {}
-                    for kk, v in mul_vec(br(i, j), k).items():
-                        rhs[kk] = rhs.get(kk, Fraction(0)) + v
-                    for kk, v in mul_vec(br(i, k), j).items():
-                        rhs[kk] = rhs.get(kk, Fraction(0)) + v
-                    rhs = {kk: v for kk, v in rhs.items() if v}
+                    rhs = add_into(mul_vec(br(i, j), k), mul_vec(br(i, k), j))
                     if lhs != rhs:
                         problems.append(f"Leibniz fails at ({i},{j},{k})")
                     # Jacobi
-                    acc: dict = {}
-                    for kk, v in br_vec(br(i, j), k).items():
-                        acc[kk] = acc.get(kk, Fraction(0)) + v
-                    for kk, v in br_vec(br(j, k), i).items():
-                        acc[kk] = acc.get(kk, Fraction(0)) + v
-                    for kk, v in br_vec(br(k, i), j).items():
-                        acc[kk] = acc.get(kk, Fraction(0)) + v
-                    if any(acc.values()):
+                    acc = br_vec(br(i, j), k)
+                    add_into(acc, br_vec(br(j, k), i))
+                    add_into(acc, br_vec(br(k, i), j))
+                    if acc:
                         problems.append(f"Jacobi fails at ({i},{j},{k})")
                     if len(problems) >= 10:
                         return problems
@@ -677,22 +567,9 @@ class PLAlgebra:
         return "*".join(bits) if bits else "1"
 
     def format_element(self, element: Mapping) -> str:
-        element = {k: v for k, v in element.items() if v}
-        if not element:
-            return "0"
-        bits = []
-        for key in sorted(element):
-            c = element[key]
-            body = self.format_key(key)
-            if c == 1 and body != "1":
-                bits.append(body)
-            elif body == "1":
-                bits.append(rat_str(c))
-            elif c == -1:
-                bits.append(f"-{body}")
-            else:
-                bits.append(f"{rat_str(c)}*{body}")
-        return " + ".join(bits).replace("+ -", "- ")
+        element = clean(element)
+        bodies = ((self.format_key(key), element[key]) for key in sorted(element))
+        return format_terms(("" if body == "1" else body, c) for body, c in bodies)
 
 
 def build_pl_algebra(lattice: EvenLattice) -> PLAlgebra:
@@ -839,13 +716,7 @@ def bk_compare(k: int) -> dict:
     def map_element(el: dict) -> dict:
         out: dict = {}
         for key, c in el.items():
-            img = to_lattice(key)
-            for kk, v in img.items():
-                nv = out.get(kk, Fraction(0)) + c * v
-                if nv:
-                    out[kk] = nv
-                else:
-                    del out[kk]
+            add_into(out, to_lattice(key), c)
         return alg.reduce(out)
 
     images = {key: map_element({key: Fraction(1)}) for key in bk.basis}

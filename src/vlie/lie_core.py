@@ -4,36 +4,25 @@ and the Poisson bracket they induce on polynomial algebras."""
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
-from .formal_calc import rat, rat_str
+from .formal_calc import Poly, rat, rat_str
+from .linalg import add_into, clean, det
 
 
-class SymPoly:
+class SymPoly(Poly):
     """Polynomial in a fixed ordered set of symbols, Fraction coefficients.
 
-    Exponents are nonnegative; terms are kept in a map from exponent tuples
-    to nonzero coefficients, listed graded-lexicographically.
+    Exponents are nonnegative; terms are listed graded-lexicographically.
     """
 
-    __slots__ = ("vars", "coeffs")
+    __slots__ = ()
 
-    def __init__(self, variables: Iterable[str], coeffs: Mapping[tuple, object] | None = None):
-        self.vars = tuple(variables)
-        clean: dict[tuple, Fraction] = {}
-        if coeffs:
-            for exps, c in coeffs.items():
-                exps = tuple(int(e) for e in exps)
-                if len(exps) != len(self.vars):
-                    raise ValueError("exponent arity does not match variable set")
-                if any(e < 0 for e in exps):
-                    raise ValueError("polynomial exponents must be nonnegative")
-                c = rat(c)
-                if c:
-                    clean[exps] = clean.get(exps, Fraction(0)) + c
-                    if not clean[exps]:
-                        del clean[exps]
-        self.coeffs = clean
+    def _monomial(self, exps) -> tuple:
+        exps = super()._monomial(exps)
+        if any(e < 0 for e in exps):
+            raise ValueError("polynomial exponents must be nonnegative")
+        return exps
 
     @classmethod
     def zero(cls, variables) -> "SymPoly":
@@ -42,18 +31,13 @@ class SymPoly:
     @classmethod
     def constant(cls, variables, c) -> "SymPoly":
         variables = tuple(variables)
-        return cls(variables, {(0,) * len(variables): rat(c)})
+        return cls(variables, {(0,) * len(variables): c})
 
     @classmethod
     def generator(cls, variables, name, c=1) -> "SymPoly":
         variables = tuple(variables)
         i = variables.index(name)
-        e = [0] * len(variables)
-        e[i] = 1
-        return cls(variables, {tuple(e): rat(c)})
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
+        return cls(variables, {tuple(int(t == i) for t in range(len(variables))): c})
 
     def total_degree(self) -> int:
         return max((sum(e) for e in self.coeffs), default=0)
@@ -62,87 +46,22 @@ class SymPoly:
         """Graded-lex order, leading (highest) terms first."""
         return sorted(self.coeffs.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
 
-    def _check(self, other: "SymPoly"):
-        if self.vars != other.vars:
-            raise ValueError("variable sets differ")
-
-    def __add__(self, other: "SymPoly") -> "SymPoly":
-        self._check(other)
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return SymPoly(self.vars, out)
-
-    def __neg__(self) -> "SymPoly":
-        return SymPoly(self.vars, {e: -c for e, c in self.coeffs.items()})
-
-    def __sub__(self, other: "SymPoly") -> "SymPoly":
-        return self + (-other)
-
-    def scale(self, c) -> "SymPoly":
-        c = rat(c)
-        return SymPoly(self.vars, {e: c * v for e, v in self.coeffs.items()})
-
-    def __mul__(self, other: "SymPoly") -> "SymPoly":
-        self._check(other)
-        out: dict[tuple, Fraction] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return SymPoly(self.vars, out)
-
     def partial(self, name: str) -> "SymPoly":
         i = self.vars.index(name)
-        out: dict[tuple, Fraction] = {}
-        for e, c in self.coeffs.items():
-            if e[i] == 0:
-                continue
-            ne = list(e)
-            ne[i] -= 1
-            out[tuple(ne)] = out.get(tuple(ne), Fraction(0)) + c * e[i]
-        return SymPoly(self.vars, out)
+        return self._new({
+            e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i] for e, c in self.coeffs.items() if e[i]
+        })
 
     def substitute(self, values: Mapping[str, object]) -> "SymPoly":
         """Evaluate some variables at rational values; keeps the var set."""
         vals = {self.vars.index(n): rat(v) for n, v in values.items()}
-        out: dict[tuple, Fraction] = {}
+        out = []
         for e, c in self.coeffs.items():
             for i, v in vals.items():
                 if e[i]:
                     c = c * v ** e[i]
-            ne = tuple(0 if i in vals else x for i, x in enumerate(e))
-            out[ne] = out.get(ne, Fraction(0)) + c
-        return SymPoly(self.vars, out)
-
-    def rename(self, variables: Iterable[str]) -> "SymPoly":
-        return SymPoly(variables, self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, SymPoly)
-                and self.vars == other.vars and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((self.vars, frozenset(self.coeffs.items())))
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        bits = []
-        for exps, c in self.terms():
-            mono = "*".join(
-                f"{v}^{e}" if e > 1 else v
-                for v, e in zip(self.vars, exps) if e
-            )
-            if not mono:
-                bits.append(rat_str(c))
-            elif c == 1:
-                bits.append(mono)
-            elif c == -1:
-                bits.append(f"-{mono}")
-            else:
-                bits.append(f"{rat_str(c)}*{mono}")
-        return " + ".join(bits).replace("+ -", "- ")
+            out.append((tuple(0 if i in vals else x for i, x in enumerate(e)), c))
+        return self._new(clean(out))
 
 
 # ---------------------------------------------------------------------------
@@ -156,15 +75,8 @@ def _normalize_table(names, table) -> dict[tuple[int, int], dict[int, Fraction]]
     def pos(x):
         return idx[x] if isinstance(x, str) else int(x)
 
-    out: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for (a, b), val in table.items():
-        entry: dict[int, Fraction] = {}
-        for k, c in val.items():
-            c = rat(c)
-            if c:
-                entry[pos(k)] = entry.get(pos(k), Fraction(0)) + c
-        out[(pos(a), pos(b))] = {k: c for k, c in entry.items() if c}
-    return out
+    return {(pos(a), pos(b)): clean((pos(k), c) for k, c in val.items())
+            for (a, b), val in table.items()}
 
 
 def _complete_table(names, table):
@@ -184,13 +96,11 @@ def _complete_table(names, table):
         full[(i, j)] = entry
     for (i, j), entry in list(full.items()):
         if (j, i) in t:
-            other = t[(j, i)]
-            for k in set(entry) | set(other):
-                if entry.get(k, Fraction(0)) + other.get(k, Fraction(0)) != 0:
-                    problems.append(
-                        f"antisymmetry fails on ([{names[i]},{names[j]}], {names[k]})"
-                    )
-                    break
+            excess = add_into(dict(entry), t[(j, i)])
+            if excess:
+                problems.append(
+                    f"antisymmetry fails on ([{names[i]},{names[j]}], {names[min(excess)]})"
+                )
         else:
             full[(j, i)] = {k: -c for k, c in entry.items()}
     return full, problems
@@ -213,8 +123,7 @@ def check_lie_axioms(names, table) -> list[str]:
     def bk_vec(vec: dict[int, Fraction], j: int) -> dict[int, Fraction]:
         out: dict[int, Fraction] = {}
         for i, c in vec.items():
-            for k, v in bk(i, j).items():
-                out[k] = out.get(k, Fraction(0)) + c * v
+            add_into(out, bk(i, j), c)
         return out
 
     for i in range(r):
@@ -222,9 +131,8 @@ def check_lie_axioms(names, table) -> list[str]:
             for k in range(j + 1, r):
                 acc: dict[int, Fraction] = {}
                 for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-                    for p, v in bk_vec(bk(a, b), c).items():
-                        acc[p] = acc.get(p, Fraction(0)) + v
-                if any(acc.values()):
+                    add_into(acc, bk_vec(bk(a, b), c))
+                if acc:
                     problems.append(
                         f"Jacobi fails on ({names[i]},{names[j]},{names[k]})"
                     )
@@ -285,24 +193,7 @@ class BilinearForm:
         return self.matrix[i][j]
 
     def determinant(self) -> Fraction:
-        m = [list(row) for row in self.matrix]
-        n = len(m)
-        det = Fraction(1)
-        for col in range(n):
-            piv = next((r for r in range(col, n) if m[r][col]), None)
-            if piv is None:
-                return Fraction(0)
-            if piv != col:
-                m[col], m[piv] = m[piv], m[col]
-                det = -det
-            det *= m[col][col]
-            inv = 1 / m[col][col]
-            for r in range(col + 1, n):
-                f = m[r][col] * inv
-                if f:
-                    for c2 in range(col, n):
-                        m[r][c2] -= f * m[col][c2]
-        return det
+        return det(self.matrix)
 
     def is_nondegenerate(self) -> bool:
         return self.determinant() != 0

@@ -1,0 +1,173 @@
+"""Exact linear algebra over Q on sparse coordinate dicts.
+
+A sparse vector is a dict from sortable keys (basis indices, exponent
+tuples, mode symbols) to nonzero Fractions.  ``clean`` builds one from raw
+input and ``add_into`` combines them in place; ``Echelon`` is the package's
+only elimination routine, and ``inverse``, ``det`` and ``nullspace`` of
+dense matrices are thin uses of it.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Iterable, Mapping, Sequence
+
+_ZERO = Fraction(0)
+
+
+def rat(value) -> Fraction:
+    """Coerce ints, strings like '-1/12', or Fractions to Fraction."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, str):
+        return Fraction(value)
+    raise TypeError(f"not an exact rational: {value!r}")
+
+
+def _accumulate(acc: dict, pairs: Iterable[tuple]) -> dict:
+    """acc += sum of the (key, value) pairs in place, never storing a zero."""
+    get = acc.get
+    for key, c in pairs:
+        v = get(key)
+        if v is None:
+            if c:
+                acc[key] = c
+        else:
+            v += c
+            if v:
+                acc[key] = v
+            else:
+                del acc[key]
+    return acc
+
+
+def clean(items: Mapping | Iterable[tuple]) -> dict:
+    """Sparse vector from a mapping or (key, value) pairs: values are coerced
+    to Fraction, repeated keys summed and zeros dropped."""
+    if isinstance(items, Mapping):
+        items = items.items()
+    return _accumulate({}, ((k, c if c.__class__ is Fraction else rat(c)) for k, c in items))
+
+
+def add_into(acc: dict, vec: Mapping, scale=1) -> dict:
+    """acc += scale * vec in place, never storing a zero; returns acc."""
+    if not scale:
+        return acc
+    items = vec.items()
+    return _accumulate(acc, items if scale == 1 else ((k, scale * c) for k, c in items))
+
+
+class Echelon:
+    """Incremental echelon basis of a span of sparse vectors.
+
+    Each row is keyed by its pivot, the largest key of the reduced vector,
+    and stores the rest of that vector divided by the pivot coefficient.
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self):
+        self.rows: dict = {}
+
+    def reduce(self, vec: Mapping) -> dict:
+        """Normal form of vec: no key is a pivot, and it is zero exactly
+        when vec lies in the span."""
+        vec = {k: c for k, c in vec.items() if c}
+        rows = self.rows
+        out = {}
+        while vec:
+            lead = max(vec)
+            c = vec.pop(lead)
+            row = rows.get(lead)
+            if row is None:
+                out[lead] = c
+            else:
+                add_into(vec, row, -c)
+        return out
+
+    def insert(self, vec: Mapping) -> dict:
+        """Add vec to the span; returns its reduced form, empty when vec
+        already lay in the span."""
+        red = self.reduce(vec)
+        if red:
+            pivot = max(red)
+            lead = red[pivot]
+            self.rows[pivot] = {k: c / lead for k, c in red.items() if k != pivot}
+        return red
+
+
+def _sparse_rows(rows: Sequence[Sequence]) -> list[dict]:
+    return [clean(enumerate(row)) for row in rows]
+
+
+def det(rows: Sequence[Sequence]) -> Fraction:
+    """Determinant of a square matrix given by its rows."""
+    echelon = Echelon()
+    pivots = []
+    out = Fraction(1)
+    for row in _sparse_rows(rows):
+        red = echelon.insert(row)
+        if not red:
+            return Fraction(0)
+        pivots.append(max(red))
+        out *= red[pivots[-1]]
+    # each reduced row is the original minus earlier rows; the product of
+    # pivots needs the sign of the permutation row -> pivot column
+    swaps = sum(1 for i, p in enumerate(pivots) for q in pivots[i + 1:] if q < p)
+    return -out if swaps % 2 else out
+
+
+def _back_substitute(echelon: Echelon) -> dict:
+    """Fully reduced rows: each pivot row without any other pivot key."""
+    full: dict = {}
+    for pivot in sorted(echelon.rows):
+        row: dict = {}
+        for k, c in echelon.rows[pivot].items():
+            if k in full:
+                add_into(row, full[k], -c)
+            else:
+                add_into(row, {k: c})
+        full[pivot] = row
+    return full
+
+
+def inverse(rows: Sequence[Sequence]) -> list[list[Fraction]]:
+    """Inverse of a square matrix; raises ValueError when it is singular.
+
+    Row i is inserted as (M_i | e_i) with the matrix columns as the larger
+    keys, so once every matrix column is a pivot the fully reduced row of
+    column j reads (e_j | row j of the inverse).
+    """
+    n = len(rows)
+    echelon = Echelon()
+    for i, row in enumerate(_sparse_rows(rows)):
+        aug = {(1, j): c for j, c in row.items()}
+        aug[(0, i)] = Fraction(1)
+        echelon.insert(aug)
+    if any((1, j) not in echelon.rows for j in range(n)):
+        raise ValueError("matrix is singular")
+    full = _back_substitute(echelon)
+    return [[full[(1, j)].get((0, i), _ZERO) for i in range(n)] for j in range(n)]
+
+
+def nullspace(rows: Sequence[Sequence]) -> list[dict[int, Fraction]]:
+    """Basis of {v : M v = 0} as sparse vectors, one per non-pivot column
+    in increasing order, each with entry 1 there."""
+    width = len(rows[0]) if rows else 0
+    echelon = Echelon()
+    for row in _sparse_rows(rows):
+        echelon.insert(row)
+    full = _back_substitute(echelon)
+    basis = []
+    for free in range(width):
+        if free in full:
+            continue
+        vec = {free: Fraction(1)}
+        for pivot, row in full.items():
+            c = row.get(free)
+            if c:
+                vec[pivot] = -c
+        basis.append(dict(sorted(vec.items())))
+    return basis

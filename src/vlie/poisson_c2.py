@@ -14,9 +14,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .formal_calc import gen_binomial, rat, rat_str
+from .formal_calc import Poly, format_terms, gen_binomial, rat
 from .lie_core import SymPoly
-from .vacuum_module import State, VacuumModule, _clean
+from .linalg import add_into, clean
+from .vacuum_module import State, VacuumModule
 from .vertex_lie import VLStructure
 
 
@@ -34,16 +35,16 @@ def c2_reduce(module: VacuumModule, state: State) -> SymPoly:
     monomials (all symbols at mode -1) become polynomial monomials."""
     st = module.structure
     names = p2_generators(st)
-    out = SymPoly.zero(names)
     n_up = len(st.u_prime_names)
-    for mono, c in _clean(state).items():
+    coeffs = {}
+    for mono, c in state.items():
         if any(n <= -2 for (n, _, _) in mono):
             continue
         exps = [0] * len(names)
         for (n, cls, idx) in mono:
             exps[idx + (n_up if cls == 0 else 0)] += 1
-        out = out + SymPoly(names, {tuple(exps): c})
-    return out
+        coeffs[tuple(exps)] = c
+    return SymPoly(names, coeffs)
 
 
 def p2_product(module: VacuumModule, a: State, b: State) -> SymPoly:
@@ -253,13 +254,9 @@ def verify_p2_iso(
         a = {}
         b = {}
         for _ in range(rng.randint(1, 2)):
-            mono = rng.choice(pool)
-            for m, c in mono.items():
-                a[m] = a.get(m, Fraction(0)) + c * Fraction(rng.randint(-3, 3))
+            add_into(a, rng.choice(pool), rng.randint(-3, 3))
         for _ in range(rng.randint(1, 2)):
-            mono = rng.choice(pool)
-            for m, c in mono.items():
-                b[m] = b.get(m, Fraction(0)) + c * Fraction(rng.randint(-3, 3))
+            add_into(b, rng.choice(pool), rng.randint(-3, 3))
         compare(a, b, f"sample {t}")
         if len(problems) >= 10:
             break
@@ -270,26 +267,24 @@ def verify_p2_iso(
 # Differential polynomial algebras with a delta-series bracket
 # ---------------------------------------------------------------------------
 
-class DPoly:
+class DPoly(Poly):
     """Polynomial in variables u_i^{(j)} (base symbol i, derivative order j).
 
     Monomials are sorted tuples of (i, j) pairs with multiplicity; the
     derivation D sends u_i^{(j)} to u_i^{(j+1)}.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
     def __init__(self, coeffs: Mapping[tuple, object] | None = None):
-        clean: dict[tuple, Fraction] = {}
-        if coeffs:
-            for mono, c in coeffs.items():
-                mono = tuple(sorted((int(i), int(j)) for i, j in mono))
-                c = rat(c)
-                if c:
-                    clean[mono] = clean.get(mono, Fraction(0)) + c
-                    if not clean[mono]:
-                        del clean[mono]
-        self.coeffs = clean
+        super().__init__((), coeffs)
+
+    def _monomial(self, mono) -> tuple:
+        return tuple(sorted((int(i), int(j)) for i, j in mono))
+
+    @staticmethod
+    def _mono_mul(m1: tuple, m2: tuple) -> tuple:
+        return tuple(sorted(m1 + m2))
 
     @classmethod
     def zero(cls) -> "DPoly":
@@ -297,52 +292,22 @@ class DPoly:
 
     @classmethod
     def constant(cls, c) -> "DPoly":
-        return cls({(): rat(c)})
+        return cls({(): c})
 
     @classmethod
     def variable(cls, i: int, j: int = 0, c=1) -> "DPoly":
-        return cls({((i, j),): rat(c)})
+        return cls({((i, j),): c})
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, other: "DPoly") -> "DPoly":
-        out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            v = out.get(m, Fraction(0)) + c
-            if v:
-                out[m] = v
-            else:
-                del out[m]
-        return DPoly(out)
-
-    def __neg__(self) -> "DPoly":
-        return DPoly({m: -c for m, c in self.coeffs.items()})
-
-    def __sub__(self, other: "DPoly") -> "DPoly":
-        return self + (-other)
-
-    def scale(self, c) -> "DPoly":
-        c = rat(c)
-        return DPoly({m: c * v for m, v in self.coeffs.items()}) if c else DPoly()
-
-    def __mul__(self, other: "DPoly") -> "DPoly":
-        out: dict[tuple, Fraction] = {}
-        for m1, c1 in self.coeffs.items():
-            for m2, c2 in other.coeffs.items():
-                m = tuple(sorted(m1 + m2))
-                out[m] = out.get(m, Fraction(0)) + c1 * c2
-        return DPoly(out)
+    def terms(self):
+        """Shorter monomials first, then lexicographic."""
+        return sorted(self.coeffs.items(), key=lambda kv: (len(kv[0]), kv[0]))
 
     def derive(self) -> "DPoly":
         """Apply D once (Leibniz over each monomial factor)."""
-        out = DPoly()
-        for mono, c in self.coeffs.items():
-            for t in range(len(mono)):
-                i, j = mono[t]
-                lifted = mono[:t] + ((i, j + 1),) + mono[t + 1:]
-                out = out + DPoly({lifted: c})
-        return out
+        return self._new(clean(
+            (tuple(sorted(mono[:t] + ((i, j + 1),) + mono[t + 1:])), c)
+            for mono, c in self.coeffs.items() for t, (i, j) in enumerate(mono)
+        ))
 
     def derive_times(self, k: int) -> "DPoly":
         cur = self
@@ -352,32 +317,14 @@ class DPoly:
 
     def drop_derivatives(self) -> "DPoly":
         """Kill every monomial containing a derivative variable."""
-        return DPoly({m: c for m, c in self.coeffs.items()
-                      if all(j == 0 for _, j in m)})
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, DPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
+        return self._new({m: c for m, c in self.coeffs.items()
+                          if all(j == 0 for _, j in m)})
 
     def format(self, names: Sequence[str]) -> str:
-        if not self.coeffs:
-            return "0"
-        bits = []
-        for mono, c in sorted(self.coeffs.items(), key=lambda kv: (len(kv[0]), kv[0])):
-            body = "*".join(
-                names[i] if j == 0 else f"{names[i]}^({j})" for i, j in mono
-            )
-            if not body:
-                bits.append(rat_str(c))
-            elif c == 1:
-                bits.append(body)
-            elif c == -1:
-                bits.append(f"-{body}")
-            else:
-                bits.append(f"{rat_str(c)}*{body}")
-        return " + ".join(bits).replace("+ -", "- ")
+        return format_terms(
+            ("*".join(names[i] if j == 0 else f"{names[i]}^({j})" for i, j in mono), c)
+            for mono, c in self.terms()
+        )
 
     def __repr__(self):
         return f"DPoly({self.coeffs!r})"
@@ -387,14 +334,7 @@ VPSeries = dict[int, DPoly]  # delta order -> coefficient, written in y
 
 
 def vps_add(a: VPSeries, b: VPSeries, scale=Fraction(1)) -> VPSeries:
-    out = dict(a)
-    for k, p in b.items():
-        q = out.get(k, DPoly()) + p.scale(scale)
-        if q.is_zero():
-            out.pop(k, None)
-        else:
-            out[k] = q
-    return out
+    return add_into(dict(a), {k: p.scale(scale) for k, p in b.items()})
 
 
 def vps_compose(series: VPSeries, p: DPoly) -> VPSeries:
@@ -555,17 +495,10 @@ class VPDiffAlgebra:
                     if not w:
                         continue
                     p = -a - b - k - 2
-                    for mono, c in h.coeffs.items():
-                        # the unit of the algebra is killed by D, so its
-                        # field is frozen at mode -1
-                        if not mono and p != -1:
-                            continue
-                        key = (mono, p)
-                        v = cell.get(key, Fraction(0)) + c * w
-                        if v:
-                            cell[key] = v
-                        else:
-                            cell.pop(key, None)
+                    # the unit of the algebra is killed by D, so its field
+                    # is frozen at mode -1
+                    add_into(cell, {(mono, p): c for mono, c in h.coeffs.items()
+                                    if mono or p == -1}, w)
                 if cell:
                     window[(a, b)] = cell
         return window

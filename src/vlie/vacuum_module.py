@@ -17,7 +17,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .formal_calc import gen_binomial, rat, rat_str
+from .formal_calc import format_terms, gen_binomial, rat
+from .linalg import add_into, clean
 from .vertex_lie import ModeElement, VLStructure
 
 Symbol = tuple[int, int, int]          # (mode n, class, index)
@@ -27,32 +28,16 @@ State = dict[Monomial, Fraction]
 VACUUM: Monomial = ()
 
 
-def _clean(state: State) -> State:
-    return {m: c for m, c in state.items() if c}
-
-
-def _add_into(acc: State, state: State, scale: Fraction = Fraction(1)):
-    for m, c in state.items():
-        v = acc.get(m, Fraction(0)) + scale * c
-        if v:
-            acc[m] = v
-        else:
-            del acc[m]
-
-
 def state_add(a: State, b: State, scale=Fraction(1)) -> State:
-    out = dict(a)
-    _add_into(out, b, rat(scale))
-    return out
+    return add_into(dict(a), b, rat(scale))
 
 
 def state_scale(a: State, c) -> State:
-    c = rat(c)
-    return {m: c * v for m, v in a.items()} if c else {}
+    return add_into({}, a, rat(c))
 
 
 def state_eq(a: State, b: State) -> bool:
-    return _clean(a) == _clean(b)
+    return clean(a) == clean(b)
 
 
 class VacuumModule:
@@ -107,7 +92,7 @@ class VacuumModule:
 
     def state_degree(self, state: State) -> int:
         """Max degree over monomials; -1 for the zero state."""
-        state = _clean(state)
+        state = clean(state)
         if not state:
             return -1
         return max(self.monomial_degree(m) for m in state)
@@ -138,27 +123,18 @@ class VacuumModule:
     def state(self, items: Iterable[tuple[Iterable[tuple[str, int]], object]]) -> State:
         out: State = {}
         for symbols, coeff in items:
-            _add_into(out, {self.monomial(symbols): rat(coeff)})
+            add_into(out, {self.monomial(symbols): rat(coeff)})
         return out
 
     def generator_state(self, name: str) -> State:
         return {self.monomial([(name, -1)]): Fraction(1)}
 
     def format_state(self, state: State) -> str:
-        state = _clean(state)
-        if not state:
-            return "0"
-        bits = []
-        for mono in sorted(state):
-            c = state[mono]
-            body = "".join(self._format_symbol(s) for s in mono) + "1"
-            if c == 1:
-                bits.append(body)
-            elif c == -1:
-                bits.append(f"-{body}")
-            else:
-                bits.append(f"{rat_str(c)}*{body}")
-        return " + ".join(bits).replace("+ -", "- ")
+        state = clean(state)
+        return format_terms(
+            ("".join(self._format_symbol(s) for s in mono) + "1", state[mono])
+            for mono in sorted(state)
+        )
 
     def symbol_name(self, sym: Symbol) -> str:
         _, cls, idx = sym
@@ -180,7 +156,7 @@ class VacuumModule:
         for tag, c in element.terms.items():
             key = self._tag_to_key(tag)
             for mono, mc in state.items():
-                _add_into(out, self._act_key(key, mono), c * mc)
+                add_into(out, self._act_key(key, mono), c * mc)
         return out
 
     def _tag_to_key(self, tag) -> tuple:
@@ -217,10 +193,10 @@ class VacuumModule:
             # u(n) s1 rest = s1 u(n) rest + [u(n), s1] rest
             inner = self._act_key(key, tail)
             for new_mono, c in inner.items():
-                _add_into(result, self._prepend(head, new_mono), c)
+                add_into(result, self._prepend(head, new_mono), c)
             bracket = self._symbol_bracket(key, head)
             for tag, c in bracket.terms.items():
-                _add_into(result, self._act_key(self._tag_to_key(tag), tail), c)
+                add_into(result, self._act_key(self._tag_to_key(tag), tail), c)
         memo[(key, mono)] = result
         return result
 
@@ -323,12 +299,12 @@ class VacuumModule:
         """
         self.require_graded("mode_of_state")
         out: State = {}
-        for mono, c in _clean(a).items():
-            _add_into(out, self._mode_of_monomial(mono, n, b), c)
+        for mono, c in clean(a).items():
+            add_into(out, self._mode_of_monomial(mono, n, b), c)
         return out
 
     def _mode_of_monomial(self, mono: Monomial, n: int, b: State) -> State:
-        b = _clean(b)
+        b = clean(b)
         if not b:
             return {}
         if not mono:
@@ -359,15 +335,14 @@ class VacuumModule:
                     if inner:
                         sign = -1 if i % 2 else 1
                         outer = self._act_creator_state(idx, -k - 1 - i, inner)
-                        _add_into(result, outer, coeff * sign)
+                        add_into(result, outer, coeff * sign)
                 if i <= bound_second:
                     ub = self.act(self.structure.u_prime_names[idx], i, b)
                     if ub:
                         inner = self._mode_of_monomial(tail, n - k - 1 - i, ub)
                         sign = -1 if (k + 1 + i) % 2 else 1
-                        _add_into(result, inner, -coeff * sign)
+                        add_into(result, inner, -coeff * sign)
             i += 1
-        result = _clean(result)
         self._mode_memo[key] = result
         return result
 
@@ -375,7 +350,7 @@ class VacuumModule:
         out: State = {}
         key = (1, n, idx)
         for mono, c in state.items():
-            _add_into(out, self._act_key(key, mono), c)
+            add_into(out, self._act_key(key, mono), c)
         return out
 
     # -- derived operations -----------------------------------------------------------
@@ -416,7 +391,7 @@ class VacuumModule:
                     for i, aib in products.items():
                         c = gen_binomial(m, i)
                         if c:
-                            _add_into(rhs, self.mode_of_state(aib, m + n - i, s), c)
+                            add_into(rhs, self.mode_of_state(aib, m + n - i, s), c)
                     if not state_eq(lhs, rhs):
                         problems.append(
                             f"commutator mismatch at m={m}, n={n} on state "

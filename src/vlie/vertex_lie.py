@@ -18,32 +18,14 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .formal_calc import Rational, gen_binomial, rat, rat_str
+from .formal_calc import Rational, format_terms, gen_binomial, rat, rat_str
 from .lie_core import BilinearForm, FiniteLieAlgebra, SymPoly, check_invariance
+from .linalg import Echelon, add_into, clean, inverse, nullspace
 
 Vector = dict[int, Fraction]  # sparse coordinates over the base-space basis
 
 _MAX_D_RECURSION = 64
-
-
-def _vec(items=()) -> Vector:
-    out: Vector = {}
-    for i, c in dict(items).items():
-        c = rat(c)
-        if c:
-            out[i] = c
-    return out
-
-
-def _vec_add(a: Vector, b: Vector, scale: Fraction = Fraction(1)) -> Vector:
-    out = dict(a)
-    for i, c in b.items():
-        v = out.get(i, Fraction(0)) + scale * c
-        if v:
-            out[i] = v
-        else:
-            out.pop(i, None)
-    return out
+_ONE = Fraction(1)
 
 
 class ModeElement:
@@ -57,40 +39,29 @@ class ModeElement:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[tuple, object] | None = None):
-        clean: dict[tuple, Fraction] = {}
-        if terms:
-            for key, c in terms.items():
-                c = rat(c)
-                if c:
-                    clean[key] = clean.get(key, Fraction(0)) + c
-                    if not clean[key]:
-                        del clean[key]
-        self.terms = clean
+        self.terms = clean(terms) if terms else {}
+
+    @classmethod
+    def _wrap(cls, terms: dict) -> "ModeElement":
+        """Element around an already clean term map, skipping re-cleaning."""
+        out = object.__new__(cls)
+        out.terms = terms
+        return out
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def __add__(self, other: "ModeElement") -> "ModeElement":
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            v = out.get(k, Fraction(0)) + c
-            if v:
-                out[k] = v
-            else:
-                del out[k]
-        return ModeElement(out)
+        return ModeElement._wrap(add_into(dict(self.terms), other.terms))
 
     def __neg__(self) -> "ModeElement":
-        return ModeElement({k: -c for k, c in self.terms.items()})
+        return self.scale(-1)
 
     def __sub__(self, other: "ModeElement") -> "ModeElement":
-        return self + (-other)
+        return ModeElement._wrap(add_into(dict(self.terms), other.terms, -1))
 
     def scale(self, c) -> "ModeElement":
-        c = rat(c)
-        if not c:
-            return ModeElement()
-        return ModeElement({k: c * v for k, v in self.terms.items()})
+        return ModeElement._wrap(add_into({}, self.terms, rat(c)))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ModeElement) and self.terms == other.terms
@@ -107,25 +78,11 @@ class ModeElement:
         return sorted(self.terms.items(), key=key)
 
     def format(self, structure: "VLStructure") -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for tag, c in self.sorted_terms(structure):
-            if tag[0] == "u":
-                name = structure.u_prime_names[tag[1]]
-                mode = tag[2]
-            else:
-                name = structure.u0_prime_names[tag[1]]
-                mode = -1
-            sym = f"{name}({mode})"
-            if c == 1:
-                text = sym
-            elif c == -1:
-                text = f"-{sym}"
-            else:
-                text = f"{rat_str(c)}*{sym}"
-            bits.append(text)
-        return " + ".join(bits).replace("+ -", "- ")
+        return format_terms(
+            (f"{structure.u_prime_names[tag[1]]}({tag[2]})" if tag[0] == "u"
+             else f"{structure.u0_prime_names[tag[1]]}(-1)", c)
+            for tag, c in self.sorted_terms(structure)
+        )
 
     def __repr__(self):
         return f"ModeElement({self.terms!r})"
@@ -167,7 +124,7 @@ class VLStructure:
         self.d_map: dict[int, Vector] = {}
         for n in self.d_domain:
             img = (d_matrix or {}).get(n, {})
-            self.d_map[self.index[n]] = _vec({self.index[m]: c for m, c in img.items()})
+            self.d_map[self.index[n]] = clean({self.index[m]: c for m, c in img.items()})
 
         self._table: dict[tuple[int, int], tuple] = {}
         for (a, b), terms in table.items():
@@ -177,7 +134,7 @@ class VLStructure:
                 k, l = int(k), int(l)
                 if k < 0 or l < 0:
                     raise ValueError("derivative and delta orders are nonnegative")
-                fv = _vec({self.index[m]: c for m, c in dict(f).items()})
+                fv = clean({self.index[m]: c for m, c in dict(f).items()})
                 if fv:
                     packed.append((fv, k, l))
             self._table[(ia, ib)] = tuple(packed)
@@ -191,97 +148,59 @@ class VLStructure:
 
     def _setup_complements(self, u_prime, u0_prime):
         r = len(self.basis)
-        # ker d: restricted to the domain; spanned here by domain basis
-        # vectors with zero image (the in-scope structures all have d = 0).
-        k_basis = [i for i in sorted(self.d_map) if not self.d_map[i]]
-        im_basis = [self.d_map[i] for i in sorted(self.d_map) if self.d_map[i]]
-        self.u0_indices = tuple(k_basis)
+        domain = sorted(self.d_map)
+        # ker d is the nullspace of d on its domain; im d keeps the image of
+        # one domain basis vector per echelon pivot, as (preimage, image)
+        kernel = nullspace([[self.d_map[i].get(j, 0) for i in domain] for j in range(r)])
+        k_vectors = [{domain[p]: c for p, c in v.items()} for v in kernel]
+        self.u0_names = tuple(self._vector_name(v) for v in k_vectors)
+        image = Echelon()
+        self._im_preimages = [(i, self.d_map[i]) for i in domain if image.insert(self.d_map[i])]
+        im_basis = [v for _, v in self._im_preimages]
 
         def greedy_extend(span_vectors, candidates):
-            """Lowest-index standard vectors extending the span, by row reduction."""
-            by_pivot: dict[int, Vector] = {}
-
-            def reduce_against(vec):
-                vec = dict(vec)
-                while vec:
-                    lead = min(vec)
-                    row = by_pivot.get(lead)
-                    if row is None:
-                        return vec
-                    f = vec[lead] / row[lead]
-                    for c2, v2 in row.items():
-                        nv = vec.get(c2, Fraction(0)) - f * v2
-                        if nv:
-                            vec[c2] = nv
-                        else:
-                            vec.pop(c2, None)
-                return vec
-
+            """Candidates, in order, that extend the span of those before."""
+            echelon = Echelon()
             for v in span_vectors:
-                red = reduce_against(v)
-                if red:
-                    by_pivot[min(red)] = red
-            chosen = []
-            for cand in candidates:
-                red = reduce_against(cand)
-                if red:
-                    chosen.append(cand)
-                    by_pivot[min(red)] = red
-            return chosen
+                echelon.insert(v)
+            return [v for v in candidates if echelon.insert(v)]
+
+        def unit(i):
+            return {i: _ONE}
 
         if u_prime is not None:
-            self.u_prime_vectors = [
-                _vec({self.index[n]: 1}) for n in u_prime
-            ]
+            self.u_prime_vectors = [unit(self.index[n]) for n in u_prime]
             self.u_prime_names = tuple(u_prime)
         else:
-            base_span = [_vec({i: 1}) for i in k_basis] + list(im_basis)
-            cands = [_vec({i: 1}) for i in range(r)]
-            chosen = greedy_extend(base_span, cands)
-            self.u_prime_vectors = chosen
-            self.u_prime_names = tuple(self.basis[min(v)] for v in chosen)
+            self.u_prime_vectors = greedy_extend(k_vectors + im_basis, [unit(i) for i in range(r)])
+            self.u_prime_names = tuple(self._vector_name(v) for v in self.u_prime_vectors)
 
         if u0_prime is not None:
-            self.u0_prime_vectors = [_vec({self.index[n]: 1}) for n in u0_prime]
+            self.u0_prime_vectors = [unit(self.index[n]) for n in u0_prime]
             self.u0_prime_names = tuple(u0_prime)
         else:
-            chosen = greedy_extend(list(im_basis), [_vec({i: 1}) for i in k_basis])
-            self.u0_prime_vectors = chosen
-            self.u0_prime_names = tuple(self.basis[min(v)] for v in chosen)
+            self.u0_prime_vectors = greedy_extend(im_basis, k_vectors)
+            self.u0_prime_names = tuple(self._vector_name(v) for v in self.u0_prime_vectors)
 
         # decomposition matrix: columns are u0' vectors, im-d generators
         # (with their preimages), then u' vectors
-        self._im_preimages = [
-            (i, self.d_map[i]) for i in sorted(self.d_map) if self.d_map[i]
-        ]
-        cols: list[Vector] = (
-            list(self.u0_prime_vectors)
-            + [v for _, v in self._im_preimages]
-            + list(self.u_prime_vectors)
-        )
-        self._decomp_cols = cols
-        n_cols = len(cols)
-        if n_cols != r:
+        cols = self.u0_prime_vectors + im_basis + self.u_prime_vectors
+        if len(cols) != r:
             raise ValueError(
                 "complement choice does not decompose the base space "
-                f"({n_cols} columns vs dimension {r})"
+                f"({len(cols)} columns vs dimension {r})"
             )
-        # dense LU-style inverse via Gaussian elimination
-        mat = [[cols[j].get(i, Fraction(0)) for j in range(r)] for i in range(r)]
-        aug = [row[:] + [Fraction(1) if i == j else Fraction(0) for j in range(r)]
-               for i, row in enumerate(mat)]
-        for col in range(r):
-            piv = next((rr for rr in range(col, r) if aug[rr][col]), None)
-            if piv is None:
-                raise ValueError("complement vectors are linearly dependent")
-            aug[col], aug[piv] = aug[piv], aug[col]
-            inv = 1 / aug[col][col]
-            aug[col] = [x * inv for x in aug[col]]
-            for rr in range(r):
-                if rr != col and aug[rr][col]:
-                    f = aug[rr][col]
-                    aug[rr] = [x - f * y for x, y in zip(aug[rr], aug[col])]
-        self._decomp_inv = [row[r:] for row in aug]
+        try:
+            self._decomp_inv = inverse([[col.get(i, 0) for col in cols] for i in range(r)])
+        except ValueError:
+            raise ValueError("complement vectors are linearly dependent") from None
+
+    def _vector_name(self, vec: Vector) -> str:
+        """The basis name of a unit vector, else the combination in parentheses."""
+        (i, c), *rest = vec.items()
+        if not rest and c == 1:
+            return self.basis[i]
+        return "(" + format_terms((self.basis[i], c) for i, c in sorted(vec.items())) + ")"
 
     def decompose_vector(self, vec: Vector):
         """Split u = (ker-d complement part) + d(preimage) + (U' part)."""
@@ -318,23 +237,21 @@ class VLStructure:
         if _depth > _MAX_D_RECURSION:
             raise ValueError("mode reduction does not terminate; pathological d")
         if isinstance(vec_or_name, str):
-            vec = _vec({self.index[vec_or_name]: 1})
+            vec = {self.index[vec_or_name]: _ONE}
         else:
-            vec = _vec(vec_or_name)
+            vec = clean(vec_or_name)
         z_part, im_part, up_part = self.decompose_vector(vec)
-        out = ModeElement()
+        out: dict = {}
         if n == -1:
-            out = out + ModeElement({("z", j): c for j, c in enumerate(z_part) if c})
+            add_into(out, {("z", j): c for j, c in enumerate(z_part)})
         # ker-d vectors vanish at every other mode
-        for t, c in enumerate(im_part):
-            if c and n != 0:
-                # (dw)(n) = -n w(n-1) with w the domain basis preimage
-                dom_idx, _ = self._im_preimages[t]
-                out = out + self.mode(_vec({dom_idx: 1}), n - 1, _depth + 1).scale(-n * c)
-        out = out + ModeElement(
-            {("u", i, n): c for i, c in enumerate(up_part) if c}
-        )
-        return out
+        if n != 0:
+            for (dom_idx, _), c in zip(self._im_preimages, im_part):
+                if c:
+                    # (dw)(n) = -n w(n-1) with w the domain basis preimage
+                    add_into(out, self.mode({dom_idx: _ONE}, n - 1, _depth + 1).terms, -n * c)
+        add_into(out, {("u", i, n): c for i, c in enumerate(up_part)})
+        return ModeElement._wrap(out)
 
     def canonical_vector(self, tag) -> Vector:
         """Base-space vector behind a canonical mode symbol."""
@@ -367,7 +284,7 @@ class VLStructure:
         cached = self._bracket_cache.get(key)
         if cached is not None:
             return cached
-        out = ModeElement()
+        out: dict = {}
         for fv, k, l in self.table_terms(ia, ib):
             c = gen_binomial(m, l) * gen_binomial(m + n - l, k)
             if not c:
@@ -379,27 +296,28 @@ class VLStructure:
                 fact *= t
             if (l + k) % 2:
                 fact = -fact
-            out = out + self.mode(fv, m + n - l - k).scale(c * fact)
-        self._bracket_cache[key] = out
-        return out
+            add_into(out, self.mode(fv, m + n - l - k).terms, c * fact)
+        element = ModeElement._wrap(out)
+        self._bracket_cache[key] = element
+        return element
 
     def bracket_vectors(self, va: Vector, m: int, vb: Vector, n: int) -> ModeElement:
-        out = ModeElement()
+        out: dict = {}
         for ia, ca in va.items():
             for ib, cb in vb.items():
-                out = out + self.component_bracket(ia, m, ib, n).scale(ca * cb)
-        return out
+                add_into(out, self.component_bracket(ia, m, ib, n).terms, ca * cb)
+        return ModeElement._wrap(out)
 
     def bracket_elements(self, x: ModeElement, y: ModeElement) -> ModeElement:
-        out = ModeElement()
+        out: dict = {}
         for tag_x, cx in x.terms.items():
             vx = self.canonical_vector(tag_x)
             mx = -1 if tag_x[0] == "z" else tag_x[2]
             for tag_y, cy in y.terms.items():
                 vy = self.canonical_vector(tag_y)
                 my = -1 if tag_y[0] == "z" else tag_y[2]
-                out = out + self.bracket_vectors(vx, mx, vy, my).scale(cx * cy)
-        return out
+                add_into(out, self.bracket_vectors(vx, mx, vy, my).terms, cx * cy)
+        return ModeElement._wrap(out)
 
     # -- verification -------------------------------------------------------------
 
@@ -439,7 +357,7 @@ class VLStructure:
             ]
         modes = range(-window, window + 1)
         for (i, j, k) in triples:
-            vi, vj, vk = (_vec({t: 1}) for t in (i, j, k))
+            vi, vj, vk = ({t: _ONE} for t in (i, j, k))
             for m in modes:
                 for n in modes:
                     xy = self.bracket_vectors(vi, m, vj, n)
@@ -514,7 +432,7 @@ class BracketSeries:
     def coefficient(self, m: int, n: int) -> ModeElement:
         """Coefficient of x^{-m-1} y^{-n-1}, via raw series expansion."""
         st = self.structure
-        out = ModeElement()
+        out: dict = {}
         for fv, k, l in self.terms:
             # f^{(k)}(y) = sum_p binom(-p-1, k) k! f(p) y^{-p-k-1}
             # Delta^(l)  = sum_q q(q-1)..(q-l+1) x^{q-l} y^{-q-1}
@@ -530,8 +448,8 @@ class BracketSeries:
                 fact_k *= t
             c = gen_binomial(-p - 1, k) * fact_k * w
             if c:
-                out = out + st.mode(fv, p).scale(c)
-        return out
+                add_into(out, st.mode(fv, p).terms, c)
+        return ModeElement._wrap(out)
 
     def __repr__(self):
         st = self.structure
@@ -674,11 +592,7 @@ class CommAlgebra:
 
         t: dict[tuple[int, int], dict[int, Fraction]] = {}
         for (a, b), val in table.items():
-            entry = {}
-            for k, c in val.items():
-                c = rat(c)
-                if c:
-                    entry[pos(k)] = c
+            entry = clean((pos(k), c) for k, c in val.items())
             if entry:
                 t[(pos(a), pos(b))] = entry
         self.table = t
@@ -694,12 +608,7 @@ class CommAlgebra:
         out: dict[int, Fraction] = {}
         for i, a in u.items():
             for j, b in v.items():
-                for k, c in self.product_basis(i, j).items():
-                    val = out.get(k, Fraction(0)) + a * b * c
-                    if val:
-                        out[k] = val
-                    else:
-                        out.pop(k, None)
+                add_into(out, self.product_basis(i, j), a * b)
         return out
 
     def check_axioms(self) -> list[str]:

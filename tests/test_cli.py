@@ -134,6 +134,27 @@ class TestErrorPaths:
         code, _, _ = run(capsys, "check", "not-a-suite")
         assert code == 2
 
+    @pytest.mark.parametrize("argv, message", [
+        (("act", "--builder", "virasoro", "--mode", "foo:3", "--state", '[[[], "1"]]'),
+         "config error:"),
+        (("bracket", "--builder", "virasoro", "--a", "omega", "--m", "1", "--b", "zzz",
+          "--n", "0"), "config error:"),
+        (("lattice", "c2-set", "--gram", "[[2,1]]"), "config error:"),
+        (("lattice", "c2-set", "--gram", "[[3]]"), "config error:"),
+        (("character", "--builder", "virasoro"), "config error:"),
+        (("check", "vla", "--window", "-1"), "nonnegative"),
+        (("check", "vacuum", "--depth", "-1"), "nonnegative"),
+        (("check", "delta", "--samples", "-1"), "nonnegative"),
+        (("borcherds-check", "--builder", "virasoro", "--lambda", "c=1/2", "--window", "-1"),
+         "nonnegative"),
+        (("character", "--builder", "virasoro", "--lambda", "c=1/2", "--depth", "-1"),
+         "nonnegative"),
+    ])
+    def test_bad_input_exits_2(self, capsys, argv, message):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert message in err
+
     def test_degenerate_gram_exits_1(self, capsys):
         code, _, err = run(capsys, "lattice", "p2", "--gram", "[[2,2],[2,2]]")
         assert code == 1

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from vlie.config import vertex_lie_from_config
 from vlie.lie_core import BilinearForm, FiniteLieAlgebra, SymPoly, sl2, sl2_form
 from vlie.vertex_lie import (
     CommAlgebra,
@@ -81,6 +82,22 @@ class TestModeReduction:
         # (du)(m) = -m u(m-1) exactly, for u = a in the domain
         for m in range(-3, 4):
             assert s.mode({s.index["b"]: 1}, m) == s.mode("a", m - 1).scale(-m)
+
+
+    def test_non_injective_d(self):
+        # d a = d b = c: ker d is spanned by a - b, which gets a combination name
+        config = {
+            "basis": ["a", "b", "c"],
+            "d": {"domain": ["a", "b"], "matrix": [["0", "0", "1"], ["0", "0", "1"]]},
+            "u0": ["(a - b)"],
+            "brackets": [],
+        }
+        s = vertex_lie_from_config(config)
+        assert s.certified
+        assert s.u0_prime_names == ("(a - b)",)
+        for u in ("a", "b"):
+            for m in range(-4, 5):
+                assert s.mode("c", m) == s.mode(u, m - 1).scale(-m), (u, m)
 
 
 class TestComponentBracket:
