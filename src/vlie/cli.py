@@ -617,6 +617,13 @@ def _nonnegative(text: str) -> int:
     return value
 
 
+def _positive(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
 def _common(parser):
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--seed", type=int, default=0)
@@ -700,14 +707,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lattice", help="lattice quotient algebras")
     p.add_argument("action", choices=("c2-set", "p2", "poisson", "bk-compare"))
     p.add_argument("--gram", required=False, default="[[2]]")
-    p.add_argument("--k", type=int, default=1)
+    p.add_argument("--k", type=_positive, default=1)
     _common(p)
     p.set_defaults(fn=cmd_lattice)
 
     p = sub.add_parser("decompose", help="expand and re-extract a delta series")
     p.add_argument("--series", required=True,
                    help='JSON like [{"order":0,"coeff":{"1":"1"}}]')
-    p.add_argument("--k", type=int)
+    p.add_argument("--k", type=_nonnegative)
     _common(p)
     p.set_defaults(fn=cmd_decompose)
 

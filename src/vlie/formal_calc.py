@@ -408,25 +408,32 @@ def mul_power_diff(m: int, series: DeltaSeries) -> DeltaSeries:
     return DeltaSeries(out, series.side)
 
 
+def delta_transport(k: int, to_y: bool) -> list[tuple[int, Fraction]]:
+    """Weights (j, w_j) of moving a coefficient f through Delta^(k) into the
+    other variable: f Delta^(k) = sum_j w_j f^{(k-j)} Delta^(j), with
+    w_j = binom(k,j), times (-1)^{k+j} when f moves from x to y."""
+    out = []
+    for j in range(k + 1):
+        c = gen_binomial(k, j)
+        out.append((j, -c if to_y and (k + j) % 2 else c))
+    return out
+
+
 def swap_side(series: DeltaSeries) -> DeltaSeries:
     """Rewrite the series with coefficients in the other variable.
 
+    Each coefficient moves through its Delta term by ``delta_transport``:
     x -> y uses f(x)Delta^(k) = sum_j (-1)^{k+j} binom(k,j) f^{(k-j)}(y) Delta^(j);
     y -> x uses f(y)Delta^(k) = sum_j binom(k,j) f^{(k-j)}(x) Delta^(j).
-    Both follow from moving the variable through the Delta derivatives and
-    must render identically on any window.
+    Both sides must render identically on any window.
     """
     to_y = series.side == COEFF_IN_X
     new_side = COEFF_IN_Y if to_y else COEFF_IN_X
     new_var = ("y",) if to_y else ("x",)
     out: list[tuple[int, LaurentPoly]] = []
     for k, poly in series.terms:
-        for j in range(k + 1):
-            c = gen_binomial(k, j)
-            if to_y and (k + j) % 2:
-                c = -c
-            g = poly.derivative(k - j).rename(new_var).scale(c)
-            out.append((j, g))
+        for j, c in delta_transport(k, to_y):
+            out.append((j, poly.derivative(k - j).rename(new_var).scale(c)))
     return DeltaSeries(out, new_side)
 
 
@@ -438,20 +445,16 @@ def mul_coeff_var(series: DeltaSeries, poly: LaurentPoly) -> DeltaSeries:
 def mul_other_var(series: DeltaSeries, poly: LaurentPoly) -> DeltaSeries:
     """Multiply by a Laurent polynomial in the opposite variable.
 
-    The factor is first transported through each Delta term (the same
-    identity as swap_side applied to poly * Delta^(k)), so the result stays
+    The factor is first transported through each Delta term by
+    ``delta_transport`` (as in swap_side), so the result stays
     on the original side.
     """
     out: list[tuple[int, LaurentPoly]] = []
     to_y = series.side == COEFF_IN_Y
     var = ("y",) if to_y else ("x",)
     for k, g in series.terms:
-        for j in range(k + 1):
-            c = gen_binomial(k, j)
-            if to_y and (k + j) % 2:
-                c = -c
-            moved = poly.derivative(k - j).rename(var).scale(c)
-            out.append((j, g * moved))
+        for j, c in delta_transport(k, to_y):
+            out.append((j, g * poly.derivative(k - j).rename(var).scale(c)))
     return DeltaSeries(out, series.side)
 
 

@@ -17,9 +17,11 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .formal_calc import format_terms
-from .linalg import Echelon, add_into, clean, det, inverse
+from .linalg import Echelon, add_into, bilinear, clean, det, inverse
 
 Vec = tuple[int, ...]
+
+_ONE = Fraction(1)
 
 
 class EvenLattice:
@@ -319,6 +321,7 @@ class PLAlgebra:
             for d in range(reducer.max_degree() + 1):
                 for mono in reducer.basis(d):
                     self.basis.append((sector, mono))
+        self.index = {key: i for i, key in enumerate(self.basis)}
         self._mult_table: dict | None = None
         self._bracket_table: dict | None = None
 
@@ -468,49 +471,31 @@ class PLAlgebra:
     # -- tables and verification ------------------------------------------------------
 
     def multiplication_table(self) -> dict:
+        """Structure constants {(i, j): {k: c}} of the product over basis
+        indices, built once."""
         if self._mult_table is None:
+            index, basis = self.index, self.basis
             table = {}
-            for i, ka in enumerate(self.basis):
-                for j, kb in enumerate(self.basis):
-                    if j < i:
-                        continue
-                    table[(i, j)] = self.multiply({ka: Fraction(1)}, {kb: Fraction(1)})
-                    table[(j, i)] = table[(i, j)]
+            for i, ka in enumerate(basis):
+                for j in range(i, len(basis)):
+                    prod = self.multiply({ka: _ONE}, {basis[j]: _ONE})
+                    table[(i, j)] = table[(j, i)] = {index[key]: c for key, c in prod.items()}
             self._mult_table = table
         return self._mult_table
 
     def bracket_table(self) -> dict:
+        """Structure constants {(i, j): {k: c}} of the bracket over basis
+        indices, built once."""
         if self._bracket_table is None:
+            index, basis = self.index, self.basis
             table = {}
-            for i, ka in enumerate(self.basis):
-                for j, kb in enumerate(self.basis):
-                    if j < i:
-                        continue
-                    val = self.bracket({ka: Fraction(1)}, {kb: Fraction(1)})
-                    table[(i, j)] = val
-                    table[(j, i)] = add_into({}, val, -1)
+            for i, ka in enumerate(basis):
+                for j in range(i, len(basis)):
+                    val = self.bracket({ka: _ONE}, {basis[j]: _ONE})
+                    table[(i, j)] = {index[key]: c for key, c in val.items()}
+                    table[(j, i)] = {index[key]: -c for key, c in val.items()}
             self._bracket_table = table
         return self._bracket_table
-
-    def _as_vector(self, element: Mapping) -> dict[int, Fraction]:
-        index = {key: i for i, key in enumerate(self.basis)}
-        out = {}
-        for key, c in element.items():
-            if c:
-                out[index[key]] = c
-        return out
-
-    def table_mult(self, i: int, j: int) -> dict[int, Fraction]:
-        return self._as_vector(self.multiplication_table()[(i, j)])
-
-    def table_bracket(self, i: int, j: int) -> dict[int, Fraction]:
-        return self._as_vector(self.bracket_table()[(i, j)])
-
-    def _combine(self, vec: dict[int, Fraction], table) -> dict:
-        out: dict = {}
-        for i, c in vec.items():
-            add_into(out, table(i), c)
-        return out
 
     def verify_axioms(self) -> list[str]:
         """Exhaustive associativity, commutativity, skew, Leibniz and Jacobi
@@ -518,36 +503,32 @@ class PLAlgebra:
         if self.zero_algebra:
             return []
         problems = []
-        mult = self.table_mult
-        br = self.table_bracket
+        mult = self.multiplication_table()
+        br = self.bracket_table()
         n = self.dim
-
-        def mul_vec(vec, j):
-            return self._combine(vec, lambda i: mult(i, j))
-
-        def br_vec(vec, j):
-            return self._combine(vec, lambda i: br(i, j))
-
         for i in range(n):
             for j in range(n):
-                if mult(i, j) != mult(j, i):
+                if mult[(i, j)] != mult[(j, i)]:
                     problems.append(f"commutativity fails at ({i},{j})")
-                if add_into(dict(br(i, j)), br(j, i)):
+                if add_into(dict(br[(i, j)]), br[(j, i)]):
                     problems.append(f"skew fails at ({i},{j})")
+        units = [{i: _ONE} for i in range(n)]
         for i in range(n):
             for j in range(n):
                 for k in range(n):
-                    if mul_vec(mult(i, j), k) != mul_vec(mult(j, k), i):
+                    if (bilinear(mult, mult[(i, j)], units[k])
+                            != bilinear(mult, mult[(j, k)], units[i])):
                         problems.append(f"associativity fails at ({i},{j},{k})")
                     # Leibniz: {i, jk} = {i,j}k + {i,k}j
-                    lhs = self._combine(mult(j, k), lambda t: br(i, t))
-                    rhs = add_into(mul_vec(br(i, j), k), mul_vec(br(i, k), j))
+                    lhs = bilinear(br, units[i], mult[(j, k)])
+                    rhs = add_into(bilinear(mult, br[(i, j)], units[k]),
+                                   bilinear(mult, br[(i, k)], units[j]))
                     if lhs != rhs:
                         problems.append(f"Leibniz fails at ({i},{j},{k})")
                     # Jacobi
-                    acc = br_vec(br(i, j), k)
-                    add_into(acc, br_vec(br(j, k), i))
-                    add_into(acc, br_vec(br(k, i), j))
+                    acc = bilinear(br, br[(i, j)], units[k])
+                    add_into(acc, bilinear(br, br[(j, k)], units[i]))
+                    add_into(acc, bilinear(br, br[(k, i)], units[j]))
                     if acc:
                         problems.append(f"Jacobi fails at ({i},{j},{k})")
                     if len(problems) >= 10:
@@ -566,9 +547,11 @@ class PLAlgebra:
             bits.append("X[" + ",".join(str(x) for x in sector) + "]")
         return "*".join(bits) if bits else "1"
 
-    def format_element(self, element: Mapping) -> str:
-        element = clean(element)
-        bodies = ((self.format_key(key), element[key]) for key in sorted(element))
+    def format_element(self, vec: Mapping[int, Fraction]) -> str:
+        """A vector over basis indices, such as a table row, with its terms
+        in the order of their basis keys."""
+        terms = sorted((self.basis[i], c) for i, c in vec.items() if c)
+        bodies = ((self.format_key(key), c) for key, c in terms)
         return format_terms(("" if body == "1" else body, c) for body, c in bodies)
 
 

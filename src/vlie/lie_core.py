@@ -7,7 +7,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .formal_calc import Poly, rat, rat_str
-from .linalg import add_into, clean, det
+from .linalg import add_into, bilinear, clean, det
 
 
 class SymPoly(Poly):
@@ -116,22 +116,12 @@ def check_lie_axioms(names, table) -> list[str]:
     names = tuple(names)
     r = len(names)
     t, problems = _complete_table(names, table)
-
-    def bk(i, j):
-        return t.get((i, j), {})
-
-    def bk_vec(vec: dict[int, Fraction], j: int) -> dict[int, Fraction]:
-        out: dict[int, Fraction] = {}
-        for i, c in vec.items():
-            add_into(out, bk(i, j), c)
-        return out
-
     for i in range(r):
         for j in range(i + 1, r):
             for k in range(j + 1, r):
                 acc: dict[int, Fraction] = {}
                 for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-                    add_into(acc, bk_vec(bk(a, b), c))
+                    add_into(acc, bilinear(t, t.get((a, b), {}), {c: 1}))
                 if acc:
                     problems.append(
                         f"Jacobi fails on ({names[i]},{names[j]},{names[k]})"
@@ -199,27 +189,30 @@ class BilinearForm:
         return self.determinant() != 0
 
 
-def check_invariance(g: FiniteLieAlgebra, form: BilinearForm) -> list[str]:
-    """List basis triples violating ([a,b]|c) = (a|[b,c])."""
-    r = g.dim
+def check_invariance(alg, form: BilinearForm, label: str = "invariance",
+                     cyclic: bool = False) -> list[str]:
+    """List basis triples violating (ab|c) = (a|bc).
+
+    ``alg`` is any algebra with ``names`` and an index-keyed structure-constant
+    ``table``; ab is its bracket or product.  With ``cyclic`` the right side
+    is read as (bc|a), the orientation of an associative form on a
+    commutative algebra; the two agree when the form is symmetric.
+    """
+    names, table = alg.names, alg.table
+    r = len(names)
     if len(form.matrix) != r:
         raise ValueError("form dimension does not match the algebra")
+    m = form.matrix
     problems = []
     for i in range(r):
         for j in range(r):
+            ij = table.get((i, j), {})
             for k in range(r):
-                lhs = sum(
-                    (c * form.value(p, k) for p, c in g.bracket_basis(i, j).items()),
-                    Fraction(0),
-                )
-                rhs = sum(
-                    (c * form.value(i, p) for p, c in g.bracket_basis(j, k).items()),
-                    Fraction(0),
-                )
+                lhs = sum((c * m[p][k] for p, c in ij.items()), Fraction(0))
+                rhs = sum((c * (m[p][i] if cyclic else m[i][p])
+                           for p, c in table.get((j, k), {}).items()), Fraction(0))
                 if lhs != rhs:
-                    problems.append(
-                        f"invariance fails on ({g.names[i]},{g.names[j]},{g.names[k]})"
-                    )
+                    problems.append(f"{label} fails on ({names[i]},{names[j]},{names[k]})")
     return problems
 
 

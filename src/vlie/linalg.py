@@ -2,7 +2,9 @@
 
 A sparse vector is a dict from sortable keys (basis indices, exponent
 tuples, mode symbols) to nonzero Fractions.  ``clean`` builds one from raw
-input and ``add_into`` combines them in place; ``Echelon`` is the package's
+input and ``add_into`` combines them in place.  A finite algebra is a
+structure-constant table {(i, j): sparse vector over basis indices}, and
+``bilinear`` multiplies two vectors through it.  ``Echelon`` is the package's
 only elimination routine, and ``inverse``, ``det`` and ``nullspace`` of
 dense matrices are thin uses of it.
 """
@@ -57,6 +59,19 @@ def add_into(acc: dict, vec: Mapping, scale=1) -> dict:
         return acc
     items = vec.items()
     return _accumulate(acc, items if scale == 1 else ((k, scale * c) for k, c in items))
+
+
+def bilinear(table: Mapping, u: Mapping, v: Mapping) -> dict:
+    """The bilinear extension of a structure-constant table
+    {(i, j): sparse vector} to sparse vectors u and v; missing pairs are 0."""
+    out: dict = {}
+    get = table.get
+    for i, a in u.items():
+        for j, b in v.items():
+            entry = get((i, j))
+            if entry:
+                add_into(out, entry, a * b)
+    return out
 
 
 class Echelon:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .formal_calc import Poly, format_terms, gen_binomial, rat
+from .formal_calc import Poly, delta_transport, format_terms, rat
 from .lie_core import SymPoly
 from .linalg import add_into, clean
 from .vacuum_module import State, VacuumModule
@@ -371,11 +371,8 @@ def vps_skew_transfer(series: VPSeries) -> VPSeries:
     out: VPSeries = {}
     for k, h in series.items():
         sign_k = -1 if k % 2 else 1
-        for j in range(k + 1):
-            c = gen_binomial(k, j) * sign_k
-            if (k + j) % 2:
-                c = -c
-            out = vps_add(out, {j: h.derive_times(k - j)}, -c)
+        for j, c in delta_transport(k, to_y=True):
+            out = vps_add(out, {j: h.derive_times(k - j)}, -c * sign_k)
     return out
 
 

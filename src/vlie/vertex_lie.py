@@ -19,8 +19,8 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .formal_calc import Rational, format_terms, gen_binomial, rat, rat_str
-from .lie_core import BilinearForm, FiniteLieAlgebra, SymPoly, check_invariance
-from .linalg import Echelon, add_into, clean, inverse, nullspace
+from .lie_core import BilinearForm, FiniteLieAlgebra, SymPoly, _normalize_table, check_invariance
+from .linalg import Echelon, add_into, bilinear, clean, inverse, nullspace
 
 Vector = dict[int, Fraction]  # sparse coordinates over the base-space basis
 
@@ -585,17 +585,8 @@ class CommAlgebra:
 
     def __init__(self, names, table, check: bool = True):
         self.names = tuple(names)
-        idx = {n: i for i, n in enumerate(self.names)}
-
-        def pos(x):
-            return idx[x] if isinstance(x, str) else int(x)
-
-        t: dict[tuple[int, int], dict[int, Fraction]] = {}
-        for (a, b), val in table.items():
-            entry = clean((pos(k), c) for k, c in val.items())
-            if entry:
-                t[(pos(a), pos(b))] = entry
-        self.table = t
+        self.table = {pair: entry for pair, entry in _normalize_table(self.names, table).items()
+                      if entry}
         if check:
             problems = self.check_axioms()
             if problems:
@@ -603,13 +594,6 @@ class CommAlgebra:
 
     def product_basis(self, i: int, j: int) -> dict[int, Fraction]:
         return self.table.get((i, j), {})
-
-    def product_vec(self, u: dict[int, Fraction], v: dict[int, Fraction]) -> dict[int, Fraction]:
-        out: dict[int, Fraction] = {}
-        for i, a in u.items():
-            for j, b in v.items():
-                add_into(out, self.product_basis(i, j), a * b)
-        return out
 
     def check_axioms(self) -> list[str]:
         problems = []
@@ -621,8 +605,8 @@ class CommAlgebra:
         for i in range(r):
             for j in range(r):
                 for k in range(r):
-                    lhs = self.product_vec(self.product_basis(i, j), {k: Fraction(1)})
-                    rhs = self.product_vec({i: Fraction(1)}, self.product_basis(j, k))
+                    lhs = bilinear(self.table, self.product_basis(i, j), {k: 1})
+                    rhs = bilinear(self.table, {i: 1}, self.product_basis(j, k))
                     if lhs != rhs:
                         problems.append(
                             f"associativity fails on ({self.names[i]},{self.names[j]},{self.names[k]})"
@@ -632,35 +616,8 @@ class CommAlgebra:
     def cube_is_zero(self) -> bool:
         """Whether every triple product vanishes."""
         r = len(self.names)
-        for i in range(r):
-            for j in range(r):
-                prod = self.product_basis(i, j)
-                for k in range(r):
-                    if self.product_vec(prod, {k: Fraction(1)}):
-                        return False
-        return True
-
-
-def _form_cyclic_problems(alg: CommAlgebra, form: BilinearForm) -> list[str]:
-    """Check (ab|c) = (bc|a) over all basis triples."""
-    problems = []
-    r = len(alg.names)
-    for i in range(r):
-        for j in range(r):
-            for k in range(r):
-                lhs = sum(
-                    (c * form.value(p, k) for p, c in alg.product_basis(i, j).items()),
-                    Fraction(0),
-                )
-                rhs = sum(
-                    (c * form.value(p, i) for p, c in alg.product_basis(j, k).items()),
-                    Fraction(0),
-                )
-                if lhs != rhs:
-                    problems.append(
-                        f"form associativity fails on ({alg.names[i]},{alg.names[j]},{alg.names[k]})"
-                    )
-    return problems
+        return not any(bilinear(self.table, self.product_basis(i, j), {k: 1})
+                       for i in range(r) for j in range(r) for k in range(r))
 
 
 def novikov(algebra: CommAlgebra, form: BilinearForm | None = None) -> VLStructure:
@@ -674,7 +631,7 @@ def novikov(algebra: CommAlgebra, form: BilinearForm | None = None) -> VLStructu
     r = len(algebra.names)
     if form is None:
         form = BilinearForm([[0] * r for _ in range(r)])
-    problems = _form_cyclic_problems(algebra, form)
+    problems = check_invariance(algebra, form, "form associativity", cyclic=True)
     if problems:
         raise ValueError("form is not associative: " + "; ".join(problems[:3]))
     table = _novikov_table(algebra, form)
@@ -785,7 +742,14 @@ def verify_po_relations(g_matrix: Sequence[Sequence[SymPoly]],
       2. d g^{ij} / d u_k = b^{ij}_k
       3. sum_l b^{ij}_l g^{lk} = sum_l b^{jk}_l g^{li}
       4. sum_l d(b^{ij}_l g^{lk})/d u_m
-           = sum_l (b^{ij}_l b^{lk}_m + b^{jk}_l b^{li}_m + b^{ki}_l b^{li}_m)
+           = sum_l (b^{ij}_l b^{lk}_m + b^{jk}_l b^{li}_m + b^{ki}_l b^{lj}_m)
+
+    The right side of 4 is the cyclic sum over (i, j, k).  Given 1 and 2,
+    and g affine in the u_k, relations 3 and 4 are the Jacobi identity of
+    the order-2 table [u_i(x), u_j(y)] = g^{ij}(y) Delta^(2) - (g^{ij})'(y) Delta^(1):
+    the triple (u_i, u_j, u_k) satisfies it exactly when relation 3 holds
+    at (i,j,k) and (k,i,j) and relation 4 at every (i,j,k,m).  The tests
+    check this against the window Jacobi check.
     """
     n = len(g_matrix)
     if n == 0:
@@ -827,7 +791,7 @@ def verify_po_relations(g_matrix: Sequence[Sequence[SymPoly]],
                         lhs = lhs + (b(i, j, l) * g_matrix[l][k]).partial(names[m])
                         rhs = (rhs + b(i, j, l) * b(l, k, m)
                                + b(j, k, l) * b(l, i, m)
-                               + b(k, i, l) * b(l, i, m))
+                               + b(k, i, l) * b(l, j, m))
                     if lhs != rhs:
                         problems.append(f"relation 4 fails at ({i},{j},{k},{m})")
     return problems

@@ -149,6 +149,9 @@ class TestErrorPaths:
          "nonnegative"),
         (("character", "--builder", "virasoro", "--lambda", "c=1/2", "--depth", "-1"),
          "nonnegative"),
+        (("lattice", "bk-compare", "--k", "0"), "positive"),
+        (("decompose", "--series", '[{"order":0,"coeff":{"1":"1"}}]', "--k", "-1"),
+         "nonnegative"),
     ])
     def test_bad_input_exits_2(self, capsys, argv, message):
         code, _, err = run(capsys, *argv)

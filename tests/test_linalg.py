@@ -1,7 +1,9 @@
 """Property tests for the exact linear-algebra kernel, with sympy as the
-independent oracle, plus round-trip properties of the delta calculus."""
+independent oracle; of the structure-constant checks, against dense triple
+loops; and of the delta calculus, against its window oracle."""
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 import sympy
@@ -14,10 +16,13 @@ from vlie.formal_calc import (
     DeltaSeries,
     LaurentPoly,
     decompose,
+    mul_power_diff,
     render,
     swap_side,
 )
-from vlie.linalg import Echelon, add_into, clean, det, inverse, nullspace
+from vlie.lie_core import BilinearForm, check_invariance, check_lie_axioms
+from vlie.linalg import Echelon, add_into, bilinear, clean, det, inverse, nullspace
+from vlie.vertex_lie import CommAlgebra
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=60, deadline=None)
 
@@ -123,3 +128,118 @@ def test_decompose_inverts_render(s):
     # coefficient inside the window
     window = render(s, BiSeriesWindow.square(3 + 6 + 2))
     assert decompose(window, 3) == s
+
+
+@PROPERTY
+@given(series(COEFF_IN_Y), st.integers(0, 4))
+def test_mul_power_diff_matches_window(s, m):
+    window = BiSeriesWindow.square(6)
+    want = render(s, window).mul_power_diff(m)
+    assert want.equal_on_overlap(render(mul_power_diff(m, s), window))
+
+
+# -- structure-constant tables against dense triple loops ---------------------
+
+# small integers, zero half the time, so that both valid and invalid tables
+# are drawn
+constants = st.one_of(st.just(0), st.just(0), st.integers(-2, 2))
+
+
+def dense_tables(antisymmetric=False):
+    """A dense r x r x r tensor t[i][j][k], the coefficient of e_k in e_i e_j."""
+    def build(r):
+        cube = st.lists(st.lists(st.lists(constants, min_size=r, max_size=r),
+                                 min_size=r, max_size=r), min_size=r, max_size=r)
+        if not antisymmetric:
+            return cube
+
+        def skew(t):
+            return [[[0] * r if i == j else (t[i][j] if i < j else [-c for c in t[j][i]])
+                     for j in range(r)] for i in range(r)]
+        return cube.map(skew)
+    return st.integers(1, 3).flatmap(build)
+
+
+def names_of(t):
+    return tuple(f"e{i}" for i in range(len(t)))
+
+
+def sparse_table(t):
+    r = len(t)
+    return {(i, j): {k: Fraction(t[i][j][k]) for k in range(r) if t[i][j][k]}
+            for i in range(r) for j in range(r)}
+
+
+def dense_product(t, u, v):
+    r = len(t)
+    return [sum(u[i] * v[j] * t[i][j][k] for i in range(r) for j in range(r)) for k in range(r)]
+
+
+def unit(r, i):
+    return [int(t == i) for t in range(r)]
+
+
+@PROPERTY
+@given(dense_tables(), st.data())
+def test_bilinear_matches_dense_product(t, data):
+    r = len(t)
+    u, v = (data.draw(st.lists(constants, min_size=r, max_size=r)) for _ in range(2))
+    got = bilinear(sparse_table(t), clean(enumerate(u)), clean(enumerate(v)))
+    assert got == clean(enumerate(dense_product(t, u, v)))
+
+
+@PROPERTY
+@given(dense_tables(antisymmetric=True))
+def test_check_lie_axioms_matches_dense_jacobi(t):
+    r, names = len(t), names_of(t)
+    # each pair is stated in one orientation only; the other is completed
+    raw = {(names[i], names[j]): {names[k]: c for k, c in enumerate(t[i][j])}
+           for i in range(r) for j in range(i + 1, r)}
+    want = []
+    for i in range(r):
+        for j in range(i + 1, r):
+            for k in range(j + 1, r):
+                jac = [0] * r
+                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                    jac = [x + y for x, y in zip(jac, dense_product(t, t[a][b], unit(r, c)))]
+                if any(jac):
+                    want.append(f"Jacobi fails on ({names[i]},{names[j]},{names[k]})")
+    assert check_lie_axioms(names, raw) == want
+
+
+@PROPERTY
+@given(dense_tables())
+def test_comm_algebra_check_axioms_matches_dense_loop(t):
+    r, names = len(t), names_of(t)
+    alg = CommAlgebra(names, sparse_table(t), check=False)
+    want = [f"commutativity fails on ({names[i]},{names[j]})"
+            for i in range(r) for j in range(r) if t[i][j] != t[j][i]]
+    for i in range(r):
+        for j in range(r):
+            for k in range(r):
+                if dense_product(t, t[i][j], unit(r, k)) != dense_product(t, unit(r, i), t[j][k]):
+                    want.append(f"associativity fails on ({names[i]},{names[j]},{names[k]})")
+    assert alg.check_axioms() == want
+    cube_zero = all(not any(dense_product(t, t[i][j], unit(r, k)))
+                    for i in range(r) for j in range(r) for k in range(r))
+    assert alg.cube_is_zero() == cube_zero
+
+
+@PROPERTY
+@given(dense_tables(), st.data(), st.booleans())
+def test_check_invariance_matches_dense_loop(t, data, cyclic):
+    r, names = len(t), names_of(t)
+    form = data.draw(st.lists(st.lists(constants, min_size=r, max_size=r),
+                              min_size=r, max_size=r))
+    alg = SimpleNamespace(names=names, table={p: e for p, e in sparse_table(t).items() if e})
+    want = []
+    for i in range(r):
+        for j in range(r):
+            for k in range(r):
+                lhs = sum(t[i][j][p] * form[p][k] for p in range(r))
+                rhs = sum(t[j][k][p] * (form[p][i] if cyclic else form[i][p]) for p in range(r))
+                if lhs != rhs:
+                    want.append(f"form check fails on ({names[i]},{names[j]},{names[k]})")
+    got = check_invariance(alg, BilinearForm(form, require_symmetric=False), "form check",
+                           cyclic=cyclic)
+    assert got == want

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from vlie.config import vertex_lie_from_config
-from vlie.lie_core import BilinearForm, FiniteLieAlgebra, SymPoly, sl2, sl2_form
+from vlie.lie_core import BilinearForm, FiniteLieAlgebra, SymPoly, heis3, sl2, sl2_form
 from vlie.vertex_lie import (
     CommAlgebra,
     ModeElement,
@@ -391,3 +391,76 @@ class TestPoRelations:
         problems = verify_po_relations(g, b)
         # relations 1-3: 3 needs sum_l b^{ij}_l g^{lk} = sum_l b^{jk}_l g^{li}
         assert not [p for p in problems if "relation 1" in p or "relation 2" in p]
+
+
+def _order2_data(g, central):
+    """Affine g^{ij} = sum_k b^{ij}_k u_k + central[i][j] from the structure
+    constants b of a Lie algebra, and the order-2 table
+    [u_i(x), u_j(y)] = g^{ij}(y) Delta^(2) - (g^{ij})'(y) Delta^(1) with c(y)
+    standing for the constant part."""
+    names, n = g.names, g.dim
+    table = {}
+    g_matrix = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            f = {names[k]: c for k, c in g.bracket_basis(i, j).items()}
+            if central[i][j]:
+                f["c"] = central[i][j]
+            table[(names[i], names[j])] = [(f, 0, 2), ({x: -c for x, c in f.items()}, 1, 1)]
+            g_matrix[i][j] = (SymPoly(names, {tuple(int(t == k) for t in range(n)): c
+                                              for k, c in g.bracket_basis(i, j).items()})
+                              + SymPoly.constant(names, central[i][j]))
+    b_tensor = {(i, j, k): SymPoly.constant(names, c)
+                for (i, j), entry in g.table.items() for k, c in entry.items()}
+    structure = VLStructure(names + ("c",), None, ("c",), {"c": {}}, table)
+    return structure, g_matrix, b_tensor
+
+
+def _window_jacobi_holds(s, i, j, k, window=2):
+    vi, vj, vk = ({t: Fraction(1)} for t in (i, j, k))
+    modes = range(-window, window + 1)
+    for m in modes:
+        for n in modes:
+            for p in modes:
+                acc = (s.bracket_elements(s.bracket_vectors(vi, m, vj, n), s.mode(vk, p))
+                       + s.bracket_elements(s.bracket_vectors(vj, n, vk, p), s.mode(vi, m))
+                       + s.bracket_elements(s.bracket_vectors(vk, p, vi, m), s.mode(vj, n)))
+                if not acc.is_zero():
+                    return False
+    return True
+
+
+def _filiform4():
+    return FiniteLieAlgebra(("u1", "u2", "u3", "u4"),
+                            {("u1", "u2"): {"u3": 1}, ("u1", "u3"): {"u4": 1}})
+
+
+class TestPoRelationsFromJacobi:
+    """Relations 3 and 4 derived from the window Jacobi identity of the
+    order-2 table built from (g, b), triple by triple."""
+
+    @pytest.mark.parametrize("g, central, all_hold", [
+        (heis3(), [[0, 1, 0], [-1, 0, 0], [0, 0, 0]], True),
+        (sl2(), [[0] * 3 for _ in range(3)], False),
+        (_filiform4(), [[0] * 4 for _ in range(4)], False),
+    ])
+    def test_relations_3_and_4_match_window_jacobi(self, g, central, all_hold):
+        s, g_matrix, b_tensor = _order2_data(g, central)
+        assert s.verify_skew_symmetry(2) == []
+        problems = set(verify_po_relations(g_matrix, b_tensor))
+        assert not [p for p in problems if "relation 1" in p or "relation 2" in p]
+        n = g.dim
+        verdicts = []
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    relations = (
+                        f"relation 3 fails at ({i},{j},{k})" not in problems
+                        and f"relation 3 fails at ({k},{i},{j})" not in problems
+                        and all(f"relation 4 fails at ({i},{j},{k},{m})" not in problems
+                                for m in range(n))
+                    )
+                    jacobi = _window_jacobi_holds(s, i, j, k)
+                    assert relations == jacobi, (i, j, k)
+                    verdicts.append(jacobi)
+        assert all(verdicts) == all_hold and any(verdicts)
