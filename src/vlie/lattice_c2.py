@@ -471,31 +471,29 @@ class PLAlgebra:
     # -- tables and verification ------------------------------------------------------
 
     def multiplication_table(self) -> dict:
-        """Structure constants {(i, j): {k: c}} of the product over basis
-        indices, built once."""
+        """Structure constants {(i, j): {k: c}} of the product, built once.
+
+        Keys and entries are basis indices: ``self.basis[i]`` is the
+        ``(sector, monomial)`` key of index i and ``self.index`` the inverse.
+        Both orders (i, j) and (j, i) are computed, so that ``verify_axioms``
+        tests commutativity instead of assuming it.
+        """
         if self._mult_table is None:
-            index, basis = self.index, self.basis
-            table = {}
-            for i, ka in enumerate(basis):
-                for j in range(i, len(basis)):
-                    prod = self.multiply({ka: _ONE}, {basis[j]: _ONE})
-                    table[(i, j)] = table[(j, i)] = {index[key]: c for key, c in prod.items()}
-            self._mult_table = table
+            self._mult_table = self._table(self.multiply)
         return self._mult_table
 
     def bracket_table(self) -> dict:
-        """Structure constants {(i, j): {k: c}} of the bracket over basis
-        indices, built once."""
+        """Structure constants {(i, j): {k: c}} of the bracket, built once,
+        over basis indices as in ``multiplication_table``; both orders are
+        computed, so that ``verify_axioms`` tests skew-symmetry."""
         if self._bracket_table is None:
-            index, basis = self.index, self.basis
-            table = {}
-            for i, ka in enumerate(basis):
-                for j in range(i, len(basis)):
-                    val = self.bracket({ka: _ONE}, {basis[j]: _ONE})
-                    table[(i, j)] = {index[key]: c for key, c in val.items()}
-                    table[(j, i)] = {index[key]: -c for key, c in val.items()}
-            self._bracket_table = table
+            self._bracket_table = self._table(self.bracket)
         return self._bracket_table
+
+    def _table(self, op) -> dict:
+        index, basis = self.index, self.basis
+        return {(i, j): {index[key]: c for key, c in op({ka: _ONE}, {kb: _ONE}).items()}
+                for i, ka in enumerate(basis) for j, kb in enumerate(basis)}
 
     def verify_axioms(self) -> list[str]:
         """Exhaustive associativity, commutativity, skew, Leibniz and Jacobi
@@ -574,7 +572,9 @@ def poisson_table(alg: PLAlgebra) -> dict:
     The generator bracket extends to every basis monomial as a
     biderivation; skew-symmetry, Jacobi and the Leibniz rule are verified
     exhaustively over the finite basis, and a violation aborts with the
-    witness triple (an implementation bug, not valid data).
+    witness triple (an implementation bug, not valid data).  The result is
+    ``alg.bracket_table()``, keyed by basis indices: {(i, j): {k: c}} with
+    ``alg.basis[i]`` the ``(sector, monomial)`` key of index i.
     """
     problems = alg.verify_axioms()
     if problems:

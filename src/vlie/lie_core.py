@@ -189,14 +189,13 @@ class BilinearForm:
         return self.determinant() != 0
 
 
-def check_invariance(alg, form: BilinearForm, label: str = "invariance",
-                     cyclic: bool = False) -> list[str]:
+def check_invariance(alg, form: BilinearForm) -> list[str]:
     """List basis triples violating (ab|c) = (a|bc).
 
     ``alg`` is any algebra with ``names`` and an index-keyed structure-constant
-    ``table``; ab is its bracket or product.  With ``cyclic`` the right side
-    is read as (bc|a), the orientation of an associative form on a
-    commutative algebra; the two agree when the form is symmetric.
+    ``table``; ab is its bracket or product.  For a symmetric form (a|bc) =
+    (bc|a), so the same check is the associativity of a form on a
+    commutative algebra.
     """
     names, table = alg.names, alg.table
     r = len(names)
@@ -209,10 +208,9 @@ def check_invariance(alg, form: BilinearForm, label: str = "invariance",
             ij = table.get((i, j), {})
             for k in range(r):
                 lhs = sum((c * m[p][k] for p, c in ij.items()), Fraction(0))
-                rhs = sum((c * (m[p][i] if cyclic else m[i][p])
-                           for p, c in table.get((j, k), {}).items()), Fraction(0))
+                rhs = sum((c * m[i][p] for p, c in table.get((j, k), {}).items()), Fraction(0))
                 if lhs != rhs:
-                    problems.append(f"{label} fails on ({names[i]},{names[j]},{names[k]})")
+                    problems.append(f"invariance fails on ({names[i]},{names[j]},{names[k]})")
     return problems
 
 

@@ -631,7 +631,7 @@ def novikov(algebra: CommAlgebra, form: BilinearForm | None = None) -> VLStructu
     r = len(algebra.names)
     if form is None:
         form = BilinearForm([[0] * r for _ in range(r)])
-    problems = check_invariance(algebra, form, "form associativity", cyclic=True)
+    problems = check_invariance(algebra, form)
     if problems:
         raise ValueError("form is not associative: " + "; ".join(problems[:3]))
     table = _novikov_table(algebra, form)

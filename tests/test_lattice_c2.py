@@ -183,6 +183,10 @@ class TestPoissonTable:
         # {1, anything} = 0
         one = alg.basis.index(((), (0,)))
         assert all(not table[(one, j)] for j in range(alg.dim))
+        # keys and entries are basis indices: {Z, X_1} = 2 X_1, {X_-1, X_1} = -Z
+        z, x, xbar = (alg.index[key] for key in (((), (1,)), ((1,), (0,)), ((-1,), (0,))))
+        assert table[(z, x)] == {x: 2}
+        assert table[(xbar, x)] == {z: -1}
 
 
 class TestDegeneration:
