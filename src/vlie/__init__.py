@@ -16,7 +16,6 @@ from .formal_calc import (
 from .lie_core import BilinearForm, FiniteLieAlgebra, SymPoly, check_invariance, check_lie_axioms, sym_poisson
 from .vertex_lie import (
     CommAlgebra,
-    ModeElement,
     VLStructure,
     affine,
     b3_criterion,

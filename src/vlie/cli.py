@@ -46,7 +46,8 @@ from .poisson_c2 import (
     constant_order_table,
 )
 from .vacuum_module import VacuumModule
-from .vertex_lie import BilinearForm, CommAlgebra, novikov_candidate, quadratic_central_candidate
+from .vertex_lie import (BilinearForm, CommAlgebra, novikov_candidate, quadratic_central_candidate,
+                         symbol_order)
 
 REPORT_VERSION = "1"
 
@@ -364,15 +365,11 @@ def cmd_bracket(args) -> int:
     _require_basis(structure, args.a, args.b)
     element = structure.component_bracket(args.a, args.m, args.b, args.n)
     if args.format == "json":
-        terms = []
-        for tag, c in element.sorted_terms(structure):
-            if tag[0] == "u":
-                terms.append([structure.u_prime_names[tag[1]], tag[2], rat_str(c)])
-            else:
-                terms.append([structure.u0_prime_names[tag[1]], -1, rat_str(c)])
+        terms = [[structure.symbol_name(sym), sym[0], rat_str(element[sym])]
+                 for sym in sorted(element, key=symbol_order)]
         print(json.dumps({"bracket": terms}, sort_keys=True))
     else:
-        print(element.format(structure))
+        print(structure.format_modes(element))
     return 0
 
 

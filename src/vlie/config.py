@@ -91,7 +91,16 @@ def vertex_lie_from_config(data: dict, certify: bool = True,
         matrix = d_cfg.get("matrix")
         d_map = {}
         if matrix is not None:
+            if len(matrix) != len(domain):
+                raise ConfigError(
+                    f"d.matrix has {len(matrix)} rows for {len(domain)} domain names"
+                )
             for row, name in zip(matrix, domain):
+                if len(row) != len(basis):
+                    raise ConfigError(
+                        f"d.matrix row of {name!r} has {len(row)} entries for "
+                        f"{len(basis)} basis names"
+                    )
                 d_map[name] = {basis[i]: exact(c) for i, c in enumerate(row) if exact(c)}
         else:
             d_map = {name: {} for name in domain}
@@ -177,7 +186,7 @@ def state_to_json(module, state) -> list:
     out = []
     for mono in sorted(state):
         coeff = state[mono]
-        syms = [[module.symbol_name(s), s[0]] for s in mono]
+        syms = [[module.structure.symbol_name(s), s[0]] for s in mono]
         out.append([syms, rat_str(coeff)])
     return out
 

@@ -214,21 +214,28 @@ def check_invariance(alg, form: BilinearForm) -> list[str]:
     return problems
 
 
+def biderivation(table: Mapping[tuple[int, int], SymPoly], f: SymPoly, h: SymPoly) -> SymPoly:
+    """{f, h} = sum_{i,j} (df/du_i)(dh/du_j) table[(i, j)]: the biderivation
+    extension of a bracket table on the symbols u_i of f and h."""
+    names = f.vars
+    out = SymPoly.zero(names)
+    partials_h = [h.partial(n) for n in names]
+    for i, n in enumerate(names):
+        pf = f.partial(n)
+        if pf.is_zero():
+            continue
+        for j, ph in enumerate(partials_h):
+            t = table.get((i, j))
+            if t is not None and not ph.is_zero():
+                out = out + pf * ph * t
+    return out
+
+
 def sym_poisson(g: FiniteLieAlgebra, f: SymPoly, h: SymPoly) -> SymPoly:
     """{f, h} = sum_{i,j} (df/du_i)(dh/du_j) [u_i, u_j] on the symmetric algebra."""
     if f.vars != g.names or h.vars != g.names:
         raise ValueError("polynomials must live on the algebra's basis symbols")
-    out = SymPoly.zero(g.names)
-    partials_f = {i: f.partial(n) for i, n in enumerate(g.names)}
-    partials_h = {j: h.partial(n) for j, n in enumerate(g.names)}
-    for i, pf in partials_f.items():
-        if pf.is_zero():
-            continue
-        for j, ph in partials_h.items():
-            if ph.is_zero() or not g.bracket_basis(i, j):
-                continue
-            out = out + pf * ph * g.bracket_poly(i, j)
-    return out
+    return biderivation({pair: g.bracket_poly(*pair) for pair in g.table}, f, h)
 
 
 # ---------------------------------------------------------------------------

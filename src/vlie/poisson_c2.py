@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .formal_calc import Poly, delta_transport, format_terms, rat
-from .lie_core import SymPoly
+from .lie_core import SymPoly, biderivation
 from .linalg import add_into, clean
 from .vacuum_module import State, VacuumModule
 from .vertex_lie import VLStructure
@@ -60,7 +60,8 @@ def p2_bracket(module: VacuumModule, a: State, b: State) -> SymPoly:
 class PoissonPresentation:
     """Finitely presented Poisson algebra: free polynomial product, a bracket
     table on generators extended as a biderivation, and optional ideal
-    generators (used for central-character quotients)."""
+    generators (used for central-character quotients).  Each ideal member
+    must be c*gen + const with c != 0; it fixes that generator's value."""
 
     def __init__(
         self,
@@ -90,6 +91,14 @@ class PoissonPresentation:
                 table[(ib, ia)] = -val
         self.table = table
         self.ideal = tuple(p for p in ideal if not p.is_zero())
+        self._values: dict[str, Fraction] = {}
+        for q in self.ideal:
+            lin = [(e, c) for e, c in q.coeffs.items() if sum(e) == 1]
+            if len(lin) != 1 or any(sum(e) > 1 for e in q.coeffs):
+                raise ValueError(f"ideal member {q!r} is not c*gen + const with c != 0")
+            (e, c), = lin
+            const = q.coeffs.get((0,) * len(self.generators), Fraction(0))
+            self._values[self.generators[e.index(1)]] = -const / c
         self.notes = tuple(notes)
 
     def zero(self) -> SymPoly:
@@ -103,30 +112,11 @@ class PoissonPresentation:
 
     def bracket_poly(self, f: SymPoly, g: SymPoly) -> SymPoly:
         """Biderivation extension of the generator table."""
-        out = self.zero()
-        pf = {i: f.partial(n) for i, n in enumerate(self.generators)}
-        pg = {j: g.partial(n) for j, n in enumerate(self.generators)}
-        for i, dfi in pf.items():
-            if dfi.is_zero():
-                continue
-            for j, dgj in pg.items():
-                if dgj.is_zero():
-                    continue
-                t = self.bracket_gens(i, j)
-                if not t.is_zero():
-                    out = out + dfi * dgj * t
-        return out
+        return biderivation(self.table, f, g)
 
     def reduce_mod_ideal(self, p: SymPoly) -> SymPoly:
-        """Eliminate generators via linear ideal members  gen - constant."""
-        subs: dict[str, Fraction] = {}
-        for q in self.ideal:
-            lin = {e: c for e, c in q.coeffs.items() if sum(e) == 1}
-            const = q.coeffs.get((0,) * len(self.generators), Fraction(0))
-            if len(lin) == 1 and len(q.coeffs) <= 2:
-                (e, c), = lin.items()
-                subs[self.generators[e.index(1)]] = -const / c
-        return p.substitute(subs) if subs else p
+        """Substitute the generator values fixed by the ideal members."""
+        return p.substitute(self._values) if self._values else p
 
     def poisson_ideal_problems(self) -> list[str]:
         """Check the ideal is closed under bracketing with the generators."""

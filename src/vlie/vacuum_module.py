@@ -1,10 +1,10 @@
 """Vacuum modules over a vertex Lie algebra structure.
 
 States are rational combinations of normal-ordered creation monomials
-applied to the vacuum.  A creation symbol is (n, cls, idx) with n <= -1:
-cls 0 marks a frozen central generator (always at mode -1), cls 1 a
-complement-basis generator at mode n.  Monomials are tuples of symbols
-sorted by that key, so deeper modes sit leftmost.
+applied to the vacuum.  A creation symbol is a mode symbol (n, cls, idx) of
+``vertex_lie`` with n <= -1: cls 0 marks a frozen central generator (always
+at mode -1), cls 1 a complement-basis generator at mode n.  Monomials are
+tuples of symbols sorted by that key, so deeper modes sit leftmost.
 
 Normal ordering rewrites words of modes by the two moves "swap an adjacent
 out-of-order pair, emitting the bracket" and "annihilate at the vacuum".
@@ -19,9 +19,8 @@ from typing import Iterable, Mapping
 
 from .formal_calc import format_terms, gen_binomial, rat
 from .linalg import add_into, clean
-from .vertex_lie import ModeElement, VLStructure
+from .vertex_lie import Modes, Symbol, VLStructure
 
-Symbol = tuple[int, int, int]          # (mode n, class, index)
 Monomial = tuple[Symbol, ...]
 State = dict[Monomial, Fraction]
 
@@ -82,10 +81,8 @@ class VacuumModule:
             )
 
     def symbol_degree(self, sym: Symbol) -> int:
-        n, cls, idx = sym
         st = self.structure
-        name = st.u0_prime_names[idx] if cls == 0 else st.u_prime_names[idx]
-        return st.degree_of(name) + (-n) - 1
+        return st.degree_of(st.symbol_name(sym)) + (-sym[0]) - 1
 
     def monomial_degree(self, mono: Monomial) -> int:
         return sum(self.symbol_degree(s) for s in mono)
@@ -131,18 +128,11 @@ class VacuumModule:
 
     def format_state(self, state: State) -> str:
         state = clean(state)
+        name = self.structure.symbol_name
         return format_terms(
-            ("".join(self._format_symbol(s) for s in mono) + "1", state[mono])
+            ("".join(f"{name(s)}({s[0]})" for s in mono) + "1", state[mono])
             for mono in sorted(state)
         )
-
-    def symbol_name(self, sym: Symbol) -> str:
-        _, cls, idx = sym
-        st = self.structure
-        return st.u0_prime_names[idx] if cls == 0 else st.u_prime_names[idx]
-
-    def _format_symbol(self, sym: Symbol) -> str:
-        return f"{self.symbol_name(sym)}({sym[0]})"
 
     # -- the action ---------------------------------------------------------------
 
@@ -151,38 +141,30 @@ class VacuumModule:
         element = self.structure.mode(name_or_vector, n)
         return self.act_element(element, state)
 
-    def act_element(self, element: ModeElement, state: State) -> State:
+    def act_element(self, element: Modes, state: State) -> State:
         out: State = {}
-        for tag, c in element.terms.items():
-            key = self._tag_to_key(tag)
+        for sym, c in element.items():
             for mono, mc in state.items():
-                add_into(out, self._act_key(key, mono), c * mc)
+                add_into(out, self._act_key(sym, mono), c * mc)
         return out
 
-    def _tag_to_key(self, tag) -> tuple:
-        """Canonical mode tags to uniform (class, mode, index) keys."""
-        if tag[0] == "z":
-            return (0, -1, tag[1])
-        return (1, tag[2], tag[1])
-
-    def _act_key(self, key: tuple, mono: Monomial) -> State:
+    def _act_key(self, sym: Symbol, mono: Monomial) -> State:
         """Single canonical mode applied to a canonical monomial."""
         memo = self._act_memo
-        cached = memo.get((key, mono))
+        key = (sym, mono)
+        cached = memo.get(key)
         if cached is not None:
             return cached
-        cls, n, idx = key
+        n, cls, idx = sym
         if cls == 0:
             # frozen central generator
             if self.lam is not None:
-                name = self.structure.u0_prime_names[idx]
-                result = {mono: self.lam[name]}
+                result = {mono: self.lam[self.structure.u0_prime_names[idx]]}
             else:
-                result = {tuple(sorted(mono + ((-1, 0, idx),))): Fraction(1)}
-            memo[(key, mono)] = result
+                result = {tuple(sorted(mono + (sym,))): Fraction(1)}
+            memo[key] = result
             return result
 
-        sym: Symbol = (n, 1, idx)
         if not mono:
             result = {(sym,): Fraction(1)} if n <= -1 else {}
         elif n <= -1 and sym <= mono[0]:
@@ -191,30 +173,24 @@ class VacuumModule:
             head, tail = mono[0], mono[1:]
             result: State = {}
             # u(n) s1 rest = s1 u(n) rest + [u(n), s1] rest
-            inner = self._act_key(key, tail)
+            inner = self._act_key(sym, tail)
             for new_mono, c in inner.items():
                 add_into(result, self._prepend(head, new_mono), c)
-            bracket = self._symbol_bracket(key, head)
-            for tag, c in bracket.terms.items():
-                add_into(result, self._act_key(self._tag_to_key(tag), tail), c)
-        memo[(key, mono)] = result
+            for s, c in self._symbol_bracket(sym, head).items():
+                add_into(result, self._act_key(s, tail), c)
+        memo[key] = result
         return result
 
     def _prepend(self, sym: Symbol, mono: Monomial) -> State:
         if not mono or sym <= mono[0]:
             return {(sym,) + mono: Fraction(1)}
-        n, cls, idx = sym
-        return self._act_key((cls, n, idx), mono)
+        return self._act_key(sym, mono)
 
-    def _symbol_bracket(self, key: tuple, head: Symbol) -> ModeElement:
-        st = self.structure
-        if key[0] == 0 or head[1] == 0:
-            return ModeElement()  # frozen central generators commute
-        _, n, idx = key
-        hn, _, hidx = head
-        va = st.u_prime_vectors[idx]
-        vb = st.u_prime_vectors[hidx]
-        return st.bracket_vectors(va, n, vb, hn)
+    def _symbol_bracket(self, sym: Symbol, head: Symbol) -> Modes:
+        if sym[1] == 0 or head[1] == 0:
+            return {}  # frozen central generators commute
+        vectors = self.structure.u_prime_vectors
+        return self.structure.bracket_vectors(vectors[sym[2]], sym[0], vectors[head[2]], head[0])
 
     # -- graded dimensions ----------------------------------------------------------
 
@@ -348,9 +324,9 @@ class VacuumModule:
 
     def _act_creator_state(self, idx: int, n: int, state: State) -> State:
         out: State = {}
-        key = (1, n, idx)
+        sym = (n, 1, idx)
         for mono, c in state.items():
-            add_into(out, self._act_key(key, mono), c)
+            add_into(out, self._act_key(sym, mono), c)
         return out
 
     # -- derived operations -----------------------------------------------------------

@@ -18,74 +18,27 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .formal_calc import Rational, format_terms, gen_binomial, rat, rat_str
+from .formal_calc import format_terms, gen_binomial, rat_str
 from .lie_core import BilinearForm, FiniteLieAlgebra, SymPoly, _normalize_table, check_invariance
 from .linalg import Echelon, add_into, bilinear, clean, inverse, nullspace
 
 Vector = dict[int, Fraction]  # sparse coordinates over the base-space basis
+# A canonical mode symbol (n, cls, idx): cls 0 is the idx-th frozen central
+# generator (always at mode n = -1), cls 1 the idx-th complement generator at
+# mode n.  A combination of modes is a {Symbol: Fraction} dict that never
+# stores a zero; the vacuum module's creation monomials are built from the
+# same symbols.
+Symbol = tuple[int, int, int]
+Modes = dict[Symbol, Fraction]
 
 _MAX_D_RECURSION = 64
 _ONE = Fraction(1)
 
 
-class ModeElement:
-    """Rational linear combination of canonical mode symbols.
-
-    Keys are ("z", j) for the j-th ker-d complement vector at mode -1 and
-    ("u", i, n) for the i-th complement-basis vector at mode n.  Zero terms
-    are never stored.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping[tuple, object] | None = None):
-        self.terms = clean(terms) if terms else {}
-
-    @classmethod
-    def _wrap(cls, terms: dict) -> "ModeElement":
-        """Element around an already clean term map, skipping re-cleaning."""
-        out = object.__new__(cls)
-        out.terms = terms
-        return out
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "ModeElement") -> "ModeElement":
-        return ModeElement._wrap(add_into(dict(self.terms), other.terms))
-
-    def __neg__(self) -> "ModeElement":
-        return self.scale(-1)
-
-    def __sub__(self, other: "ModeElement") -> "ModeElement":
-        return ModeElement._wrap(add_into(dict(self.terms), other.terms, -1))
-
-    def scale(self, c) -> "ModeElement":
-        return ModeElement._wrap(add_into({}, self.terms, rat(c)))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ModeElement) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def sorted_terms(self, structure: "VLStructure"):
-        def key(item):
-            tag = item[0]
-            if tag[0] == "u":
-                return (0, tag[1], tag[2])
-            return (1, tag[1], -1)
-        return sorted(self.terms.items(), key=key)
-
-    def format(self, structure: "VLStructure") -> str:
-        return format_terms(
-            (f"{structure.u_prime_names[tag[1]]}({tag[2]})" if tag[0] == "u"
-             else f"{structure.u0_prime_names[tag[1]]}(-1)", c)
-            for tag, c in self.sorted_terms(structure)
-        )
-
-    def __repr__(self):
-        return f"ModeElement({self.terms!r})"
+def symbol_order(sym: Symbol) -> tuple:
+    """Print order: complement modes by (index, mode), then central ones by index."""
+    n, cls, idx = sym
+    return (-cls, idx, n)
 
 
 class VLStructure:
@@ -141,7 +94,7 @@ class VLStructure:
 
         self._setup_complements(u_prime, u0_prime)
         self._graded_check()
-        self._bracket_cache: dict[tuple, ModeElement] = {}
+        self._bracket_cache: dict[tuple, Modes] = {}
         self.certified = False
 
     # -- linear algebra over the base space ---------------------------------
@@ -232,7 +185,7 @@ class VLStructure:
 
     # -- modes ----------------------------------------------------------------
 
-    def mode(self, vec_or_name, n: int, _depth: int = 0) -> ModeElement:
+    def mode(self, vec_or_name, n: int, _depth: int = 0) -> Modes:
         """Canonical form of u(n) for a base-space vector u."""
         if _depth > _MAX_D_RECURSION:
             raise ValueError("mode reduction does not terminate; pathological d")
@@ -241,34 +194,46 @@ class VLStructure:
         else:
             vec = clean(vec_or_name)
         z_part, im_part, up_part = self.decompose_vector(vec)
-        out: dict = {}
+        out: Modes = {}
         if n == -1:
-            add_into(out, {("z", j): c for j, c in enumerate(z_part)})
+            add_into(out, {(-1, 0, j): c for j, c in enumerate(z_part)})
         # ker-d vectors vanish at every other mode
         if n != 0:
             for (dom_idx, _), c in zip(self._im_preimages, im_part):
                 if c:
                     # (dw)(n) = -n w(n-1) with w the domain basis preimage
-                    add_into(out, self.mode({dom_idx: _ONE}, n - 1, _depth + 1).terms, -n * c)
-        add_into(out, {("u", i, n): c for i, c in enumerate(up_part)})
-        return ModeElement._wrap(out)
+                    add_into(out, self.mode({dom_idx: _ONE}, n - 1, _depth + 1), -n * c)
+        add_into(out, {(n, 1, i): c for i, c in enumerate(up_part)})
+        return out
 
-    def canonical_vector(self, tag) -> Vector:
+    def canonical_vector(self, sym: Symbol) -> Vector:
         """Base-space vector behind a canonical mode symbol."""
-        if tag[0] == "z":
-            return self.u0_prime_vectors[tag[1]]
-        return self.u_prime_vectors[tag[1]]
+        _, cls, idx = sym
+        return self.u0_prime_vectors[idx] if cls == 0 else self.u_prime_vectors[idx]
+
+    def symbol_name(self, sym: Symbol) -> str:
+        _, cls, idx = sym
+        return self.u0_prime_names[idx] if cls == 0 else self.u_prime_names[idx]
+
+    def format_modes(self, element: Modes) -> str:
+        """A combination of modes as text, e.g. "2*omega(1) - 1/2*c(-1)"."""
+        return format_terms(
+            (f"{self.symbol_name(sym)}({sym[0]})", element[sym])
+            for sym in sorted(element, key=symbol_order)
+        )
 
     # -- brackets ---------------------------------------------------------------
 
     def table_terms(self, ia: int, ib: int):
         return self._table.get((ia, ib), ())
 
-    def component_bracket(self, a, m: int, b, n: int) -> ModeElement:
+    def component_bracket(self, a, m: int, b, n: int) -> Modes:
         """[u_a(m), u_b(n)] reduced to canonical modes.
 
         Per table term (f, k, l) the component is
         binom(m,l) binom(m+n-l,k) (-1)^{l+k} l! k! f(m+n-l-k).
+        The returned dict is the one held in the bracket cache, so callers
+        must not mutate it.
         """
         if isinstance(a, str):
             ia = self.index[a]
@@ -284,7 +249,7 @@ class VLStructure:
         cached = self._bracket_cache.get(key)
         if cached is not None:
             return cached
-        out: dict = {}
+        out: Modes = {}
         for fv, k, l in self.table_terms(ia, ib):
             c = gen_binomial(m, l) * gen_binomial(m + n - l, k)
             if not c:
@@ -296,28 +261,25 @@ class VLStructure:
                 fact *= t
             if (l + k) % 2:
                 fact = -fact
-            add_into(out, self.mode(fv, m + n - l - k).terms, c * fact)
-        element = ModeElement._wrap(out)
-        self._bracket_cache[key] = element
-        return element
+            add_into(out, self.mode(fv, m + n - l - k), c * fact)
+        self._bracket_cache[key] = out
+        return out
 
-    def bracket_vectors(self, va: Vector, m: int, vb: Vector, n: int) -> ModeElement:
-        out: dict = {}
+    def bracket_vectors(self, va: Vector, m: int, vb: Vector, n: int) -> Modes:
+        out: Modes = {}
         for ia, ca in va.items():
             for ib, cb in vb.items():
-                add_into(out, self.component_bracket(ia, m, ib, n).terms, ca * cb)
-        return ModeElement._wrap(out)
+                add_into(out, self.component_bracket(ia, m, ib, n), ca * cb)
+        return out
 
-    def bracket_elements(self, x: ModeElement, y: ModeElement) -> ModeElement:
-        out: dict = {}
-        for tag_x, cx in x.terms.items():
-            vx = self.canonical_vector(tag_x)
-            mx = -1 if tag_x[0] == "z" else tag_x[2]
-            for tag_y, cy in y.terms.items():
-                vy = self.canonical_vector(tag_y)
-                my = -1 if tag_y[0] == "z" else tag_y[2]
-                add_into(out, self.bracket_vectors(vx, mx, vy, my).terms, cx * cy)
-        return ModeElement._wrap(out)
+    def bracket_elements(self, x: Modes, y: Modes) -> Modes:
+        out: Modes = {}
+        for sx, cx in x.items():
+            vx = self.canonical_vector(sx)
+            for sy, cy in y.items():
+                add_into(out, self.bracket_vectors(vx, sx[0], self.canonical_vector(sy), sy[0]),
+                         cx * cy)
+        return out
 
     # -- verification -------------------------------------------------------------
 
@@ -330,10 +292,10 @@ class VLStructure:
                     for n in range(-window, window + 1):
                         lhs = self.component_bracket(ia, m, ib, n)
                         rhs = self.component_bracket(ib, n, ia, m)
-                        if not (lhs + rhs).is_zero():
+                        if add_into(dict(lhs), rhs):
                             problems.append(
                                 f"skew fails at [{self.basis[ia]}({m}),{self.basis[ib]}({n})]: "
-                                f"{lhs.format(self)} vs -({rhs.format(self)})"
+                                f"{self.format_modes(lhs)} vs -({self.format_modes(rhs)})"
                             )
                             if len(problems) >= 20:
                                 return problems
@@ -364,16 +326,14 @@ class VLStructure:
                     for p in modes:
                         yz = self.bracket_vectors(vj, n, vk, p)
                         zx = self.bracket_vectors(vk, p, vi, m)
-                        acc = (
-                            self.bracket_elements(xy, self.mode(vk, p))
-                            + self.bracket_elements(yz, self.mode(vi, m))
-                            + self.bracket_elements(zx, self.mode(vj, n))
-                        )
-                        if not acc.is_zero():
+                        acc = self.bracket_elements(xy, self.mode(vk, p))
+                        add_into(acc, self.bracket_elements(yz, self.mode(vi, m)))
+                        add_into(acc, self.bracket_elements(zx, self.mode(vj, n)))
+                        if acc:
                             problems.append(
                                 f"Jacobi fails on ({self.basis[i]}({m}),"
                                 f"{self.basis[j]}({n}),{self.basis[k]}({p})): "
-                                + acc.format(self)
+                                + self.format_modes(acc)
                             )
                             if len(problems) >= 20:
                                 return problems
@@ -429,10 +389,10 @@ class BracketSeries:
         self.a, self.b = a, b
         self.terms = structure.table_terms(structure.index[a], structure.index[b])
 
-    def coefficient(self, m: int, n: int) -> ModeElement:
+    def coefficient(self, m: int, n: int) -> Modes:
         """Coefficient of x^{-m-1} y^{-n-1}, via raw series expansion."""
         st = self.structure
-        out: dict = {}
+        out: Modes = {}
         for fv, k, l in self.terms:
             # f^{(k)}(y) = sum_p binom(-p-1, k) k! f(p) y^{-p-k-1}
             # Delta^(l)  = sum_q q(q-1)..(q-l+1) x^{q-l} y^{-q-1}
@@ -448,8 +408,8 @@ class BracketSeries:
                 fact_k *= t
             c = gen_binomial(-p - 1, k) * fact_k * w
             if c:
-                add_into(out, st.mode(fv, p).terms, c)
-        return ModeElement._wrap(out)
+                add_into(out, st.mode(fv, p), c)
+        return out
 
     def __repr__(self):
         st = self.structure

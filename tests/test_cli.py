@@ -225,3 +225,25 @@ class TestConfigFile:
         )
         assert code == 2
         assert "u0" in err
+
+    @pytest.mark.parametrize("matrix", [
+        [["0", "0"], ["0", "0"]],  # a row more than the domain
+        [],                        # the domain's row is missing
+        [["0"]],                   # a row shorter than the basis
+    ])
+    def test_malformed_d_matrix_exits_2(self, tmp_path, capsys, matrix):
+        config = {
+            "vertex_lie": {
+                "basis": [{"name": "a", "degree": 1}, {"name": "c", "degree": 0}],
+                "d": {"domain": ["c"], "matrix": matrix},
+                "brackets": [],
+            }
+        }
+        path = tmp_path / "bad_d.json"
+        path.write_text(json.dumps(config))
+        code, _, err = run(
+            capsys, "bracket", "--builder", "config", "--config", str(path),
+            "--a", "a", "--m", "0", "--b", "a", "--n", "0",
+        )
+        assert code == 2
+        assert "d.matrix" in err

@@ -156,6 +156,24 @@ class TestP2Structure:
         with pytest.raises(ValueError):
             PoissonPresentation(names, {("a", "b"): one, ("b", "a"): one})
 
+    @pytest.mark.parametrize("coeffs", [
+        {(1, 0): 1, (0, 2): -1},   # u - v^2
+        {(1, 0): 1, (0, 1): -1},   # u - v
+        {(1, 1): 1, (0, 0): 1},    # u v + 1
+        {(2, 0): 1, (0, 0): -1},   # u^2 - 1
+        {(0, 0): 3},               # 3
+    ])
+    def test_presentation_rejects_nonlinear_ideal_member(self, coeffs):
+        names = ("u", "v")
+        with pytest.raises(ValueError, match="ideal member"):
+            PoissonPresentation(names, {}, [SymPoly(names, coeffs)])
+
+    def test_ideal_member_fixes_its_generator(self):
+        names = ("u", "v")
+        u, v = SymPoly.generator(names, "u"), SymPoly.generator(names, "v")
+        pres = PoissonPresentation(names, {}, [u.scale(2) - SymPoly.constant(names, 3)])
+        assert pres.reduce_mod_ideal(u * v) == v.scale(Fraction(3, 2))
+
 
 class TestVerifyP2Iso:
     def test_virasoro(self, vir):

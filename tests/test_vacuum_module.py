@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from vlie.config import build_structure
 from vlie.lie_core import sl2, sl2_form
 from vlie.vacuum_module import VacuumModule, state_add, state_eq, state_scale
 from vlie.vertex_lie import VLStructure, affine, heisenberg, loop, virasoro
@@ -26,6 +27,23 @@ def heis1():
 @pytest.fixture(scope="module")
 def aff(vir):
     return VacuumModule(affine(sl2(), sl2_form()), {"c": 1})
+
+
+SUITE_BUILDERS = ("witt", "virasoro", "loop-sl2", "affine-sl2", "heisenberg:2", "novikov-dual")
+
+
+@pytest.mark.parametrize("builder", SUITE_BUILDERS)
+def test_modes_and_creators_share_one_symbol(builder):
+    # a generator's mode is the one-term dict over the module's creation
+    # symbol, and acting with it on the vacuum gives the one-symbol monomial
+    structure = build_structure(builder)
+    module = VacuumModule(structure)
+    pairs = [(name, n) for name in structure.u_prime_names for n in (-3, -2, -1)]
+    pairs += [(name, -1) for name in structure.u0_prime_names]
+    for name, n in pairs:
+        sym = module.creator(name, n)
+        assert structure.mode(name, n) == {sym: 1}, (name, n)
+        assert module.act(name, n, module.vacuum()) == {(sym,): 1}, (name, n)
 
 
 class TestAct:
