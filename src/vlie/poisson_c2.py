@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .formal_calc import Poly, delta_transport, format_terms, rat
+from .formal_calc import Poly, delta_transport, format_terms, rat, rat_str
 from .lie_core import SymPoly, biderivation
 from .linalg import add_into, clean
 from .vacuum_module import State, VacuumModule
@@ -61,7 +61,8 @@ class PoissonPresentation:
     """Finitely presented Poisson algebra: free polynomial product, a bracket
     table on generators extended as a biderivation, and optional ideal
     generators (used for central-character quotients).  Each ideal member
-    must be c*gen + const with c != 0; it fixes that generator's value."""
+    must be c*gen + const with c != 0; it fixes that generator's value, and
+    two members may not fix one generator to different values."""
 
     def __init__(
         self,
@@ -98,7 +99,13 @@ class PoissonPresentation:
                 raise ValueError(f"ideal member {q!r} is not c*gen + const with c != 0")
             (e, c), = lin
             const = q.coeffs.get((0,) * len(self.generators), Fraction(0))
-            self._values[self.generators[e.index(1)]] = -const / c
+            gen, value = self.generators[e.index(1)], -const / c
+            if self._values.get(gen, value) != value:
+                raise ValueError(
+                    f"ideal members fix {gen} to both {rat_str(self._values[gen])} "
+                    f"and {rat_str(value)}"
+                )
+            self._values[gen] = value
         self.notes = tuple(notes)
 
     def zero(self) -> SymPoly:

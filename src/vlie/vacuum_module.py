@@ -25,6 +25,7 @@ Monomial = tuple[Symbol, ...]
 State = dict[Monomial, Fraction]
 
 VACUUM: Monomial = ()
+_ONE = Fraction(1)
 
 
 def state_add(a: State, b: State, scale=Fraction(1)) -> State:
@@ -44,8 +45,10 @@ class VacuumModule:
 
     With ``lam`` given, frozen central generators act as the scalars
     lam[name]; without it they remain degree-zero creation symbols.  The
-    action memo is the only mutable state and behaves as a get-or-compute
-    map keyed by (mode, monomial).
+    only mutable state is two get-or-compute memos: the action memo keyed
+    by (mode symbol, monomial), and the vertex-operator mode memo keyed by
+    (monomial of a, n, monomial of b), shared by every state that contains
+    those monomials.  The structure's own mode cache serves ``act``.
     """
 
     def __init__(self, structure: VLStructure, lam: Mapping[str, object] | None = None):
@@ -274,19 +277,20 @@ class VacuumModule:
         required.
         """
         self.require_graded("mode_of_state")
+        return self._mode_of_states(clean(a), n, clean(b))
+
+    def _mode_of_states(self, a: State, n: int, b: State) -> State:
+        """a_n b as the bilinear sum over the monomials of a and of b."""
         out: State = {}
-        for mono, c in clean(a).items():
-            add_into(out, self._mode_of_monomial(mono, n, b), c)
+        for mono, ca in a.items():
+            for b_mono, cb in b.items():
+                add_into(out, self._mode_of_monomial(mono, n, b_mono), ca * cb)
         return out
 
-    def _mode_of_monomial(self, mono: Monomial, n: int, b: State) -> State:
-        b = clean(b)
-        if not b:
-            return {}
+    def _mode_of_monomial(self, mono: Monomial, n: int, b_mono: Monomial) -> State:
         if not mono:
-            return dict(b) if n == -1 else {}
-        items = tuple(sorted(b.items()))
-        key = (mono, n, items)
+            return {b_mono: _ONE} if n == -1 else {}
+        key = (mono, n, b_mono)
         cached = self._mode_memo.get(key)
         if cached is not None:
             return cached
@@ -297,17 +301,20 @@ class VacuumModule:
             raise ValueError("central creators are scalars here; use a quotient module")
         k = -hn - 1  # head is u(-k-1), k >= 0
         deg_tail = self.monomial_degree(tail)
-        deg_b = self.state_degree(b)
+        # b_mono is homogeneous, so its degree gives the exact cutoffs
+        deg_b = self.monomial_degree(b_mono)
         deg_u = self.structure.degree_of(self.structure.u_prime_names[idx])
         bound_first = deg_tail + deg_b - n - 1
         bound_second = deg_u + deg_b - 1
+        b = {b_mono: _ONE}
+        tail_state = {tail: _ONE}
         result: State = {}
         i = 0
         while i <= max(bound_first, bound_second):
             coeff = gen_binomial(-k - 1, i)
             if coeff:
                 if i <= bound_first:
-                    inner = self._mode_of_monomial(tail, n + i, b)
+                    inner = self._mode_of_monomial(tail, n + i, b_mono)
                     if inner:
                         sign = -1 if i % 2 else 1
                         outer = self._act_creator_state(idx, -k - 1 - i, inner)
@@ -315,7 +322,7 @@ class VacuumModule:
                 if i <= bound_second:
                     ub = self.act(self.structure.u_prime_names[idx], i, b)
                     if ub:
-                        inner = self._mode_of_monomial(tail, n - k - 1 - i, ub)
+                        inner = self._mode_of_states(tail_state, n - k - 1 - i, ub)
                         sign = -1 if (k + 1 + i) % 2 else 1
                         add_into(result, inner, -coeff * sign)
             i += 1

@@ -44,10 +44,13 @@ def symbol_order(sym: Symbol) -> tuple:
 class VLStructure:
     """A vertex Lie algebra presented by basis, degrees, d, and a bracket table.
 
-    Structures are immutable after construction.  ``certify()`` runs the
+    Structures are immutable after construction, apart from two
+    get-or-compute caches: canonical modes of basis vectors keyed by
+    (basis index, n), and component brackets.  ``certify()`` runs the
     skew-symmetry and Jacobi window checks; builders return certified
-    structures, while ``from_table(..., certify=False)`` admits invalid
-    data for exercising the failure paths.
+    structures, while the constructor itself and ``novikov_candidate`` /
+    ``quadratic_central_candidate`` return uncertified ones, which admit
+    invalid data for exercising the failure paths.
     """
 
     def __init__(
@@ -94,6 +97,7 @@ class VLStructure:
 
         self._setup_complements(u_prime, u0_prime)
         self._graded_check()
+        self._mode_cache: dict[tuple[int, int], Modes] = {}
         self._bracket_cache: dict[tuple, Modes] = {}
         self.certified = False
 
@@ -185,15 +189,34 @@ class VLStructure:
 
     # -- modes ----------------------------------------------------------------
 
-    def mode(self, vec_or_name, n: int, _depth: int = 0) -> Modes:
-        """Canonical form of u(n) for a base-space vector u."""
+    def mode(self, vec_or_name, n: int) -> Modes:
+        """Canonical form of u(n) for a base-space vector u.
+
+        The mode of a basis vector (a name, or a vector ``{i: 1}``) is the
+        dict held in the mode cache, so callers must not mutate it; any
+        other vector gets a new dict, the combination of its basis modes.
+        """
+        if isinstance(vec_or_name, str):
+            return self._basis_mode(self.index[vec_or_name], n)
+        vec = clean(vec_or_name)
+        if len(vec) == 1:
+            (i, c), = vec.items()
+            if c == 1:
+                return self._basis_mode(i, n)
+        out: Modes = {}
+        for i, c in vec.items():
+            add_into(out, self._basis_mode(i, n), c)
+        return out
+
+    def _basis_mode(self, i: int, n: int, _depth: int = 0) -> Modes:
+        """u_i(n) for the i-th basis vector, computed once per (i, n)."""
+        key = (i, n)
+        cached = self._mode_cache.get(key)
+        if cached is not None:
+            return cached
         if _depth > _MAX_D_RECURSION:
             raise ValueError("mode reduction does not terminate; pathological d")
-        if isinstance(vec_or_name, str):
-            vec = {self.index[vec_or_name]: _ONE}
-        else:
-            vec = clean(vec_or_name)
-        z_part, im_part, up_part = self.decompose_vector(vec)
+        z_part, im_part, up_part = self.decompose_vector({i: _ONE})
         out: Modes = {}
         if n == -1:
             add_into(out, {(-1, 0, j): c for j, c in enumerate(z_part)})
@@ -202,8 +225,10 @@ class VLStructure:
             for (dom_idx, _), c in zip(self._im_preimages, im_part):
                 if c:
                     # (dw)(n) = -n w(n-1) with w the domain basis preimage
-                    add_into(out, self.mode({dom_idx: _ONE}, n - 1, _depth + 1), -n * c)
-        add_into(out, {(n, 1, i): c for i, c in enumerate(up_part)})
+                    add_into(out, self._basis_mode(dom_idx, n - 1, _depth + 1), -n * c)
+        add_into(out, {(n, 1, j): c for j, c in enumerate(up_part)})
+        # stored only once the reduction has terminated
+        self._mode_cache[key] = out
         return out
 
     def canonical_vector(self, sym: Symbol) -> Vector:

@@ -174,6 +174,15 @@ class TestP2Structure:
         pres = PoissonPresentation(names, {}, [u.scale(2) - SymPoly.constant(names, 3)])
         assert pres.reduce_mod_ideal(u * v) == v.scale(Fraction(3, 2))
 
+    def test_conflicting_ideal_members_rejected(self):
+        names = ("u", "v")
+        u, one = SymPoly.generator(names, "u"), SymPoly.constant(names, 1)
+        with pytest.raises(ValueError, match="fix u to both 1 and 2"):
+            PoissonPresentation(names, {}, [u - one, u - one.scale(2)])
+        # a repeat that fixes the same value is consistent
+        pres = PoissonPresentation(names, {}, [u - one, u.scale(2) - one.scale(2)])
+        assert pres.reduce_mod_ideal(u) == one
+
 
 class TestVerifyP2Iso:
     def test_virasoro(self, vir):

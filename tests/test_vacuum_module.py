@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from vlie.config import build_structure
+from vlie.linalg import add_into
 from vlie.lie_core import sl2, sl2_form
 from vlie.vacuum_module import VacuumModule, state_add, state_eq, state_scale
 from vlie.vertex_lie import VLStructure, affine, heisenberg, loop, virasoro
@@ -180,6 +181,26 @@ class TestModeOfState:
                     got = module.mode_of_state(a, n, b)
                     want = state_scale(module.act(name, n - 1, b), -n)
                     assert state_eq(got, want), (name, n)
+
+
+    def test_mixed_state_is_sum_over_monomials(self, vir_half, aff):
+        # the memo is keyed by monomials of b and shared across states, so a
+        # mixed-degree b on a warm module must match per-monomial results on
+        # new modules
+        for module, name in ((vir_half, "omega"), (aff, "e")):
+            a = module.state([([(name, -2)], 1), ([(name, -1), (name, -1)], Fraction(-3, 2))])
+            pool = module.basis_states_upto(4)
+            picks = [pool[0], pool[1], pool[3], pool[-1]]
+            b = {}
+            for coeff, s in zip((2, Fraction(1, 3), -1, 5), picks):
+                add_into(b, s, coeff)
+            assert len({module.state_degree({m: 1}) for m in b}) >= 3
+            for n in range(-3, 4):
+                want = {}
+                for mono, c in b.items():
+                    fresh = VacuumModule(module.structure, module.lam)
+                    add_into(want, fresh.mode_of_state(a, n, {mono: Fraction(1)}), c)
+                assert module.mode_of_state(a, n, b) == want, (name, n)
 
 
 class TestBorcherds:

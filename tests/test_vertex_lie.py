@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from vlie.config import vertex_lie_from_config
+from vlie.config import build_structure, vertex_lie_from_config
 from vlie.lie_core import BilinearForm, FiniteLieAlgebra, SymPoly, heis3, sl2, sl2_form
 from vlie.linalg import add_into
 from vlie.vertex_lie import (
@@ -98,6 +98,74 @@ class TestModeReduction:
         for u in ("a", "b"):
             for m in range(-4, 5):
                 assert s.mode("c", m) == add_into({}, s.mode(u, m - 1), -m), (u, m)
+
+
+NON_INJECTIVE_D = {
+    "basis": ["a", "b", "c"],
+    "d": {"domain": ["a", "b"], "matrix": [["0", "0", "1"], ["0", "0", "1"]]},
+    "brackets": [],
+}
+
+
+def _rebuilt(s):
+    """A new structure from the same data, with empty caches."""
+    names = s.basis
+    r = len(names)
+    return VLStructure(
+        basis=names,
+        degrees=s.degrees,
+        d_domain=s.d_domain,
+        d_matrix={names[i]: {names[j]: c for j, c in v.items()} for i, v in s.d_map.items()},
+        table={
+            (names[a], names[b]): [({names[i]: c for i, c in fv.items()}, k, l)
+                                   for fv, k, l in s.table_terms(a, b)]
+            for a in range(r) for b in range(r)
+        },
+    )
+
+
+class TestModeCache:
+    @pytest.mark.parametrize("builder", ["witt", "virasoro", "loop-sl2", "affine-sl2",
+                                         "heisenberg:2", "novikov-dual", "non-injective-d"])
+    def test_warm_cache_matches_fresh_structures(self, builder):
+        if builder == "non-injective-d":
+            s = vertex_lie_from_config(NON_INJECTIVE_D)
+        else:
+            s = build_structure(builder)
+        assert s.certified
+        assert s.verify_jacobi(4) == []
+        for i, name in enumerate(s.basis):
+            for n in range(-4, 5):
+                warm = s.mode(name, n)
+                assert s.mode({i: 1}, n) is warm, (name, n)
+                # each query on its own new structure, so nothing is cached yet
+                assert warm == _rebuilt(s).mode(name, n), (name, n)
+
+    def test_general_vector_is_combination_of_basis_modes(self):
+        s = vertex_lie_from_config(NON_INJECTIVE_D)
+        a, b, c = (s.index[x] for x in "abc")
+        vec = {a: Fraction(2), b: Fraction(-1, 3), c: Fraction(5)}
+        for n in range(-4, 5):
+            want = {}
+            for i, coeff in vec.items():
+                add_into(want, s.mode(s.basis[i], n), coeff)
+            assert _rebuilt(s).mode(vec, n) == want == s.mode(vec, n), n
+            # a - b spans ker d: a central symbol at mode -1, zero elsewhere
+            kernel = s.mode({a: 1, b: -1}, n)
+            assert kernel == ({(-1, 0, 0): 1} if n == -1 else {}), n
+
+    def test_pathological_d_raises_every_time(self):
+        # d a = b and d b = a: a(-1) = b(-2) = 2 a(-3) = ... never reaches mode 0
+        s = VLStructure(
+            basis=("a", "b"),
+            degrees=None,
+            d_domain=("a", "b"),
+            d_matrix={"a": {"b": 1}, "b": {"a": 1}},
+            table={},
+        )
+        for _ in range(2):
+            with pytest.raises(ValueError, match="does not terminate"):
+                s.mode("a", -1)
 
 
 class TestComponentBracket:
