@@ -1,7 +1,7 @@
 """Exact formal calculus: Laurent polynomials, delta-function series, windows.
 
-All coefficients are ``fractions.Fraction``; there is no floating point
-anywhere.  The central objects are finite sums
+All coefficients are exact: an ``int`` when integral, a ``fractions.Fraction``
+otherwise, and never a float.  The central objects are finite sums
 
     sum_i  g_i(y) * Delta^(i)(x, y)
 
@@ -13,17 +13,16 @@ acts as the oracle that arbitrates every identity in this module.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from typing import Iterable, Mapping
 
 from .linalg import add_into, clean, rat
 
 Rational = Fraction
-_ZERO = Fraction(0)
 
 
-def rat_str(q: Fraction) -> str:
-    """Serialize a Fraction as 'p' or 'p/q' (never a float)."""
+def rat_str(q: int | Fraction) -> str:
+    """Serialize an exact number as 'p' or 'p/q' (never a float)."""
     q = Fraction(q)
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
@@ -44,8 +43,9 @@ def format_terms(terms: Iterable[tuple[str, Fraction]]) -> str:
     return " + ".join(bits).replace("+ -", "- ") if bits else "0"
 
 
-def gen_binomial(m: int, i: int) -> Fraction:
-    """Generalized binomial coefficient m(m-1)...(m+1-i) / i! for integer m."""
+def gen_binomial(m: int, i: int) -> int:
+    """Generalized binomial coefficient m(m-1)...(m+1-i) / i! for integer m,
+    an exact int: a product of i consecutive integers is divisible by i!."""
     if i < 0:
         raise ValueError("lower index must be nonnegative")
     num = 1
@@ -54,7 +54,7 @@ def gen_binomial(m: int, i: int) -> Fraction:
     den = 1
     for t in range(1, i + 1):
         den *= t
-    return Fraction(num, den)
+    return num // den
 
 
 def falling(n: int, k: int) -> int:
@@ -70,7 +70,7 @@ def falling(n: int, k: int) -> int:
 # ---------------------------------------------------------------------------
 
 class Poly:
-    """Sparse polynomial core: a map from monomials to nonzero Fractions.
+    """Sparse polynomial core: a map from monomials to nonzero exact numbers.
 
     Subclasses fix how a monomial is validated (``_monomial``), how two
     monomials multiply (``_mono_mul``), the listing order (``terms``) and
@@ -160,7 +160,7 @@ class Poly:
 
 
 class LaurentPoly(Poly):
-    """Laurent polynomial in one variable with Fraction coefficients.
+    """Laurent polynomial in one variable with exact coefficients.
 
     Exponents are 1-tuples of any sign, so the variable name travels with
     the polynomial (``("y",)`` or ``("x",)``).
@@ -181,8 +181,8 @@ class LaurentPoly(Poly):
     def monomial(cls, variables: Iterable[str], exps: tuple, c=1) -> "LaurentPoly":
         return cls(variables, {tuple(exps): c})
 
-    def coefficient(self, exps: tuple) -> Fraction:
-        return self.coeffs.get(tuple(exps), _ZERO)
+    def coefficient(self, exps: tuple) -> int | Fraction:
+        return self.coeffs.get(tuple(exps), 0)
 
     def degree_span(self) -> tuple[int, int]:
         """(min, max) exponent; (0, 0) for zero."""
@@ -217,9 +217,7 @@ class BiSeriesWindow:
             raise ValueError("empty window")
         self.x_lo, self.x_hi = x_lo, x_hi
         self.y_lo, self.y_hi = y_lo, y_hi
-        self.table = [
-            [Fraction(0)] * (y_hi - y_lo + 1) for _ in range(x_hi - x_lo + 1)
-        ]
+        self.table = [[0] * (y_hi - y_lo + 1) for _ in range(x_hi - x_lo + 1)]
 
     @classmethod
     def square(cls, radius: int) -> "BiSeriesWindow":
@@ -228,12 +226,12 @@ class BiSeriesWindow:
     def contains(self, a: int, b: int) -> bool:
         return self.x_lo <= a <= self.x_hi and self.y_lo <= b <= self.y_hi
 
-    def get(self, a: int, b: int) -> Fraction:
+    def get(self, a: int, b: int) -> int | Fraction:
         if not self.contains(a, b):
             raise IndexError(f"({a},{b}) outside window")
         return self.table[a - self.x_lo][b - self.y_lo]
 
-    def add(self, a: int, b: int, c: Fraction):
+    def add(self, a: int, b: int, c: int | Fraction):
         self.table[a - self.x_lo][b - self.y_lo] += c
 
     def entries(self):
@@ -266,7 +264,7 @@ class BiSeriesWindow:
         weights = [(-1 if t % 2 else 1) * gen_binomial(m, t) for t in range(m + 1)]
         for a in range(out.x_lo, out.x_hi + 1):
             for b in range(out.y_lo, out.y_hi + 1):
-                acc = Fraction(0)
+                acc = 0
                 for t, w in enumerate(weights):
                     acc += w * self.get(a - m + t, b - t)
                 out.table[a - out.x_lo][b - out.y_lo] = acc
@@ -282,7 +280,7 @@ def delta_window(k: int, window: BiSeriesWindow) -> BiSeriesWindow:
     for a in range(out.x_lo, out.x_hi + 1):
         b = -a - k - 1
         if out.y_lo <= b <= out.y_hi:
-            out.add(a, b, Fraction(falling(a + k, k)))
+            out.add(a, b, falling(a + k, k))
     return out
 
 
@@ -401,14 +399,14 @@ def mul_power_diff(m: int, series: DeltaSeries) -> DeltaSeries:
     for n, poly in series.terms:
         if m > n:
             continue
-        c = Fraction(falling(n, m))
+        c = falling(n, m)
         if m % 2:
             c = -c
         out.append((n - m, poly.scale(c)))
     return DeltaSeries(out, series.side)
 
 
-def delta_transport(k: int, to_y: bool) -> list[tuple[int, Fraction]]:
+def delta_transport(k: int, to_y: bool) -> list[tuple[int, int]]:
     """Weights (j, w_j) of moving a coefficient f through Delta^(k) into the
     other variable: f Delta^(k) = sum_j w_j f^{(k-j)} Delta^(j), with
     w_j = binom(k,j), times (-1)^{k+j} when f moves from x to y."""
@@ -435,11 +433,6 @@ def swap_side(series: DeltaSeries) -> DeltaSeries:
         for j, c in delta_transport(k, to_y):
             out.append((j, poly.derivative(k - j).rename(new_var).scale(c)))
     return DeltaSeries(out, new_side)
-
-
-def mul_coeff_var(series: DeltaSeries, poly: LaurentPoly) -> DeltaSeries:
-    """Multiply by a Laurent polynomial in the series' own side variable."""
-    return DeltaSeries([(o, p * poly) for o, p in series.terms], series.side)
 
 
 def mul_other_var(series: DeltaSeries, poly: LaurentPoly) -> DeltaSeries:
@@ -481,15 +474,15 @@ def decompose(window: BiSeriesWindow, k: int) -> DeltaSeries:
         fact_i = 1
         for t in range(1, i + 1):
             fact_i *= t
-        norm = Fraction(-fact_i if i % 2 else fact_i)
+        norm = -fact_i if i % 2 else fact_i
         coeffs: dict[tuple, Fraction] = {}
         for s in range(window.y_lo + i, window.y_hi + 1):
-            acc = Fraction(0)
+            acc = 0
             for t in range(i + 1):
                 sign = -1 if t % 2 else 1
                 acc += sign * gen_binomial(i, t) * window.get(-1 - i + t, s - t)
             if acc:
-                coeffs[(s,)] = acc / norm
+                coeffs[(s,)] = Fraction(acc, norm)
         terms.append((i, LaurentPoly(("y",), coeffs)))
     result = DeltaSeries(terms, COEFF_IN_Y)
     back = render(result, window)

@@ -13,15 +13,13 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
 
 from .formal_calc import format_terms
 from .linalg import Echelon, add_into, bilinear, clean, det, inverse
 
 Vec = tuple[int, ...]
-
-_ONE = Fraction(1)
 
 
 class EvenLattice:
@@ -47,7 +45,7 @@ class EvenLattice:
     def norm(self, a: Vec) -> int:
         return self.pair(a, a)
 
-    def minors(self) -> list[Fraction]:
+    def minors(self) -> list[int | Fraction]:
         """Leading principal minors, exact."""
         return [det([row[:k] for row in self.gram[:k]]) for k in range(1, self.rank + 1)]
 
@@ -57,7 +55,7 @@ class EvenLattice:
     def is_degenerate(self) -> bool:
         return self.minors()[-1] == 0 if self.rank else False
 
-    def inverse_gram(self) -> list[list[Fraction]]:
+    def inverse_gram(self) -> list[list[int | Fraction]]:
         try:
             return inverse(self.gram)
         except ValueError:
@@ -93,10 +91,47 @@ class EvenLattice:
 
 
 def negative_norm_witness(lattice: EvenLattice, radius: int = 6) -> Vec | None:
-    """Search a coordinate box for a vector of negative norm."""
+    """A vector of negative norm: the first one in a coordinate box, else
+    one built from the Gram's first non-positive pivot; None when there is
+    none (a positive semidefinite Gram)."""
     for v in itertools.product(range(-radius, radius + 1), repeat=lattice.rank):
         if lattice.norm(v) < 0:
             return v
+    return _pivot_witness(lattice)
+
+
+def _pivot_witness(lattice: EvenLattice) -> Vec | None:
+    """A negative-norm vector from the first non-positive pivot d_k of the
+    LDL^T factorization of the Gram matrix G.
+
+    With A the leading k x k block (positive definite, as every earlier
+    pivot is positive) and b the next column above the diagonal, the vector
+    x = (-A^-1 b, 1, 0, ...) has norm d_k, the Schur complement.  When
+    d_k = 0 and G is nondegenerate, some (G x)_j = c is nonzero, and
+    x + t e_j with t = -c/G_jj (G_jj > 0), else t = -c, has norm
+    2tc + t^2 G_jj < 0.  The rational vector is scaled to a primitive
+    integer one, which keeps the sign of its norm.
+    """
+    g, r = lattice.gram, lattice.rank
+    for k in range(r):
+        a_inv = inverse([row[:k] for row in g[:k]]) if k else []
+        x = [-sum(a_inv[i][j] * g[j][k] for j in range(k)) for i in range(k)]
+        x += [1] + [0] * (r - k - 1)
+        norm = lattice.norm(x)
+        if norm > 0:
+            continue
+        if norm == 0:
+            gx = [sum(g[i][j] * x[j] for j in range(r)) for i in range(r)]
+            j = next((i for i, c in enumerate(gx) if c), None)
+            if j is None:
+                return None  # x spans the radical of a degenerate Gram
+            t = Fraction(-gx[j], g[j][j]) if g[j][j] > 0 else -gx[j]
+            x[j] += t
+        x = [Fraction(c) for c in x]
+        scale = math.lcm(*(c.denominator for c in x))
+        ints = [int(c * scale) for c in x]
+        common = math.gcd(*ints)
+        return tuple(c // common for c in ints)
     return None
 
 
@@ -193,10 +228,10 @@ def build_cocycle(lattice: EvenLattice) -> Cocycle:
 # Graded ideal reducers
 # ---------------------------------------------------------------------------
 
-def power_of_linear(rank: int, alpha: Vec, e: int) -> dict[tuple, Fraction]:
+def power_of_linear(rank: int, alpha: Vec, e: int) -> dict[tuple, int]:
     """(alpha . Z)^e as an exponent-tuple coefficient dict."""
-    out = {(0,) * rank: Fraction(1)}
-    lin = {tuple(1 if t == i else 0 for t in range(rank)): Fraction(alpha[i])
+    out = {(0,) * rank: 1}
+    lin = {tuple(1 if t == i else 0 for t in range(rank)): alpha[i]
            for i in range(rank) if alpha[i]}
     for _ in range(e):
         out = clean(
@@ -341,7 +376,7 @@ class PLAlgebra:
 
     def z_gen(self, i: int) -> dict:
         mono = tuple(1 if t == i else 0 for t in range(self.lattice.rank))
-        return self.reduce({((), mono): Fraction(1)})
+        return self.reduce({((), mono): 1})
 
     def z_of(self, alpha: Vec) -> dict:
         rank = self.lattice.rank
@@ -355,10 +390,10 @@ class PLAlgebra:
             return self.one()
         if beta not in self.sectors:
             raise KeyError(f"{beta} does not label a surviving class")
-        return self.reduce({(beta, (0,) * self.lattice.rank): Fraction(1)})
+        return self.reduce({(beta, (0,) * self.lattice.rank): 1})
 
     def one(self) -> dict:
-        return {((), (0,) * self.lattice.rank): Fraction(1)}
+        return {((), (0,) * self.lattice.rank): 1}
 
     def reduce(self, element: Mapping) -> dict:
         out: dict = {}
@@ -376,7 +411,7 @@ class PLAlgebra:
     def _mono_mul(self, m1: tuple, m2: tuple) -> tuple:
         return tuple(x + y for x, y in zip(m1, m2))
 
-    def _power_of_linear(self, alpha: Vec, e: int) -> dict[tuple, Fraction]:
+    def _power_of_linear(self, alpha: Vec, e: int) -> dict[tuple, int]:
         return power_of_linear(self.lattice.rank, alpha, e)
 
     def multiply(self, a: Mapping, b: Mapping) -> dict:
@@ -492,7 +527,7 @@ class PLAlgebra:
 
     def _table(self, op) -> dict:
         index, basis = self.index, self.basis
-        return {(i, j): {index[key]: c for key, c in op({ka: _ONE}, {kb: _ONE}).items()}
+        return {(i, j): {index[key]: c for key, c in op({ka: 1}, {kb: 1}).items()}
                 for i, ka in enumerate(basis) for j, kb in enumerate(basis)}
 
     def verify_axioms(self) -> list[str]:
@@ -510,7 +545,7 @@ class PLAlgebra:
                     problems.append(f"commutativity fails at ({i},{j})")
                 if add_into(dict(br[(i, j)]), br[(j, i)]):
                     problems.append(f"skew fails at ({i},{j})")
-        units = [{i: _ONE} for i in range(n)]
+        units = [{i: 1} for i in range(n)]
         for i in range(n):
             for j in range(n):
                 for k in range(n):
@@ -629,20 +664,20 @@ class BkAlgebra:
         return 2 * self.k + 3
 
     def _zpow(self, d: int) -> dict:
-        return {("Z", d): Fraction(1)} if d <= 2 * self.k else {}
+        return {("Z", d): 1} if d <= 2 * self.k else {}
 
     def multiply_basis(self, a: tuple, b: tuple) -> dict:
         k = self.k
         if a[0] == "Z" and b[0] == "Z":
             return self._zpow(a[1] + b[1])
         if a[0] == "Z" and b[0] in ("X", "Y"):
-            return {(b[0], 0): Fraction(1)} if a[1] == 0 else {}
+            return {(b[0], 0): 1} if a[1] == 0 else {}
         if b[0] == "Z":
             return self.multiply_basis(b, a)
         if a[0] == b[0]:
             return {}
         out = self._zpow(2 * k)
-        return {key: c / math.factorial(2 * k) for key, c in out.items()}
+        return {key: Fraction(c, math.factorial(2 * k)) for key, c in out.items()}
 
     def bracket_basis(self, a: tuple, b: tuple) -> dict:
         k = self.k
@@ -655,7 +690,7 @@ class BkAlgebra:
                 return {}
             if d == 1:
                 sign = 2 * k if b[0] == "X" else -2 * k
-                return {(b[0], 0): Fraction(sign)}
+                return {(b[0], 0): sign}
             return {}
         if b[0] == "Z":
             return {key: -c for key, c in self.bracket_basis(b, a).items()}
@@ -702,7 +737,7 @@ def bk_compare(k: int) -> dict:
             add_into(out, to_lattice(key), c)
         return alg.reduce(out)
 
-    images = {key: map_element({key: Fraction(1)}) for key in bk.basis}
+    images = {key: map_element({key: 1}) for key in bk.basis}
     seen = set()
     for key, img in images.items():
         flat = tuple(sorted((kk, c) for kk, c in img.items()))

@@ -3,8 +3,8 @@ and the Poisson bracket they induce on polynomial algebras."""
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Mapping
 
 from .formal_calc import Poly, rat, rat_str
 from .linalg import add_into, bilinear, clean, det
@@ -207,8 +207,8 @@ def check_invariance(alg, form: BilinearForm) -> list[str]:
         for j in range(r):
             ij = table.get((i, j), {})
             for k in range(r):
-                lhs = sum((c * m[p][k] for p, c in ij.items()), Fraction(0))
-                rhs = sum((c * m[i][p] for p, c in table.get((j, k), {}).items()), Fraction(0))
+                lhs = sum((c * m[p][k] for p, c in ij.items()), 0)
+                rhs = sum((c * m[i][p] for p, c in table.get((j, k), {}).items()), 0)
                 if lhs != rhs:
                     problems.append(f"invariance fails on ({names[i]},{names[j]},{names[k]})")
     return problems

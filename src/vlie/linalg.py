@@ -1,45 +1,59 @@
 """Exact linear algebra over Q on sparse coordinate dicts.
 
 A sparse vector is a dict from sortable keys (basis indices, exponent
-tuples, mode symbols) to nonzero Fractions.  ``clean`` builds one from raw
-input and ``add_into`` combines them in place.  A finite algebra is a
-structure-constant table {(i, j): sparse vector over basis indices}, and
-``bilinear`` multiplies two vectors through it.  ``Echelon`` is the package's
-only elimination routine, and ``inverse``, ``det`` and ``nullspace`` of
-dense matrices are thin uses of it.
+tuples, mode symbols) to nonzero exact numbers: an ``int`` when the value is
+integral, a ``Fraction`` otherwise, and never a float.  ``clean`` builds one
+from raw input and ``add_into`` combines them in place; both store integral
+values as ``int`` (``narrow``), so integer work never enters ``fractions``.
+A finite algebra is a structure-constant table {(i, j): sparse vector over
+basis indices}, and ``bilinear`` multiplies two vectors through it.
+``Echelon`` is the package's only elimination routine, and ``inverse``,
+``det`` and ``nullspace`` of dense matrices are thin uses of it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
-
-_ZERO = Fraction(0)
 
 
-def rat(value) -> Fraction:
-    """Coerce ints, strings like '-1/12', or Fractions to Fraction."""
+def narrow(q):
+    """An integral Fraction as its int; anything else unchanged.
+
+    ``int`` and ``Fraction`` compare and hash equal, so narrowing never
+    changes a key or an ``==``; it only keeps integer arithmetic off the
+    slow ``fractions`` path.
+    """
+    if q.__class__ is Fraction and q.denominator == 1:
+        return q.numerator
+    return q
+
+
+def rat(value) -> int | Fraction:
+    """Coerce ints, strings like '-1/12', or Fractions to an exact number:
+    an int when it is integral, else a Fraction."""
     if isinstance(value, Fraction):
-        return value
+        return narrow(value)
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value)
     if isinstance(value, str):
-        return Fraction(value)
+        return narrow(Fraction(value))
     raise TypeError(f"not an exact rational: {value!r}")
 
 
 def _accumulate(acc: dict, pairs: Iterable[tuple]) -> dict:
-    """acc += sum of the (key, value) pairs in place, never storing a zero."""
+    """acc += sum of the (key, value) pairs in place, never storing a zero
+    and storing every integral value as an int."""
     get = acc.get
     for key, c in pairs:
         v = get(key)
         if v is None:
             if c:
-                acc[key] = c
+                acc[key] = narrow(c)
         else:
             v += c
             if v:
-                acc[key] = v
+                acc[key] = narrow(v)
             else:
                 del acc[key]
     return acc
@@ -47,10 +61,10 @@ def _accumulate(acc: dict, pairs: Iterable[tuple]) -> dict:
 
 def clean(items: Mapping | Iterable[tuple]) -> dict:
     """Sparse vector from a mapping or (key, value) pairs: values are coerced
-    to Fraction, repeated keys summed and zeros dropped."""
+    by ``rat``, repeated keys summed and zeros dropped."""
     if isinstance(items, Mapping):
         items = items.items()
-    return _accumulate({}, ((k, c if c.__class__ is Fraction else rat(c)) for k, c in items))
+    return _accumulate({}, ((k, c if c.__class__ is int else rat(c)) for k, c in items))
 
 
 def add_into(acc: dict, vec: Mapping, scale=1) -> dict:
@@ -89,7 +103,7 @@ class Echelon:
     def reduce(self, vec: Mapping) -> dict:
         """Normal form of vec: no key is a pivot, and it is zero exactly
         when vec lies in the span."""
-        vec = {k: c for k, c in vec.items() if c}
+        vec = clean(vec)
         rows = self.rows
         out = {}
         while vec:
@@ -109,7 +123,8 @@ class Echelon:
         if red:
             pivot = max(red)
             lead = red[pivot]
-            self.rows[pivot] = {k: c / lead for k, c in red.items() if k != pivot}
+            self.rows[pivot] = {k: narrow(Fraction(c, lead))
+                                for k, c in red.items() if k != pivot}
         return red
 
 
@@ -117,20 +132,21 @@ def _sparse_rows(rows: Sequence[Sequence]) -> list[dict]:
     return [clean(enumerate(row)) for row in rows]
 
 
-def det(rows: Sequence[Sequence]) -> Fraction:
+def det(rows: Sequence[Sequence]) -> int | Fraction:
     """Determinant of a square matrix given by its rows."""
     echelon = Echelon()
     pivots = []
-    out = Fraction(1)
+    out = 1
     for row in _sparse_rows(rows):
         red = echelon.insert(row)
         if not red:
-            return Fraction(0)
+            return 0
         pivots.append(max(red))
         out *= red[pivots[-1]]
     # each reduced row is the original minus earlier rows; the product of
     # pivots needs the sign of the permutation row -> pivot column
     swaps = sum(1 for i, p in enumerate(pivots) for q in pivots[i + 1:] if q < p)
+    out = narrow(out)
     return -out if swaps % 2 else out
 
 
@@ -148,7 +164,7 @@ def _back_substitute(echelon: Echelon) -> dict:
     return full
 
 
-def inverse(rows: Sequence[Sequence]) -> list[list[Fraction]]:
+def inverse(rows: Sequence[Sequence]) -> list[list[int | Fraction]]:
     """Inverse of a square matrix; raises ValueError when it is singular.
 
     Row i is inserted as (M_i | e_i) with the matrix columns as the larger
@@ -159,15 +175,15 @@ def inverse(rows: Sequence[Sequence]) -> list[list[Fraction]]:
     echelon = Echelon()
     for i, row in enumerate(_sparse_rows(rows)):
         aug = {(1, j): c for j, c in row.items()}
-        aug[(0, i)] = Fraction(1)
+        aug[(0, i)] = 1
         echelon.insert(aug)
     if any((1, j) not in echelon.rows for j in range(n)):
         raise ValueError("matrix is singular")
     full = _back_substitute(echelon)
-    return [[full[(1, j)].get((0, i), _ZERO) for i in range(n)] for j in range(n)]
+    return [[full[(1, j)].get((0, i), 0) for i in range(n)] for j in range(n)]
 
 
-def nullspace(rows: Sequence[Sequence]) -> list[dict[int, Fraction]]:
+def nullspace(rows: Sequence[Sequence]) -> list[dict[int, int | Fraction]]:
     """Basis of {v : M v = 0} as sparse vectors, one per non-pivot column
     in increasing order, each with entry 1 there."""
     width = len(rows[0]) if rows else 0
@@ -179,7 +195,7 @@ def nullspace(rows: Sequence[Sequence]) -> list[dict[int, Fraction]]:
     for free in range(width):
         if free in full:
             continue
-        vec = {free: Fraction(1)}
+        vec = {free: 1}
         for pivot, row in full.items():
             c = row.get(free)
             if c:

@@ -11,8 +11,8 @@ the Leibniz rule and skew transfer, and quotients by derivative monomials.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
 
 from .formal_calc import Poly, delta_transport, format_terms, rat, rat_str
 from .lie_core import SymPoly, biderivation
@@ -98,8 +98,8 @@ class PoissonPresentation:
             if len(lin) != 1 or any(sum(e) > 1 for e in q.coeffs):
                 raise ValueError(f"ideal member {q!r} is not c*gen + const with c != 0")
             (e, c), = lin
-            const = q.coeffs.get((0,) * len(self.generators), Fraction(0))
-            gen, value = self.generators[e.index(1)], -const / c
+            const = q.coeffs.get((0,) * len(self.generators), 0)
+            gen, value = self.generators[e.index(1)], rat(Fraction(-const, c))
             if self._values.get(gen, value) != value:
                 raise ValueError(
                     f"ideal members fix {gen} to both {rat_str(self._values[gen])} "
@@ -330,7 +330,7 @@ class DPoly(Poly):
 VPSeries = dict[int, DPoly]  # delta order -> coefficient, written in y
 
 
-def vps_add(a: VPSeries, b: VPSeries, scale=Fraction(1)) -> VPSeries:
+def vps_add(a: VPSeries, b: VPSeries, scale=1) -> VPSeries:
     return add_into(dict(a), {k: p.scale(scale) for k, p in b.items()})
 
 
@@ -349,7 +349,7 @@ def vps_dy(series: VPSeries) -> VPSeries:
     out: VPSeries = {}
     for k, h in series.items():
         out = vps_add(out, {k: h.derive()})
-        out = vps_add(out, {k + 1: h}, Fraction(-1))
+        out = vps_add(out, {k + 1: h}, -1)
     return out
 
 
@@ -430,7 +430,7 @@ class VPDiffAlgebra:
         skew transfer of {v(x), M(y)}, whose first slot is a single variable."""
         if len(mono) == 1:
             return self.bracket_var_var(mono[0], v)
-        inner = self.bracket_var_poly(v, DPoly({mono: Fraction(1)}))
+        inner = self.bracket_var_poly(v, DPoly({mono: 1}))
         return vps_skew_transfer(inner)
 
     def vp_bracket(self, f: DPoly, g: DPoly) -> VPSeries:
@@ -444,7 +444,7 @@ class VPDiffAlgebra:
                 if len(mono_g) == 0:
                     continue
                 for t in range(len(mono_g)):
-                    rest = DPoly({mono_g[:t] + mono_g[t + 1:]: Fraction(1)})
+                    rest = DPoly({mono_g[:t] + mono_g[t + 1:]: 1})
                     base = self.bracket_mono_var(mono_f, mono_g[t])
                     if base:
                         out = vps_add(out, vps_compose(base, rest), cf * cg)

@@ -14,21 +14,20 @@ ever sees central symbols (which commute) and complement modes.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from typing import Iterable, Mapping
 
 from .formal_calc import format_terms, gen_binomial, rat
 from .linalg import add_into, clean
 from .vertex_lie import Modes, Symbol, VLStructure
 
 Monomial = tuple[Symbol, ...]
-State = dict[Monomial, Fraction]
+State = dict[Monomial, int | Fraction]
 
 VACUUM: Monomial = ()
-_ONE = Fraction(1)
 
 
-def state_add(a: State, b: State, scale=Fraction(1)) -> State:
+def state_add(a: State, b: State, scale=1) -> State:
     return add_into(dict(a), b, rat(scale))
 
 
@@ -55,7 +54,7 @@ class VacuumModule:
         if not structure.certified:
             raise ValueError("vacuum modules require a certified structure")
         self.structure = structure
-        self.lam: dict[str, Fraction] | None
+        self.lam: dict[str, int | Fraction] | None
         if lam is None:
             self.lam = None
         else:
@@ -65,19 +64,21 @@ class VacuumModule:
                 raise ValueError(f"central character must cover {missing}")
         self._act_memo: dict[tuple, State] = {}
         self._mode_memo: dict[tuple, State] = {}
+        self._graded = (
+            structure.degrees is not None
+            and all(structure.degree_of(n) == 0 for n in structure.u0_prime_names)
+            and all(structure.degree_of(n) >= 1 for n in structure.u_prime_names)
+        )
 
     # -- degrees -------------------------------------------------------------
 
     def is_graded(self) -> bool:
-        st = self.structure
-        if st.degrees is None:
-            return False
-        if any(st.degree_of(n) != 0 for n in st.u0_prime_names):
-            return False
-        return all(st.degree_of(n) >= 1 for n in st.u_prime_names)
+        """Degree-0 center and positive-degree creators; fixed with the
+        structure, so decided once in the constructor."""
+        return self._graded
 
     def require_graded(self, what: str):
-        if not self.is_graded():
+        if not self._graded:
             raise ValueError(
                 f"{what} needs a graded structure with degree-0 center and "
                 "positive-degree creators; this one is not"
@@ -100,7 +101,7 @@ class VacuumModule:
     # -- state constructors ----------------------------------------------------
 
     def vacuum(self) -> State:
-        return {VACUUM: Fraction(1)}
+        return {VACUUM: 1}
 
     def creator(self, name: str, n: int) -> Symbol:
         st = self.structure
@@ -127,7 +128,7 @@ class VacuumModule:
         return out
 
     def generator_state(self, name: str) -> State:
-        return {self.monomial([(name, -1)]): Fraction(1)}
+        return {self.monomial([(name, -1)]): 1}
 
     def format_state(self, state: State) -> str:
         state = clean(state)
@@ -164,14 +165,14 @@ class VacuumModule:
             if self.lam is not None:
                 result = {mono: self.lam[self.structure.u0_prime_names[idx]]}
             else:
-                result = {tuple(sorted(mono + (sym,))): Fraction(1)}
+                result = {tuple(sorted(mono + (sym,))): 1}
             memo[key] = result
             return result
 
         if not mono:
-            result = {(sym,): Fraction(1)} if n <= -1 else {}
+            result = {(sym,): 1} if n <= -1 else {}
         elif n <= -1 and sym <= mono[0]:
-            result = {(sym,) + mono: Fraction(1)}
+            result = {(sym,) + mono: 1}
         else:
             head, tail = mono[0], mono[1:]
             result: State = {}
@@ -186,7 +187,7 @@ class VacuumModule:
 
     def _prepend(self, sym: Symbol, mono: Monomial) -> State:
         if not mono or sym <= mono[0]:
-            return {(sym,) + mono: Fraction(1)}
+            return {(sym,) + mono: 1}
         return self._act_key(sym, mono)
 
     def _symbol_bracket(self, sym: Symbol, head: Symbol) -> Modes:
@@ -263,7 +264,7 @@ class VacuumModule:
         out = []
         for d in range(degree + 1):
             for mono in self.basis_monomials(d):
-                out.append({mono: Fraction(1)})
+                out.append({mono: 1})
         return out
 
     # -- vertex operator modes ---------------------------------------------------------
@@ -289,7 +290,7 @@ class VacuumModule:
 
     def _mode_of_monomial(self, mono: Monomial, n: int, b_mono: Monomial) -> State:
         if not mono:
-            return {b_mono: _ONE} if n == -1 else {}
+            return {b_mono: 1} if n == -1 else {}
         key = (mono, n, b_mono)
         cached = self._mode_memo.get(key)
         if cached is not None:
@@ -306,8 +307,8 @@ class VacuumModule:
         deg_u = self.structure.degree_of(self.structure.u_prime_names[idx])
         bound_first = deg_tail + deg_b - n - 1
         bound_second = deg_u + deg_b - 1
-        b = {b_mono: _ONE}
-        tail_state = {tail: _ONE}
+        b = {b_mono: 1}
+        tail_state = {tail: 1}
         result: State = {}
         i = 0
         while i <= max(bound_first, bound_second):
@@ -352,7 +353,7 @@ class VacuumModule:
     def lie_admissible_bracket(self, a: State, b: State) -> State:
         """a_{-1} b - b_{-1} a."""
         return state_add(
-            self.mode_of_state(a, -1, b), self.mode_of_state(b, -1, a), Fraction(-1)
+            self.mode_of_state(a, -1, b), self.mode_of_state(b, -1, a), -1
         )
 
     def borcherds_check(self, a: State, b: State, window: int, degree: int) -> list[str]:
@@ -369,7 +370,7 @@ class VacuumModule:
                     lhs = self.mode_of_state(a, m, bs) if bs else {}
                     as_ = self.mode_of_state(a, m, s)
                     if as_:
-                        lhs = state_add(lhs, self.mode_of_state(b, n, as_), Fraction(-1))
+                        lhs = state_add(lhs, self.mode_of_state(b, n, as_), -1)
                     rhs: State = {}
                     for i, aib in products.items():
                         c = gen_binomial(m, i)

@@ -15,24 +15,21 @@ coordinates live on a complement basis: ker-d vectors frozen at mode -1
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
 
 from .formal_calc import format_terms, gen_binomial, rat_str
 from .lie_core import BilinearForm, FiniteLieAlgebra, SymPoly, _normalize_table, check_invariance
 from .linalg import Echelon, add_into, bilinear, clean, inverse, nullspace
 
-Vector = dict[int, Fraction]  # sparse coordinates over the base-space basis
+Vector = dict[int, int | Fraction]  # sparse coordinates over the base-space basis
 # A canonical mode symbol (n, cls, idx): cls 0 is the idx-th frozen central
 # generator (always at mode n = -1), cls 1 the idx-th complement generator at
-# mode n.  A combination of modes is a {Symbol: Fraction} dict that never
-# stores a zero; the vacuum module's creation monomials are built from the
-# same symbols.
+# mode n.  A combination of modes is a {Symbol: int | Fraction} dict that
+# never stores a zero; the vacuum module's creation monomials are built from
+# the same symbols.
 Symbol = tuple[int, int, int]
-Modes = dict[Symbol, Fraction]
-
-_MAX_D_RECURSION = 64
-_ONE = Fraction(1)
+Modes = dict[Symbol, int | Fraction]
 
 
 def symbol_order(sym: Symbol) -> tuple:
@@ -96,6 +93,7 @@ class VLStructure:
             self._table[(ia, ib)] = tuple(packed)
 
         self._setup_complements(u_prime, u0_prime)
+        self._cyclic = self._d_cyclic_indices()
         self._graded_check()
         self._mode_cache: dict[tuple[int, int], Modes] = {}
         self._bracket_cache: dict[tuple, Modes] = {}
@@ -123,7 +121,7 @@ class VLStructure:
             return [v for v in candidates if echelon.insert(v)]
 
         def unit(i):
-            return {i: _ONE}
+            return {i: 1}
 
         if u_prime is not None:
             self.u_prime_vectors = [unit(self.index[n]) for n in u_prime]
@@ -162,7 +160,7 @@ class VLStructure:
     def decompose_vector(self, vec: Vector):
         """Split u = (ker-d complement part) + d(preimage) + (U' part)."""
         r = len(self.basis)
-        coords = [Fraction(0)] * r
+        coords = [0] * r
         for i, c in vec.items():
             for j in range(r):
                 coords[j] += self._decomp_inv[j][i] * c
@@ -172,6 +170,30 @@ class VLStructure:
         im_part = coords[n0:n0 + nim]
         up_part = coords[n0 + nim:]
         return z_part, im_part, up_part
+
+    def _d_cyclic_indices(self) -> frozenset[int]:
+        """Basis indices whose modes reduce forever at a negative mode.
+
+        The reduction of u_i(n) steps to w(n-1) for each im-d preimage w in
+        the decomposition of u_i, and stops at n = 0.  From n >= 0 it is
+        therefore always finite; from n < 0 it never ends exactly when a
+        cycle of this preimage graph can be reached from i.  These indices
+        are the complement of the largest set closed under "every successor
+        is in the set".
+        """
+        succ = {}
+        for i in range(len(self.basis)):
+            _, im_part, _ = self.decompose_vector({i: 1})
+            succ[i] = {dom for (dom, _), c in zip(self._im_preimages, im_part) if c}
+        finite: set[int] = set()
+        grew = True
+        while grew:
+            grew = False
+            for i, nxt in succ.items():
+                if i not in finite and nxt <= finite:
+                    finite.add(i)
+                    grew = True
+        return frozenset(succ).difference(finite)
 
     def _graded_check(self):
         if self.degrees is None:
@@ -208,15 +230,15 @@ class VLStructure:
             add_into(out, self._basis_mode(i, n), c)
         return out
 
-    def _basis_mode(self, i: int, n: int, _depth: int = 0) -> Modes:
+    def _basis_mode(self, i: int, n: int) -> Modes:
         """u_i(n) for the i-th basis vector, computed once per (i, n)."""
         key = (i, n)
         cached = self._mode_cache.get(key)
         if cached is not None:
             return cached
-        if _depth > _MAX_D_RECURSION:
+        if n < 0 and i in self._cyclic:
             raise ValueError("mode reduction does not terminate; pathological d")
-        z_part, im_part, up_part = self.decompose_vector({i: _ONE})
+        z_part, im_part, up_part = self.decompose_vector({i: 1})
         out: Modes = {}
         if n == -1:
             add_into(out, {(-1, 0, j): c for j, c in enumerate(z_part)})
@@ -225,9 +247,8 @@ class VLStructure:
             for (dom_idx, _), c in zip(self._im_preimages, im_part):
                 if c:
                     # (dw)(n) = -n w(n-1) with w the domain basis preimage
-                    add_into(out, self._basis_mode(dom_idx, n - 1, _depth + 1), -n * c)
+                    add_into(out, self._basis_mode(dom_idx, n - 1), -n * c)
         add_into(out, {(n, 1, j): c for j, c in enumerate(up_part)})
-        # stored only once the reduction has terminated
         self._mode_cache[key] = out
         return out
 
@@ -344,7 +365,7 @@ class VLStructure:
             ]
         modes = range(-window, window + 1)
         for (i, j, k) in triples:
-            vi, vj, vk = ({t: _ONE} for t in (i, j, k))
+            vi, vj, vk = ({t: 1} for t in (i, j, k))
             for m in modes:
                 for n in modes:
                     xy = self.bracket_vectors(vi, m, vj, n)
@@ -577,7 +598,7 @@ class CommAlgebra:
             if problems:
                 raise ValueError("not commutative associative: " + "; ".join(problems[:3]))
 
-    def product_basis(self, i: int, j: int) -> dict[int, Fraction]:
+    def product_basis(self, i: int, j: int) -> dict[int, int | Fraction]:
         return self.table.get((i, j), {})
 
     def check_axioms(self) -> list[str]:

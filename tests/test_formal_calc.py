@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -63,6 +64,16 @@ class TestGenBinomial:
     def test_rejects_negative_lower(self):
         with pytest.raises(ValueError):
             gen_binomial(3, -1)
+
+    def test_exact_int_matching_fraction_formula(self):
+        for m in range(-8, 9):
+            for i in range(9):
+                num = 1
+                for t in range(i):
+                    num *= m - t
+                got = gen_binomial(m, i)
+                assert type(got) is int, (m, i)
+                assert got == Fraction(num, math.factorial(i)), (m, i)
 
 
 class TestDeltaWindow:

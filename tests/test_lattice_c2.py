@@ -12,6 +12,7 @@ from vlie.lattice_c2 import (
     build_pl_algebra,
     detect_indefinite,
     enumerate_c2,
+    negative_norm_witness,
     poisson_table,
     relation_consistency_problems,
 )
@@ -169,7 +170,7 @@ class TestPoissonTable:
         zpow = alg.one()
         for _ in range(2 * k - 1):
             zpow = alg.multiply(zpow, z)
-        want = {key: v / math.factorial(2 * k - 1) for key, v in zpow.items()}
+        want = {key: Fraction(v, math.factorial(2 * k - 1)) for key, v in zpow.items()}
         assert alg.bracket(x, y) == want
 
     def test_orthogonal_rank_two(self):
@@ -202,6 +203,36 @@ class TestDegeneration:
         assert info["witness"] is not None
         v = info["witness"]
         assert EvenLattice([[0, 1], [1, 0]]).norm(tuple(v)) < 0
+
+    def test_witness_beyond_the_search_box(self):
+        # every negative vector of this Gram has x/y strictly between -7 and
+        # -6, so none lies in the box |x_i| <= 6; the pivot witness is exact
+        lat = EvenLattice([[2, 13], [13, 84]])
+        info = detect_indefinite(lat)
+        assert info["zero_algebra"]
+        assert info["witness"] is not None
+        assert lat.norm(tuple(info["witness"])) < 0
+
+    @pytest.mark.parametrize("gram", [
+        [[-2]],
+        [[0, 1], [1, 0]],
+        [[2, 13], [13, 84]],
+        [[2, 1, 0], [1, 2, 1], [0, 1, -4]],
+        [[2, 0, 0], [0, 0, 3], [0, 3, 2]],
+        [[4, 3, 0], [3, 2, 0], [0, 0, 2]],
+    ])
+    def test_pivot_witness_has_negative_norm(self, gram):
+        # radius 0 leaves only the zero vector in the box, so the witness
+        # comes from the pivots; the hyperbolic plane and the Gram with
+        # leading minors 2, 0, -18 reach a zero pivot first
+        lat = EvenLattice(gram)
+        witness = negative_norm_witness(lat, radius=0)
+        assert witness is not None
+        assert all(type(c) is int for c in witness)
+        assert lat.norm(witness) < 0
+
+    def test_no_pivot_witness_for_definite_grams(self):
+        assert negative_norm_witness(EvenLattice(A2), radius=0) is None
 
     def test_definite_proceeds(self):
         info = detect_indefinite(EvenLattice([[2]]))

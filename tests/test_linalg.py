@@ -241,3 +241,93 @@ def test_check_invariance_matches_dense_loop(t, data):
                 if lhs != rhs:
                     want.append(f"invariance fails on ({names[i]},{names[j]},{names[k]})")
     assert check_invariance(alg, BilinearForm(form, require_symmetric=False)) == want
+
+
+# -- the integer path against sympy Rational -----------------------------------
+
+# ints, integral Fractions and proper Fractions, so that sums and products
+# cross between the two types in both directions
+mixed = st.one_of(
+    st.integers(-3, 3),
+    st.integers(-3, 3).map(Fraction),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+)
+mixed_sparse = st.dictionaries(st.integers(0, 4), mixed, max_size=5)
+
+
+def sym(vec):
+    return {k: sympy.Rational(c.numerator, c.denominator) for k, c in vec.items()}
+
+
+def sym_clean(vec):
+    return {k: c for k, c in vec.items() if c != 0}
+
+
+def assert_exact_types(vec):
+    """Every value an int, or a Fraction that is not integral; never a float."""
+    for c in vec.values():
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), c
+
+
+@PROPERTY
+@given(st.lists(st.tuples(st.integers(0, 4), mixed), max_size=8))
+def test_clean_matches_sympy(pairs):
+    want: dict = {}
+    for k, c in pairs:
+        want[k] = want.get(k, 0) + sympy.Rational(c.numerator, c.denominator)
+    got = clean(pairs)
+    assert_exact_types(got)
+    assert sym(got) == sym_clean(want)
+
+
+@PROPERTY
+@given(mixed_sparse, mixed_sparse, mixed)
+def test_add_into_matches_sympy(acc, vec, scale):
+    a, v, s = sym(acc), sym(vec), sympy.Rational(scale.numerator, scale.denominator)
+    want = {k: a.get(k, 0) + s * v.get(k, 0) for k in set(a) | set(v)}
+    got = add_into(clean(acc), vec, scale)
+    assert_exact_types(got)
+    assert sym(got) == sym_clean(want)
+
+
+@PROPERTY
+@given(st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), mixed_sparse,
+                       max_size=6),
+       mixed_sparse, mixed_sparse)
+def test_bilinear_matches_sympy(table, u, v):
+    table = {pair: clean(entry) for pair, entry in table.items()}
+    want: dict = {}
+    for i, a in sym(u).items():
+        for j, b in sym(v).items():
+            for k, c in sym(table.get((i, j), {})).items():
+                want[k] = want.get(k, 0) + a * b * c
+    got = bilinear(table, clean(u), clean(v))
+    assert_exact_types(got)
+    assert sym(got) == sym_clean(want)
+
+
+@PROPERTY
+@given(st.lists(mixed_sparse, min_size=1, max_size=5))
+def test_echelon_matches_sympy(vectors):
+    """Each insert returns zero exactly on the span of the earlier vectors,
+    and otherwise a vector that differs from the input by an element of that
+    span; every stored row and reduced form keeps the exact types."""
+    width = 5
+
+    def matrix(vecs):
+        return sympy.Matrix(len(vecs), width, lambda i, j: sym(vecs[i]).get(j, 0))
+
+    echelon = Echelon()
+    earlier: list[dict] = []
+    for vec in vectors:
+        rank = matrix(earlier).rank() if earlier else 0
+        red = echelon.insert(vec)
+        assert_exact_types(red)
+        for row in echelon.rows.values():
+            assert_exact_types(row)
+        in_span = (matrix(earlier + [vec]).rank() == rank) if earlier else not clean(vec)
+        assert (not red) == in_span
+        if red:
+            diff = add_into(dict(red), vec, -1)
+            assert not diff or (earlier and matrix(earlier + [diff]).rank() == rank)
+        earlier.append(vec)

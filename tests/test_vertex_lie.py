@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -166,6 +167,26 @@ class TestModeCache:
         for _ in range(2):
             with pytest.raises(ValueError, match="does not terminate"):
                 s.mode("a", -1)
+
+    @pytest.mark.parametrize("first", ["a70", "a40"])
+    def test_nilpotent_chain_terminates_in_either_order(self, first):
+        # d a_i = a_(i+1) on a0..a70 is nilpotent, so every mode reduces:
+        # a70(-1) = 1 a69(-2) = 1*2 a68(-3) = ... = 70! a0(-71), whatever
+        # was computed before, including a40(-31) on the way
+        names = [f"a{i}" for i in range(71)]
+        s = VLStructure(
+            basis=names,
+            degrees=None,
+            d_domain=names[:-1],
+            d_matrix={names[i]: {names[i + 1]: 1} for i in range(70)},
+            table={},
+        )
+        queries = [("a70", -1), ("a40", -31)]
+        if first == "a40":
+            queries.reverse()
+        got = {query: s.mode(*query) for query in queries}
+        assert got[("a70", -1)] == {(-71, 1, 0): math.factorial(70)}
+        assert got[("a40", -31)] == {(-71, 1, 0): math.factorial(70) // math.factorial(30)}
 
 
 class TestComponentBracket:
