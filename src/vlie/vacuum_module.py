@@ -64,6 +64,8 @@ class VacuumModule:
                 raise ValueError(f"central character must cover {missing}")
         self._act_memo: dict[tuple, State] = {}
         self._mode_memo: dict[tuple, State] = {}
+        # row k holds gen_binomial(-k - 1, i) for i = 0, 1, ...
+        self._head_binomials: dict[int, list[int]] = {}
         self._graded = (
             structure.degrees is not None
             and all(structure.degree_of(n) == 0 for n in structure.u0_prime_names)
@@ -193,8 +195,7 @@ class VacuumModule:
     def _symbol_bracket(self, sym: Symbol, head: Symbol) -> Modes:
         if sym[1] == 0 or head[1] == 0:
             return {}  # frozen central generators commute
-        vectors = self.structure.u_prime_vectors
-        return self.structure.bracket_vectors(vectors[sym[2]], sym[0], vectors[head[2]], head[0])
+        return self.structure.symbol_bracket(sym, head)
 
     # -- graded dimensions ----------------------------------------------------------
 
@@ -310,23 +311,24 @@ class VacuumModule:
         b = {b_mono: 1}
         tail_state = {tail: 1}
         result: State = {}
-        i = 0
-        while i <= max(bound_first, bound_second):
-            coeff = gen_binomial(-k - 1, i)
-            if coeff:
-                if i <= bound_first:
-                    inner = self._mode_of_monomial(tail, n + i, b_mono)
-                    if inner:
-                        sign = -1 if i % 2 else 1
-                        outer = self._act_creator_state(idx, -k - 1 - i, inner)
-                        add_into(result, outer, coeff * sign)
-                if i <= bound_second:
-                    ub = self.act(self.structure.u_prime_names[idx], i, b)
-                    if ub:
-                        inner = self._mode_of_states(tail_state, n - k - 1 - i, ub)
-                        sign = -1 if (k + 1 + i) % 2 else 1
-                        add_into(result, inner, -coeff * sign)
-            i += 1
+        top = max(bound_first, bound_second) + 1
+        row = self._head_binomials.setdefault(k, [])
+        while len(row) < top:
+            row.append(gen_binomial(-k - 1, len(row)))
+        for i in range(top):
+            coeff = row[i]  # never 0: it is (-1)^i binom(k + i, i)
+            if i <= bound_first:
+                inner = self._mode_of_monomial(tail, n + i, b_mono)
+                if inner:
+                    sign = -1 if i % 2 else 1
+                    outer = self._act_creator_state(idx, -k - 1 - i, inner)
+                    add_into(result, outer, coeff * sign)
+            if i <= bound_second:
+                ub = self.act(self.structure.u_prime_names[idx], i, b)
+                if ub:
+                    inner = self._mode_of_states(tail_state, n - k - 1 - i, ub)
+                    sign = -1 if (k + 1 + i) % 2 else 1
+                    add_into(result, inner, -coeff * sign)
         self._mode_memo[key] = result
         return result
 
@@ -360,23 +362,27 @@ class VacuumModule:
         """Verify [a_m, b_n] = sum_i binom(m,i) (a_i b)_{m+n-i} on all basis
         states of degree <= ``degree``, for |m|, |n| <= ``window``."""
         self.require_graded("borcherds_check")
+        a, b = clean(a), clean(b)
         products = self.modes_of_pair(a, b)
         problems = []
         states = self.basis_states_upto(degree)
+        # a, b, the basis states and every memo result are clean, so the
+        # loop calls the unchecked bilinear sum and compares with ==
+        mode = self._mode_of_states
         for m in range(-window, window + 1):
             for n in range(-window, window + 1):
                 for s in states:
-                    bs = self.mode_of_state(b, n, s)
-                    lhs = self.mode_of_state(a, m, bs) if bs else {}
-                    as_ = self.mode_of_state(a, m, s)
+                    bs = mode(b, n, s)
+                    lhs = mode(a, m, bs) if bs else {}
+                    as_ = mode(a, m, s)
                     if as_:
-                        lhs = state_add(lhs, self.mode_of_state(b, n, as_), -1)
+                        lhs = state_add(lhs, mode(b, n, as_), -1)
                     rhs: State = {}
                     for i, aib in products.items():
                         c = gen_binomial(m, i)
                         if c:
-                            add_into(rhs, self.mode_of_state(aib, m + n - i, s), c)
-                    if not state_eq(lhs, rhs):
+                            add_into(rhs, mode(aib, m + n - i, s), c)
+                    if lhs != rhs:
                         problems.append(
                             f"commutator mismatch at m={m}, n={n} on state "
                             f"{self.format_state(s)}: {self.format_state(lhs)} "

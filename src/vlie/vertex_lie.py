@@ -32,6 +32,12 @@ Symbol = tuple[int, int, int]
 Modes = dict[Symbol, int | Fraction]
 
 
+def _unit_index(vec: Vector) -> int | None:
+    """i when vec is the basis vector {i: 1}, else None."""
+    (i, c), *rest = vec.items()
+    return i if not rest and c == 1 else None
+
+
 def symbol_order(sym: Symbol) -> tuple:
     """Print order: complement modes by (index, mode), then central ones by index."""
     n, cls, idx = sym
@@ -41,9 +47,13 @@ def symbol_order(sym: Symbol) -> tuple:
 class VLStructure:
     """A vertex Lie algebra presented by basis, degrees, d, and a bracket table.
 
-    Structures are immutable after construction, apart from two
-    get-or-compute caches: canonical modes of basis vectors keyed by
-    (basis index, n), and component brackets.  ``certify()`` runs the
+    Structures are immutable after construction, apart from three
+    get-or-compute maps, whose dicts are shared and must not be mutated:
+    canonical modes of basis vectors keyed by (basis index, n); component
+    brackets keyed by (basis index, m, basis index, n), which
+    ``symbol_bracket`` also returns for two symbols on basis vectors; and a
+    small memo of ``symbol_bracket`` for pairs involving a kernel vector
+    that is not a basis vector, such as (a - b).  ``certify()`` runs the
     skew-symmetry and Jacobi window checks; builders return certified
     structures, while the constructor itself and ``novikov_candidate`` /
     ``quadratic_central_candidate`` return uncertified ones, which admit
@@ -95,8 +105,15 @@ class VLStructure:
         self._setup_complements(u_prime, u0_prime)
         self._cyclic = self._d_cyclic_indices()
         self._graded_check()
+        # the basis index behind each canonical symbol (cls, idx), or None
+        # for a kernel vector that is not a basis vector
+        self._symbol_units = tuple(
+            tuple(_unit_index(v) for v in vectors)
+            for vectors in (self.u0_prime_vectors, self.u_prime_vectors)
+        )
         self._mode_cache: dict[tuple[int, int], Modes] = {}
         self._bracket_cache: dict[tuple, Modes] = {}
+        self._symbol_memo: dict[tuple[Symbol, Symbol], Modes] = {}
         self.certified = False
 
     # -- linear algebra over the base space ---------------------------------
@@ -152,8 +169,8 @@ class VLStructure:
 
     def _vector_name(self, vec: Vector) -> str:
         """The basis name of a unit vector, else the combination in parentheses."""
-        (i, c), *rest = vec.items()
-        if not rest and c == 1:
+        i = _unit_index(vec)
+        if i is not None:
             return self.basis[i]
         return "(" + format_terms((self.basis[i], c) for i, c in sorted(vec.items())) + ")"
 
@@ -318,14 +335,38 @@ class VLStructure:
                 add_into(out, self.component_bracket(ia, m, ib, n), ca * cb)
         return out
 
+    def symbol_bracket(self, sx: Symbol, sy: Symbol) -> Modes:
+        """[sx, sy] for two canonical mode symbols; callers must not mutate it.
+
+        When both symbols stand on basis vectors, as every complement symbol
+        does, this is the bracket cache entry of ``component_bracket``
+        itself.  A pair involving a kernel vector such as (a - b) goes
+        through ``bracket_vectors`` once and is kept in a small memo.
+        """
+        ia = self._symbol_units[sx[1]][sx[2]]
+        ib = self._symbol_units[sy[1]][sy[2]]
+        if ia is not None and ib is not None:
+            cached = self._bracket_cache.get((ia, sx[0], ib, sy[0]))
+            if cached is None:
+                cached = self.component_bracket(ia, sx[0], ib, sy[0])
+            return cached
+        key = (sx, sy)
+        cached = self._symbol_memo.get(key)
+        if cached is None:
+            cached = self._symbol_memo[key] = self.bracket_vectors(
+                self.canonical_vector(sx), sx[0], self.canonical_vector(sy), sy[0])
+        return cached
+
     def bracket_elements(self, x: Modes, y: Modes) -> Modes:
-        out: Modes = {}
+        return self._add_bracket({}, x, y)
+
+    def _add_bracket(self, acc: Modes, x: Modes, y: Modes) -> Modes:
+        """acc += [x, y] for two combinations of modes, in place; returns acc."""
+        symbol_bracket = self.symbol_bracket
         for sx, cx in x.items():
-            vx = self.canonical_vector(sx)
             for sy, cy in y.items():
-                add_into(out, self.bracket_vectors(vx, sx[0], self.canonical_vector(sy), sy[0]),
-                         cx * cy)
-        return out
+                add_into(acc, symbol_bracket(sx, sy), cx * cy)
+        return acc
 
     # -- verification -------------------------------------------------------------
 
@@ -364,17 +405,23 @@ class VLStructure:
                 for i in range(r) for j in range(i, r) for k in range(j, r)
             ]
         modes = range(-window, window + 1)
+        bracket = self.component_bracket
+        add_bracket = self._add_bracket
         for (i, j, k) in triples:
-            vi, vj, vk = ({t: 1} for t in (i, j, k))
-            for m in modes:
-                for n in modes:
-                    xy = self.bracket_vectors(vi, m, vj, n)
-                    for p in modes:
-                        yz = self.bracket_vectors(vj, n, vk, p)
-                        zx = self.bracket_vectors(vk, p, vi, m)
-                        acc = self.bracket_elements(xy, self.mode(vk, p))
-                        add_into(acc, self.bracket_elements(yz, self.mode(vi, m)))
-                        add_into(acc, self.bracket_elements(zx, self.mode(vj, n)))
+            # the basis modes and the [y_n, z_p] and [z_p, x_m] brackets of
+            # this triple, each read once over the window
+            xs = [self._basis_mode(i, m) for m in modes]
+            ys = [self._basis_mode(j, n) for n in modes]
+            zs = [self._basis_mode(k, p) for p in modes]
+            yz = [[bracket(j, n, k, p) for p in modes] for n in modes]
+            zx = [[bracket(k, p, i, m) for m in modes] for p in modes]
+            for a, m in enumerate(modes):
+                for b, n in enumerate(modes):
+                    xy = bracket(i, m, j, n)
+                    for c, p in enumerate(modes):
+                        acc = add_bracket({}, xy, zs[c])
+                        add_bracket(acc, yz[b][c], xs[a])
+                        add_bracket(acc, zx[c][a], ys[b])
                         if acc:
                             problems.append(
                                 f"Jacobi fails on ({self.basis[i]}({m}),"

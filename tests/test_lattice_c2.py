@@ -117,7 +117,7 @@ class TestPLAlgebra:
         y = alg.x_gen((-1,))
         z2 = alg.multiply(alg.z_gen(0), alg.z_gen(0))
         prod = alg.multiply(x, y)
-        want = {k: v / 2 for k, v in z2.items()}
+        want = {k: Fraction(v, 2) for k, v in z2.items()}
         assert prod == want
 
     def test_rank_one_dims(self):

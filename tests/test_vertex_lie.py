@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -338,6 +339,163 @@ class TestVerification:
                 d_matrix=None,
                 table={("omega", "omega"): [({"omega": 1}, 0, 0)]},
             )
+
+
+SUITE_BUILDERS = ("witt", "virasoro", "loop-sl2", "affine-sl2", "heisenberg:2", "novikov-dual")
+
+
+def _kernel_brackets():
+    """d a = d b = c with a (non-Lie) table, so the kernel vector (a - b),
+    the only central symbol, has nonzero brackets."""
+    return VLStructure(
+        basis=("a", "b", "c"),
+        degrees=None,
+        d_domain=("a", "b"),
+        d_matrix={"a": {"c": 1}, "b": {"c": 1}},
+        table={
+            ("a", "a"): [({"c": 1}, 0, 1)],
+            ("a", "b"): [({"a": 1}, 0, 0), ({"b": Fraction(1, 2)}, 1, 0)],
+            ("b", "a"): [({"a": -1}, 0, 0)],
+            ("b", "b"): [({"b": 1}, 0, 2)],
+            ("c", "a"): [({"a": 3}, 0, 1)],
+        },
+    )
+
+
+def _jacobi_structure(name):
+    """A new structure: a suite builder, a non-injective d, or a control."""
+    if name in SUITE_BUILDERS:
+        return build_structure(name)
+    uv = ("u", "v")
+    return {
+        "non-injective-d": lambda: vertex_lie_from_config(NON_INJECTIVE_D),
+        "kernel-brackets": _kernel_brackets,
+        "bad-loop": lambda: novikov_candidate(
+            CommAlgebra(uv, {("u", "u"): {"v": 1}, ("v", "v"): {"u": 1}}, check=False)),
+        "nonzero-cube": lambda: quadratic_central_candidate(
+            CommAlgebra(("one",), {("one", "one"): {"one": 1}})),
+        "novikov-non-commutative": lambda: novikov_candidate(
+            CommAlgebra(uv, {("u", "v"): {"u": 1}, ("v", "u"): {}}, check=False)),
+        "novikov-bumped-dual": lambda: novikov_candidate(
+            CommAlgebra(("one", "eps"), {("one", "one"): {"one": 1}, ("one", "eps"): {"eps": 2},
+                                         ("eps", "one"): {"eps": 2}}, check=False)),
+        "b3-square-to-second": lambda: quadratic_central_candidate(square_to_second()),
+        "b3-dual-numbers": lambda: quadratic_central_candidate(dual_numbers()),
+        "b3-split": lambda: quadratic_central_candidate(
+            CommAlgebra(uv, {("u", "u"): {"u": 1}, ("v", "v"): {"v": 1}})),
+    }[name]()
+
+
+JACOBI_STRUCTURES = SUITE_BUILDERS + (
+    "non-injective-d", "kernel-brackets", "bad-loop", "nonzero-cube", "novikov-non-commutative",
+    "novikov-bumped-dual", "b3-square-to-second", "b3-dual-numbers", "b3-split",
+)
+
+
+def _oracle_bracket_elements(s, x, y):
+    """[x, y] through ``bracket_vectors`` on the canonical vectors."""
+    out = {}
+    for sx, cx in x.items():
+        vx = s.canonical_vector(sx)
+        for sy, cy in y.items():
+            add_into(out, s.bracket_vectors(vx, sx[0], s.canonical_vector(sy), sy[0]), cx * cy)
+    return out
+
+
+def _oracle_jacobi(s, window, ordered):
+    """The window Jacobi check evaluated cell by cell, every bracket afresh."""
+    r = len(s.basis)
+    if ordered:
+        triples = list(itertools.product(range(r), repeat=3))
+    else:
+        triples = [(i, j, k) for i in range(r) for j in range(i, r) for k in range(j, r)]
+    modes = range(-window, window + 1)
+    problems = []
+    for i, j, k in triples:
+        vi, vj, vk = ({t: 1} for t in (i, j, k))
+        for m in modes:
+            for n in modes:
+                xy = s.bracket_vectors(vi, m, vj, n)
+                for p in modes:
+                    yz = s.bracket_vectors(vj, n, vk, p)
+                    zx = s.bracket_vectors(vk, p, vi, m)
+                    acc = _oracle_bracket_elements(s, xy, s.mode(vk, p))
+                    add_into(acc, _oracle_bracket_elements(s, yz, s.mode(vi, m)))
+                    add_into(acc, _oracle_bracket_elements(s, zx, s.mode(vj, n)))
+                    if acc:
+                        problems.append(
+                            f"Jacobi fails on ({s.basis[i]}({m}),{s.basis[j]}({n}),"
+                            f"{s.basis[k]}({p})): " + s.format_modes(acc)
+                        )
+                        if len(problems) >= 20:
+                            return problems
+    return problems
+
+
+class TestJacobiOracle:
+    """``verify_jacobi`` against a cell-by-cell copy of the window check."""
+
+    @pytest.mark.parametrize("ordered", [False, True])
+    @pytest.mark.parametrize("name", JACOBI_STRUCTURES)
+    def test_same_problems_as_oracle(self, name, ordered):
+        s = _jacobi_structure(name)  # the fast path runs first, on empty caches
+        for window in range(4):
+            assert s.verify_jacobi(window, ordered) == _oracle_jacobi(s, window, ordered), window
+
+    def test_controls_fail(self):
+        # the comparison above covers failing lists, not only empty ones
+        for name in ("kernel-brackets", "bad-loop", "nonzero-cube", "novikov-bumped-dual",
+                     "b3-dual-numbers", "b3-split"):
+            assert len(_jacobi_structure(name).verify_jacobi(3, ordered=True)) == 20, name
+
+    def test_cyclic_d_raises_as_before(self):
+        def cyclic():
+            return VLStructure(
+                basis=("a", "b"),
+                degrees=None,
+                d_domain=("a", "b"),
+                d_matrix={"a": {"b": 1}, "b": {"a": 1}},
+                table={("a", "a"): [({"b": 1}, 0, 0)]},
+            )
+        for check in (lambda s: s.verify_jacobi(1), lambda s: _oracle_jacobi(s, 1, False)):
+            with pytest.raises(ValueError, match="^mode reduction does not terminate; pathological d$"):
+                check(cyclic())
+
+    @pytest.mark.parametrize("name", JACOBI_STRUCTURES)
+    def test_symbol_bracket_matches_bracket_vectors(self, name):
+        s = _jacobi_structure(name)
+        symbols = [(-1, 0, idx) for idx in range(len(s.u0_prime_vectors))]
+        symbols += [(n, 1, idx) for idx in range(len(s.u_prime_vectors)) for n in range(-3, 4)]
+        for sx in symbols:
+            vx = s.canonical_vector(sx)
+            for sy in symbols:
+                vy = s.canonical_vector(sy)
+                got = s.symbol_bracket(sx, sy)
+                assert got == s.bracket_vectors(vx, sx[0], vy, sy[0]), (sx, sy)
+                # one shared dict per pair: the bracket cache entry for two
+                # basis vectors, the memo entry otherwise
+                assert s.symbol_bracket(sx, sy) is got
+                if len(vx) == len(vy) == 1 and 1 == vx.get(min(vx)) == vy.get(min(vy)):
+                    assert got is s.component_bracket(min(vx), sx[0], min(vy), sy[0])
+        x = {sym: c for sym, c in zip(symbols, itertools.cycle((1, Fraction(-2, 3), 5)))}
+        assert s.bracket_elements(x, x) == _oracle_bracket_elements(s, x, x)
+
+    def test_kernel_vector_is_not_a_unit(self):
+        s = _kernel_brackets()
+        assert s.u0_prime_names == ("(a - b)",)
+        z, a = (-1, 0, 0), (0, 1, 0)
+        assert s.symbol_bracket(z, a) == add_into(
+            dict(s.component_bracket("a", -1, "a", 0)), s.component_bracket("b", -1, "a", 0), -1)
+        assert s.symbol_bracket(z, a)
+
+    def test_window_check_leaves_caches_intact(self):
+        s = _jacobi_structure("kernel-brackets")
+        s.verify_jacobi(3, ordered=True)
+        fresh = _rebuilt(s)
+        for (ia, m, ib, n), entry in s._bracket_cache.items():
+            assert entry == fresh.component_bracket(ia, m, ib, n)
+        for (sx, sy), entry in s._symbol_memo.items():
+            assert entry == fresh.symbol_bracket(sx, sy)
 
 
 class TestPolarParts:
