@@ -1,20 +1,26 @@
-"""Exact formal calculus: Laurent polynomials, delta-function series, windows.
+"""Exact formal calculus: Laurent and differential polynomials, delta-function
+series, windows.
 
 All coefficients are exact: an ``int`` when integral, a ``fractions.Fraction``
 otherwise, and never a float.  The central objects are finite sums
 
-    sum_i  g_i(y) * Delta^(i)(x, y)
+    sum_k  c_k(y) * Delta^(k)(x, y)
 
 where ``Delta^(k)(x, y)`` is the k-th x-derivative of the two-variable
-expansion ``sum_n x^n y^{-n-1}``.  A ``BiSeriesWindow`` holds the exact
-coefficients of such a bivariate series on a finite exponent rectangle and
-acts as the oracle that arbitrates every identity in this module.
+expansion ``sum_n x^n y^{-n-1}``.  ``DeltaSeries`` is the package's one type
+for them, generic in the coefficient: ``LaurentPoly`` here, ``DPoly`` for
+vertex Poisson series and vertex Lie bracket tables.  Coefficients change
+variable only through ``delta_transport``, and ``expand`` is the one window
+expansion, which ``render`` and the mode windows of the other modules read.
+A ``BiSeriesWindow`` holds the exact coefficients of a bivariate series on a
+finite exponent rectangle and is the oracle of every identity here.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
+from math import factorial
 
 from .linalg import add_into, clean, rat
 
@@ -48,13 +54,7 @@ def gen_binomial(m: int, i: int) -> int:
     an exact int: a product of i consecutive integers is divisible by i!."""
     if i < 0:
         raise ValueError("lower index must be nonnegative")
-    num = 1
-    for t in range(i):
-        num *= m - t
-    den = 1
-    for t in range(1, i + 1):
-        den *= t
-    return num // den
+    return falling(m, i) // factorial(i)
 
 
 def falling(n: int, k: int) -> int:
@@ -177,13 +177,6 @@ class LaurentPoly(Poly):
     def constant(cls, variables: Iterable[str], c) -> "LaurentPoly":
         return cls(variables, {(0,): c})
 
-    @classmethod
-    def monomial(cls, variables: Iterable[str], exps: tuple, c=1) -> "LaurentPoly":
-        return cls(variables, {tuple(exps): c})
-
-    def coefficient(self, exps: tuple) -> int | Fraction:
-        return self.coeffs.get(tuple(exps), 0)
-
     def degree_span(self) -> tuple[int, int]:
         """(min, max) exponent; (0, 0) for zero."""
         if not self.coeffs:
@@ -197,6 +190,57 @@ class LaurentPoly(Poly):
         for _ in range(order):
             coeffs = {(e - 1,): c * e for (e,), c in coeffs.items() if e}
         return self._new(coeffs)
+
+
+class DPoly(Poly):
+    """Polynomial in variables u_i^{(j)} (base symbol i, derivative order j).
+
+    Monomials are sorted tuples of (i, j) pairs with multiplicity; the
+    derivation D sends u_i^{(j)} to u_i^{(j+1)}.  As a series coefficient it
+    is written in the series' own variable, so it names none.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, coeffs: Mapping[tuple, object] | None = None):
+        super().__init__((), coeffs)
+
+    def _monomial(self, mono) -> tuple:
+        return tuple(sorted((int(i), int(j)) for i, j in mono))
+
+    @staticmethod
+    def _mono_mul(m1: tuple, m2: tuple) -> tuple:
+        return tuple(sorted(m1 + m2))
+
+    @classmethod
+    def constant(cls, c) -> "DPoly":
+        return cls({(): c})
+
+    @classmethod
+    def variable(cls, i: int, j: int = 0, c=1) -> "DPoly":
+        return cls({((i, j),): c})
+
+    def derivative(self, order: int = 1) -> "DPoly":
+        """Apply D ``order`` times (Leibniz over each monomial factor)."""
+        coeffs = self.coeffs
+        for _ in range(order):
+            coeffs = clean(
+                (tuple(sorted(mono[:t] + ((i, j + 1),) + mono[t + 1:])), c)
+                for mono, c in coeffs.items() for t, (i, j) in enumerate(mono)
+            )
+        return self._new(coeffs)
+
+    def rename(self, variables: Iterable[str]) -> "DPoly":
+        """Itself: a coefficient written in whichever variable it sits on."""
+        return self
+
+    def drop_derivatives(self) -> "DPoly":
+        """Kill every monomial containing a derivative variable."""
+        return self._new({m: c for m, c in self.coeffs.items()
+                          if all(j == 0 for _, j in m)})
+
+    def __repr__(self):
+        return f"DPoly({self.coeffs!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +277,11 @@ class BiSeriesWindow:
 
     def add(self, a: int, b: int, c: int | Fraction):
         self.table[a - self.x_lo][b - self.y_lo] += c
+
+    def cells(self):
+        for a in range(self.x_lo, self.x_hi + 1):
+            for b in range(self.y_lo, self.y_hi + 1):
+                yield a, b
 
     def entries(self):
         for a in range(self.x_lo, self.x_hi + 1):
@@ -271,19 +320,6 @@ class BiSeriesWindow:
         return out
 
 
-def delta_window(k: int, window: BiSeriesWindow) -> BiSeriesWindow:
-    """Exact window expansion of Delta^(k): weight n(n-1)..(n-k+1) on the
-    antidiagonal x^{n-k} y^{-n-1}."""
-    if k < 0:
-        raise ValueError("delta order must be nonnegative")
-    out = BiSeriesWindow(window.x_lo, window.x_hi, window.y_lo, window.y_hi)
-    for a in range(out.x_lo, out.x_hi + 1):
-        b = -a - k - 1
-        if out.y_lo <= b <= out.y_hi:
-            out.add(a, b, falling(a + k, k))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Delta series
 # ---------------------------------------------------------------------------
@@ -292,97 +328,146 @@ COEFF_IN_Y = "y"
 COEFF_IN_X = "x"
 
 
-class DeltaSeries:
-    """Finite sum  sum_i g_i(side) * Delta^(i)(x, y)  with Laurent g_i.
+class DeltaSeries(dict):
+    """Finite sum  sum_k c_k(side) * Delta^(k)(x, y), stored as {k: c_k}.
 
     ``side`` records whether the coefficients are written in y (canonical)
-    or in x.  Canonical form sorts terms by order and drops zero
-    coefficients.
+    or in x.  A coefficient may be of any kind with ``+``, ``scale(c)``,
+    ``derivative(order)`` in its own variable, and falsiness for zero; one
+    that names its variable must name the side.  Orders are stored
+    ascending, zero coefficients never.  Series are immutable by convention
+    and all arithmetic returns new ones; a plain {order: coefficient} map
+    compares equal to the series with the same entries.
     """
 
-    __slots__ = ("side", "terms")
+    __slots__ = ("side",)
 
-    def __init__(self, terms: Iterable[tuple[int, LaurentPoly]] = (), side: str = COEFF_IN_Y):
+    def __init__(self, terms: Mapping | Iterable[tuple] = (), side: str = COEFF_IN_Y):
+        super().__init__()
         if side not in (COEFF_IN_X, COEFF_IN_Y):
             raise ValueError("side must be 'x' or 'y'")
-        merged: dict[int, LaurentPoly] = {}
-        for order, poly in terms:
+        self.side = side
+        merged = {}
+        for order, c in terms.items() if isinstance(terms, Mapping) else terms:
             order = int(order)
             if order < 0:
                 raise ValueError("delta orders are nonnegative")
-            if order in merged:
-                merged[order] = merged[order] + poly
-            else:
-                merged[order] = poly
-        self.side = side
-        self.terms = tuple(
-            (o, p) for o, p in sorted(merged.items()) if not p.is_zero()
-        )
+            names = getattr(c, "vars", ())
+            if names and names != (side,):
+                raise ValueError(f"a coefficient in {', '.join(names)} on a series in {side}")
+            merged[order] = merged[order] + c if order in merged else c
+        self.update((order, merged[order]) for order in sorted(merged) if merged[order])
 
     @classmethod
-    def single(cls, order: int, poly: LaurentPoly, side: str = COEFF_IN_Y) -> "DeltaSeries":
-        return cls([(order, poly)], side)
+    def single(cls, order: int, c, side: str = COEFF_IN_Y) -> "DeltaSeries":
+        return cls([(order, c)], side)
 
     @classmethod
     def zero(cls, side: str = COEFF_IN_Y) -> "DeltaSeries":
-        return cls([], side)
+        return cls((), side)
+
+    @property
+    def terms(self) -> tuple:
+        """The (order, coefficient) pairs by ascending order."""
+        return tuple(self.items())
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self
 
     def max_order(self) -> int:
-        return self.terms[-1][0] if self.terms else 0
+        return max(self, default=0)
 
-    def __add__(self, other: "DeltaSeries") -> "DeltaSeries":
-        if self.side != other.side:
-            raise ValueError("cannot add series on different sides")
-        return DeltaSeries(list(self.terms) + list(other.terms), self.side)
+    def __add__(self, other: Mapping) -> "DeltaSeries":
+        return series_add(self, other)
+
+    def __sub__(self, other: Mapping) -> "DeltaSeries":
+        return series_add(self, other, -1)
 
     def __neg__(self) -> "DeltaSeries":
-        return DeltaSeries([(o, -p) for o, p in self.terms], self.side)
-
-    def __sub__(self, other: "DeltaSeries") -> "DeltaSeries":
-        return self + (-other)
+        return self.scale(-1)
 
     def scale(self, c) -> "DeltaSeries":
-        return DeltaSeries([(o, p.scale(c)) for o, p in self.terms], self.side)
+        return DeltaSeries([(k, v.scale(c)) for k, v in self.items()], self.side)
+
+    def times(self, p) -> "DeltaSeries":
+        """Every coefficient multiplied by p, a coefficient on the same side."""
+        return DeltaSeries([(k, v * p) for k, v in self.items()], self.side)
+
+    def dx(self) -> "DeltaSeries":
+        """d/dx: Delta^(k) becomes Delta^(k+1); x-coefficients are differentiated too."""
+        return self._d(COEFF_IN_X, 1)
+
+    def dy(self) -> "DeltaSeries":
+        """d/dy: Delta^(k) becomes -Delta^(k+1), since (d/dx + d/dy) Delta = 0;
+        y-coefficients are differentiated too."""
+        return self._d(COEFF_IN_Y, -1)
+
+    def _d(self, var: str, sign: int) -> "DeltaSeries":
+        terms = [(k + 1, v.scale(sign)) for k, v in self.items()]
+        if self.side == var:
+            terms += [(k, v.derivative(1)) for k, v in self.items()]
+        return DeltaSeries(terms, self.side)
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, DeltaSeries)
-                and self.side == other.side and self.terms == other.terms)
+        if isinstance(other, DeltaSeries) and other.side != self.side:
+            return False
+        return dict.__eq__(self, other)
 
-    def __hash__(self):
-        return hash((self.side, self.terms))
+    def __ne__(self, other) -> bool:
+        return not self == other
 
     def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for o, p in self.terms:
-            d = "Delta" if o == 0 else f"Delta^({o})"
-            bits.append(f"({p!r})*{d}")
-        return " + ".join(bits)
+        return " + ".join(
+            f"({v!r})*{'Delta' if k == 0 else f'Delta^({k})'}" for k, v in self.items()
+        ) or "0"
+
+
+def series_add(a: Mapping, b: Mapping, scale=1) -> DeltaSeries:
+    """a + scale * b.  A plain {order: coefficient} map counts as a series on
+    the side of the other argument, or in y when neither is a series."""
+    side = getattr(a, "side", getattr(b, "side", COEFF_IN_Y))
+    if getattr(b, "side", side) != side:
+        raise ValueError("cannot add series on different sides")
+    return DeltaSeries([*a.items(), *((k, v.scale(scale)) for k, v in b.items())], side)
+
+
+def expand(series: DeltaSeries, cells: Iterable[tuple[int, int]], value):
+    """The window expansion of a series: (a, b, w, v) for each cell (a, b)
+    and order k whose term contributes w * v to the coefficient of x^a y^b.
+
+    Delta^(k)(x, y) = sum_n n(n-1)..(n-k+1) x^{n-k} y^{-n-1}.  At x^a y^b
+    the coefficient c_k contributes its part at exponent e = a + b + k + 1
+    of its variable, with the weight w of the diagonal index n = a + k when
+    the coefficients are in y and n = -b - 1 when they are in x.
+    ``value(c, e)`` gives that part in whatever kind the caller sums: a
+    number, or a map of modes with e = -p - 1 for a field sum_p c(p) y^{-p-1}.
+    Zero parts and zero weights are skipped.  This is the oracle of the
+    closed formulas (``delta_transport``, component brackets), so it must
+    not call them.
+    """
+    in_y = series.side == COEFF_IN_Y
+    for a, b in cells:
+        for k, c in series.items():
+            v = value(c, a + b + k + 1)
+            if v:
+                w = falling(a + k, k) if in_y else falling(-b - 1, k)
+                if w:
+                    yield a, b, w, v
 
 
 def render(series: DeltaSeries, window: BiSeriesWindow) -> BiSeriesWindow:
-    """Exact windowed expansion of a DeltaSeries.
-
-    For a coefficient monomial c*v^d in the order-i term, the bivariate
-    entry at (a, b) receives a contribution whenever d = a + b + i + 1,
-    weighted by the Delta^(i) diagonal factor (in the side variable).
-    """
+    """Exact windowed expansion of a series with Laurent coefficients: each
+    coefficient contributes its number at the exponent ``expand`` names."""
     out = BiSeriesWindow(window.x_lo, window.x_hi, window.y_lo, window.y_hi)
-    in_y = series.side == COEFF_IN_Y
-    for i, poly in series.terms:
-        for a in range(out.x_lo, out.x_hi + 1):
-            for b in range(out.y_lo, out.y_hi + 1):
-                c = poly.coefficient((a + b + i + 1,))
-                if not c:
-                    continue
-                w = falling(a + i, i) if in_y else falling(-b - 1, i)
-                if w:
-                    out.add(a, b, c * w)
+    for a, b, w, v in expand(series, out.cells(), lambda p, e: p.coeffs.get((e,), 0)):
+        out.add(a, b, w * v)
     return out
+
+
+def delta_window(k: int, window: BiSeriesWindow) -> BiSeriesWindow:
+    """Exact window expansion of Delta^(k): weight n(n-1)..(n-k+1) on the
+    antidiagonal x^{n-k} y^{-n-1}."""
+    return render(DeltaSeries.single(k, LaurentPoly.constant(("y",), 1)), window)
 
 
 def mul_power_diff(m: int, series: DeltaSeries) -> DeltaSeries:
@@ -417,6 +502,18 @@ def delta_transport(k: int, to_y: bool) -> list[tuple[int, int]]:
     return out
 
 
+def _transport(series: DeltaSeries, to_y: bool, move) -> DeltaSeries:
+    """Each term c_k Delta^(k) rewritten as sum_j w_j move(c_k, k - j) Delta^(j)
+    with the weights of ``delta_transport``, where ``move(c, d)`` is the
+    coefficient with the d-th derivative of the factor that changes
+    variable; the result is in y when ``to_y``, else in x."""
+    return DeltaSeries(
+        [(j, move(c, k - j).scale(w))
+         for k, c in series.items() for j, w in delta_transport(k, to_y)],
+        COEFF_IN_Y if to_y else COEFF_IN_X,
+    )
+
+
 def swap_side(series: DeltaSeries) -> DeltaSeries:
     """Rewrite the series with coefficients in the other variable.
 
@@ -425,14 +522,8 @@ def swap_side(series: DeltaSeries) -> DeltaSeries:
     y -> x uses f(y)Delta^(k) = sum_j binom(k,j) f^{(k-j)}(x) Delta^(j).
     Both sides must render identically on any window.
     """
-    to_y = series.side == COEFF_IN_X
-    new_side = COEFF_IN_Y if to_y else COEFF_IN_X
-    new_var = ("y",) if to_y else ("x",)
-    out: list[tuple[int, LaurentPoly]] = []
-    for k, poly in series.terms:
-        for j, c in delta_transport(k, to_y):
-            out.append((j, poly.derivative(k - j).rename(new_var).scale(c)))
-    return DeltaSeries(out, new_side)
+    side = COEFF_IN_Y if series.side == COEFF_IN_X else COEFF_IN_X
+    return _transport(series, side == COEFF_IN_Y, lambda c, d: c.derivative(d).rename((side,)))
 
 
 def mul_other_var(series: DeltaSeries, poly: LaurentPoly) -> DeltaSeries:
@@ -442,13 +533,23 @@ def mul_other_var(series: DeltaSeries, poly: LaurentPoly) -> DeltaSeries:
     ``delta_transport`` (as in swap_side), so the result stays
     on the original side.
     """
-    out: list[tuple[int, LaurentPoly]] = []
-    to_y = series.side == COEFF_IN_Y
-    var = ("y",) if to_y else ("x",)
-    for k, g in series.terms:
-        for j, c in delta_transport(k, to_y):
-            out.append((j, g * poly.derivative(k - j).rename(var).scale(c)))
-    return DeltaSeries(out, series.side)
+    side = series.side
+    return _transport(series, side == COEFF_IN_Y,
+                      lambda g, d: g * poly.derivative(d).rename((side,)))
+
+
+def exchange(series: DeltaSeries) -> DeltaSeries:
+    """-S(y, x) for the series S, each coefficient left in the variable it
+    moved to: exchanging x and y turns Delta^(k) into (-1)^k Delta^(k)."""
+    side = COEFF_IN_X if series.side == COEFF_IN_Y else COEFF_IN_Y
+    return DeltaSeries(
+        [(k, c.rename((side,)).scale(1 if k % 2 else -1)) for k, c in series.items()], side)
+
+
+def skew_transfer(series: DeltaSeries) -> DeltaSeries:
+    """-S(y, x) for the series S, back on S's own side: the skew-symmetry
+    partner of a bracket, {b(x), a(y)} from {a(x), b(y)}."""
+    return swap_side(exchange(series))
 
 
 class DecompositionError(ValueError):
@@ -471,10 +572,7 @@ def decompose(window: BiSeriesWindow, k: int) -> DeltaSeries:
         raise ValueError("window must contain the x-exponent range [-1-k, -1]")
     terms = []
     for i in range(k + 1):
-        fact_i = 1
-        for t in range(1, i + 1):
-            fact_i *= t
-        norm = -fact_i if i % 2 else fact_i
+        norm = -factorial(i) if i % 2 else factorial(i)
         coeffs: dict[tuple, Fraction] = {}
         for s in range(window.y_lo + i, window.y_hi + 1):
             acc = 0

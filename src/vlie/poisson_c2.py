@@ -5,18 +5,22 @@ Two independent reductions live here.  The first collapses a vacuum-module
 state modulo the span of all modes deeper than -1, leaving a polynomial in
 the surviving generators; the quotient carries the product a_{-1}b and
 bracket a_0 b.  The second works over a polynomial differential algebra
-with a delta-series bracket table on its generators, extends the table by
-the Leibniz rule and skew transfer, and quotients by derivative monomials.
+(``DPoly``) with a bracket table on its generators, extends the table by the
+Leibniz rule and skew transfer, and quotients by derivative monomials.  Its
+brackets {f(x), g(y)} = sum_l h_l(y) Delta^(l) are ``VPSeries``: the package's
+one ``DeltaSeries`` type over ``DPoly`` coefficients, so derivatives, skew
+transfer and window expansion are the generic ones of ``formal_calc``.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
+from math import factorial
 
-from .formal_calc import Poly, delta_transport, format_terms, rat, rat_str
+from .formal_calc import DeltaSeries, DPoly, exchange, expand, falling, rat, rat_str, skew_transfer
 from .lie_core import SymPoly, biderivation
-from .linalg import add_into, clean
+from .linalg import add_into, bilinear
 from .vacuum_module import State, VacuumModule
 from .vertex_lie import VLStructure
 
@@ -159,32 +163,23 @@ def p2_structure(structure: VLStructure, lam: Mapping[str, object] | None = None
     character contributes linear ideal generators  u - lam(u).
     """
     names = p2_generators(structure)
-    zero = SymPoly.zero(names)
+    r = range(len(structure.basis))
+    # the (k, l) = (0, 0) terms f(y) Delta of the table, as structure constants
+    loop_terms = {(ia, ib): f for ia in r for ib in r
+                  for f, k, l in structure.table_terms(ia, ib) if k == l == 0}
 
     def project(vec) -> SymPoly:
         z_part, _, up_part = structure.decompose_vector(vec)
-        out = zero
-        n_up = len(structure.u_prime_names)
-        for j, c in enumerate(z_part):
-            if c:
-                out = out + SymPoly.generator(names, names[n_up + j], c)
-        for i, c in enumerate(up_part):
-            if c:
-                out = out + SymPoly.generator(names, names[i], c)
-        return out
+        return sum((SymPoly.generator(names, n, c) for n, c in zip(names, up_part + z_part) if c),
+                   SymPoly.zero(names))
 
     gen_vectors = list(structure.u_prime_vectors) + list(structure.u0_prime_vectors)
     bracket = {}
     for p, vp in enumerate(gen_vectors):
         for q, vq in enumerate(gen_vectors):
-            acc = zero
-            for ia, ca in vp.items():
-                for ib, cb in vq.items():
-                    for fv, k, l in structure.table_terms(ia, ib):
-                        if k == 0 and l == 0:
-                            acc = acc + project(fv).scale(ca * cb)
-            if not acc.is_zero():
-                bracket[(names[p], names[q])] = acc
+            vec = bilinear(loop_terms, vp, vq)
+            if vec:
+                bracket[(names[p], names[q])] = project(vec)
     ideal = []
     notes = []
     if lam is not None:
@@ -264,113 +259,7 @@ def verify_p2_iso(
 # Differential polynomial algebras with a delta-series bracket
 # ---------------------------------------------------------------------------
 
-class DPoly(Poly):
-    """Polynomial in variables u_i^{(j)} (base symbol i, derivative order j).
-
-    Monomials are sorted tuples of (i, j) pairs with multiplicity; the
-    derivation D sends u_i^{(j)} to u_i^{(j+1)}.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, coeffs: Mapping[tuple, object] | None = None):
-        super().__init__((), coeffs)
-
-    def _monomial(self, mono) -> tuple:
-        return tuple(sorted((int(i), int(j)) for i, j in mono))
-
-    @staticmethod
-    def _mono_mul(m1: tuple, m2: tuple) -> tuple:
-        return tuple(sorted(m1 + m2))
-
-    @classmethod
-    def zero(cls) -> "DPoly":
-        return cls()
-
-    @classmethod
-    def constant(cls, c) -> "DPoly":
-        return cls({(): c})
-
-    @classmethod
-    def variable(cls, i: int, j: int = 0, c=1) -> "DPoly":
-        return cls({((i, j),): c})
-
-    def terms(self):
-        """Shorter monomials first, then lexicographic."""
-        return sorted(self.coeffs.items(), key=lambda kv: (len(kv[0]), kv[0]))
-
-    def derive(self) -> "DPoly":
-        """Apply D once (Leibniz over each monomial factor)."""
-        return self._new(clean(
-            (tuple(sorted(mono[:t] + ((i, j + 1),) + mono[t + 1:])), c)
-            for mono, c in self.coeffs.items() for t, (i, j) in enumerate(mono)
-        ))
-
-    def derive_times(self, k: int) -> "DPoly":
-        cur = self
-        for _ in range(k):
-            cur = cur.derive()
-        return cur
-
-    def drop_derivatives(self) -> "DPoly":
-        """Kill every monomial containing a derivative variable."""
-        return self._new({m: c for m, c in self.coeffs.items()
-                          if all(j == 0 for _, j in m)})
-
-    def format(self, names: Sequence[str]) -> str:
-        return format_terms(
-            ("*".join(names[i] if j == 0 else f"{names[i]}^({j})" for i, j in mono), c)
-            for mono, c in self.terms()
-        )
-
-    def __repr__(self):
-        return f"DPoly({self.coeffs!r})"
-
-
-VPSeries = dict[int, DPoly]  # delta order -> coefficient, written in y
-
-
-def vps_add(a: VPSeries, b: VPSeries, scale=1) -> VPSeries:
-    return add_into(dict(a), {k: p.scale(scale) for k, p in b.items()})
-
-
-def vps_compose(series: VPSeries, p: DPoly) -> VPSeries:
-    """Multiply every coefficient by p (the module action of the algebra)."""
-    out = {}
-    for k, q in series.items():
-        r = q * p
-        if not r.is_zero():
-            out[k] = r
-    return out
-
-
-def vps_dy(series: VPSeries) -> VPSeries:
-    """d/dy:  h(y)Delta^(k)  ->  (Dh)(y)Delta^(k) - h(y)Delta^(k+1)."""
-    out: VPSeries = {}
-    for k, h in series.items():
-        out = vps_add(out, {k: h.derive()})
-        out = vps_add(out, {k + 1: h}, -1)
-    return out
-
-
-def vps_dx(series: VPSeries) -> VPSeries:
-    """d/dx just raises every delta order by one."""
-    return {k + 1: h for k, h in series.items()}
-
-
-def vps_skew_transfer(series: VPSeries) -> VPSeries:
-    """Given S(x,y) with coefficients in y, return -S(y,x) back in y-form.
-
-    Swapping the variables turns Delta^(k) into (-1)^k Delta^(k) and leaves
-    the coefficients in x; transporting a coefficient h(x) through
-    Delta^(k) gives sum_j (-1)^{k+j} binom(k,j) (D^{k-j}h)(y) Delta^(j).
-    """
-    out: VPSeries = {}
-    for k, h in series.items():
-        sign_k = -1 if k % 2 else 1
-        for j, c in delta_transport(k, to_y=True):
-            out = vps_add(out, {j: h.derive_times(k - j)}, -c * sign_k)
-    return out
+VPSeries = DeltaSeries  # over DPoly coefficients, written in y
 
 
 class VPDiffAlgebra:
@@ -383,24 +272,18 @@ class VPDiffAlgebra:
 
     def __init__(self, names: Sequence[str], table: Mapping[tuple, VPSeries]):
         self.names = tuple(names)
-        idx = {n: i for i, n in enumerate(self.names)}
 
         def pos(x):
-            return idx[x] if isinstance(x, str) else int(x)
+            return self.names.index(x) if isinstance(x, str) else int(x)
 
-        self.table: dict[tuple[int, int], VPSeries] = {}
-        for (a, b), series in table.items():
-            cleaned = {int(k): p for k, p in series.items() if not p.is_zero()}
-            if any(k < 0 for k in cleaned):
-                raise ValueError("delta orders are nonnegative")
-            if cleaned:
-                self.table[(pos(a), pos(b))] = cleaned
+        series = {(pos(a), pos(b)): VPSeries(s) for (a, b), s in table.items()}
+        self.table: dict[tuple[int, int], VPSeries] = {key: s for key, s in series.items() if s}
 
     def generator(self, name: str) -> DPoly:
         return DPoly.variable(self.names.index(name))
 
     def base_bracket(self, i: int, j: int) -> VPSeries:
-        return self.table.get((i, j), {})
+        return self.table.get((i, j)) or VPSeries()
 
     # -- bracket extension ---------------------------------------------------
 
@@ -409,20 +292,19 @@ class VPDiffAlgebra:
         (i, s), (j, t) = vi, vj
         series = self.base_bracket(i, j)
         for _ in range(s):
-            series = vps_dx(series)
+            series = series.dx()
         for _ in range(t):
-            series = vps_dy(series)
+            series = series.dy()
         return series
 
     def bracket_var_poly(self, v: tuple[int, int], g: DPoly) -> VPSeries:
         """Leibniz expansion over the factors of every monomial of g."""
-        out: VPSeries = {}
+        out = VPSeries()
         for mono, c in g.coeffs.items():
             for t in range(len(mono)):
-                rest = DPoly({mono[:t] + mono[t + 1:]: c})
                 base = self.bracket_var_var(v, mono[t])
                 if base:
-                    out = vps_add(out, vps_compose(base, rest))
+                    out = out + base.times(DPoly({mono[:t] + mono[t + 1:]: c}))
         return out
 
     def bracket_mono_var(self, mono: tuple, v: tuple[int, int]) -> VPSeries:
@@ -430,13 +312,12 @@ class VPDiffAlgebra:
         skew transfer of {v(x), M(y)}, whose first slot is a single variable."""
         if len(mono) == 1:
             return self.bracket_var_var(mono[0], v)
-        inner = self.bracket_var_poly(v, DPoly({mono: 1}))
-        return vps_skew_transfer(inner)
+        return skew_transfer(self.bracket_var_poly(v, DPoly({mono: 1})))
 
     def vp_bracket(self, f: DPoly, g: DPoly) -> VPSeries:
         """{f(x), g(y)}: Leibniz-expand the second slot first, then reduce
         composite first slots by the skew transfer."""
-        out: VPSeries = {}
+        out = VPSeries()
         for mono_f, cf in f.coeffs.items():
             if len(mono_f) == 0:
                 continue  # constants bracket to zero
@@ -447,61 +328,48 @@ class VPDiffAlgebra:
                     rest = DPoly({mono_g[:t] + mono_g[t + 1:]: 1})
                     base = self.bracket_mono_var(mono_f, mono_g[t])
                     if base:
-                        out = vps_add(out, vps_compose(base, rest), cf * cg)
+                        out = out + base.times(rest).scale(cf * cg)
         return out
 
     def mode_products(self, f: DPoly, g: DPoly) -> dict[int, DPoly]:
         """The family f_i g with {f(x),g(y)} = sum (1/i!)(f_i g)(y)Delta^(i)."""
-        series = self.vp_bracket(f, g)
-        out = {}
-        fact = 1
-        for i in range(max(series, default=-1) + 1):
-            if i:
-                fact *= i
-            h = series.get(i)
-            if h is not None and not h.is_zero():
-                out[i] = h.scale(fact)
-        return out
+        return {i: h.scale(factorial(i)) for i, h in self.vp_bracket(f, g).items()}
 
     # -- window oracle ---------------------------------------------------------
 
-    def mode_window(self, series: VPSeries, radius: int, side: str = "y") -> dict:
+    def mode_window(self, series: VPSeries, radius: int) -> dict:
         """Exact windowed expansion with abstract mode coefficients.
 
-        Entry (a, b) is a map from (monomial, mode index) to rationals:
-        the coefficient of x^a y^b is a combination of modes h(p) of the
-        polynomial coefficients, expanded straight from the defining series
-        (independently of swap/transfer formulas).
+        Entry (a, b) is a map from (monomial, mode index) to rationals: the
+        coefficient of x^a y^b is a combination of modes h(p) of the
+        polynomial coefficients, read by ``expand`` straight from the
+        defining series (independently of swap/transfer formulas).  A
+        single factor u^{(j)} is read through the modes of u, by
+        (D^j u)(p) = (j-p-1)(j-p-2)..(-p) u(p-j); a product stays a symbol.
         """
+        def modes(h: DPoly, e: int) -> dict:
+            p = -e - 1
+            out: dict = {}
+            for mono, c in h.coeffs.items():
+                if len(mono) == 1:
+                    (i, j), = mono
+                    add_into(out, {(((i, 0),), p - j): c * falling(j - p - 1, j)})
+                elif mono or p == -1:
+                    # the unit is killed by D, so its field is frozen at mode -1
+                    add_into(out, {(mono, p): c})
+            return out
+
+        span = range(-radius, radius + 1)
         window: dict[tuple[int, int], dict] = {}
-        for a in range(-radius, radius + 1):
-            for b in range(-radius, radius + 1):
-                cell: dict = {}
-                for k, h in series.items():
-                    if side == "y":
-                        w = 1
-                        for t in range(k):
-                            w *= (a + k) - t
-                    else:
-                        w = 1
-                        for t in range(k):
-                            w *= (-b - 1) - t
-                    if not w:
-                        continue
-                    p = -a - b - k - 2
-                    # the unit of the algebra is killed by D, so its field
-                    # is frozen at mode -1
-                    add_into(cell, {(mono, p): c for mono, c in h.coeffs.items()
-                                    if mono or p == -1}, w)
-                if cell:
-                    window[(a, b)] = cell
-        return window
+        for a, b, w, v in expand(series, ((a, b) for a in span for b in span), modes):
+            add_into(window.setdefault((a, b), {}), v, w)
+        return {cell: v for cell, v in window.items() if v}
 
     def check_table_skew(self, radius: int | None = None) -> list[str]:
         """Compare {u_i(x),u_j(y)} with -{u_j(x),u_i(y)}|_{x<->y} on a window.
 
         Both sides are expanded by the raw series definition (y-form for the
-        first, x-form for the flipped second), so the comparison does not
+        first, x-form for the exchanged second), so the comparison does not
         reuse the transfer formula it is meant to audit.
         """
         problems = []
@@ -511,10 +379,9 @@ class VPDiffAlgebra:
                 s_ji = self.base_bracket(j, i)
                 k_max = max(list(s_ij) + list(s_ji) + [0])
                 r = radius if radius is not None else k_max + 3
-                lhs = self.mode_window(s_ij, r, side="y")
+                lhs = self.mode_window(s_ij, r)
                 # -S_ji(y, x): delta orders pick up (-1)^k, coefficients sit in x
-                flipped = {k: h.scale(-1 if k % 2 == 0 else 1) for k, h in s_ji.items()}
-                rhs = self.mode_window(flipped, r, side="x")
+                rhs = self.mode_window(exchange(s_ji), r)
                 if lhs != rhs:
                     problems.append(
                         f"skew fails for ({self.names[i]},{self.names[j]})"
@@ -528,16 +395,11 @@ def ultra_poisson(names: Sequence[str], sym_bracket: Mapping[tuple, Mapping[str,
     ``sym_bracket[(a, b)]`` gives {u_a, u_b} as a coordinate map over the
     base symbols.
     """
-    names = tuple(names)
     idx = {n: i for i, n in enumerate(names)}
-    table = {}
-    for (a, b), coords in sym_bracket.items():
-        p = DPoly()
-        for n, c in coords.items():
-            p = p + DPoly.variable(idx[n], 0, c)
-        if not p.is_zero():
-            table[(a, b)] = {0: p}
-    return VPDiffAlgebra(names, table)
+    return VPDiffAlgebra(names, {
+        pair: {0: DPoly({((idx[n], 0),): c for n, c in coords.items()})}
+        for pair, coords in sym_bracket.items()
+    })
 
 
 def ultra_poisson_of_lie(g) -> VPDiffAlgebra:
@@ -553,14 +415,10 @@ def ultra_poisson_of_lie(g) -> VPDiffAlgebra:
 
 def constant_order_table(names: Sequence[str], matrix, order: int = 1) -> VPDiffAlgebra:
     """{u_i(x), u_j(y)} = m_ij Delta^(order); the oscillator-type tables."""
-    names = tuple(names)
-    table = {}
-    for i, a in enumerate(names):
-        for j, b in enumerate(names):
-            v = rat(matrix[i][j])
-            if v:
-                table[(a, b)] = {order: DPoly.constant(v)}
-    return VPDiffAlgebra(names, table)
+    return VPDiffAlgebra(names, {
+        (a, b): {order: DPoly.constant(rat(matrix[i][j]))}
+        for i, a in enumerate(names) for j, b in enumerate(names)
+    })
 
 
 def pvpa_quotient(algebra: VPDiffAlgebra) -> PoissonPresentation:
@@ -574,17 +432,9 @@ def pvpa_quotient(algebra: VPDiffAlgebra) -> PoissonPresentation:
     for i, a in enumerate(names):
         for j, b in enumerate(names):
             prods = algebra.mode_products(algebra.generator(a), algebra.generator(b))
-            h = prods.get(0)
-            if h is None:
-                continue
-            flat = h.drop_derivatives()
-            if flat.is_zero():
-                continue
-            poly = SymPoly.zero(names)
-            for mono, c in flat.coeffs.items():
-                exps = [0] * len(names)
-                for (bi, _) in mono:
-                    exps[bi] += 1
-                poly = poly + SymPoly(names, {tuple(exps): c})
-            bracket[(a, b)] = poly
+            flat = prods.get(0, DPoly()).drop_derivatives()
+            bracket[(a, b)] = SymPoly(names, {
+                tuple(sum(bi == t for bi, _ in mono) for t in range(len(names))): c
+                for mono, c in flat.coeffs.items()
+            })
     return PoissonPresentation(names, bracket)

@@ -8,6 +8,9 @@ encoding
 
     [u_a(x), u_b(y)] = sum_i  f_i^{(k_i)}(y) Delta^(l_i)(x, y).
 
+The constructor stores each table entry as a ``DeltaSeries`` over linear
+``DPoly`` coefficients: the term (f, k, l) is the order-l coefficient D^k f.
+
 Modes u(n) are reduced modulo (du)(m) = -m u(m-1), so canonical mode
 coordinates live on a complement basis: ker-d vectors frozen at mode -1
 (central) plus a complement of ker d + im d at every integer mode.
@@ -17,8 +20,9 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
+from math import factorial
 
-from .formal_calc import format_terms, gen_binomial, rat_str
+from .formal_calc import DeltaSeries, DPoly, expand, format_terms, gen_binomial
 from .lie_core import BilinearForm, FiniteLieAlgebra, SymPoly, _normalize_table, check_invariance
 from .linalg import Echelon, add_into, bilinear, clean, inverse, nullspace
 
@@ -30,6 +34,7 @@ Vector = dict[int, int | Fraction]  # sparse coordinates over the base-space bas
 # the same symbols.
 Symbol = tuple[int, int, int]
 Modes = dict[Symbol, int | Fraction]
+_NO_TERMS = DeltaSeries()  # the entry of a pair missing from a bracket table
 
 
 def _unit_index(vec: Vector) -> int | None:
@@ -89,18 +94,15 @@ class VLStructure:
             img = (d_matrix or {}).get(n, {})
             self.d_map[self.index[n]] = clean({self.index[m]: c for m, c in img.items()})
 
-        self._table: dict[tuple[int, int], tuple] = {}
+        self._table: dict[tuple[int, int], DeltaSeries] = {}
         for (a, b), terms in table.items():
-            ia, ib = self.index[a], self.index[b]
-            packed = []
+            coeffs = []
             for f, k, l in terms:
                 k, l = int(k), int(l)
                 if k < 0 or l < 0:
                     raise ValueError("derivative and delta orders are nonnegative")
-                fv = clean({self.index[m]: c for m, c in dict(f).items()})
-                if fv:
-                    packed.append((fv, k, l))
-            self._table[(ia, ib)] = tuple(packed)
+                coeffs.append((l, DPoly({((self.index[m], k),): c for m, c in dict(f).items()})))
+            self._table[(self.index[a], self.index[b])] = DeltaSeries(coeffs)
 
         self._setup_complements(u_prime, u0_prime)
         self._cyclic = self._d_cyclic_indices()
@@ -215,10 +217,10 @@ class VLStructure:
     def _graded_check(self):
         if self.degrees is None:
             return
-        for (ia, ib), terms in self._table.items():
+        for (ia, ib), series in self._table.items():
             want = self.degrees[ia] + self.degrees[ib]
-            for fv, k, l in terms:
-                for i in fv:
+            for l, h in series.items():
+                for ((i, k),) in h.coeffs:
                     if self.degrees[i] != want - k - l - 1:
                         raise ValueError(
                             f"graded table term violates degree bookkeeping: "
@@ -287,8 +289,17 @@ class VLStructure:
 
     # -- brackets ---------------------------------------------------------------
 
-    def table_terms(self, ia: int, ib: int):
-        return self._table.get((ia, ib), ())
+    def table_series(self, ia: int, ib: int) -> DeltaSeries:
+        """[u_a(x), u_b(y)] as the series {l: D^k f}; callers must not mutate it."""
+        return self._table.get((ia, ib), _NO_TERMS)
+
+    def table_terms(self, ia: int, ib: int) -> tuple:
+        """The table entry as terms (f, k, l), f a vector, by ascending (l, k)."""
+        by_lk: dict[tuple[int, int], Vector] = {}
+        for l, h in self.table_series(ia, ib).items():
+            for ((i, k),), c in h.coeffs.items():
+                by_lk.setdefault((l, k), {})[i] = c
+        return tuple((f, k, l) for (l, k), f in sorted(by_lk.items()))
 
     def component_bracket(self, a, m: int, b, n: int) -> Modes:
         """[u_a(m), u_b(n)] reduced to canonical modes.
@@ -313,18 +324,15 @@ class VLStructure:
         if cached is not None:
             return cached
         out: Modes = {}
-        for fv, k, l in self.table_terms(ia, ib):
-            c = gen_binomial(m, l) * gen_binomial(m + n - l, k)
-            if not c:
+        for l, h in self.table_series(ia, ib).items():
+            cl = gen_binomial(m, l) * factorial(l)
+            if not cl:
                 continue
-            fact = 1
-            for t in range(1, l + 1):
-                fact *= t
-            for t in range(1, k + 1):
-                fact *= t
-            if (l + k) % 2:
-                fact = -fact
-            add_into(out, self.mode(fv, m + n - l - k), c * fact)
+            for ((i, k),), c in h.coeffs.items():
+                ck = gen_binomial(m + n - l, k) * factorial(k)
+                if ck:
+                    sign = -1 if (l + k) % 2 else 1
+                    add_into(out, self._basis_mode(i, m + n - l - k), sign * c * cl * ck)
         self._bracket_cache[key] = out
         return out
 
@@ -472,53 +480,43 @@ class VLStructure:
 class BracketSeries:
     """Generating-function view of one bracket table entry.
 
-    Coefficient extraction expands f^{(k)}(y) Delta^(l)(x,y) directly from
-    the mode series definition, independently of the closed component
+    Coefficient extraction expands f^{(k)}(y) Delta^(l)(x,y) through the
+    window expander ``expand``, independently of the closed component
     formula, so the two can be compared as an internal consistency check.
     """
 
     def __init__(self, structure: VLStructure, a: str, b: str):
         self.structure = structure
         self.a, self.b = a, b
-        self.terms = structure.table_terms(structure.index[a], structure.index[b])
+        self.series = structure.table_series(structure.index[a], structure.index[b])
 
     def coefficient(self, m: int, n: int) -> Modes:
         """Coefficient of x^{-m-1} y^{-n-1}, via raw series expansion."""
-        st = self.structure
         out: Modes = {}
-        for fv, k, l in self.terms:
-            # f^{(k)}(y) = sum_p binom(-p-1, k) k! f(p) y^{-p-k-1}
-            # Delta^(l)  = sum_q q(q-1)..(q-l+1) x^{q-l} y^{-q-1}
-            q = l - m - 1
-            p = m + n - k - l
-            w = 1
-            for t in range(l):
-                w *= q - t
-            if not w:
-                continue
-            fact_k = 1
-            for t in range(1, k + 1):
-                fact_k *= t
-            c = gen_binomial(-p - 1, k) * fact_k * w
-            if c:
-                add_into(out, st.mode(fv, p), c)
+        for _, _, w, v in expand(self.series, [(-m - 1, -n - 1)], self._modes):
+            add_into(out, v, w)
+        return out
+
+    def _modes(self, h: DPoly, e: int) -> Modes:
+        """The y^e part of the coefficient h = D^k f as modes, from
+        f^{(k)}(y) = sum_p binom(-p-1, k) k! f(p) y^{-p-k-1}."""
+        out: Modes = {}
+        for ((i, k),), c in h.coeffs.items():
+            p = -e - k - 1
+            add_into(out, self.structure._basis_mode(i, p),
+                     c * gen_binomial(-p - 1, k) * factorial(k))
         return out
 
     def __repr__(self):
         st = self.structure
-        if not self.terms:
-            return "0"
         bits = []
-        for fv, k, l in self.terms:
-            poly = " + ".join(
-                (f"{rat_str(c)}*{st.basis[i]}" if c != 1 else st.basis[i])
-                for i, c in sorted(fv.items())
-            )
+        for fv, k, l in st.table_terms(st.index[self.a], st.index[self.b]):
+            poly = format_terms((st.basis[i], c) for i, c in sorted(fv.items()))
             fname = f"({poly})" if (len(fv) > 1 or k == 0) else poly
             deriv = "" if k == 0 else ("'" if k == 1 else f"^({k})")
             delta = "Delta" if l == 0 else f"Delta^({l})"
             bits.append(f"{fname}{deriv}(y)*{delta}")
-        return " + ".join(bits)
+        return " + ".join(bits) or "0"
 
 
 # ---------------------------------------------------------------------------
@@ -564,8 +562,7 @@ def loop(g: FiniteLieAlgebra) -> VLStructure:
     table = {}
     for i, a in enumerate(g.names):
         for j, b in enumerate(g.names):
-            bk = g.bracket_basis(i, j)
-            table[(a, b)] = [({g.names[k]: c for k, c in bk.items()}, 0, 0)] if bk else []
+            table[(a, b)] = [({g.names[k]: c for k, c in g.bracket_basis(i, j).items()}, 0, 0)]
     s = VLStructure(
         basis=g.names,
         degrees=(1,) * g.dim,
@@ -587,13 +584,8 @@ def affine(g: FiniteLieAlgebra, form: BilinearForm,
     table = {}
     for i, a in enumerate(g.names):
         for j, b in enumerate(g.names):
-            terms = []
-            bk = g.bracket_basis(i, j)
-            if bk:
-                terms.append(({g.names[k]: c for k, c in bk.items()}, 0, 0))
-            if form.value(i, j):
-                terms.append(({"c": -form.value(i, j)}, 0, 1))
-            table[(a, b)] = terms
+            table[(a, b)] = [({g.names[k]: c for k, c in g.bracket_basis(i, j).items()}, 0, 0),
+                             ({"c": -form.value(i, j)}, 0, 1)]
     meta = {"kind": "affine"}
     if highest_root is not None:
         meta["highest_root"] = highest_root
@@ -617,8 +609,7 @@ def heisenberg(d_matrix) -> VLStructure:
     table = {}
     for i, a in enumerate(names):
         for j, b in enumerate(names):
-            v = form.value(i, j)
-            table[(a, b)] = [({"c": -v}, 0, 1)] if v else []
+            table[(a, b)] = [({"c": -form.value(i, j)}, 0, 1)]
     s = VLStructure(
         basis=names + ("c",),
         degrees=(1,) * r + (0,),
@@ -687,7 +678,7 @@ def novikov(algebra: CommAlgebra, form: BilinearForm | None = None) -> VLStructu
     problems = check_invariance(algebra, form)
     if problems:
         raise ValueError("form is not associative: " + "; ".join(problems[:3]))
-    table = _novikov_table(algebra, form)
+    table = _product_table(algebra, form, _novikov_terms)
     s = VLStructure(
         basis=algebra.names + ("c",),
         degrees=(2,) * r + (0,),
@@ -700,24 +691,24 @@ def novikov(algebra: CommAlgebra, form: BilinearForm | None = None) -> VLStructu
     return s.certify()
 
 
-def _novikov_table(algebra: CommAlgebra, form: BilinearForm):
-    table = {}
+def _product_table(algebra: CommAlgebra, form: BilinearForm, terms) -> dict:
+    """Table entries terms(ab, (a|b)) over the basis pairs, with the product
+    ab as a name map; zero terms are dropped by the structure."""
     names = algebra.names
-    for i, a in enumerate(names):
-        for j, b in enumerate(names):
-            prod = {names[k]: c for k, c in algebra.product_basis(i, j).items()}
-            terms = []
-            if prod:
-                terms.append(({n: Fraction(c) / 2 for n, c in prod.items()}, 1, 0))
-                terms.append(({n: -c for n, c in prod.items()}, 0, 1))
-            if form.value(i, j):
-                terms.append(({"c": Fraction(-1, 6) * form.value(i, j)}, 0, 3))
-            table[(a, b)] = terms
-    return table
+    return {
+        (a, b): terms({names[k]: c for k, c in algebra.product_basis(i, j).items()}, form.value(i, j))
+        for i, a in enumerate(names) for j, b in enumerate(names)
+    }
 
 
-def novikov_candidate(algebra: CommAlgebra, form: BilinearForm | None = None) -> VLStructure:
-    """Uncertified Novikov-shaped table for testing invalid input algebras."""
+def _novikov_terms(ab: dict, v) -> list:
+    return [({n: Fraction(c) / 2 for n, c in ab.items()}, 1, 0),
+            ({n: -c for n, c in ab.items()}, 0, 1),
+            ({"c": Fraction(-1, 6) * v}, 0, 3)]
+
+
+def _candidate(algebra: CommAlgebra, form: BilinearForm | None, terms, name: str) -> VLStructure:
+    """An uncertified, ungraded structure on the algebra plus a central c."""
     r = len(algebra.names)
     if form is None:
         form = BilinearForm([[0] * r for _ in range(r)], require_symmetric=False)
@@ -726,9 +717,14 @@ def novikov_candidate(algebra: CommAlgebra, form: BilinearForm | None = None) ->
         degrees=None,
         d_domain=("c",),
         d_matrix={"c": {}},
-        table=_novikov_table(algebra, form),
-        name="novikov-candidate",
+        table=_product_table(algebra, form, terms),
+        name=name,
     )
+
+
+def novikov_candidate(algebra: CommAlgebra, form: BilinearForm | None = None) -> VLStructure:
+    """Uncertified Novikov-shaped table for testing invalid input algebras."""
+    return _candidate(algebra, form, _novikov_terms, "novikov-candidate")
 
 
 def quadratic_central_candidate(algebra: CommAlgebra, form: BilinearForm | None = None) -> VLStructure:
@@ -736,29 +732,10 @@ def quadratic_central_candidate(algebra: CommAlgebra, form: BilinearForm | None 
 
     Components: [a(m), b(n)] = -mn (ab)(m+n-2) + m(m-1) delta_{m+n,1} (a|b) c.
     """
-    r = len(algebra.names)
-    if form is None:
-        form = BilinearForm([[0] * r for _ in range(r)], require_symmetric=False)
-    names = algebra.names
-    table = {}
-    for i, a in enumerate(names):
-        for j, b in enumerate(names):
-            prod = {names[k]: c for k, c in algebra.product_basis(i, j).items()}
-            terms = []
-            if prod:
-                terms.append(({n: -c for n, c in prod.items()}, 1, 1))
-                terms.append((dict(prod), 0, 2))
-            if form.value(i, j):
-                terms.append(({"c": form.value(i, j)}, 0, 2))
-            table[(a, b)] = terms
-    return VLStructure(
-        basis=names + ("c",),
-        degrees=None,
-        d_domain=("c",),
-        d_matrix={"c": {}},
-        table=table,
-        name="b3-candidate",
-    )
+    return _candidate(
+        algebra, form,
+        lambda ab, v: [({n: -c for n, c in ab.items()}, 1, 1), (ab, 0, 2), ({"c": v}, 0, 2)],
+        "b3-candidate")
 
 
 def b3_criterion(algebra: CommAlgebra, form: BilinearForm | None = None,

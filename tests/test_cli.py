@@ -104,6 +104,15 @@ class TestCheckSuites:
         assert payload["seed"] == 11
         assert all(c["pass"] for c in payload["checks"])
 
+    def test_check_all_json(self, capsys):
+        # every suite at its defaults, the delta calculus and the vp table
+        # controls included
+        code, out, _ = run(capsys, "check", "all", "--format", "json")
+        assert code == 0
+        checks = json.loads(out)["checks"]
+        assert len(checks) == 29
+        assert [c["name"] for c in checks if not c["pass"]] == []
+
     def test_vp_check(self, capsys):
         code, out, _ = run(capsys, "vp-check", "--ultra", "sl2")
         assert code == 0
@@ -152,6 +161,7 @@ class TestErrorPaths:
         (("lattice", "bk-compare", "--k", "0"), "positive"),
         (("decompose", "--series", '[{"order":0,"coeff":{"1":"1"}}]', "--k", "-1"),
          "nonnegative"),
+        (("decompose", "--series", '[{"order":-1,"coeff":{"0":"1"}}]'), "config error:"),
     ])
     def test_bad_input_exits_2(self, capsys, argv, message):
         code, _, err = run(capsys, *argv)

@@ -10,6 +10,7 @@ from vlie.formal_calc import (
     BiSeriesWindow,
     DecompositionError,
     DeltaSeries,
+    DPoly,
     LaurentPoly,
     decompose,
     delta_window,
@@ -17,6 +18,8 @@ from vlie.formal_calc import (
     mul_other_var,
     mul_power_diff,
     render,
+    series_add,
+    skew_transfer,
     swap_side,
 )
 
@@ -226,3 +229,64 @@ class TestDecompose:
             if s.is_zero():
                 continue
             assert not render(s, BiSeriesWindow.square(4 + 3 + 2)).is_zero()
+
+
+class TestSeriesType:
+    def test_rejects_coefficient_in_another_variable(self):
+        with pytest.raises(ValueError):
+            DeltaSeries([(1, xpoly({1: 1}))], COEFF_IN_Y)
+        with pytest.raises(ValueError):
+            DeltaSeries([(0, LaurentPoly(("z",), {(0,): 1}))], COEFF_IN_Y)
+        with pytest.raises(ValueError):
+            DeltaSeries.single(0, ypoly({0: 1}), COEFF_IN_X)
+
+    def test_rejects_negative_order(self):
+        with pytest.raises(ValueError):
+            DeltaSeries.single(-1, ypoly({0: 1}))
+        with pytest.raises(ValueError):
+            delta_window(-1, BiSeriesWindow.square(2))
+
+    def test_never_stores_a_zero(self):
+        p = ypoly({1: 2})
+        assert DeltaSeries([(0, p), (0, -p), (2, ypoly({}))]) == {}
+        assert (DeltaSeries.single(1, p) - DeltaSeries.single(1, p)).is_zero()
+
+    def test_equality_with_sides_and_plain_maps(self):
+        one = DPoly.constant(1)
+        assert DeltaSeries({0: one}) == {0: one}
+        assert DeltaSeries({0: one}, COEFF_IN_X) != DeltaSeries({0: one}, COEFF_IN_Y)
+        assert series_add({}, {0: one}) == DeltaSeries({0: one})
+        with pytest.raises(ValueError):
+            DeltaSeries({0: one}, COEFF_IN_X) + DeltaSeries({0: one})
+
+    @pytest.mark.parametrize("side", [COEFF_IN_Y, COEFF_IN_X])
+    def test_dx_dy_match_window_derivatives(self, side):
+        rng = random.Random(31)
+        base = BiSeriesWindow.square(8)
+        for _ in range(10):
+            s = random_series(rng, max_order=3, exp_range=2, side=side)
+            win, dx, dy = (render(t, base) for t in (s, s.dx(), s.dy()))
+            for a in range(base.x_lo, base.x_hi):
+                for b in range(base.y_lo, base.y_hi):
+                    assert dx.get(a, b) == (a + 1) * win.get(a + 1, b)
+                    assert dy.get(a, b) == (b + 1) * win.get(a, b + 1)
+
+    @pytest.mark.parametrize("side", [COEFF_IN_Y, COEFF_IN_X])
+    def test_skew_transfer_is_the_negated_transpose(self, side):
+        # -S(y, x) has at x^a y^b the entry of S at x^b y^a, negated
+        rng = random.Random(37)
+        base = BiSeriesWindow.square(9)
+        for _ in range(10):
+            s = random_series(rng, max_order=3, exp_range=3, side=side)
+            out = skew_transfer(s)
+            assert out.side == side
+            win, skew = render(s, base), render(out, base)
+            for a, b, c in skew.entries():
+                assert c == -win.get(b, a)
+
+    def test_dpoly_derivative_is_leibniz(self):
+        u, v = DPoly.variable(0), DPoly.variable(1)
+        want = (DPoly.variable(0, 2) * v + (DPoly.variable(0, 1) * DPoly.variable(1, 1)).scale(2)
+                + u * DPoly.variable(1, 2))
+        assert (u * v).derivative(2) == want
+        assert DPoly.constant(3).derivative() == DPoly()

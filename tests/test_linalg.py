@@ -14,14 +14,17 @@ from vlie.formal_calc import (
     COEFF_IN_Y,
     BiSeriesWindow,
     DeltaSeries,
+    DPoly,
     LaurentPoly,
     decompose,
     mul_power_diff,
     render,
+    skew_transfer,
     swap_side,
 )
 from vlie.lie_core import BilinearForm, check_invariance, check_lie_axioms
 from vlie.linalg import Echelon, add_into, bilinear, clean, det, inverse, nullspace
+from vlie.poisson_c2 import VPDiffAlgebra
 from vlie.vertex_lie import CommAlgebra
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=60, deadline=None)
@@ -136,6 +139,28 @@ def test_mul_power_diff_matches_window(s, m):
     window = BiSeriesWindow.square(6)
     want = render(s, window).mul_power_diff(m)
     assert want.equal_on_overlap(render(mul_power_diff(m, s), window))
+
+
+# linear coefficients u_i^{(j)} and constants, the kind a bracket table holds;
+# the mode window reads u^{(j)} through the modes of u, and a product of
+# fields would stay an opaque symbol that the window cannot relate to its
+# derivative
+monomials = st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), max_size=1).map(tuple)
+dpoly_series = st.lists(
+    st.tuples(st.integers(0, 3), st.dictionaries(
+        monomials, st.fractions(min_value=-3, max_value=3, max_denominator=3), max_size=3,
+    ).map(DPoly)), max_size=3,
+).map(DeltaSeries)
+
+
+@PROPERTY
+@given(dpoly_series)
+def test_skew_transfer_of_dpoly_series_matches_window(s):
+    # the y-form window of the transfer against the x-form window of
+    # -S(y, x), whose orders pick up (-1)^k with the coefficients left in x
+    window = VPDiffAlgebra(("u0", "u1", "u2"), {}).mode_window
+    flipped = DeltaSeries({k: h.scale(1 if k % 2 else -1) for k, h in s.items()}, COEFF_IN_X)
+    assert window(skew_transfer(s), 6) == window(flipped, 6)
 
 
 # -- structure-constant tables against dense triple loops ---------------------

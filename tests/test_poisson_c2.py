@@ -17,9 +17,8 @@ from vlie.poisson_c2 import (
     pvpa_quotient,
     ultra_poisson_of_lie,
     verify_p2_iso,
-    vps_add,
-    vps_skew_transfer,
 )
+from vlie.formal_calc import series_add as vps_add, skew_transfer as vps_skew_transfer
 from vlie.vacuum_module import VacuumModule, state_add
 from vlie.vertex_lie import VLStructure, affine, heisenberg, loop, virasoro
 
@@ -286,6 +285,13 @@ class TestSkewAndConfluence:
     def test_asymmetric_constant_table_fails(self):
         vp = constant_order_table(("u1", "u2"), [[0, 1], [2, 0]])
         assert vp.check_table_skew()
+
+    def test_derivative_coefficients_skew(self):
+        # {L(x), L(y)} = L'(y)Delta - 2L(y)Delta^(1) is skew; its window
+        # needs (DL)(p) = -p L(p-1), and the sign-flipped table is not skew
+        for c, skew in ((-2, True), (2, False)):
+            table = {("L", "L"): {0: DPoly.variable(0, 1), 1: DPoly.variable(0, 0, c)}}
+            assert (VPDiffAlgebra(("L",), table).check_table_skew() == []) == skew
 
     def test_full_bracket_skew_via_window(self):
         # {f(x), g(y)} = -sigma({g(x), f(y)}) for polynomial arguments,

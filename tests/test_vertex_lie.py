@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from vlie.config import build_structure, vertex_lie_from_config
+from vlie.formal_calc import DeltaSeries, DPoly
 from vlie.lie_core import BilinearForm, FiniteLieAlgebra, SymPoly, heis3, sl2, sl2_form
 from vlie.linalg import add_into
 from vlie.vertex_lie import (
@@ -496,6 +497,47 @@ class TestJacobiOracle:
             assert entry == fresh.component_bracket(ia, m, ib, n)
         for (sx, sy), entry in s._symbol_memo.items():
             assert entry == fresh.symbol_bracket(sx, sy)
+
+
+class TestSeriesTable:
+    """Each table entry is one DeltaSeries over linear DPoly coefficients, in
+    which the term (f, k, l) is the order-l coefficient D^k f."""
+
+    @pytest.mark.parametrize("name", JACOBI_STRUCTURES)
+    def test_coefficient_extraction_matches_component_bracket(self, name):
+        # the expander and the closed component formula share nothing but
+        # the table; the candidates and kernel-brackets put several (f, k, l)
+        # terms on one delta order
+        s = _jacobi_structure(name)
+        for a in s.basis:
+            for b in s.basis:
+                series = s.bracket_series(a, b)
+                for m in range(-3, 4):
+                    for n in range(-3, 4):
+                        assert series.coefficient(m, n) == s.component_bracket(a, m, b, n), (
+                            a, m, b, n)
+
+    def test_entry_is_a_series_of_derivatives(self):
+        s = witt()
+        assert s.table_series(0, 0) == DeltaSeries(
+            {0: DPoly.variable(0, 1), 1: DPoly.variable(0, 0, -2)})
+        assert s.table_terms(0, 0) == (({0: 1}, 1, 0), ({0: -2}, 0, 1))
+
+    def test_terms_on_one_order_are_merged(self):
+        s = _jacobi_structure("kernel-brackets")
+        a, b = s.index["a"], s.index["b"]
+        assert list(s.table_series(a, b)) == [0]
+        assert s.table_terms(a, b) == (({a: 1}, 0, 0), ({b: Fraction(1, 2)}, 1, 0))
+
+    def test_zero_terms_are_dropped(self):
+        s = affine(sl2(), sl2_form())
+        e, h = s.index["e"], s.index["h"]
+        assert s.table_terms(e, e) == ()
+        assert list(s.table_series(e, h)) == [0]
+
+    def test_repr_prints_coefficients_like_format_terms(self):
+        assert repr(loop(sl2()).bracket_series("f", "e")) == "(-h)(y)*Delta"
+        assert repr(loop(sl2()).bracket_series("e", "e")) == "0"
 
 
 class TestPolarParts:
