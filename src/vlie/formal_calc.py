@@ -230,6 +230,17 @@ class DPoly(Poly):
             )
         return self._new(coeffs)
 
+    def partials(self) -> dict[tuple[int, int], "DPoly"]:
+        """{(i, j): the partial derivative by u_i^{(j)}} for every variable
+        that occurs.  Dropping one factor v keeps distinct monomials
+        distinct and a nonzero coefficient nonzero, so nothing is cleaned."""
+        out: dict[tuple[int, int], dict] = {}
+        for mono, c in self.coeffs.items():
+            for t, v in enumerate(mono):
+                if t == 0 or mono[t - 1] != v:
+                    out.setdefault(v, {})[mono[:t] + mono[t + 1:]] = c * mono.count(v)
+        return {v: self._new(coeffs) for v, coeffs in out.items()}
+
     def rename(self, variables: Iterable[str]) -> "DPoly":
         """Itself: a coefficient written in whichever variable it sits on."""
         return self
@@ -393,18 +404,11 @@ class DeltaSeries(dict):
         """Every coefficient multiplied by p, a coefficient on the same side."""
         return DeltaSeries([(k, v * p) for k, v in self.items()], self.side)
 
-    def dx(self) -> "DeltaSeries":
-        """d/dx: Delta^(k) becomes Delta^(k+1); x-coefficients are differentiated too."""
-        return self._d(COEFF_IN_X, 1)
-
     def dy(self) -> "DeltaSeries":
         """d/dy: Delta^(k) becomes -Delta^(k+1), since (d/dx + d/dy) Delta = 0;
         y-coefficients are differentiated too."""
-        return self._d(COEFF_IN_Y, -1)
-
-    def _d(self, var: str, sign: int) -> "DeltaSeries":
-        terms = [(k + 1, v.scale(sign)) for k, v in self.items()]
-        if self.side == var:
+        terms = [(k + 1, v.scale(-1)) for k, v in self.items()]
+        if self.side == COEFF_IN_Y:
             terms += [(k, v.derivative(1)) for k, v in self.items()]
         return DeltaSeries(terms, self.side)
 
@@ -502,18 +506,6 @@ def delta_transport(k: int, to_y: bool) -> list[tuple[int, int]]:
     return out
 
 
-def _transport(series: DeltaSeries, to_y: bool, move) -> DeltaSeries:
-    """Each term c_k Delta^(k) rewritten as sum_j w_j move(c_k, k - j) Delta^(j)
-    with the weights of ``delta_transport``, where ``move(c, d)`` is the
-    coefficient with the d-th derivative of the factor that changes
-    variable; the result is in y when ``to_y``, else in x."""
-    return DeltaSeries(
-        [(j, move(c, k - j).scale(w))
-         for k, c in series.items() for j, w in delta_transport(k, to_y)],
-        COEFF_IN_Y if to_y else COEFF_IN_X,
-    )
-
-
 def swap_side(series: DeltaSeries) -> DeltaSeries:
     """Rewrite the series with coefficients in the other variable.
 
@@ -523,19 +515,11 @@ def swap_side(series: DeltaSeries) -> DeltaSeries:
     Both sides must render identically on any window.
     """
     side = COEFF_IN_Y if series.side == COEFF_IN_X else COEFF_IN_X
-    return _transport(series, side == COEFF_IN_Y, lambda c, d: c.derivative(d).rename((side,)))
-
-
-def mul_other_var(series: DeltaSeries, poly: LaurentPoly) -> DeltaSeries:
-    """Multiply by a Laurent polynomial in the opposite variable.
-
-    The factor is first transported through each Delta term by
-    ``delta_transport`` (as in swap_side), so the result stays
-    on the original side.
-    """
-    side = series.side
-    return _transport(series, side == COEFF_IN_Y,
-                      lambda g, d: g * poly.derivative(d).rename((side,)))
+    return DeltaSeries(
+        [(j, c.derivative(k - j).rename((side,)).scale(w))
+         for k, c in series.items() for j, w in delta_transport(k, side == COEFF_IN_Y)],
+        side,
+    )
 
 
 def exchange(series: DeltaSeries) -> DeltaSeries:

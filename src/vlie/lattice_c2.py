@@ -216,9 +216,10 @@ class Cocycle:
         return problems
 
 
-def build_cocycle(lattice: EvenLattice) -> Cocycle:
+def build_cocycle(lattice: EvenLattice, survivors: Iterable[Vec]) -> Cocycle:
+    """The cocycle of the lattice, checked on the given survivor set."""
     eps = Cocycle(lattice)
-    problems = eps.commutator_identity_problems(enumerate_c2(lattice))
+    problems = eps.commutator_identity_problems(survivors)
     if problems:
         raise AssertionError("; ".join(problems[:3]))
     return eps
@@ -337,7 +338,7 @@ class PLAlgebra:
             self.eps = None
             return
         self.c2 = enumerate_c2(lattice)
-        self.eps = build_cocycle(lattice)
+        self.eps = build_cocycle(lattice, self.c2)
         self.nonzero_c2 = [a for a in self.c2 if any(a)]
         r = lattice.rank
         zero_gens = [
@@ -371,18 +372,9 @@ class PLAlgebra:
 
     # -- element helpers ------------------------------------------------------
 
-    def element(self, items) -> dict:
-        return clean(items)
-
     def z_gen(self, i: int) -> dict:
         mono = tuple(1 if t == i else 0 for t in range(self.lattice.rank))
         return self.reduce({((), mono): 1})
-
-    def z_of(self, alpha: Vec) -> dict:
-        rank = self.lattice.rank
-        return self.reduce(clean(
-            (((), tuple(int(t == i) for t in range(rank))), a) for i, a in enumerate(alpha)
-        ))
 
     def x_gen(self, beta: Vec) -> dict:
         beta = tuple(beta)
@@ -449,7 +441,7 @@ class PLAlgebra:
         if g1[0] == "z" and g2[0] == "x":
             i, beta = g1[1], g2[1]
             unit = tuple(1 if t == i else 0 for t in range(lat.rank))
-            return self.element({(beta, (0,) * lat.rank): lat.pair(unit, beta)})
+            return clean({(beta, (0,) * lat.rank): lat.pair(unit, beta)})
         if g1[0] == "x" and g2[0] == "z":
             return add_into({}, self._gen_bracket(g2, g1), -1)
         alpha, beta = g1[1], g2[1]

@@ -5,10 +5,11 @@ Two independent reductions live here.  The first collapses a vacuum-module
 state modulo the span of all modes deeper than -1, leaving a polynomial in
 the surviving generators; the quotient carries the product a_{-1}b and
 bracket a_0 b.  The second works over a polynomial differential algebra
-(``DPoly``) with a bracket table on its generators, extends the table by the
-Leibniz rule and skew transfer, and quotients by derivative monomials.  Its
-brackets {f(x), g(y)} = sum_l h_l(y) Delta^(l) are ``VPSeries``: the package's
-one ``DeltaSeries`` type over ``DPoly`` coefficients, so derivatives, skew
+(``DPoly``) with a bracket table on its generators, extends the table to all
+polynomials by the master formula (the Leibniz rule in both slots), and
+quotients by derivative monomials.  Its brackets
+{f(x), g(y)} = sum_l h_l(y) Delta^(l) are ``VPSeries``: the package's one
+``DeltaSeries`` type over ``DPoly`` coefficients, so derivatives, skew
 transfer and window expansion are the generic ones of ``formal_calc``.
 """
 
@@ -18,7 +19,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from math import factorial
 
-from .formal_calc import DeltaSeries, DPoly, exchange, expand, falling, rat, rat_str, skew_transfer
+from .formal_calc import DeltaSeries, DPoly, expand, falling, rat, rat_str, skew_transfer
 from .lie_core import SymPoly, biderivation
 from .linalg import add_into, bilinear
 from .vacuum_module import State, VacuumModule
@@ -285,51 +286,38 @@ class VPDiffAlgebra:
     def base_bracket(self, i: int, j: int) -> VPSeries:
         return self.table.get((i, j)) or VPSeries()
 
-    # -- bracket extension ---------------------------------------------------
-
-    def bracket_var_var(self, vi: tuple[int, int], vj: tuple[int, int]) -> VPSeries:
-        """{u_i^{(s)}(x), u_j^{(t)}(y)} from the base table by derivatives."""
-        (i, s), (j, t) = vi, vj
-        series = self.base_bracket(i, j)
-        for _ in range(s):
-            series = series.dx()
-        for _ in range(t):
-            series = series.dy()
-        return series
-
-    def bracket_var_poly(self, v: tuple[int, int], g: DPoly) -> VPSeries:
-        """Leibniz expansion over the factors of every monomial of g."""
-        out = VPSeries()
-        for mono, c in g.coeffs.items():
-            for t in range(len(mono)):
-                base = self.bracket_var_var(v, mono[t])
-                if base:
-                    out = out + base.times(DPoly({mono[:t] + mono[t + 1:]: c}))
-        return out
-
-    def bracket_mono_var(self, mono: tuple, v: tuple[int, int]) -> VPSeries:
-        """{M(x), v(y)} for a monomial M: composite heads go through the
-        skew transfer of {v(x), M(y)}, whose first slot is a single variable."""
-        if len(mono) == 1:
-            return self.bracket_var_var(mono[0], v)
-        return skew_transfer(self.bracket_var_poly(v, DPoly({mono: 1})))
-
     def vp_bracket(self, f: DPoly, g: DPoly) -> VPSeries:
-        """{f(x), g(y)}: Leibniz-expand the second slot first, then reduce
-        composite first slots by the skew transfer."""
-        out = VPSeries()
-        for mono_f, cf in f.coeffs.items():
-            if len(mono_f) == 0:
-                continue  # constants bracket to zero
-            for mono_g, cg in g.coeffs.items():
-                if len(mono_g) == 0:
+        """{f(x), g(y)} by the master formula of Barakat, De Sole and Kac.
+
+        The Leibniz rule in both slots gives the sum over variables u_i^(m)
+        of f and u_j^(n) of g of (df/du_i^(m))(x) d_x^m d_y^n {u_i(x), u_j(y)}
+        (dg/du_j^(n))(y).  With {u_i(x), u_j(y)} = sum_l h_l(y) Delta^(l) and
+        P(x) Delta^(k) = (-1)^k dy^k(P(y) Delta), each pair contributes
+
+            dy^n( sum_l (-1)^(l+m) h_l * dy^(l+m)(df/du_i^(m) Delta) ) * dg/du_j^(n),
+
+        where -dy is the series form of lambda + d.  The table need not be skew.
+        """
+        by_j: dict[int, list] = {}
+        for (j, n), pg in g.partials().items():
+            by_j.setdefault(j, []).append((n, pg))
+        terms = []
+        for (i, m), pf in f.partials().items():
+            powers = [VPSeries({0: pf})]  # dy^r(pf Delta), r = 0, 1, ...
+            for j, parts in by_j.items():
+                h = self.table.get((i, j))
+                if not h:
                     continue
-                for t in range(len(mono_g)):
-                    rest = DPoly({mono_g[:t] + mono_g[t + 1:]: 1})
-                    base = self.bracket_mono_var(mono_f, mono_g[t])
-                    if base:
-                        out = out + base.times(rest).scale(cf * cg)
-        return out
+                while len(powers) <= max(h) + m:
+                    powers.append(powers[-1].dy())
+                inner = VPSeries([(k, hl * c if (l + m) % 2 == 0 else -(hl * c))
+                                  for l, hl in h.items() for k, c in powers[l + m].items()])
+                derived = [inner]  # dy^n(inner), n = 0, 1, ...
+                for n, pg in parts:
+                    while len(derived) <= n:
+                        derived.append(derived[-1].dy())
+                    terms += [(k, c * pg) for k, c in derived[n].items()]
+        return VPSeries(terms)
 
     def mode_products(self, f: DPoly, g: DPoly) -> dict[int, DPoly]:
         """The family f_i g with {f(x),g(y)} = sum (1/i!)(f_i g)(y)Delta^(i)."""
@@ -338,14 +326,16 @@ class VPDiffAlgebra:
     # -- window oracle ---------------------------------------------------------
 
     def mode_window(self, series: VPSeries, radius: int) -> dict:
-        """Exact windowed expansion with abstract mode coefficients.
+        """Windowed expansion with abstract mode coefficients; a test oracle.
 
         Entry (a, b) is a map from (monomial, mode index) to rationals: the
         coefficient of x^a y^b is a combination of modes h(p) of the
         polynomial coefficients, read by ``expand`` straight from the
         defining series (independently of swap/transfer formulas).  A
         single factor u^{(j)} is read through the modes of u, by
-        (D^j u)(p) = (j-p-1)(j-p-2)..(-p) u(p-j); a product stays a symbol.
+        (D^j u)(p) = (j-p-1)(j-p-2)..(-p) u(p-j).  A product stays an opaque
+        symbol, unrelated to its own derivatives, so the window is exact
+        only for coefficients that are single factors (or constants).
         """
         def modes(h: DPoly, e: int) -> dict:
             p = -e - 1
@@ -365,28 +355,12 @@ class VPDiffAlgebra:
             add_into(window.setdefault((a, b), {}), v, w)
         return {cell: v for cell, v in window.items() if v}
 
-    def check_table_skew(self, radius: int | None = None) -> list[str]:
-        """Compare {u_i(x),u_j(y)} with -{u_j(x),u_i(y)}|_{x<->y} on a window.
-
-        Both sides are expanded by the raw series definition (y-form for the
-        first, x-form for the exchanged second), so the comparison does not
-        reuse the transfer formula it is meant to audit.
-        """
-        problems = []
-        for i in range(len(self.names)):
-            for j in range(len(self.names)):
-                s_ij = self.base_bracket(i, j)
-                s_ji = self.base_bracket(j, i)
-                k_max = max(list(s_ij) + list(s_ji) + [0])
-                r = radius if radius is not None else k_max + 3
-                lhs = self.mode_window(s_ij, r)
-                # -S_ji(y, x): delta orders pick up (-1)^k, coefficients sit in x
-                rhs = self.mode_window(exchange(s_ji), r)
-                if lhs != rhs:
-                    problems.append(
-                        f"skew fails for ({self.names[i]},{self.names[j]})"
-                    )
-        return problems
+    def check_table_skew(self) -> list[str]:
+        """The finite identity {u_i(x), u_j(y)} = -{u_j(x), u_i(y)}|_{x<->y}
+        on every ordered pair: S_ij == skew_transfer(S_ji), exactly."""
+        r = range(len(self.names))
+        return [f"skew fails for ({self.names[i]},{self.names[j]})" for i in r for j in r
+                if self.base_bracket(i, j) != skew_transfer(self.base_bracket(j, i))]
 
 
 def ultra_poisson(names: Sequence[str], sym_bracket: Mapping[tuple, Mapping[str, object]]) -> VPDiffAlgebra:

@@ -15,7 +15,6 @@ from vlie.formal_calc import (
     decompose,
     delta_window,
     gen_binomial,
-    mul_other_var,
     mul_power_diff,
     render,
     series_add,
@@ -178,23 +177,6 @@ class TestSwapSide:
             base = BiSeriesWindow.square(4 + 3 + 2)
             assert render(s, base).equal_on_overlap(render(flipped, base))
 
-    def test_mul_other_var_render(self):
-        rng = random.Random(19)
-        for _ in range(10):
-            s = random_series(rng, max_order=3, exp_range=2)
-            f = xpoly({rng.randint(-2, 2): Fraction(rng.randint(1, 5))})
-            prod = mul_other_var(s, f)
-            assert prod.side == COEFF_IN_Y
-            base = BiSeriesWindow.square(3 + 2 + 2 + 2)
-            direct = render(s, base)
-            expect = BiSeriesWindow(base.x_lo, base.x_hi, base.y_lo, base.y_hi)
-            for (e,), c in f.coeffs.items():
-                for a, b, v in direct.entries():
-                    if expect.contains(a + e, b):
-                        expect.add(a + e, b, c * v)
-            shrunk = BiSeriesWindow(base.x_lo + 2, base.x_hi - 2, base.y_lo, base.y_hi)
-            assert render(prod, shrunk).equal_on_overlap(expect)
-
 
 class TestDecompose:
     def test_plain_delta(self):
@@ -265,10 +247,9 @@ class TestSeriesType:
         base = BiSeriesWindow.square(8)
         for _ in range(10):
             s = random_series(rng, max_order=3, exp_range=2, side=side)
-            win, dx, dy = (render(t, base) for t in (s, s.dx(), s.dy()))
+            win, dy = render(s, base), render(s.dy(), base)
             for a in range(base.x_lo, base.x_hi):
                 for b in range(base.y_lo, base.y_hi):
-                    assert dx.get(a, b) == (a + 1) * win.get(a + 1, b)
                     assert dy.get(a, b) == (b + 1) * win.get(a, b + 1)
 
     @pytest.mark.parametrize("side", [COEFF_IN_Y, COEFF_IN_X])
@@ -290,3 +271,10 @@ class TestSeriesType:
                 + u * DPoly.variable(1, 2))
         assert (u * v).derivative(2) == want
         assert DPoly.constant(3).derivative() == DPoly()
+
+    def test_dpoly_partials(self):
+        u, v1 = DPoly.variable(0), DPoly.variable(1, 1)
+        p = (u * u * v1).scale(3) + u.scale(5) + DPoly.constant(7)
+        assert p.partials() == {(0, 0): (u * v1).scale(6) + DPoly.constant(5),
+                                (1, 1): (u * u).scale(3)}
+        assert DPoly.constant(7).partials() == {}

@@ -94,13 +94,14 @@ class TestC2Set:
 class TestCocycle:
     def test_rank_one_values(self):
         lat = EvenLattice([[2]])
-        eps = build_cocycle(lat)
+        eps = build_cocycle(lat, enumerate_c2(lat))
         assert eps.value((1,), (1,)) == 1
         assert eps.value((1,), (-1,)) * eps.value((-1,), (1,)) == 1
 
     def test_zero_argument(self):
-        eps = build_cocycle(EvenLattice(A2))
-        for b in enumerate_c2(EvenLattice(A2)):
+        c2 = enumerate_c2(EvenLattice(A2))
+        eps = build_cocycle(EvenLattice(A2), c2)
+        for b in c2:
             assert eps.value((0, 0), b) == 1
 
     def test_a2_commutator_identity(self):
