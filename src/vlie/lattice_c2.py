@@ -17,7 +17,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 
 from .formal_calc import format_terms
-from .linalg import Echelon, add_into, bilinear, clean, det, inverse
+from .linalg import Echelon, add_into, clean, compose, det, inverse
 
 Vec = tuple[int, ...]
 
@@ -28,6 +28,8 @@ class EvenLattice:
     def __init__(self, gram):
         self.gram = tuple(tuple(int(x) for x in row) for row in gram)
         r = len(self.gram)
+        if not r:
+            raise ValueError("Gram matrix must have rank at least 1")
         if any(len(row) != r for row in self.gram):
             raise ValueError("Gram matrix must be square")
         for i in range(r):
@@ -53,7 +55,7 @@ class EvenLattice:
         return all(m > 0 for m in self.minors())
 
     def is_degenerate(self) -> bool:
-        return self.minors()[-1] == 0 if self.rank else False
+        return self.minors()[-1] == 0
 
     def inverse_gram(self) -> list[list[int | Fraction]]:
         try:
@@ -323,7 +325,9 @@ class PLAlgebra:
     polynomial part, sector beta for the X_beta component.  Multiplication
     folds the X-sector relations and reduces each sector by its power
     ideal; the Poisson bracket extends the generator table as a
-    biderivation and is verified exhaustively together with associativity.
+    biderivation.  ``verify_axioms`` checks every axiom at every pair and
+    triple of basis elements, exactly, with work that grows with the
+    nonzero products of the two structure-constant tables, not with dim^3.
     """
 
     def __init__(self, lattice: EvenLattice):
@@ -360,6 +364,7 @@ class PLAlgebra:
         self.index = {key: i for i, key in enumerate(self.basis)}
         self._mult_table: dict | None = None
         self._bracket_table: dict | None = None
+        self._gen_elements: dict[tuple, dict] = {}
 
     def _sorted_sectors(self):
         return [((), self.sectors[()])] + [
@@ -491,9 +496,14 @@ class PLAlgebra:
         return self.reduce(out)
 
     def _gen_element(self, g: tuple) -> dict:
-        if g[0] == "z":
-            return self.z_gen(g[1])
-        return self.x_gen(g[1])
+        """The reduced element of a generator, built once per algebra and
+        shared, so it must not be mutated; ``z_gen`` and ``x_gen`` return
+        fresh dicts."""
+        element = self._gen_elements.get(g)
+        if element is None:
+            element = self.z_gen(g[1]) if g[0] == "z" else self.x_gen(g[1])
+            self._gen_elements[g] = element
+        return element
 
     # -- tables and verification ------------------------------------------------------
 
@@ -523,8 +533,20 @@ class PLAlgebra:
                 for i, ka in enumerate(basis) for j, kb in enumerate(basis)}
 
     def verify_axioms(self) -> list[str]:
-        """Exhaustive associativity, commutativity, skew, Leibniz and Jacobi
-        over the finite basis."""
+        """Exhaustive commutativity, skew, associativity, Leibniz and Jacobi
+        over the finite basis, exact, with work that grows with the nonzero
+        products rather than with dim^3.
+
+        Pairs are compared entry by entry.  For triples, the two tables are
+        composed once into (e_a e_b) e_c, {e_a, e_b} e_c, {{e_a, e_b}, e_c}
+        and {e_c, e_a e_b} (``linalg.compose``), which hold only the nonzero
+        products.  Every term of a triple identity is one of their entries,
+        so each identity is decided at the triples where one of its terms is
+        nonzero; at every other triple it holds as a sum of zero products.
+        Problems are listed pairs first, then triples in lexicographic
+        order (associativity, Leibniz, Jacobi within a triple), and the
+        list stops after the first triple at which it holds ten or more.
+        """
         if self.zero_algebra:
             return []
         problems = []
@@ -537,27 +559,39 @@ class PLAlgebra:
                     problems.append(f"commutativity fails at ({i},{j})")
                 if add_into(dict(br[(i, j)]), br[(j, i)]):
                     problems.append(f"skew fails at ({i},{j})")
-        units = [{i: 1} for i in range(n)]
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if (bilinear(mult, mult[(i, j)], units[k])
-                            != bilinear(mult, mult[(j, k)], units[i])):
-                        problems.append(f"associativity fails at ({i},{j},{k})")
-                    # Leibniz: {i, jk} = {i,j}k + {i,k}j
-                    lhs = bilinear(br, units[i], mult[(j, k)])
-                    rhs = add_into(bilinear(mult, br[(i, j)], units[k]),
-                                   bilinear(mult, br[(i, k)], units[j]))
-                    if lhs != rhs:
-                        problems.append(f"Leibniz fails at ({i},{j},{k})")
-                    # Jacobi
-                    acc = bilinear(br, br[(i, j)], units[k])
-                    add_into(acc, bilinear(br, br[(j, k)], units[i]))
-                    add_into(acc, bilinear(br, br[(k, i)], units[j]))
-                    if acc:
-                        problems.append(f"Jacobi fails at ({i},{j},{k})")
-                    if len(problems) >= 10:
-                        return problems
+        # (triple, place within the triple, name) of every failure; each
+        # composite table, keyed ((a, b), c), is dropped once its identity
+        # is decided, so that memory holds one identity's tables at a time
+        failures = set()
+        assoc = compose(mult, mult)         # (e_a e_b) e_c
+        for (a, b), c in assoc:             # (ij)k at (a,b,c), (jk)i at (c,a,b)
+            for i, j, k in ((a, b, c), (c, a, b)):
+                if assoc.get(((i, j), k), {}) != assoc.get(((j, k), i), {}):
+                    failures.add(((i, j, k), 0, "associativity"))
+        del assoc
+        # Leibniz: {i, jk} = {i,j}k + {i,k}j
+        br_mult = compose(br, mult)         # {e_a, e_b} e_c
+        br_of_mult = compose(mult, br, slot=1)  # {e_c, e_a e_b}
+        leibniz = {(c, a, b) for (a, b), c in br_of_mult}
+        for (a, b), c in br_mult:
+            leibniz.update(((a, b, c), (a, c, b)))
+        for i, j, k in leibniz:
+            rhs = add_into(dict(br_mult.get(((i, j), k), {})), br_mult.get(((i, k), j), {}))
+            if br_of_mult.get(((j, k), i), {}) != rhs:
+                failures.add(((i, j, k), 1, "Leibniz"))
+        del br_mult, br_of_mult, leibniz
+        # Jacobi: the cyclic sum is the same at all three rotations
+        br_br = compose(br, br)             # {{e_a, e_b}, e_c}
+        for ((a, b), c), vec in br_br.items():
+            acc = add_into(dict(vec), br_br.get(((b, c), a), {}))
+            if add_into(acc, br_br.get(((c, a), b), {})):
+                failures.update((t, 2, "Jacobi") for t in ((a, b, c), (b, c, a), (c, a, b)))
+        # the list stops after the first triple at which it holds ten or
+        # more problems; (0,0,0) is the first triple of all
+        for (i, j, k), group in itertools.groupby(sorted(failures), key=lambda f: f[0]):
+            if len(problems) >= 10 and (i, j, k) != (0, 0, 0):
+                break
+            problems.extend(f"{name} fails at ({i},{j},{k})" for _, _, name in group)
         return problems
 
     def format_key(self, key: tuple) -> str:
@@ -598,10 +632,12 @@ def poisson_table(alg: PLAlgebra) -> dict:
 
     The generator bracket extends to every basis monomial as a
     biderivation; skew-symmetry, Jacobi and the Leibniz rule are verified
-    exhaustively over the finite basis, and a violation aborts with the
-    witness triple (an implementation bug, not valid data).  The result is
-    ``alg.bracket_table()``, keyed by basis indices: {(i, j): {k: c}} with
-    ``alg.basis[i]`` the ``(sector, monomial)`` key of index i.
+    exhaustively over the finite basis by ``PLAlgebra.verify_axioms``, whose
+    work grows with the nonzero products rather than with dim^3, and a
+    violation aborts with the witness triple (an implementation bug, not
+    valid data).  The result is ``alg.bracket_table()``, keyed by basis
+    indices: {(i, j): {k: c}} with ``alg.basis[i]`` the ``(sector,
+    monomial)`` key of index i.
     """
     problems = alg.verify_axioms()
     if problems:

@@ -7,8 +7,10 @@ from raw input and ``add_into`` combines them in place; both store integral
 values as ``int`` (``narrow``), so integer work never enters ``fractions``.
 A finite algebra is a structure-constant table {(i, j): sparse vector over
 basis indices}, and ``bilinear`` multiplies two vectors through it.
-``Echelon`` is the package's only elimination routine, and ``inverse``,
-``det`` and ``nullspace`` of dense matrices are thin uses of it.
+``compose`` multiplies a whole table through another at once, with work
+that grows with the nonzero products rather than with the size of the
+tables.  ``Echelon`` is the package's only elimination routine, and
+``inverse``, ``det`` and ``nullspace`` of dense matrices are thin uses of it.
 """
 
 from __future__ import annotations
@@ -86,6 +88,28 @@ def bilinear(table: Mapping, u: Mapping, v: Mapping) -> dict:
             if entry:
                 add_into(out, entry, a * b)
     return out
+
+
+def compose(inner: Mapping, outer: Mapping, slot: int = 0) -> dict:
+    """Each vector of ``inner`` multiplied by every basis index c through the
+    table ``outer``: {(key, c): bilinear(outer, inner[key], {c: 1})} when
+    slot is 0, or bilinear(outer, {c: 1}, inner[key]) when slot is 1.
+
+    This is Gustavson's row-wise sparse product: the nonzero entries of
+    ``outer`` are grouped once by the index in ``slot``, so the work grows
+    with the products of nonzero terms, not with the size of the tables.
+    Zero results are left out.
+    """
+    rows: dict = {}
+    for pair, vec in outer.items():
+        if vec:
+            rows.setdefault(pair[slot], []).append((pair[1 - slot], vec))
+    out: dict = {}
+    for key, u in inner.items():
+        for m, a in u.items():
+            for c, vec in rows.get(m, ()):
+                add_into(out.setdefault((key, c), {}), vec, a)
+    return {key: vec for key, vec in out.items() if vec}
 
 
 class Echelon:

@@ -162,6 +162,9 @@ class TestErrorPaths:
         (("decompose", "--series", '[{"order":0,"coeff":{"1":"1"}}]', "--k", "-1"),
          "nonnegative"),
         (("decompose", "--series", '[{"order":-1,"coeff":{"0":"1"}}]'), "config error:"),
+        (("lattice", "poisson", "--gram", "[]"), "config error: bad Gram matrix: "),
+        (("lattice", "p2", "--gram", "[]"), "config error: bad Gram matrix: "),
+        (("lattice", "c2-set", "--gram", "[]"), "config error: bad Gram matrix: "),
     ])
     def test_bad_input_exits_2(self, capsys, argv, message):
         code, _, err = run(capsys, *argv)

@@ -1,4 +1,6 @@
+import copy
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,6 +9,7 @@ from vlie.lattice_c2 import (
     BkAlgebra,
     Cocycle,
     EvenLattice,
+    PLAlgebra,
     bk_compare,
     build_cocycle,
     build_pl_algebra,
@@ -16,6 +19,7 @@ from vlie.lattice_c2 import (
     poisson_table,
     relation_consistency_problems,
 )
+from vlie.linalg import add_into, bilinear
 
 A2 = [[2, -1], [-1, 2]]
 
@@ -160,6 +164,17 @@ class TestPLAlgebra:
         for key in alg.basis:
             assert alg.bracket(one, {key: Fraction(1)}) == {}
 
+    def test_generator_elements_memoized_and_untouched(self):
+        alg = PLAlgebra(EvenLattice(A2))
+        alg.bracket_table()
+        cached = dict(alg._gen_elements)
+        assert {g[0] for g in cached} == {"z", "x"}
+        for g, element in cached.items():
+            fresh = alg.z_gen(g[1]) if g[0] == "z" else alg.x_gen(g[1])
+            assert element == fresh and element is not fresh
+            assert alg._gen_element(g) is element
+        assert alg.z_gen(0) is not alg.z_gen(0)
+
 
 class TestPoissonTable:
     def test_rank_one_brackets(self):
@@ -258,3 +273,128 @@ class TestBkCompare:
         assert out == {("Z", 4): Fraction(1, 24)}
         # Z^{2k+1} = 0 inside the truncation
         assert bk.multiply_basis(("Z", 3), ("Z", 2)) == {}
+
+
+# ---------------------------------------------------------------------------
+# verify_axioms against the dense n^3 loop
+# ---------------------------------------------------------------------------
+
+def dense_verify_axioms(alg):
+    """The plain loop over all dim^3 triples, eight ``bilinear`` products
+    each, with the same problem strings and the same cut at ten."""
+    problems = []
+    mult = alg.multiplication_table()
+    br = alg.bracket_table()
+    n = alg.dim
+    for i in range(n):
+        for j in range(n):
+            if mult[(i, j)] != mult[(j, i)]:
+                problems.append(f"commutativity fails at ({i},{j})")
+            if add_into(dict(br[(i, j)]), br[(j, i)]):
+                problems.append(f"skew fails at ({i},{j})")
+    units = [{i: 1} for i in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if (bilinear(mult, mult[(i, j)], units[k])
+                        != bilinear(mult, mult[(j, k)], units[i])):
+                    problems.append(f"associativity fails at ({i},{j},{k})")
+                lhs = bilinear(br, units[i], mult[(j, k)])
+                rhs = add_into(bilinear(mult, br[(i, j)], units[k]),
+                               bilinear(mult, br[(i, k)], units[j]))
+                if lhs != rhs:
+                    problems.append(f"Leibniz fails at ({i},{j},{k})")
+                acc = bilinear(br, br[(i, j)], units[k])
+                add_into(acc, bilinear(br, br[(j, k)], units[i]))
+                add_into(acc, bilinear(br, br[(k, i)], units[j]))
+                if acc:
+                    problems.append(f"Jacobi fails at ({i},{j},{k})")
+                if len(problems) >= 10:
+                    return problems
+    return problems
+
+
+# the four bases of dimension 29 that the lattice-poisson benchmark draws from
+DIM29 = [[[2, 1], [1, 4]], [[2, -1], [-1, 4]], [[4, 1], [1, 2]], [[4, -1], [-1, 2]]]
+ORACLE_GRAMS = [[[2 * k]] for k in range(1, 8)] + [A2, [[2, 0], [0, 2]]] + DIM29
+TAMPER_GRAMS = [[[2]], [[4]], [[6]], A2]
+TAMPER_SEEDS = range(60)
+_ALGEBRAS: dict = {}
+
+
+def algebra(gram) -> PLAlgebra:
+    """A built algebra with both tables, shared between tests; tampering
+    works on a shallow copy."""
+    key = str(gram)
+    if key not in _ALGEBRAS:
+        alg = PLAlgebra(EvenLattice(gram))
+        alg.multiplication_table()
+        alg.bracket_table()
+        _ALGEBRAS[key] = alg
+    return _ALGEBRAS[key]
+
+
+def tampered(seed: int) -> PLAlgebra:
+    """A copy of a small algebra with one to three seeded edits of its
+    tables: a sign flip, an added term or a dropped row, in one order of
+    the pair (non-commutative or non-skew) or in both (commutativity or
+    skew kept)."""
+    rng = random.Random(seed)
+    alg = copy.copy(algebra(TAMPER_GRAMS[seed % len(TAMPER_GRAMS)]))
+    tables = {"mult": {k: dict(v) for k, v in alg.multiplication_table().items()},
+              "br": {k: dict(v) for k, v in alg.bracket_table().items()}}
+    n = alg.dim
+    for _ in range(rng.randint(1, 3)):
+        name = rng.choice(("mult", "br"))
+        table = tables[name]
+        kind = rng.choice(("flip", "add", "drop"))
+        if kind == "flip":
+            i, j = rng.choice([pair for pair, vec in table.items() if vec])
+            k = rng.choice(sorted(table[(i, j)]))
+            delta = {k: -2 * table[(i, j)][k]}
+        else:
+            i, j = rng.randrange(n), rng.randrange(n)
+            delta = ({rng.randrange(n): rng.choice((1, -1, 2, Fraction(1, 2)))} if kind == "add"
+                     else {k: -c for k, c in table[(i, j)].items()})
+        add_into(table[(i, j)], delta)
+        if i != j and rng.random() < 0.5:
+            add_into(table[(j, i)], delta, -1 if name == "br" else 1)
+    alg._mult_table = tables["mult"]
+    alg._bracket_table = tables["br"]
+    return alg
+
+
+class TestVerifyAxiomsOracle:
+    @pytest.mark.parametrize("gram", ORACLE_GRAMS, ids=str)
+    def test_matches_dense_loop(self, gram):
+        alg = algebra(gram)
+        assert alg.verify_axioms() == dense_verify_axioms(alg) == []
+
+    @pytest.mark.parametrize("seed", TAMPER_SEEDS)
+    def test_matches_dense_loop_on_tampered_tables(self, seed):
+        alg = tampered(seed)
+        assert alg.verify_axioms() == dense_verify_axioms(alg)
+
+    def test_tampered_tables_reach_every_identity_and_the_cut(self):
+        kinds, lengths = set(), set()
+        for seed in TAMPER_SEEDS:
+            problems = tampered(seed).verify_axioms()
+            kinds.update(p.split(" fails")[0] for p in problems)
+            lengths.add(len(problems))
+        assert kinds == {"commutativity", "skew", "associativity", "Leibniz", "Jacobi"}
+        assert 0 in lengths and max(lengths) >= 10
+        assert any(0 < length < 10 for length in lengths)
+
+    def test_ten_pair_problems_leave_only_the_first_triple(self):
+        alg = copy.copy(algebra(A2))
+        mult = dict(alg.multiplication_table())
+        br = dict(alg.bracket_table())
+        for j in range(1, 11):
+            mult[(0, j)] = {}  # e_0 is the unit; e_j e_0 stays e_j
+        br[(0, 0)] = {0: 1}  # skew fails at (0,0), Leibniz and Jacobi at (0,0,0)
+        alg._mult_table, alg._bracket_table = mult, br
+        problems = alg.verify_axioms()
+        assert problems == dense_verify_axioms(alg)
+        pairs = [p for p in problems if p.count(",") == 1]
+        assert len(pairs) >= 10
+        assert problems[len(pairs):] == ["Leibniz fails at (0,0,0)", "Jacobi fails at (0,0,0)"]

@@ -23,7 +23,7 @@ from vlie.formal_calc import (
     swap_side,
 )
 from vlie.lie_core import BilinearForm, check_invariance, check_lie_axioms
-from vlie.linalg import Echelon, add_into, bilinear, clean, det, inverse, nullspace
+from vlie.linalg import Echelon, add_into, bilinear, clean, compose, det, inverse, nullspace
 from vlie.poisson_c2 import VPDiffAlgebra
 from vlie.vertex_lie import CommAlgebra
 
@@ -329,6 +329,26 @@ def test_bilinear_matches_sympy(table, u, v):
     got = bilinear(table, clean(u), clean(v))
     assert_exact_types(got)
     assert sym(got) == sym_clean(want)
+
+
+sparse_tables = st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 4)), mixed_sparse,
+                                max_size=8)
+
+
+@PROPERTY
+@given(sparse_tables, sparse_tables, st.sampled_from((0, 1)))
+def test_compose_matches_bilinear(inner, outer, slot):
+    outer = {pair: clean(entry) for pair, entry in outer.items()}
+    got = compose(inner, outer, slot)
+    want = {}
+    for key, u in inner.items():
+        for c in range(5):
+            vec = bilinear(outer, u, {c: 1}) if slot == 0 else bilinear(outer, {c: 1}, u)
+            if vec:
+                want[(key, c)] = vec
+    for vec in got.values():
+        assert_exact_types(vec)
+    assert got == want
 
 
 @PROPERTY
