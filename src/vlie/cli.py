@@ -414,6 +414,9 @@ def cmd_borcherds(args) -> int:
         b = parse_state_json(module, args.b)
     else:
         b = module.generator_state(structure.u_prime_names[-1])
+    if not a or not b:
+        # a zero state satisfies the identity trivially and checks nothing
+        raise ConfigError("--a and --b must be nonzero states")
     problems = module.borcherds_check(a, b, window=args.window, degree=args.depth)
     report = Report("borcherds-check", _echo_config(args), args.seed, args.timing)
     report.checks.append(

@@ -35,10 +35,6 @@ def state_scale(a: State, c) -> State:
     return add_into({}, a, rat(c))
 
 
-def state_eq(a: State, b: State) -> bool:
-    return clean(a) == clean(b)
-
-
 class VacuumModule:
     """Induced module over the negative modes, with optional central character.
 
@@ -273,10 +269,11 @@ class VacuumModule:
     def mode_of_state(self, a: State, n: int, b: State) -> State:
         """a_n b where Y(a, x) = sum a_n x^{-n-1}.
 
-        Base cases: vacuum modes are delta_{n,-1} id, and (u(-1)1)_n acts as
-        u(n).  For a headed by u(-k-1) the iterate expansion applies, with
-        both sums truncated by degree bounds, so a graded module is
-        required.
+        Base cases: vacuum modes are delta_{n,-1} id, and a single creator
+        state u(-k-1)1 has the derivative modes binom(k-n-1, k) u(n-k), from
+        Y(u(-k-1)1, x) = d^k/dx^k Y(u, x) / k!.  A longer monomial headed by
+        u(-k-1) goes through the iterate expansion, with both sums truncated
+        by degree bounds, so a graded module is required.
         """
         self.require_graded("mode_of_state")
         return self._mode_of_states(clean(a), n, clean(b))
@@ -302,6 +299,15 @@ class VacuumModule:
         if cls == 0:
             raise ValueError("central creators are scalars here; use a quotient module")
         k = -hn - 1  # head is u(-k-1), k >= 0
+        if not tail:
+            # Y(u(-k-1)1, x) = d^k/dx^k Y(u, x) / k!, so
+            # (u(-k-1)1)_n = binom(k-n-1, k) u(n-k); u is a unit vector of
+            # the complement, so its mode is the one symbol (n-k, 1, idx)
+            result = state_scale(
+                self._act_key((n - k, 1, idx), b_mono), gen_binomial(k - n - 1, k)
+            )
+            self._mode_memo[key] = result
+            return result
         deg_tail = self.monomial_degree(tail)
         # b_mono is homogeneous, so its degree gives the exact cutoffs
         deg_b = self.monomial_degree(b_mono)
@@ -352,12 +358,6 @@ class VacuumModule:
                 out[i] = v
         return out
 
-    def lie_admissible_bracket(self, a: State, b: State) -> State:
-        """a_{-1} b - b_{-1} a."""
-        return state_add(
-            self.mode_of_state(a, -1, b), self.mode_of_state(b, -1, a), -1
-        )
-
     def borcherds_check(self, a: State, b: State, window: int, degree: int) -> list[str]:
         """Verify [a_m, b_n] = sum_i binom(m,i) (a_i b)_{m+n-i} on all basis
         states of degree <= ``degree``, for |m|, |n| <= ``window``."""
@@ -367,14 +367,15 @@ class VacuumModule:
         problems = []
         states = self.basis_states_upto(degree)
         # a, b, the basis states and every memo result are clean, so the
-        # loop calls the unchecked bilinear sum and compares with ==
+        # loop calls the unchecked bilinear sum and compares with ==; b_n s
+        # and a_m s are computed once, outside the loops they do not depend on
         mode = self._mode_of_states
+        b_n = {n: [mode(b, n, s) for s in states] for n in range(-window, window + 1)}
         for m in range(-window, window + 1):
+            a_m = [mode(a, m, s) for s in states]
             for n in range(-window, window + 1):
-                for s in states:
-                    bs = mode(b, n, s)
+                for s, bs, as_ in zip(states, b_n[n], a_m):
                     lhs = mode(a, m, bs) if bs else {}
-                    as_ = mode(a, m, s)
                     if as_:
                         lhs = state_add(lhs, mode(b, n, as_), -1)
                     rhs: State = {}

@@ -22,14 +22,14 @@ from vlie.formal_calc import (
 )
 from vlie.lattice_c2 import EvenLattice, bk_compare, build_pl_algebra, detect_indefinite
 from vlie.lie_core import BilinearForm, SymPoly, sl2, sl2_form, sym_poisson
-from vlie.linalg import add_into
+from vlie.linalg import add_into, clean
 from vlie.poisson_c2 import (
     p2_structure,
     pvpa_quotient,
     ultra_poisson_of_lie,
     verify_p2_iso,
 )
-from vlie.vacuum_module import VacuumModule, state_add, state_eq, state_scale
+from vlie.vacuum_module import VacuumModule, state_add, state_scale
 from vlie.vertex_lie import (
     CommAlgebra,
     VLStructure,
@@ -131,7 +131,7 @@ def test_criterion_3_virasoro_brackets():
                     rhs = state_scale(module.act("omega", mp + np_ + 1, st), mp - np_)
                     if scalar:
                         rhs = state_add(rhs, st, scalar)
-                    assert state_eq(lhs, rhs), (mp, np_)
+                    assert clean(lhs) == clean(rhs), (mp, np_)
 
 
 def test_criterion_4_jacobi_windows():
@@ -222,7 +222,8 @@ def test_criterion_5_characters():
 
 
 def test_criterion_6_borcherds_commutator():
-    with criterion("6 commutator identity, degree <= 6, |m|,|n| <= 3, two modules"):
+    with criterion("6 commutator identity, degree <= 6, |m|,|n| <= 3, two modules, < 3 s"):
+        t0 = time.monotonic()
         vir = VacuumModule(virasoro(), {"c": Fraction(1, 2)})
         w = vir.generator_state("omega")
         assert vir.borcherds_check(w, w, window=3, degree=6) == []
@@ -230,6 +231,8 @@ def test_criterion_6_borcherds_commutator():
         e = aff.generator_state("e")
         f = aff.generator_state("f")
         assert aff.borcherds_check(e, f, window=3, degree=6) == []
+        elapsed = time.monotonic() - t0
+        assert elapsed < 3.0, f"took {elapsed:.2f} s"
 
 
 def test_criterion_7_p2_structures():

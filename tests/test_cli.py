@@ -165,6 +165,12 @@ class TestErrorPaths:
         (("lattice", "poisson", "--gram", "[]"), "config error: bad Gram matrix: "),
         (("lattice", "p2", "--gram", "[]"), "config error: bad Gram matrix: "),
         (("lattice", "c2-set", "--gram", "[]"), "config error: bad Gram matrix: "),
+        (("borcherds-check", "--builder", "affine-sl2", "--lambda", "c=1", "--a", "[]"),
+         "config error: --a and --b must be nonzero states"),
+        (("borcherds-check", "--builder", "affine-sl2", "--lambda", "c=1", "--b", "[]"),
+         "config error: --a and --b must be nonzero states"),
+        (("borcherds-check", "--builder", "virasoro", "--lambda", "c=1/2",
+          "--a", '[[[["omega", -1]], "0"]]'), "config error: --a and --b must be nonzero states"),
     ])
     def test_bad_input_exits_2(self, capsys, argv, message):
         code, _, err = run(capsys, *argv)

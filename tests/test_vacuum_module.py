@@ -1,13 +1,59 @@
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
 from vlie.config import build_structure
-from vlie.linalg import add_into
+from vlie.formal_calc import gen_binomial
+from vlie.linalg import add_into, clean
 from vlie.lie_core import sl2, sl2_form
-from vlie.vacuum_module import VacuumModule, state_add, state_eq, state_scale
+from vlie.vacuum_module import VacuumModule, state_add, state_scale
 from vlie.vertex_lie import VLStructure, affine, heisenberg, loop, virasoro
+
+
+def state_eq(a, b) -> bool:
+    return clean(a) == clean(b)
+
+
+def lie_admissible_bracket(module, a, b):
+    """a_{-1} b - b_{-1} a."""
+    return state_add(
+        module.mode_of_state(a, -1, b), module.mode_of_state(b, -1, a), -1
+    )
+
+
+def iterate_mode(module, mono, n, b_mono, memo):
+    """(mono 1)_n b_mono by the iterate expansion alone, single creators
+    included: the oracle of the closed form in ``mode_of_state``.
+
+    For mono = u(-k-1) tail, with both sums cut by degree bounds,
+    a_n b = sum_i binom(-k-1, i) (-1)^i u(-k-1-i) tail_{n+i} b
+          - sum_i binom(-k-1, i) (-1)^(k+1+i) tail_{n-k-1-i} u(i) b.
+    """
+    if not mono:
+        return {b_mono: 1} if n == -1 else {}
+    key = (mono, n, b_mono)
+    if key in memo:
+        return memo[key]
+    (hn, _, idx), tail = mono[0], mono[1:]
+    k = -hn - 1
+    name = module.structure.u_prime_names[idx]
+    deg_b = module.monomial_degree(b_mono)
+    bound_first = module.monomial_degree(tail) + deg_b - n - 1
+    bound_second = module.structure.degree_of(name) + deg_b - 1
+    result = {}
+    for i in range(max(bound_first, bound_second) + 1):
+        coeff = gen_binomial(-k - 1, i)
+        if i <= bound_first:
+            inner = iterate_mode(module, tail, n + i, b_mono, memo)
+            add_into(result, module.act(name, -k - 1 - i, inner), coeff * (-1) ** i)
+        if i <= bound_second:
+            for ub_mono, c in module.act(name, i, {b_mono: 1}).items():
+                inner = iterate_mode(module, tail, n - k - 1 - i, ub_mono, memo)
+                add_into(result, inner, -coeff * (-1) ** (k + 1 + i) * c)
+    memo[key] = result
+    return result
 
 
 @pytest.fixture(scope="module")
@@ -171,17 +217,34 @@ class TestModeOfState:
         direct = aff.act("e", 0, f)
         assert state_eq(out, direct)
 
-    def test_translate_identity_oracle(self, vir_half, aff):
-        # (u(-2)1)_n b = -n * u(n-1) b, the mode form of translation
-        # covariance; an oracle independent of the general recursion
-        for module, name in ((vir_half, "omega"), (aff, "e")):
-            a = module.state([([(name, -2)], 1)])
-            for b in module.basis_states_upto(4)[:8]:
+    @pytest.mark.parametrize("builder", SUITE_BUILDERS)
+    def test_closed_form_matches_iterate_oracle(self, builder):
+        # every pair of basis states up to degree 3, n in [-3, 3]: single
+        # creators take the derivative formula, the oracle the expansion
+        module = VacuumModule(build_structure(builder))
+        monos = [m for d in range(4) for m in module.basis_monomials(d)]
+        memo = {}
+        for a in monos:
+            for b in monos:
                 for n in range(-3, 4):
-                    got = module.mode_of_state(a, n, b)
-                    want = state_scale(module.act(name, n - 1, b), -n)
-                    assert state_eq(got, want), (name, n)
+                    got = module.mode_of_state({a: 1}, n, {b: 1})
+                    assert got == iterate_mode(module, a, n, b, memo), (a, n, b)
 
+    def test_translate_identity_oracle(self, vir_half, aff):
+        # (u(-2)1)_n = -n u(n-1) and (u(-3)1)_n = binom(1-n, 2) u(n-2), the
+        # mode form of translation covariance, with the coefficients for
+        # n = -3..3 worked out by hand
+        by_hand = {
+            (-2, 1): (3, 2, 1, 0, -1, -2, -3),
+            (-3, 2): (6, 3, 1, 0, 0, 1, 3),
+        }
+        for module, name in ((vir_half, "omega"), (aff, "e")):
+            for (mode, k), coeffs in by_hand.items():
+                a = module.state([([(name, mode)], 1)])
+                for b in module.basis_states_upto(4)[:8]:
+                    for n, c in zip(range(-3, 4), coeffs):
+                        want = state_scale(module.act(name, n - k, b), c)
+                        assert module.mode_of_state(a, n, b) == want, (name, mode, n)
 
     def test_mixed_state_is_sum_over_monomials(self, vir_half, aff):
         # the memo is keyed by monomials of b and shared across states, so a
@@ -239,14 +302,14 @@ class TestBorcherds:
 class TestLieAdmissible:
     def test_bracket_with_vacuum_vanishes(self, vir_half):
         for a in vir_half.basis_states_upto(4):
-            assert vir_half.lie_admissible_bracket(a, vir_half.vacuum()) == {}
+            assert lie_admissible_bracket(vir_half, a, vir_half.vacuum()) == {}
 
     def test_antisymmetry(self, vir_half):
         states = vir_half.basis_states_upto(5)
         for a in states:
             for b in states:
-                lhs = vir_half.lie_admissible_bracket(a, b)
-                rhs = vir_half.lie_admissible_bracket(b, a)
+                lhs = lie_admissible_bracket(vir_half, a, b)
+                rhs = lie_admissible_bracket(vir_half, b, a)
                 assert state_eq(lhs, state_scale(rhs, -1))
 
     def test_jacobi_on_samples(self, vir_half):
@@ -254,7 +317,7 @@ class TestLieAdmissible:
         pool = vir_half.basis_states_upto(6)
         for _ in range(6):
             a, b, c = (rng.choice(pool) for _ in range(3))
-            br = vir_half.lie_admissible_bracket
+            br = partial(lie_admissible_bracket, vir_half)
             acc = state_add(br(a, br(b, c)), br(b, br(c, a)))
             acc = state_add(acc, br(c, br(a, b)))
             assert acc == {}, (a, b, c)
