@@ -712,10 +712,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    # built on the first request and reused: a request's parse leaves no
+    # state in the parser, and building it is a share of a short request
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

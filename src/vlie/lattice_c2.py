@@ -11,13 +11,15 @@ modulo powers of the linear forms attached to the relations.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
+import operator
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 
 from .formal_calc import format_terms
-from .linalg import Echelon, add_into, clean, compose, det, inverse
+from .linalg import Echelon, add_into, bilinear, clean, compose, det, inverse
 
 Vec = tuple[int, ...]
 
@@ -72,24 +74,60 @@ class EvenLattice:
                 k = k * x.denominator // math.gcd(k, x.denominator)
         return k
 
-    def vectors_with_norm_at_most(self, bound: int) -> list[Vec]:
-        """All lattice vectors of norm <= bound (positive definite only)."""
+    def ldl(self) -> tuple[list[Fraction], list[list[Fraction]]]:
+        """G = L D L^T exactly, with L unit lower triangular: returns (D, L),
+        so that norm(x) = sum_i D_i (x_i + sum_{j>i} L_ji x_j)^2."""
+        g, r = self.gram, self.rank
+        d: list[Fraction] = []
+        low = [[Fraction(int(i == j)) for j in range(r)] for i in range(r)]
+        for j in range(r):
+            d.append(Fraction(g[j][j]) - sum(low[j][k] ** 2 * d[k] for k in range(j)))
+            for i in range(j + 1, r):
+                low[i][j] = (g[i][j] - sum(low[i][k] * low[j][k] * d[k]
+                                           for k in range(j))) / d[j]
+        return d, low
+
+    def short_vectors(self, bound: int) -> list[tuple[int, Vec]]:
+        """(norm, v) for every lattice vector v of norm <= bound, sorted.
+
+        This is the enumeration of Fincke and Pohst, "Improved methods for
+        calculating vectors of short length in a lattice" (1985), on the
+        exact LDL^T: coordinates are fixed from the last to the first, and
+        x_i ranges over the integers with D_i (x_i - c_i)^2 at most what the
+        coordinates above i leave of the bound, c_i being the centre they
+        set.  Positive definite lattices only.
+        """
         if not self.is_positive_definite():
             raise ValueError("short-vector enumeration needs positive definiteness")
-        inv = self.inverse_gram()
-        boxes = []
-        for i in range(self.rank):
-            # |b_i| = |<v, dual_i>| <= sqrt(norm * (G^-1)_ii)
-            limit_sq = Fraction(bound) * inv[i][i]
-            lim = int(math.isqrt(int(limit_sq))) + 1
-            while Fraction(lim * lim) > limit_sq:
-                lim -= 1
-            boxes.append(range(-lim, lim + 1))
-        out = []
-        for v in itertools.product(*boxes):
-            if self.norm(v) <= bound:
-                out.append(v)
+        d, low = self.ldl()
+        r = self.rank
+        x = [0] * r
+        out: list[tuple[int, Vec]] = []
+
+        def fix(i: int, budget: Fraction):
+            centre = -sum(low[j][i] * x[j] for j in range(i + 1, r))
+            radius = budget / d[i]  # (x_i - centre)^2 <= radius
+            v = math.floor(centre) - math.isqrt(math.floor(radius)) - 1
+            while v < centre and (v - centre) ** 2 > radius:
+                v += 1
+            while (v - centre) ** 2 <= radius:
+                x[i] = v
+                left = budget - d[i] * (v - centre) ** 2
+                if i:
+                    fix(i - 1, left)
+                else:
+                    out.append((int(bound - left), tuple(x)))
+                v += 1
+
+        if bound >= 0:
+            fix(r - 1, Fraction(bound))
+        out.sort()
         return out
+
+    def vectors_with_norm_at_most(self, bound: int) -> list[Vec]:
+        """All lattice vectors of norm <= bound, by increasing norm
+        (positive definite only)."""
+        return [v for _, v in self.short_vectors(bound)]
 
 
 def negative_norm_witness(lattice: EvenLattice, radius: int = 6) -> Vec | None:
@@ -157,12 +195,16 @@ def detect_indefinite(lattice: EvenLattice) -> dict:
 
 
 def enumerate_c2(lattice: EvenLattice) -> list[Vec]:
-    """The finite set {alpha : <alpha - beta, beta> <= 0 for all beta}.
+    """The finite set {alpha : <alpha - beta, beta> <= 0 for all beta}, in
+    lexicographic order.
 
     Candidates range over the dual-coordinate box |a_i| <= k (G^-1)_ii with
-    k the dual exponent; each candidate is tested against the finitely many
-    beta of norm up to |alpha|^2 (a violating beta is strictly shorter than
-    alpha by Cauchy-Schwarz).
+    k the dual exponent.  A violating beta has |beta|^2 < <alpha, beta> <=
+    |alpha| |beta| (Cauchy-Schwarz), so it is strictly shorter than alpha.
+    The vectors shorter than the longest candidate are enumerated once
+    (``EvenLattice.short_vectors``), and each candidate is tested against
+    those strictly shorter than itself, starting with the vector that
+    killed the last candidate to die.
     """
     if not lattice.is_positive_definite():
         raise ValueError("the survivor set needs a positive definite lattice")
@@ -173,17 +215,24 @@ def enumerate_c2(lattice: EvenLattice) -> list[Vec]:
         lim_f = Fraction(k) * inv[i][i]
         lim = int(lim_f)  # k * (G^-1)_ii is a nonnegative integer here
         boxes.append(range(-lim, lim + 1))
-    out = []
+    candidates = []  # (alpha, G alpha, |alpha|^2)
     for alpha in itertools.product(*boxes):
-        norm_a = lattice.norm(alpha)
-        ok = True
-        for beta in lattice.vectors_with_norm_at_most(norm_a):
-            if lattice.pair(alpha, beta) - lattice.norm(beta) > 0:
-                ok = False
+        g_alpha = [sum(map(operator.mul, row, alpha)) for row in lattice.gram]
+        candidates.append((alpha, g_alpha, sum(map(operator.mul, alpha, g_alpha))))
+    short = lattice.short_vectors(max(norm for _, _, norm in candidates) - 1)
+    norms = [norm for norm, _ in short]
+    killer = None
+    out = []
+    for alpha, g_alpha, norm_a in candidates:
+        if killer is not None and sum(map(operator.mul, g_alpha, killer[1])) > killer[0]:
+            continue
+        for norm_b, beta in itertools.islice(short, bisect.bisect_left(norms, norm_a)):
+            if sum(map(operator.mul, g_alpha, beta)) > norm_b:
+                killer = (norm_b, beta)
                 break
-        if ok:
+        else:
             out.append(alpha)
-    return sorted(out)
+    return out
 
 
 class Cocycle:
@@ -362,6 +411,22 @@ class PLAlgebra:
                 for mono in reducer.basis(d):
                     self.basis.append((sector, mono))
         self.index = {key: i for i, key in enumerate(self.basis)}
+        # basis index of Z_t m -> (index of Z_t, index of m), for every basis
+        # key of positive degree but the Z_t themselves; the tables are read
+        # off through it
+        self._divisor: dict[int, tuple[int, int]] = {}
+        for i, (sector, mono) in enumerate(self.basis):
+            for t, e in enumerate(mono):
+                if not e:
+                    continue
+                z = self.index.get(((), tuple(int(s == t) for s in range(r))))
+                m = self.index.get((sector, mono[:t] + (e - 1,) + mono[t + 1:]))
+                if z is None or m is None:
+                    raise AssertionError(
+                        f"basis key {self.format_key((sector, mono))} divided by Z{t + 1} "
+                        "is not a basis key (implementation bug)")
+                if z != i:
+                    self._divisor.setdefault(i, (z, m))
         self._mult_table: dict | None = None
         self._bracket_table: dict | None = None
         self._gen_elements: dict[tuple, dict] = {}
@@ -512,25 +577,56 @@ class PLAlgebra:
 
         Keys and entries are basis indices: ``self.basis[i]`` is the
         ``(sector, monomial)`` key of index i and ``self.index`` the inverse.
-        Both orders (i, j) and (j, i) are computed, so that ``verify_axioms``
-        tests commutativity instead of assuming it.
+
+        Each sector's basis is the complement of the pivots of an echelon
+        that pivots on the largest monomial and spans the power ideal
+        completely in each degree: the standard monomials of a monomial
+        order, a set closed under division (the constructor checks it).  So
+        every basis key of positive degree is Z_t m with m a basis key of
+        lower degree, and its row is Z_t times the row of m:
+        T[Z_t m, n] = sum_k T[m, n][k] T[Z_t, k].  Only the rows of the
+        generators (the unit, the Z_t and the X_beta) call ``multiply``.
+        The rows are built by index, so both orders (i, j) and (j, i) are
+        computed, each by its own recursion, and ``verify_axioms`` tests
+        commutativity instead of assuming it.
         """
         if self._mult_table is None:
-            self._mult_table = self._table(self.multiply)
+            self._mult_table = self._table(self.multiply, lambda table, z, m, j:
+                                           bilinear(table, {z: 1}, table[(m, j)]))
         return self._mult_table
 
     def bracket_table(self) -> dict:
         """Structure constants {(i, j): {k: c}} of the bracket, built once,
-        over basis indices as in ``multiplication_table``; both orders are
-        computed, so that ``verify_axioms`` tests skew-symmetry."""
+        over basis indices as in ``multiplication_table``.
+
+        With basis keys closed under division as argued there, the rows of
+        the keys of positive degree follow from the Leibniz rule,
+        B[Z_t m, n] = sum_k B[m, n][k] T[Z_t, k] + sum_k B[Z_t, n][k] T[m, k],
+        out of rows of lower degree and the product table; only the
+        generator rows call ``bracket``.  Both orders are computed, each by
+        its own recursion, so that ``verify_axioms`` tests skew-symmetry.
+        """
         if self._bracket_table is None:
-            self._bracket_table = self._table(self.bracket)
+            mult = self.multiplication_table()
+            self._bracket_table = self._table(self.bracket, lambda table, z, m, j: add_into(
+                bilinear(mult, {z: 1}, table[(m, j)]), bilinear(mult, {m: 1}, table[(z, j)])))
         return self._bracket_table
 
-    def _table(self, op) -> dict:
+    def _table(self, op, derived) -> dict:
+        """Rows by index: a generator's row through ``op`` on basis keys,
+        the row of every other key Z_t m through ``derived(table, z, m, j)``
+        from the rows built before it, z being the index of Z_t."""
         index, basis = self.index, self.basis
-        return {(i, j): {index[key]: c for key, c in op({ka: 1}, {kb: 1}).items()}
-                for i, ka in enumerate(basis) for j, kb in enumerate(basis)}
+        table: dict = {}
+        for i, key in enumerate(basis):
+            if i in self._divisor:
+                z, m = self._divisor[i]
+                for j in range(self.dim):
+                    table[(i, j)] = derived(table, z, m, j)
+            else:
+                for j, other in enumerate(basis):
+                    table[(i, j)] = {index[k]: c for k, c in op({key: 1}, {other: 1}).items()}
+        return table
 
     def verify_axioms(self) -> list[str]:
         """Exhaustive commutativity, skew, associativity, Leibniz and Jacobi
@@ -643,33 +739,6 @@ def poisson_table(alg: PLAlgebra) -> dict:
     if problems:
         raise AssertionError("Poisson axioms fail: " + "; ".join(problems[:3]))
     return alg.bracket_table()
-
-
-def relation_consistency_problems(alg: PLAlgebra) -> list[str]:
-    """Commutativity of the class product against the two reduction routes:
-    eps(a,b) Z_a^m X_{a+b} must equal eps(b,a) Z_b^m X_{a+b} with
-    m = -<a,b>, using that the target class is killed by its own line."""
-    if alg.zero_algebra:
-        return []
-    problems = []
-    lat = alg.lattice
-    for alpha in alg.nonzero_c2:
-        for beta in alg.nonzero_c2:
-            target = tuple(x + y for x, y in zip(alpha, beta))
-            if not any(target) or target not in alg.sectors:
-                continue
-            m = -lat.pair(alpha, beta)
-            if m < 0:
-                continue
-            pa = alg._power_of_linear(alpha, m)
-            pb = alg._power_of_linear(beta, m)
-            ea = alg.eps.value(alpha, beta)
-            eb = alg.eps.value(beta, alpha)
-            lhs = alg.reduce({(target, mono): c * ea for mono, c in pa.items()})
-            rhs = alg.reduce({(target, mono): c * eb for mono, c in pb.items()})
-            if lhs != rhs:
-                problems.append(f"relation consistency fails at {alpha}, {beta}")
-    return problems
 
 
 # ---------------------------------------------------------------------------

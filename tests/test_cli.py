@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -266,3 +270,33 @@ class TestConfigFile:
         )
         assert code == 2
         assert "d.matrix" in err
+
+
+def fresh_process(*argv):
+    """Exit code, stdout and stderr of the request in a new interpreter."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-m", "vlie.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    return done.returncode, done.stdout, done.stderr
+
+
+class TestParserReuse:
+    """``main`` builds its parser once and reuses it for every request."""
+
+    def test_lambda_default_does_not_accumulate(self, capsys):
+        with_lambda = ("character", "--builder", "virasoro", "--lambda", "c=1/2", "--depth", "3")
+        first = run(capsys, *with_lambda)
+        assert first[0] == 0
+        assert run(capsys, *with_lambda) == first
+        # an append default that kept c=1/2 would let the bare request pass
+        bare = ("character", "--builder", "virasoro", "--depth", "3")
+        assert run(capsys, *bare) == fresh_process(*bare)
+
+    def test_parse_error_leaves_no_trace(self, capsys):
+        code, _, err = run(capsys, "lattice", "poisson", "--gram")
+        assert code == 2
+        assert "expected one argument" in err
+        request = ("lattice", "poisson", "--gram", "[[4]]", "--format", "json")
+        assert run(capsys, *request) == fresh_process(*request)

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -10,6 +11,7 @@ from vlie.lattice_c2 import (
     Cocycle,
     EvenLattice,
     PLAlgebra,
+    PowerIdealReducer,
     bk_compare,
     build_cocycle,
     build_pl_algebra,
@@ -17,11 +19,37 @@ from vlie.lattice_c2 import (
     enumerate_c2,
     negative_norm_witness,
     poisson_table,
-    relation_consistency_problems,
 )
 from vlie.linalg import add_into, bilinear
 
 A2 = [[2, -1], [-1, 2]]
+
+
+def relation_consistency_problems(alg: PLAlgebra) -> list[str]:
+    """Commutativity of the class product against the two reduction routes:
+    eps(a,b) Z_a^m X_{a+b} must equal eps(b,a) Z_b^m X_{a+b} with
+    m = -<a,b>, using that the target class is killed by its own line."""
+    if alg.zero_algebra:
+        return []
+    problems = []
+    lat = alg.lattice
+    for alpha in alg.nonzero_c2:
+        for beta in alg.nonzero_c2:
+            target = tuple(x + y for x, y in zip(alpha, beta))
+            if not any(target) or target not in alg.sectors:
+                continue
+            m = -lat.pair(alpha, beta)
+            if m < 0:
+                continue
+            pa = alg._power_of_linear(alpha, m)
+            pb = alg._power_of_linear(beta, m)
+            ea = alg.eps.value(alpha, beta)
+            eb = alg.eps.value(beta, alpha)
+            lhs = alg.reduce({(target, mono): c * ea for mono, c in pa.items()})
+            rhs = alg.reduce({(target, mono): c * eb for mono, c in pb.items()})
+            if lhs != rhs:
+                problems.append(f"relation consistency fails at {alpha}, {beta}")
+    return problems
 
 
 class TestEvenLattice:
@@ -314,8 +342,17 @@ def dense_verify_axioms(alg):
     return problems
 
 
-# the four bases of dimension 29 that the lattice-poisson benchmark draws from
-DIM29 = [[[2, 1], [1, 4]], [[2, -1], [-1, 4]], [[4, 1], [1, 2]], [[4, -1], [-1, 2]]]
+# the rank-2 Grams of the lattice-poisson benchmark (perfbench/workloads.py),
+# isometric bases grouped by the dimension of their algebra; it draws its
+# dimension-29 Gram from the four bases of dimension 29
+RANK2_BY_DIM = {
+    19: [[[2, -1], [-1, 2]], [[2, 1], [1, 2]]],
+    25: [[[2, 0], [0, 2]], [[2, 2], [2, 4]], [[2, -2], [-2, 4]]],
+    29: [[[2, 1], [1, 4]], [[2, -1], [-1, 4]], [[4, 1], [1, 2]], [[4, -1], [-1, 2]]],
+    35: [[[2, 0], [0, 4]], [[2, 2], [2, 6]], [[2, -2], [-2, 6]], [[4, 4], [4, 6]]],
+    37: [[[4, 2], [2, 4]], [[4, -2], [-2, 4]]],
+}
+DIM29 = RANK2_BY_DIM[29]
 ORACLE_GRAMS = [[[2 * k]] for k in range(1, 8)] + [A2, [[2, 0], [0, 2]]] + DIM29
 TAMPER_GRAMS = [[[2]], [[4]], [[6]], A2]
 TAMPER_SEEDS = range(60)
@@ -398,3 +435,132 @@ class TestVerifyAxiomsOracle:
         pairs = [p for p in problems if p.count(",") == 1]
         assert len(pairs) >= 10
         assert problems[len(pairs):] == ["Leibniz fails at (0,0,0)", "Jacobi fails at (0,0,0)"]
+
+
+# ---------------------------------------------------------------------------
+# the recursive tables and the Fincke-Pohst survivor set against their oracles
+# ---------------------------------------------------------------------------
+
+A3 = [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
+A1_CUBED = [[2, 0, 0], [0, 2, 0], [0, 0, 2]]
+SKEWED = [[4, 1], [1, 6]]
+TABLE_GRAMS = [[[2 * k]] for k in range(1, 8)] + [A2, [[2, 0], [0, 2]]] + DIM29 + [SKEWED, A3]
+SURVIVOR_GRAMS = ([g for grams in RANK2_BY_DIM.values() for g in grams]
+                  + [[[2 * k]] for k in range(1, 8)] + [SKEWED, A3, A1_CUBED])
+
+
+def dense_table(alg, op) -> dict:
+    """Both orders of every basis pair through ``op`` (``multiply`` or
+    ``bracket``), one call each: the table build before the recursion."""
+    index, basis = alg.index, alg.basis
+    return {(i, j): {index[key]: c for key, c in op({ka: 1}, {kb: 1}).items()}
+            for i, ka in enumerate(basis) for j, kb in enumerate(basis)}
+
+
+def typed(table) -> dict:
+    """The table with each value paired with its type, so that ``==`` also
+    tells an int from an integral Fraction."""
+    return {pair: {k: (type(c), c) for k, c in vec.items()} for pair, vec in table.items()}
+
+
+def box_vectors_with_norm_at_most(lat, bound):
+    """All vectors of norm <= bound, by scanning the box |v_i| <=
+    sqrt(bound (G^-1)_ii): the short-vector search before Fincke-Pohst."""
+    inv = lat.inverse_gram()
+    boxes = []
+    for i in range(lat.rank):
+        limit_sq = Fraction(bound) * inv[i][i]
+        lim = int(math.isqrt(int(limit_sq))) + 1
+        while Fraction(lim * lim) > limit_sq:
+            lim -= 1
+        boxes.append(range(-lim, lim + 1))
+    return [v for v in itertools.product(*boxes) if lat.norm(v) <= bound]
+
+
+def box_enumerate_c2(lat):
+    """The survivor set with one box scan per candidate: the search
+    before Fincke-Pohst."""
+    k = lat.dual_exponent()
+    inv = lat.inverse_gram()
+    boxes = [range(-int(k * inv[i][i]), int(k * inv[i][i]) + 1) for i in range(lat.rank)]
+    out = []
+    for alpha in itertools.product(*boxes):
+        if all(lat.pair(alpha, beta) - lat.norm(beta) <= 0
+               for beta in box_vectors_with_norm_at_most(lat, lat.norm(alpha))):
+            out.append(alpha)
+    return sorted(out)
+
+
+class TestTableOracle:
+    @pytest.mark.parametrize("gram", TABLE_GRAMS, ids=str)
+    def test_recursion_matches_dense_tables(self, gram):
+        alg = algebra(gram)
+        assert typed(alg.multiplication_table()) == typed(dense_table(alg, alg.multiply))
+        assert typed(alg.bracket_table()) == typed(dense_table(alg, alg.bracket))
+
+    def test_only_generator_rows_call_the_operations(self, monkeypatch):
+        alg = PLAlgebra(EvenLattice(A2))
+        generators = ({((), (0, 0)), ((), (1, 0)), ((), (0, 1))}
+                      | {(beta, (0, 0)) for beta in alg.nonzero_c2})
+        for name, build in (("multiply", alg.multiplication_table),
+                            ("bracket", alg.bracket_table)):
+            op, firsts = getattr(alg, name), []
+            monkeypatch.setattr(alg, name, lambda a, b, op=op, firsts=firsts:
+                                firsts.append(next(iter(a))) or op(a, b))
+            build()
+            monkeypatch.undo()
+            assert set(firsts) == generators
+            assert len(firsts) == len(generators) * alg.dim
+
+    @pytest.mark.parametrize("name", ["multiply", "bracket"])
+    def test_each_order_has_its_own_recursion(self, monkeypatch, name):
+        """Doubling the generator pair (X_beta, X_gamma), in that order only,
+        must change exactly the rows (Z^m X_beta, X_gamma), each by
+        Z^m (X_beta . X_gamma) for the product and by Z^m {X_beta, X_gamma}
+        for the bracket (a biderivation); a table that filled (j, i) from
+        (i, j) would leave rows of that order clean."""
+        clean = algebra(A2)
+        beta = clean.nonzero_c2[-1]
+        x_beta, x_gamma = ((b, (0, 0)) for b in (beta, tuple(-c for c in beta)))
+        g = clean.index[x_gamma]
+        table = clean.multiplication_table if name == "multiply" else clean.bracket_table
+        core = {clean.basis[k]: c for k, c in table()[(clean.index[x_beta], g)].items()}
+        alg = PLAlgebra(EvenLattice(A2))
+        op = getattr(alg, name)
+        monkeypatch.setattr(alg, name, lambda a, b: {key: 2 * c for key, c in op(a, b).items()}
+                            if (a, b) == ({x_beta: 1}, {x_gamma: 1}) else op(a, b))
+        twisted = alg.multiplication_table() if name == "multiply" else alg.bracket_table()
+        changed = 0
+        for (i, j), row in table().items():
+            sector, mono = clean.basis[i]
+            want = dict(row)
+            if sector == beta and j == g:
+                delta = clean.multiply(clean.reduce({((), mono): 1}), core)
+                add_into(want, {clean.index[key]: c for key, c in delta.items()})
+                changed += i > g and bool(delta) and any(mono)
+            assert twisted[(i, j)] == want
+        assert changed
+
+    def test_basis_not_closed_under_division_is_a_bug(self, monkeypatch):
+        basis = PowerIdealReducer.basis
+
+        def without_z1(self, degree):
+            return [m for m in basis(self, degree) if m != (1, 0)]
+        monkeypatch.setattr(PowerIdealReducer, "basis", without_z1)
+        with pytest.raises(AssertionError, match="divided by Z1 is not a basis key"):
+            PLAlgebra(EvenLattice(A2))
+
+
+class TestFinckePohstOracle:
+    @pytest.mark.parametrize("gram", [A2, SKEWED, [[4, -2], [-2, 4]], A3, A1_CUBED], ids=str)
+    def test_short_vectors_match_box_scan(self, gram):
+        lat = EvenLattice(gram)
+        assert lat.short_vectors(-1) == []
+        for bound in range(9):
+            want = sorted((lat.norm(v), v) for v in box_vectors_with_norm_at_most(lat, bound))
+            assert lat.short_vectors(bound) == want
+
+    @pytest.mark.parametrize("gram", SURVIVOR_GRAMS, ids=str)
+    def test_survivors_match_box_scan(self, gram):
+        lat = EvenLattice(gram)
+        assert enumerate_c2(lat) == box_enumerate_c2(lat)
