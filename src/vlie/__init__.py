@@ -45,7 +45,6 @@ from .lattice_c2 import (
     build_pl_algebra,
     detect_indefinite,
     enumerate_c2,
-    poisson_table,
 )
 
 __version__ = "0.1.0"

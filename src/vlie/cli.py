@@ -278,7 +278,14 @@ def suite_lattice(report: Report, args):
         lattice = parse_lattice(args.gram)
         info = detect_indefinite(lattice)
         if info["zero_algebra"]:
-            report.run("lattice.degenerate", lambda: [])
+            def zero_algebra():
+                witness = info["witness"]
+                if (witness is None or any(type(c) is not int for c in witness)
+                        or lattice.norm(witness) >= 0):
+                    return [f"{witness} is not an integer vector of negative norm"]
+                return []
+
+            report.run("lattice.zero-algebra", zero_algebra)
             return
         alg = build_pl_algebra(lattice)
         report.run("lattice.axioms", alg.verify_axioms)

@@ -150,9 +150,12 @@ def parse_gram(text: str):
 def parse_lattice(text: str) -> EvenLattice:
     gram = parse_gram(text)
     try:
-        return EvenLattice(gram)
+        lattice = EvenLattice(gram)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad Gram matrix: {exc}") from None
+    if lattice.is_degenerate():
+        raise ConfigError("degenerate Gram matrix is out of scope")
+    return lattice
 
 
 def parse_lambda(pairs: list[str]) -> dict[str, Fraction]:

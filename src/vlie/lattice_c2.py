@@ -124,11 +124,6 @@ class EvenLattice:
         out.sort()
         return out
 
-    def vectors_with_norm_at_most(self, bound: int) -> list[Vec]:
-        """All lattice vectors of norm <= bound, by increasing norm
-        (positive definite only)."""
-        return [v for _, v in self.short_vectors(bound)]
-
 
 def negative_norm_witness(lattice: EvenLattice, radius: int = 6) -> Vec | None:
     """A vector of negative norm: the first one in a coordinate box, else
@@ -429,7 +424,6 @@ class PLAlgebra:
                     self._divisor.setdefault(i, (z, m))
         self._mult_table: dict | None = None
         self._bracket_table: dict | None = None
-        self._gen_elements: dict[tuple, dict] = {}
 
     def _sorted_sectors(self):
         return [((), self.sectors[()])] + [
@@ -470,12 +464,6 @@ class PLAlgebra:
 
     # -- multiplication ----------------------------------------------------------
 
-    def _mono_mul(self, m1: tuple, m2: tuple) -> tuple:
-        return tuple(x + y for x, y in zip(m1, m2))
-
-    def _power_of_linear(self, alpha: Vec, e: int) -> dict[tuple, int]:
-        return power_of_linear(self.lattice.rank, alpha, e)
-
     def multiply(self, a: Mapping, b: Mapping) -> dict:
         if self.zero_algebra:
             return {}
@@ -483,7 +471,7 @@ class PLAlgebra:
         for (s1, m1), c1 in a.items():
             for (s2, m2), c2 in b.items():
                 c = c1 * c2
-                m = self._mono_mul(m1, m2)
+                m = tuple(x + y for x, y in zip(m1, m2))
                 if s1 == () or s2 == ():
                     add_into(out, {(s2 if s1 == () else s1, m): c})
                     continue
@@ -495,26 +483,24 @@ class PLAlgebra:
                 n = -pairing
                 fact = math.factorial(n)
                 sign = self.eps.value(alpha, beta)
-                power = self._power_of_linear(alpha, n)
+                power = power_of_linear(self.lattice.rank, alpha, n)
                 sector = target if any(target) else ()
-                add_into(out, {(sector, self._mono_mul(m, pm)): pc for pm, pc in power.items()},
+                add_into(out, {(sector, tuple(x + y for x, y in zip(m, pm))): pc
+                               for pm, pc in power.items()},
                          c * Fraction(sign, fact))
         return self.reduce(out)
 
     # -- the Poisson bracket --------------------------------------------------------
 
-    def _gen_bracket(self, g1: tuple, g2: tuple) -> dict:
-        """Bracket of generators; generators are ('z', i) or ('x', beta)."""
+    def _gen_bracket(self, a: tuple, b: tuple) -> dict:
+        """Bracket of two generator keys: the unit ((), 0), a Z_t ((), e_t)
+        or an X_beta (beta, 0)."""
         lat = self.lattice
-        if g1[0] == "z" and g2[0] == "z":
-            return {}
-        if g1[0] == "z" and g2[0] == "x":
-            i, beta = g1[1], g2[1]
-            unit = tuple(1 if t == i else 0 for t in range(lat.rank))
-            return clean({(beta, (0,) * lat.rank): lat.pair(unit, beta)})
-        if g1[0] == "x" and g2[0] == "z":
-            return add_into({}, self._gen_bracket(g2, g1), -1)
-        alpha, beta = g1[1], g2[1]
+        (alpha, za), (beta, zb) = a, b
+        if not any(alpha):  # {Z^za, X_beta} = <za, beta> X_beta; 0 for the unit
+            return clean({b: lat.pair(za, beta)}) if any(beta) else {}
+        if not any(beta):
+            return clean({a: -lat.pair(zb, alpha)})
         pairing = lat.pair(alpha, beta)
         if pairing >= 0:
             return {}
@@ -523,52 +509,17 @@ class PLAlgebra:
             return {}
         n = -pairing - 1
         sign = self.eps.value(alpha, beta)
-        power = self._power_of_linear(alpha, n)
+        power = power_of_linear(lat.rank, alpha, n)
         sector = target if any(target) else ()
         scale = Fraction(sign, math.factorial(n))
         return self.reduce({(sector, pm): pc * scale for pm, pc in power.items()})
 
-    def _basis_factors(self, key: tuple) -> list[tuple]:
-        """A basis monomial as a list of generators."""
-        sector, mono = key
-        factors = []
-        for i, e in enumerate(mono):
-            factors.extend([("z", i)] * e)
-        if any(sector):
-            factors.append(("x", sector))
-        return factors
-
     def bracket(self, a: Mapping, b: Mapping) -> dict:
-        """Biderivation extension over basis monomial factors."""
+        """The bracket of two elements, read off ``bracket_table``."""
         if self.zero_algebra:
             return {}
-        out: dict = {}
-        for ka, ca in a.items():
-            for kb, cb in b.items():
-                fa = self._basis_factors(ka)
-                fb = self._basis_factors(kb)
-                for i, gi in enumerate(fa):
-                    rest_a = fa[:i] + fa[i + 1:]
-                    for j, gj in enumerate(fb):
-                        rest_b = fb[:j] + fb[j + 1:]
-                        core = self._gen_bracket(gi, gj)
-                        if not core:
-                            continue
-                        prod = core
-                        for g in rest_a + rest_b:
-                            prod = self.multiply(prod, self._gen_element(g))
-                        add_into(out, prod, ca * cb)
-        return self.reduce(out)
-
-    def _gen_element(self, g: tuple) -> dict:
-        """The reduced element of a generator, built once per algebra and
-        shared, so it must not be mutated; ``z_gen`` and ``x_gen`` return
-        fresh dicts."""
-        element = self._gen_elements.get(g)
-        if element is None:
-            element = self.z_gen(g[1]) if g[0] == "z" else self.x_gen(g[1])
-            self._gen_elements[g] = element
-        return element
+        u, v = ({self.index[k]: c for k, c in self.reduce(x).items()} for x in (a, b))
+        return {self.basis[k]: c for k, c in bilinear(self.bracket_table(), u, v).items()}
 
     # -- tables and verification ------------------------------------------------------
 
@@ -591,41 +542,52 @@ class PLAlgebra:
         commutativity instead of assuming it.
         """
         if self._mult_table is None:
-            self._mult_table = self._table(self.multiply, lambda table, z, m, j:
-                                           bilinear(table, {z: 1}, table[(m, j)]))
+            basis, index = self.basis, self.index
+            self._mult_table = self._table(
+                lambda table, i, j: {index[k]: c for k, c in
+                                     self.multiply({basis[i]: 1}, {basis[j]: 1}).items()},
+                lambda table, z, m, j: bilinear(table, {z: 1}, table[(m, j)]))
         return self._mult_table
 
     def bracket_table(self) -> dict:
         """Structure constants {(i, j): {k: c}} of the bracket, built once,
         over basis indices as in ``multiplication_table``.
 
-        With basis keys closed under division as argued there, the rows of
-        the keys of positive degree follow from the Leibniz rule,
-        B[Z_t m, n] = sum_k B[m, n][k] T[Z_t, k] + sum_k B[Z_t, n][k] T[m, k],
-        out of rows of lower degree and the product table; only the
-        generator rows call ``bracket``.  Both orders are computed, each by
-        its own recursion, so that ``verify_axioms`` tests skew-symmetry.
+        The bracket is a biderivation, so with basis keys closed under
+        division as argued there, the Leibniz rule in either slot,
+        B[Z_t m, n] = sum_k B[m, n][k] T[Z_t, k] + sum_k B[Z_t, n][k] T[m, k]
+        and B[g, Z_t m] = sum_k B[g, Z_t][k] T[k, m] + sum_k B[g, m][k] T[Z_t, k],
+        reads every cell off cells of lower degree and the product table.
+        Only the cells of two generators call ``_gen_bracket``.  Both orders
+        are computed, each by its own recursion, so that ``verify_axioms``
+        tests skew-symmetry.
         """
         if self._bracket_table is None:
-            mult = self.multiplication_table()
-            self._bracket_table = self._table(self.bracket, lambda table, z, m, j: add_into(
+            mult, basis, index, divisor = (self.multiplication_table(), self.basis,
+                                           self.index, self._divisor)
+
+            def generator_cell(table, g, j):
+                if j in divisor:
+                    z, m = divisor[j]
+                    return add_into(bilinear(mult, table[(g, z)], {m: 1}),
+                                    bilinear(mult, {z: 1}, table[(g, m)]))
+                return {index[k]: c for k, c in self._gen_bracket(basis[g], basis[j]).items()}
+
+            self._bracket_table = self._table(generator_cell, lambda table, z, m, j: add_into(
                 bilinear(mult, {z: 1}, table[(m, j)]), bilinear(mult, {m: 1}, table[(z, j)])))
         return self._bracket_table
 
-    def _table(self, op, derived) -> dict:
-        """Rows by index: a generator's row through ``op`` on basis keys,
-        the row of every other key Z_t m through ``derived(table, z, m, j)``
-        from the rows built before it, z being the index of Z_t."""
-        index, basis = self.index, self.basis
+    def _table(self, generator_cell, derived) -> dict:
+        """Rows by index: the cells of a generator's row through
+        ``generator_cell(table, i, j)``, and the row of every other key
+        Z_t m through ``derived(table, z, m, j)`` from the rows built before
+        it, z being the index of Z_t."""
         table: dict = {}
-        for i, key in enumerate(basis):
-            if i in self._divisor:
-                z, m = self._divisor[i]
-                for j in range(self.dim):
-                    table[(i, j)] = derived(table, z, m, j)
-            else:
-                for j, other in enumerate(basis):
-                    table[(i, j)] = {index[k]: c for k, c in op({key: 1}, {other: 1}).items()}
+        for i in range(self.dim):
+            divisor = self._divisor.get(i)
+            for j in range(self.dim):
+                table[(i, j)] = (derived(table, *divisor, j) if divisor
+                                 else generator_cell(table, i, j))
         return table
 
     def verify_axioms(self) -> list[str]:
@@ -721,24 +683,6 @@ def build_pl_algebra(lattice: EvenLattice) -> PLAlgebra:
                 + "; ".join(problems[:3])
             )
     return alg
-
-
-def poisson_table(alg: PLAlgebra) -> dict:
-    """Materialize the full bracket table and insist on the Poisson axioms.
-
-    The generator bracket extends to every basis monomial as a
-    biderivation; skew-symmetry, Jacobi and the Leibniz rule are verified
-    exhaustively over the finite basis by ``PLAlgebra.verify_axioms``, whose
-    work grows with the nonzero products rather than with dim^3, and a
-    violation aborts with the witness triple (an implementation bug, not
-    valid data).  The result is ``alg.bracket_table()``, keyed by basis
-    indices: {(i, j): {k: c}} with ``alg.basis[i]`` the ``(sector,
-    monomial)`` key of index i.
-    """
-    problems = alg.verify_axioms()
-    if problems:
-        raise AssertionError("Poisson axioms fail: " + "; ".join(problems[:3]))
-    return alg.bracket_table()
 
 
 # ---------------------------------------------------------------------------

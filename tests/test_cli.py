@@ -2,10 +2,12 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from vlie import lattice_c2
 from vlie.cli import main
 
 
@@ -93,6 +95,17 @@ class TestCheckSuites:
         assert code == 0
         assert "PASS lattice.axioms" in out
 
+    def test_check_lattice_indefinite_gram_checks_the_witness(self, capsys, monkeypatch):
+        code, out, _ = run(capsys, "check", "lattice", "--gram", "[[2,3],[3,2]]")
+        assert code == 0
+        assert "PASS lattice.zero-algebra" in out
+        # a witness of norm 2, or of norm -2 with Fraction entries, fails
+        for witness in ((1, 0), (Fraction(1), Fraction(-1))):
+            monkeypatch.setattr(lattice_c2, "negative_norm_witness", lambda lat, w=witness: w)
+            code, out, _ = run(capsys, "check", "lattice", "--gram", "[[2,3],[3,2]]")
+            assert code == 1
+            assert "FAIL lattice.zero-algebra" in out
+
     def test_json_report_deterministic(self, capsys):
         code1, out1, _ = run(
             capsys, "check", "delta", "--samples", "6", "--seed", "11",
@@ -175,16 +188,19 @@ class TestErrorPaths:
          "config error: --a and --b must be nonzero states"),
         (("borcherds-check", "--builder", "virasoro", "--lambda", "c=1/2",
           "--a", '[[[["omega", -1]], "0"]]'), "config error: --a and --b must be nonzero states"),
+        (("check", "lattice", "--gram", "[[2,2],[2,2]]"),
+         "config error: degenerate Gram matrix is out of scope"),
     ])
     def test_bad_input_exits_2(self, capsys, argv, message):
         code, _, err = run(capsys, *argv)
         assert code == 2
         assert message in err
 
-    def test_degenerate_gram_exits_1(self, capsys):
-        code, _, err = run(capsys, "lattice", "p2", "--gram", "[[2,2],[2,2]]")
-        assert code == 1
-        assert "degenerate" in err
+    def test_degenerate_gram_exits_2(self, capsys):
+        for action in ("p2", "poisson"):
+            code, _, err = run(capsys, "lattice", action, "--gram", "[[2,2],[2,2]]")
+            assert code == 2
+            assert "degenerate" in err
 
 
 class TestConfigFile:

@@ -18,7 +18,7 @@ from vlie.lattice_c2 import (
     detect_indefinite,
     enumerate_c2,
     negative_norm_witness,
-    poisson_table,
+    power_of_linear,
 )
 from vlie.linalg import add_into, bilinear
 
@@ -41,8 +41,8 @@ def relation_consistency_problems(alg: PLAlgebra) -> list[str]:
             m = -lat.pair(alpha, beta)
             if m < 0:
                 continue
-            pa = alg._power_of_linear(alpha, m)
-            pb = alg._power_of_linear(beta, m)
+            pa = power_of_linear(lat.rank, alpha, m)
+            pb = power_of_linear(lat.rank, beta, m)
             ea = alg.eps.value(alpha, beta)
             eb = alg.eps.value(beta, alpha)
             lhs = alg.reduce({(target, mono): c * ea for mono, c in pa.items()})
@@ -73,7 +73,7 @@ class TestEvenLattice:
 
     def test_short_vectors(self):
         lat = EvenLattice(A2)
-        roots = [v for v in lat.vectors_with_norm_at_most(2) if lat.norm(v) == 2]
+        roots = [v for norm, v in lat.short_vectors(2) if norm == 2]
         assert len(roots) == 6
 
 
@@ -152,6 +152,7 @@ class TestPLAlgebra:
         prod = alg.multiply(x, y)
         want = {k: Fraction(v, 2) for k, v in z2.items()}
         assert prod == want
+        assert alg.z_gen(0) is not alg.z_gen(0)
 
     def test_rank_one_dims(self):
         for k in (1, 2, 3):
@@ -192,17 +193,6 @@ class TestPLAlgebra:
         for key in alg.basis:
             assert alg.bracket(one, {key: Fraction(1)}) == {}
 
-    def test_generator_elements_memoized_and_untouched(self):
-        alg = PLAlgebra(EvenLattice(A2))
-        alg.bracket_table()
-        cached = dict(alg._gen_elements)
-        assert {g[0] for g in cached} == {"z", "x"}
-        for g, element in cached.items():
-            fresh = alg.z_gen(g[1]) if g[0] == "z" else alg.x_gen(g[1])
-            assert element == fresh and element is not fresh
-            assert alg._gen_element(g) is element
-        assert alg.z_gen(0) is not alg.z_gen(0)
-
 
 class TestPoissonTable:
     def test_rank_one_brackets(self):
@@ -223,7 +213,7 @@ class TestPoissonTable:
 
     def test_poisson_table_materializes(self):
         alg = build_pl_algebra(EvenLattice([[2]]))
-        table = poisson_table(alg)
+        table = alg.bracket_table()
         assert len(table) == alg.dim * alg.dim
         # {1, anything} = 0
         one = alg.basis.index(((), (0,)))
@@ -449,9 +439,36 @@ SURVIVOR_GRAMS = ([g for grams in RANK2_BY_DIM.values() for g in grams]
                   + [[[2 * k]] for k in range(1, 8)] + [SKEWED, A3, A1_CUBED])
 
 
+def factor_bracket(alg, a, b) -> dict:
+    """The bracket of two elements as a biderivation over the generator
+    factors of their basis keys, a ``_gen_bracket`` of one factor from each
+    side times the remaining factors, one ``multiply`` each: the bracket
+    before the table recursion."""
+    def factors(key):
+        sector, mono = key
+        units = [tuple(int(s == t) for s in range(len(mono))) for t, e in enumerate(mono)
+                 for _ in range(e)]
+        return [((), u) for u in units] + ([(sector, (0,) * len(mono))] if any(sector) else [])
+
+    out: dict = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            fa, fb = factors(ka), factors(kb)
+            for i, gi in enumerate(fa):
+                for j, gj in enumerate(fb):
+                    prod = alg._gen_bracket(gi, gj)
+                    if not prod:
+                        continue
+                    for g in fa[:i] + fa[i + 1:] + fb[:j] + fb[j + 1:]:
+                        prod = alg.multiply(prod, alg.reduce({g: 1}))
+                    add_into(out, prod, ca * cb)
+    return alg.reduce(out)
+
+
 def dense_table(alg, op) -> dict:
     """Both orders of every basis pair through ``op`` (``multiply`` or
-    ``bracket``), one call each: the table build before the recursion."""
+    ``factor_bracket``), one call each: the table build before the
+    recursion."""
     index, basis = alg.index, alg.basis
     return {(i, j): {index[key]: c for key, c in op({ka: 1}, {kb: 1}).items()}
             for i, ka in enumerate(basis) for j, kb in enumerate(basis)}
@@ -492,54 +509,86 @@ def box_enumerate_c2(lat):
 
 
 class TestTableOracle:
-    @pytest.mark.parametrize("gram", TABLE_GRAMS, ids=str)
+    @pytest.mark.parametrize("gram", TABLE_GRAMS + [A1_CUBED], ids=str)
     def test_recursion_matches_dense_tables(self, gram):
         alg = algebra(gram)
         assert typed(alg.multiplication_table()) == typed(dense_table(alg, alg.multiply))
-        assert typed(alg.bracket_table()) == typed(dense_table(alg, alg.bracket))
+        assert typed(alg.bracket_table()) == typed(
+            dense_table(alg, lambda a, b: factor_bracket(alg, a, b)))
 
     def test_only_generator_rows_call_the_operations(self, monkeypatch):
+        """``multiply`` runs on the generator rows, ``_gen_bracket`` on the
+        generator x generator cells, once per ordered pair."""
         alg = PLAlgebra(EvenLattice(A2))
-        generators = ({((), (0, 0)), ((), (1, 0)), ((), (0, 1))}
-                      | {(beta, (0, 0)) for beta in alg.nonzero_c2})
-        for name, build in (("multiply", alg.multiplication_table),
-                            ("bracket", alg.bracket_table)):
-            op, firsts = getattr(alg, name), []
-            monkeypatch.setattr(alg, name, lambda a, b, op=op, firsts=firsts:
-                                firsts.append(next(iter(a))) or op(a, b))
-            build()
-            monkeypatch.undo()
-            assert set(firsts) == generators
-            assert len(firsts) == len(generators) * alg.dim
+        generators = ([((), (0, 0)), ((), (1, 0)), ((), (0, 1))]
+                      + [(beta, (0, 0)) for beta in alg.nonzero_c2])
+        firsts, pairs = [], []
+        multiply, gen_bracket = alg.multiply, alg._gen_bracket
+        monkeypatch.setattr(alg, "multiply", lambda a, b:
+                            firsts.append(next(iter(a))) or multiply(a, b))
+        alg.multiplication_table()
+        monkeypatch.setattr(alg, "_gen_bracket", lambda a, b:
+                            pairs.append((a, b)) or gen_bracket(a, b))
+        alg.bracket_table()
+        assert sorted(set(firsts)) == sorted(generators)
+        assert len(firsts) == len(generators) * alg.dim
+        assert sorted(pairs) == sorted(itertools.product(generators, repeat=2))
+
+    def test_bracket_of_elements_reads_the_table(self):
+        """``bracket`` reduces its arguments before it reads the table: on
+        keys off the basis (three of the four cubic monomials, half of the
+        Z_t X_beta) and on sums, it agrees with the biderivation of the
+        factors."""
+        alg = algebra(A2)
+        keys = ([((), (a, 3 - a)) for a in range(4)]
+                + [(beta, mono) for beta in alg.nonzero_c2 for mono in ((1, 0), (0, 1))])
+        assert any(key not in alg.index for key in keys)
+        elements = [{key: 1} for key in keys] + [{key: Fraction(1, 2), keys[0]: -3}
+                                                 for key in keys[4:]]
+        for a in elements:
+            for b in elements:
+                assert alg.bracket(a, b) == factor_bracket(alg, a, b)
 
     @pytest.mark.parametrize("name", ["multiply", "bracket"])
     def test_each_order_has_its_own_recursion(self, monkeypatch, name):
         """Doubling the generator pair (X_beta, X_gamma), in that order only,
-        must change exactly the rows (Z^m X_beta, X_gamma), each by
-        Z^m (X_beta . X_gamma) for the product and by Z^m {X_beta, X_gamma}
-        for the bracket (a biderivation); a table that filled (j, i) from
-        (i, j) would leave rows of that order clean."""
+        must change exactly the cells (Z^a X_beta, Z^b X_gamma), each by
+        Z^(a+b) (X_beta . X_gamma) for the product, whose recursion is in
+        the first slot only (so b = 0), and by Z^(a+b) {X_beta, X_gamma}
+        for the bracket, a biderivation recursed in both slots; a table
+        that filled (j, i) from (i, j) would leave cells of that order
+        clean."""
         clean = algebra(A2)
         beta = clean.nonzero_c2[-1]
-        x_beta, x_gamma = ((b, (0, 0)) for b in (beta, tuple(-c for c in beta)))
+        gamma = tuple(-c for c in beta)
+        x_beta, x_gamma = (beta, (0, 0)), (gamma, (0, 0))
         g = clean.index[x_gamma]
         table = clean.multiplication_table if name == "multiply" else clean.bracket_table
         core = {clean.basis[k]: c for k, c in table()[(clean.index[x_beta], g)].items()}
         alg = PLAlgebra(EvenLattice(A2))
-        op = getattr(alg, name)
-        monkeypatch.setattr(alg, name, lambda a, b: {key: 2 * c for key, c in op(a, b).items()}
-                            if (a, b) == ({x_beta: 1}, {x_gamma: 1}) else op(a, b))
-        twisted = alg.multiplication_table() if name == "multiply" else alg.bracket_table()
-        changed = 0
+        if name == "multiply":
+            op, hit = alg.multiply, ({x_beta: 1}, {x_gamma: 1})
+            monkeypatch.setattr(alg, "multiply", lambda a, b: {
+                key: 2 * c for key, c in op(a, b).items()} if (a, b) == hit else op(a, b))
+            twisted = alg.multiplication_table()
+        else:
+            op, hit = alg._gen_bracket, (x_beta, x_gamma)
+            monkeypatch.setattr(alg, "_gen_bracket", lambda a, b: {
+                key: 2 * c for key, c in op(a, b).items()} if (a, b) == hit else op(a, b))
+            twisted = alg.bracket_table()
+        changed = set()
         for (i, j), row in table().items():
-            sector, mono = clean.basis[i]
+            (sector_i, mono_i), (sector_j, mono_j) = clean.basis[i], clean.basis[j]
             want = dict(row)
-            if sector == beta and j == g:
+            if sector_i == beta and (j == g if name == "multiply" else sector_j == gamma):
+                mono = tuple(x + y for x, y in zip(mono_i, mono_j))
                 delta = clean.multiply(clean.reduce({((), mono): 1}), core)
                 add_into(want, {clean.index[key]: c for key, c in delta.items()})
-                changed += i > g and bool(delta) and any(mono)
+                if delta:
+                    changed.add((any(mono_i), any(mono_j)))
             assert twisted[(i, j)] == want
-        assert changed
+        assert (True, False) in changed
+        assert name == "multiply" or (False, True) in changed
 
     def test_basis_not_closed_under_division_is_a_bug(self, monkeypatch):
         basis = PowerIdealReducer.basis
