@@ -70,8 +70,7 @@ def lie_algebra_from_config(data: dict) -> tuple[FiniteLieAlgebra, BilinearForm 
         raise ConfigError(f"bad lie_algebra config: {exc}") from None
 
 
-def vertex_lie_from_config(data: dict, certify: bool = True,
-                           cert_window: int = 2) -> VLStructure:
+def vertex_lie_from_config(data: dict) -> VLStructure:
     try:
         basis = []
         degrees = []
@@ -128,9 +127,7 @@ def vertex_lie_from_config(data: dict, certify: bool = True,
                 raise ConfigError(
                     f"declared u0 {declared} does not match ker d {computed}"
                 )
-        if certify:
-            structure.certify(cert_window)
-        return structure
+        return structure.certify()
     except ConfigError:
         raise
     except (KeyError, TypeError, ValueError) as exc:

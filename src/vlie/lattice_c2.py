@@ -125,19 +125,10 @@ class EvenLattice:
         return out
 
 
-def negative_norm_witness(lattice: EvenLattice, radius: int = 6) -> Vec | None:
-    """A vector of negative norm: the first one in a coordinate box, else
-    one built from the Gram's first non-positive pivot; None when there is
-    none (a positive semidefinite Gram)."""
-    for v in itertools.product(range(-radius, radius + 1), repeat=lattice.rank):
-        if lattice.norm(v) < 0:
-            return v
-    return _pivot_witness(lattice)
-
-
-def _pivot_witness(lattice: EvenLattice) -> Vec | None:
+def negative_norm_witness(lattice: EvenLattice) -> Vec | None:
     """A negative-norm vector from the first non-positive pivot d_k of the
-    LDL^T factorization of the Gram matrix G.
+    LDL^T factorization of the Gram matrix G; None when there is none (a
+    positive semidefinite Gram).
 
     With A the leading k x k block (positive definite, as every earlier
     pivot is positive) and b the next column above the diagonal, the vector
@@ -145,7 +136,8 @@ def _pivot_witness(lattice: EvenLattice) -> Vec | None:
     d_k = 0 and G is nondegenerate, some (G x)_j = c is nonzero, and
     x + t e_j with t = -c/G_jj (G_jj > 0), else t = -c, has norm
     2tc + t^2 G_jj < 0.  The rational vector is scaled to a primitive
-    integer one, which keeps the sign of its norm.
+    integer one, which keeps the sign of its norm.  No search: the cost is
+    rank inversions of the leading blocks, whatever the Gram's entries.
     """
     g, r = lattice.gram, lattice.rank
     for k in range(r):
@@ -194,12 +186,18 @@ def enumerate_c2(lattice: EvenLattice) -> list[Vec]:
     lexicographic order.
 
     Candidates range over the dual-coordinate box |a_i| <= k (G^-1)_ii with
-    k the dual exponent.  A violating beta has |beta|^2 < <alpha, beta> <=
-    |alpha| |beta| (Cauchy-Schwarz), so it is strictly shorter than alpha.
-    The vectors shorter than the longest candidate are enumerated once
+    k the dual exponent.  A violating beta (a killer of alpha) has
+    <alpha, beta> > |beta|^2.  Then alpha - beta is a killer too, since
+    <beta, alpha - beta> = <alpha, beta> - |beta|^2 > 0, and
+
+        |beta|^2 + |alpha - beta|^2 = |alpha|^2 - 2(<alpha, beta> - |beta|^2)
+                                    < |alpha|^2,
+
+    so a candidate that dies has a killer of norm below |alpha|^2 / 2.  The
+    vectors of norm below half the longest candidate's are enumerated once
     (``EvenLattice.short_vectors``), and each candidate is tested against
-    those strictly shorter than itself, starting with the vector that
-    killed the last candidate to die.
+    those of norm below half its own, starting with the vector that killed
+    the last candidate to die.
     """
     if not lattice.is_positive_definite():
         raise ValueError("the survivor set needs a positive definite lattice")
@@ -214,14 +212,15 @@ def enumerate_c2(lattice: EvenLattice) -> list[Vec]:
     for alpha in itertools.product(*boxes):
         g_alpha = [sum(map(operator.mul, row, alpha)) for row in lattice.gram]
         candidates.append((alpha, g_alpha, sum(map(operator.mul, alpha, g_alpha))))
-    short = lattice.short_vectors(max(norm for _, _, norm in candidates) - 1)
+    # 2 |beta|^2 < |alpha|^2 is |beta|^2 <= (|alpha|^2 - 1) // 2
+    short = lattice.short_vectors((max(norm for _, _, norm in candidates) - 1) // 2)
     norms = [norm for norm, _ in short]
     killer = None
     out = []
     for alpha, g_alpha, norm_a in candidates:
         if killer is not None and sum(map(operator.mul, g_alpha, killer[1])) > killer[0]:
             continue
-        for norm_b, beta in itertools.islice(short, bisect.bisect_left(norms, norm_a)):
+        for norm_b, beta in itertools.islice(short, bisect.bisect_left(norms, (norm_a + 1) // 2)):
             if sum(map(operator.mul, g_alpha, beta)) > norm_b:
                 killer = (norm_b, beta)
                 break

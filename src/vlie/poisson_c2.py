@@ -19,7 +19,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from math import factorial
 
-from .formal_calc import DeltaSeries, DPoly, expand, falling, rat, rat_str, skew_transfer
+from .formal_calc import DeltaSeries, DPoly, rat, rat_str, skew_transfer
 from .lie_core import SymPoly, biderivation
 from .linalg import add_into, bilinear
 from .vacuum_module import State, VacuumModule
@@ -322,38 +322,6 @@ class VPDiffAlgebra:
     def mode_products(self, f: DPoly, g: DPoly) -> dict[int, DPoly]:
         """The family f_i g with {f(x),g(y)} = sum (1/i!)(f_i g)(y)Delta^(i)."""
         return {i: h.scale(factorial(i)) for i, h in self.vp_bracket(f, g).items()}
-
-    # -- window oracle ---------------------------------------------------------
-
-    def mode_window(self, series: VPSeries, radius: int) -> dict:
-        """Windowed expansion with abstract mode coefficients; a test oracle.
-
-        Entry (a, b) is a map from (monomial, mode index) to rationals: the
-        coefficient of x^a y^b is a combination of modes h(p) of the
-        polynomial coefficients, read by ``expand`` straight from the
-        defining series (independently of swap/transfer formulas).  A
-        single factor u^{(j)} is read through the modes of u, by
-        (D^j u)(p) = (j-p-1)(j-p-2)..(-p) u(p-j).  A product stays an opaque
-        symbol, unrelated to its own derivatives, so the window is exact
-        only for coefficients that are single factors (or constants).
-        """
-        def modes(h: DPoly, e: int) -> dict:
-            p = -e - 1
-            out: dict = {}
-            for mono, c in h.coeffs.items():
-                if len(mono) == 1:
-                    (i, j), = mono
-                    add_into(out, {(((i, 0),), p - j): c * falling(j - p - 1, j)})
-                elif mono or p == -1:
-                    # the unit is killed by D, so its field is frozen at mode -1
-                    add_into(out, {(mono, p): c})
-            return out
-
-        span = range(-radius, radius + 1)
-        window: dict[tuple[int, int], dict] = {}
-        for a, b, w, v in expand(series, ((a, b) for a in span for b in span), modes):
-            add_into(window.setdefault((a, b), {}), v, w)
-        return {cell: v for cell, v in window.items() if v}
 
     def check_table_skew(self) -> list[str]:
         """The finite identity {u_i(x), u_j(y)} = -{u_j(x), u_i(y)}|_{x<->y}

@@ -18,11 +18,13 @@ coordinates live on a complement basis: ker-d vectors frozen at mode -1
 
 from __future__ import annotations
 
+import itertools
+from collections import defaultdict
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
-from math import factorial
+from math import comb
 
-from .formal_calc import DeltaSeries, DPoly, expand, format_terms, gen_binomial
+from .formal_calc import DeltaSeries, DPoly, falling, format_terms, skew_transfer
 from .lie_core import BilinearForm, FiniteLieAlgebra, SymPoly, _normalize_table, check_invariance
 from .linalg import Echelon, add_into, bilinear, clean, inverse, nullspace
 
@@ -58,8 +60,8 @@ class VLStructure:
     brackets keyed by (basis index, m, basis index, n), which
     ``symbol_bracket`` also returns for two symbols on basis vectors; and a
     small memo of ``symbol_bracket`` for pairs involving a kernel vector
-    that is not a basis vector, such as (a - b).  ``certify()`` runs the
-    skew-symmetry and Jacobi window checks; builders return certified
+    that is not a basis vector, such as (a - b).  ``certify()`` proves skew
+    symmetry and the Jacobi identity exactly; builders return certified
     structures, while the constructor itself and ``novikov_candidate`` /
     ``quadratic_central_candidate`` return uncertified ones, which admit
     invalid data for exercising the failure paths.
@@ -184,11 +186,8 @@ class VLStructure:
             for j in range(r):
                 coords[j] += self._decomp_inv[j][i] * c
         n0 = len(self.u0_prime_vectors)
-        nim = len(self._im_preimages)
-        z_part = coords[:n0]
-        im_part = coords[n0:n0 + nim]
-        up_part = coords[n0 + nim:]
-        return z_part, im_part, up_part
+        n1 = n0 + len(self._im_preimages)
+        return coords[:n0], coords[n0:n1], coords[n1:]
 
     def _d_cyclic_indices(self) -> frozenset[int]:
         """Basis indices whose modes reduce forever at a negative mode.
@@ -305,18 +304,13 @@ class VLStructure:
         """[u_a(m), u_b(n)] reduced to canonical modes.
 
         Per table term (f, k, l) the component is
-        binom(m,l) binom(m+n-l,k) (-1)^{l+k} l! k! f(m+n-l-k).
+        binom(m,l) binom(m+n-l,k) (-1)^{l+k} l! k! f(m+n-l-k), each
+        binom(x,j) j! being the falling factorial x(x-1)..(x-j+1).
         The returned dict is the one held in the bracket cache, so callers
         must not mutate it.
         """
-        if isinstance(a, str):
-            ia = self.index[a]
-        else:
-            ia = int(a)
-        if isinstance(b, str):
-            ib = self.index[b]
-        else:
-            ib = int(b)
+        ia = self.index[a] if isinstance(a, str) else int(a)
+        ib = self.index[b] if isinstance(b, str) else int(b)
         if not (0 <= ia < len(self.basis) and 0 <= ib < len(self.basis)):
             raise KeyError("unknown basis index")
         key = (ia, m, ib, n)
@@ -325,14 +319,16 @@ class VLStructure:
             return cached
         out: Modes = {}
         for l, h in self.table_series(ia, ib).items():
-            cl = gen_binomial(m, l) * factorial(l)
+            cl = falling(m, l)
             if not cl:
                 continue
             for ((i, k),), c in h.coeffs.items():
-                ck = gen_binomial(m + n - l, k) * factorial(k)
+                ck = falling(m + n - l, k)
                 if ck:
-                    sign = -1 if (l + k) % 2 else 1
-                    add_into(out, self._basis_mode(i, m + n - l - k), sign * c * cl * ck)
+                    # the integer weight first: one product with c, which
+                    # may be a Fraction
+                    add_into(out, self._basis_mode(i, m + n - l - k),
+                             c * (-cl * ck if (l + k) % 2 else cl * ck))
         self._bracket_cache[key] = out
         return out
 
@@ -440,8 +436,12 @@ class VLStructure:
                                 return problems
         return problems
 
-    def certify(self, window: int = 2) -> "VLStructure":
-        problems = self.verify_skew_symmetry(window) + self.verify_jacobi(window)
+    def certify(self) -> "VLStructure":
+        """Prove what the window checks test, at every mode, or raise: the
+        finite lambda-bracket identities of ``_Certificate``."""
+        if self._cyclic:
+            raise ValueError("mode reduction does not terminate; pathological d")
+        problems = _Certificate(self).problems()
         if problems:
             raise ValueError("structure fails Lie axioms: " + "; ".join(problems[:3]))
         self.certified = True
@@ -455,68 +455,109 @@ class VLStructure:
         i = self.index[name_or_index] if isinstance(name_or_index, str) else name_or_index
         return self.degrees[i]
 
-    def polar_parts(self) -> dict:
-        """Mode-index bookkeeping of the polar splitting and chosen complements."""
-        report = {
-            "central": [f"{n}(-1)" for n in self.u0_prime_names],
-            "u0_prime": list(self.u0_prime_names),
-            "u_prime": list(self.u_prime_names),
-            "l_minus": [f"{n}(-1)" for n in self.u0_prime_names]
-            + [f"{n}(-m), m >= 1" for n in self.u_prime_names],
-            "l_plus": [f"{n}(m), m >= 0" for n in self.u_prime_names],
-            "complement_rule": "lowest-index pivot (deterministic choice)",
-        }
-        if self.degrees is not None:
-            report["triangular"] = {
-                n: f"deg {n}(-m) = {self.degree_of(n)} + m - 1"
-                for n in self.u_prime_names
-            }
-        return report
 
-    def bracket_series(self, a: str, b: str) -> "BracketSeries":
-        return BracketSeries(self, a, b)
+def _derive(x: dict, u: int) -> dict:
+    """D^u x for x in the module M of ``_Certificate``: D kills U0'."""
+    return {(cls, idx, t + u): c for (cls, idx, t), c in x.items() if cls or not u}
 
 
-class BracketSeries:
-    """Generating-function view of one bracket table entry.
+class _Certificate:
+    """``certify``'s window checks at every mode, decided exactly.
 
-    Coefficient extraction expands f^{(k)}(y) Delta^(l)(x,y) through the
-    window expander ``expand``, independently of the closed component
-    formula, so the two can be compared as an internal consistency check.
+    The canonical symbols are the modes of M = C[D] (x) U' (+) U0', where
+    D u = d(u) and D z = 0 on U0'; an element of M is {(cls, idx, t): c}
+    for D^t of the canonical generator (cls, idx), and a polynomial over M
+    puts the powers of lambda (and mu) first.  A table term (f, k, l) is
+    (-lambda)^l D^k f in [a_lambda b].  By Kac, "Vertex Algebras for
+    Beginners" (1998), the window checks pass at every mode exactly when
+    S_ab == skew_transfer(S_ba) on the normal forms and
+    [a_lambda [b_mu c]] - [b_mu [a_lambda c]] = [[a_lambda b]_{lambda+mu} c]
+    on the sorted basis triples, provided the U0' vectors are central: D z = 0
+    forces lambda [z_lambda b] = 0, and a kernel vector lives at mode -1
+    only.  As in the window checks, inner brackets read the raw table on
+    basis pairs, and outer ones act on normal forms through the canonical
+    vectors by sesquilinearity, [(D x)_lambda y] = -lambda [x_lambda y] and
+    [x_lambda D y] = (lambda + D) [x_lambda y].
     """
 
-    def __init__(self, structure: VLStructure, a: str, b: str):
-        self.structure = structure
-        self.a, self.b = a, b
-        self.series = structure.table_series(structure.index[a], structure.index[b])
+    def __init__(self, structure: VLStructure):
+        self.s = structure
+        self._normal: dict[int, dict] = {}
+        self._generator: dict[tuple, dict] = {}
+        # [u_i lambda u_j] read off the table, {} for a missing pair
+        self.raw = defaultdict(dict, {pair: self.series(series, lam=True)
+                                      for pair, series in structure._table.items()})
 
-    def coefficient(self, m: int, n: int) -> Modes:
-        """Coefficient of x^{-m-1} y^{-n-1}, via raw series expansion."""
-        out: Modes = {}
-        for _, _, w, v in expand(self.series, [(-m - 1, -n - 1)], self._modes):
-            add_into(out, v, w)
-        return out
+    def normal_form(self, i: int) -> dict:
+        """u_i in M by the recursion of ``_basis_mode``."""
+        if i not in self._normal:
+            z_part, im_part, up_part = self.s.decompose_vector({i: 1})
+            out = clean([((0, j, 0), c) for j, c in enumerate(z_part)]
+                        + [((1, j, 0), c) for j, c in enumerate(up_part)])
+            for (w, _), c in zip(self.s._im_preimages, im_part):
+                if c:
+                    add_into(out, _derive(self.normal_form(w), 1), c)
+            self._normal[i] = out
+        return self._normal[i]
 
-    def _modes(self, h: DPoly, e: int) -> Modes:
-        """The y^e part of the coefficient h = D^k f as modes, from
-        f^{(k)}(y) = sum_p binom(-p-1, k) k! f(p) y^{-p-k-1}."""
-        out: Modes = {}
-        for ((i, k),), c in h.coeffs.items():
-            p = -e - k - 1
-            add_into(out, self.structure._basis_mode(i, p),
-                     c * gen_binomial(-p - 1, k) * factorial(k))
-        return out
+    def series(self, series: DeltaSeries, lam: bool = False) -> dict:
+        """{(l, *key): c}: the orders of a table series in M; with ``lam``,
+        the lambda-bracket, order l times (-lambda)^l."""
+        return clean(((l, *key), -v * c if lam and l % 2 else v * c)
+                     for l, h in series.items() for ((i, k),), c in h.coeffs.items()
+                     for key, v in _derive(self.normal_form(i), k).items())
 
-    def __repr__(self):
-        st = self.structure
-        bits = []
-        for fv, k, l in st.table_terms(st.index[self.a], st.index[self.b]):
-            poly = format_terms((st.basis[i], c) for i, c in sorted(fv.items()))
-            fname = f"({poly})" if (len(fv) > 1 or k == 0) else poly
-            deriv = "" if k == 0 else ("'" if k == 1 else f"^({k})")
-            delta = "Delta" if l == 0 else f"Delta^({l})"
-            bits.append(f"{fname}{deriv}(y)*{delta}")
-        return " + ".join(bits) or "0"
+    def generator(self, g: tuple, h: tuple) -> dict:
+        """[g_lambda h] for canonical generators (cls, idx), by their vectors."""
+        if (g, h) not in self._generator:
+            vector = self.s.canonical_vector
+            self._generator[(g, h)] = clean(
+                (key, ci * cj * c) for i, ci in vector((0, *g)).items()
+                for j, cj in vector((0, *h)).items() for key, c in self.raw[i, j].items())
+        return self._generator[(g, h)]
+
+    def bracket(self, x: dict, y: dict) -> dict:
+        """[x_lambda y] for x, y in M: (-lambda)^s (lambda + D)^t [g_lambda h]
+        for x = D^s g and y = D^t h."""
+        return clean(
+            ((p + s + t - u, cls, idx, r + u), (-1) ** s * comb(t, u) * cx * cy * c)
+            for (g_cls, g_idx, s), cx in x.items() for (h_cls, h_idx, t), cy in y.items()
+            for (p, cls, idx, r), c in self.generator((g_cls, g_idx), (h_cls, h_idx)).items()
+            for u in range(t + 1 if cls else 1))
+
+    def jacobi(self, a: int, b: int, c: int) -> dict:
+        """[a_lambda [b_mu c]] - [b_mu [a_lambda c]] - [[a_lambda b]_{lambda+mu} c],
+        {(power of lambda, power of mu, *key): c}."""
+        na, nb, nc = map(self.normal_form, (a, b, c))
+        return clean(
+            [((p, q, *key), v) for (q, *y), w in self.raw[b, c].items()
+             for (p, *key), v in self.bracket(na, {tuple(y): w}).items()]
+            + [((q, p, *key), -v) for (q, *y), w in self.raw[a, c].items()
+               for (p, *key), v in self.bracket(nb, {tuple(y): w}).items()]
+            + [((q + e, p - e, *key), -comb(p, e) * v) for (q, *x), w in self.raw[a, b].items()
+               for (p, *key), v in self.bracket({tuple(x): w}, nc).items() for e in range(p + 1)])
+
+    def problems(self) -> list[str]:
+        s, r = self.s, range(len(self.s.basis))
+        problems = [f"skew fails for ({s.basis[i]},{s.basis[j]})" for i in r for j in r[i:]
+                    if self.series(s.table_series(i, j))
+                    != self.series(skew_transfer(s.table_series(j, i)))]
+        gens = ([(0, j) for j in range(len(s.u0_prime_vectors))]
+                + [(1, j) for j in range(len(s.u_prime_vectors))])
+        problems += [f"kernel vector {s.u0_prime_names[z[1]]} is not central"
+                     for z in gens if not z[0]
+                     and any(self.generator(z, g) or self.generator(g, z) for g in gens)]
+        names = (s.u0_prime_names, s.u_prime_names)
+        for a, b, c in itertools.combinations_with_replacement(r, 3):
+            rest = self.jacobi(a, b, c) if len(problems) < 20 else None
+            if rest:
+                p, q = min(rest)[:2]
+                problems.append(
+                    f"Jacobi fails on ({s.basis[a]},{s.basis[b]},{s.basis[c]}) "
+                    f"at lambda^{p} mu^{q}: " + format_terms(
+                        (("D " if t == 1 else f"D^{t} " if t else "") + names[cls][idx], v)
+                        for (pp, qq, cls, idx, t), v in sorted(rest.items()) if (pp, qq) == (p, q)))
+        return problems
 
 
 # ---------------------------------------------------------------------------
@@ -525,20 +566,19 @@ class BracketSeries:
 
 def witt() -> VLStructure:
     """One generator of degree 2; bracket  w'(y)Delta - 2 w(y)Delta^(1)."""
-    s = VLStructure(
+    return VLStructure(
         basis=("omega",),
         degrees=(2,),
         d_domain=(),
         d_matrix=None,
         table={("omega", "omega"): [({"omega": 1}, 1, 0), ({"omega": -2}, 0, 1)]},
         name="witt",
-    )
-    return s.certify()
+    ).certify()
 
 
 def virasoro() -> VLStructure:
     """Witt plus the central line  -(1/12) c(y) Delta^(3)."""
-    s = VLStructure(
+    return VLStructure(
         basis=("omega", "c"),
         degrees=(2, 0),
         d_domain=("c",),
@@ -553,8 +593,7 @@ def virasoro() -> VLStructure:
             ("c", "c"): [],
         },
         name="virasoro",
-    )
-    return s.certify()
+    ).certify()
 
 
 def loop(g: FiniteLieAlgebra) -> VLStructure:
@@ -563,7 +602,7 @@ def loop(g: FiniteLieAlgebra) -> VLStructure:
     for i, a in enumerate(g.names):
         for j, b in enumerate(g.names):
             table[(a, b)] = [({g.names[k]: c for k, c in g.bracket_basis(i, j).items()}, 0, 0)]
-    s = VLStructure(
+    return VLStructure(
         basis=g.names,
         degrees=(1,) * g.dim,
         d_domain=(),
@@ -571,8 +610,7 @@ def loop(g: FiniteLieAlgebra) -> VLStructure:
         table=table,
         name="loop",
         meta={"kind": "loop"},
-    )
-    return s.certify()
+    ).certify()
 
 
 def affine(g: FiniteLieAlgebra, form: BilinearForm,
@@ -589,7 +627,7 @@ def affine(g: FiniteLieAlgebra, form: BilinearForm,
     meta = {"kind": "affine"}
     if highest_root is not None:
         meta["highest_root"] = highest_root
-    s = VLStructure(
+    return VLStructure(
         basis=g.names + ("c",),
         degrees=(1,) * g.dim + (0,),
         d_domain=("c",),
@@ -597,8 +635,7 @@ def affine(g: FiniteLieAlgebra, form: BilinearForm,
         table=table,
         name="affine",
         meta=meta,
-    )
-    return s.certify()
+    ).certify()
 
 
 def heisenberg(d_matrix) -> VLStructure:
@@ -610,7 +647,7 @@ def heisenberg(d_matrix) -> VLStructure:
     for i, a in enumerate(names):
         for j, b in enumerate(names):
             table[(a, b)] = [({"c": -form.value(i, j)}, 0, 1)]
-    s = VLStructure(
+    return VLStructure(
         basis=names + ("c",),
         degrees=(1,) * r + (0,),
         d_domain=("c",),
@@ -618,8 +655,7 @@ def heisenberg(d_matrix) -> VLStructure:
         table=table,
         name="heisenberg",
         meta={"kind": "heisenberg"},
-    )
-    return s.certify()
+    ).certify()
 
 
 class CommAlgebra:
@@ -679,7 +715,7 @@ def novikov(algebra: CommAlgebra, form: BilinearForm | None = None) -> VLStructu
     if problems:
         raise ValueError("form is not associative: " + "; ".join(problems[:3]))
     table = _product_table(algebra, form, _novikov_terms)
-    s = VLStructure(
+    return VLStructure(
         basis=algebra.names + ("c",),
         degrees=(2,) * r + (0,),
         d_domain=("c",),
@@ -687,8 +723,7 @@ def novikov(algebra: CommAlgebra, form: BilinearForm | None = None) -> VLStructu
         table=table,
         name="novikov",
         meta={"kind": "novikov"},
-    )
-    return s.certify()
+    ).certify()
 
 
 def _product_table(algebra: CommAlgebra, form: BilinearForm, terms) -> dict:

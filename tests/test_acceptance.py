@@ -313,7 +313,7 @@ def test_criterion_11_base_algebra_criteria():
         )
         positives = [dual_numbers(), tr3, split2]
         for alg in positives:
-            s = novikov(alg)  # certification runs the window checks
+            s = novikov(alg)  # the exact certificate runs at construction
             assert s.verify_jacobi(3) == []
         # and invalid bases fail
         non_assoc = CommAlgebra(

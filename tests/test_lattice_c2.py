@@ -224,6 +224,15 @@ class TestPoissonTable:
         assert table[(xbar, x)] == {z: -1}
 
 
+def box_negative_vector(lat, radius=6):
+    """The first vector of negative norm in the box |x_i| <= radius: the
+    search the witness made before its pivot construction."""
+    for v in itertools.product(range(-radius, radius + 1), repeat=lat.rank):
+        if lat.norm(v) < 0:
+            return v
+    return None
+
+
 class TestDegeneration:
     def test_negative_definite(self):
         info = detect_indefinite(EvenLattice([[-2]]))
@@ -256,17 +265,21 @@ class TestDegeneration:
         [[4, 3, 0], [3, 2, 0], [0, 0, 2]],
     ])
     def test_pivot_witness_has_negative_norm(self, gram):
-        # radius 0 leaves only the zero vector in the box, so the witness
-        # comes from the pivots; the hyperbolic plane and the Gram with
-        # leading minors 2, 0, -18 reach a zero pivot first
+        # the hyperbolic plane and the Gram with leading minors 2, 0, -18
+        # reach a zero pivot first; the box scan finds a negative vector for
+        # every Gram here but [[2, 13], [13, 84]]
         lat = EvenLattice(gram)
-        witness = negative_norm_witness(lat, radius=0)
+        witness = negative_norm_witness(lat)
         assert witness is not None
         assert all(type(c) is int for c in witness)
         assert lat.norm(witness) < 0
+        assert (box_negative_vector(lat) is None) == (gram == [[2, 13], [13, 84]])
 
     def test_no_pivot_witness_for_definite_grams(self):
-        assert negative_norm_witness(EvenLattice(A2), radius=0) is None
+        for gram in (A2, [[2]], [[4, 1], [1, 6]], [[2, 0, 0], [0, 2, 0], [0, 0, 2]]):
+            lat = EvenLattice(gram)
+            assert negative_norm_witness(lat) is None
+            assert box_negative_vector(lat) is None
 
     def test_definite_proceeds(self):
         info = detect_indefinite(EvenLattice([[2]]))
@@ -613,3 +626,10 @@ class TestFinckePohstOracle:
     def test_survivors_match_box_scan(self, gram):
         lat = EvenLattice(gram)
         assert enumerate_c2(lat) == box_enumerate_c2(lat)
+
+    def test_a4_survivor_count(self):
+        # too large for the box scan; 51 survivors, a set closed under -1
+        out = enumerate_c2(EvenLattice([[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1],
+                                        [0, 0, -1, 2]]))
+        assert len(out) == 51
+        assert sorted(tuple(-c for c in v) for v in out) == out

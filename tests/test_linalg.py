@@ -24,8 +24,9 @@ from vlie.formal_calc import (
 )
 from vlie.lie_core import BilinearForm, check_invariance, check_lie_axioms
 from vlie.linalg import Echelon, add_into, bilinear, clean, compose, det, inverse, nullspace
-from vlie.poisson_c2 import VPDiffAlgebra
 from vlie.vertex_lie import CommAlgebra
+
+from test_poisson_c2 import mode_window
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=60, deadline=None)
 
@@ -158,9 +159,8 @@ dpoly_series = st.lists(
 def test_skew_transfer_of_dpoly_series_matches_window(s):
     # the y-form window of the transfer against the x-form window of
     # -S(y, x), whose orders pick up (-1)^k with the coefficients left in x
-    window = VPDiffAlgebra(("u0", "u1", "u2"), {}).mode_window
     flipped = DeltaSeries({k: h.scale(1 if k % 2 else -1) for k, h in s.items()}, COEFF_IN_X)
-    assert window(skew_transfer(s), 6) == window(flipped, 6)
+    assert mode_window(skew_transfer(s), 6) == mode_window(flipped, 6)
 
 
 # -- structure-constant tables against dense triple loops ---------------------

@@ -293,8 +293,12 @@ class TestBorcherds:
             table=table,
             name="corrupted",
         )
-        s.certify(window=0)  # the corruption is invisible at mode zero
-        # wider windows expose it with a witness
+        # the certificate sees the corruption at every mode
+        with pytest.raises(ValueError, match="^structure fails Lie axioms: skew fails for "):
+            s.certify()
+        assert not s.certified
+        # the window at mode zero misses it; a wider window gives a witness
+        assert s.verify_skew_symmetry(0) == []
         witnesses = s.verify_skew_symmetry(2)
         assert witnesses and "e(" in witnesses[0]
 
