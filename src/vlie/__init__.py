@@ -5,7 +5,6 @@ from .formal_calc import (
     BiSeriesWindow,
     DeltaSeries,
     LaurentPoly,
-    Rational,
     decompose,
     delta_window,
     gen_binomial,
@@ -13,7 +12,7 @@ from .formal_calc import (
     render,
     swap_side,
 )
-from .lie_core import BilinearForm, FiniteLieAlgebra, SymPoly, check_invariance, check_lie_axioms, sym_poisson
+from .lie_core import BilinearForm, FiniteLieAlgebra, check_invariance, check_lie_axioms, sym_poisson
 from .vertex_lie import (
     CommAlgebra,
     VLStructure,

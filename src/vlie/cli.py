@@ -33,11 +33,12 @@ from .formal_calc import (
     delta_window,
     mul_power_diff,
     oracle_radius,
+    rat_str,
     render,
     swap_side,
 )
 from .lattice_c2 import EvenLattice, bk_compare, build_pl_algebra, detect_indefinite, enumerate_c2
-from .lie_core import rat_str, sl2
+from .lie_core import sl2
 from .poisson_c2 import (
     p2_structure,
     pvpa_quotient,
@@ -127,7 +128,7 @@ def suite_delta(report: Report, args):
         for n in range(9):
             dwin = delta_window(n, base)
             for m in range(9):
-                series = mul_power_diff(m, DeltaSeries.single(n, LaurentPoly.constant(("y",), 1)))
+                series = mul_power_diff(m, DeltaSeries.single(n, LaurentPoly.constant("y", 1)))
                 if not render(series, base).equal_on_overlap(dwin.mul_power_diff(m)):
                     problems.append(f"power identity fails at m={m}, n={n}")
         return problems
@@ -141,10 +142,10 @@ def suite_delta(report: Report, args):
             for order in rng.sample(range(6), rng.randint(1, 6)):
                 coeffs = {}
                 for _ in range(rng.randint(1, 3)):
-                    coeffs[(rng.randint(-4, 4),)] = Fraction(
+                    coeffs[rng.randint(-4, 4)] = Fraction(
                         rng.randint(-5, 5), rng.randint(1, 4)
                     )
-                poly = LaurentPoly(("y",), coeffs)
+                poly = LaurentPoly("y", coeffs)
                 if not poly.is_zero():
                     terms.append((order, poly))
             series = DeltaSeries(terms)
@@ -158,8 +159,8 @@ def suite_delta(report: Report, args):
     def swap_involution():
         problems = []
         for t in range(args.samples // 2):
-            coeffs = {(rng.randint(-3, 3),): Fraction(rng.randint(1, 5))}
-            series = DeltaSeries([(rng.randint(0, 4), LaurentPoly(("y",), coeffs))])
+            coeffs = {rng.randint(-3, 3): Fraction(rng.randint(1, 5))}
+            series = DeltaSeries([(rng.randint(0, 4), LaurentPoly("y", coeffs))])
             flipped = swap_side(series)
             if swap_side(flipped) != series:
                 problems.append(f"involution fails on sample {t}")
@@ -443,10 +444,10 @@ def cmd_p2(args) -> int:
         payload = {
             "generators": list(pres.generators),
             "bracket": {
-                f"{pres.generators[i]},{pres.generators[j]}": repr(val)
+                f"{pres.generators[i]},{pres.generators[j]}": pres.text(val)
                 for (i, j), val in sorted(pres.table.items())
             },
-            "ideal": [repr(q) for q in pres.ideal],
+            "ideal": [pres.text(q) for q in pres.ideal],
             "notes": list(pres.notes),
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -499,7 +500,7 @@ def cmd_pvpa(args) -> int:
         payload = {
             "generators": list(pres.generators),
             "bracket": {
-                f"{pres.generators[i]},{pres.generators[j]}": repr(val)
+                f"{pres.generators[i]},{pres.generators[j]}": pres.text(val)
                 for (i, j), val in sorted(pres.table.items())
             },
         }
@@ -580,8 +581,8 @@ def cmd_decompose(args) -> int:
     try:
         for item in data:
             order = int(item["order"])
-            coeffs = {(int(e),): Fraction(str(c)) for e, c in item["coeff"].items()}
-            terms.append((order, LaurentPoly(("y",), coeffs)))
+            coeffs = {int(e): Fraction(str(c)) for e, c in item["coeff"].items()}
+            terms.append((order, LaurentPoly("y", coeffs)))
         series = DeltaSeries(terms)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad series spec: {exc}") from None
@@ -593,7 +594,7 @@ def cmd_decompose(args) -> int:
         payload = {
             "round_trip": ok,
             "terms": [
-                {"order": o, "coeff": {str(e[0]): rat_str(c) for e, c in p.coeffs.items()}}
+                {"order": o, "coeff": {str(e): rat_str(c) for e, c in p.coeffs.items()}}
                 for o, p in recovered.terms
             ],
         }

@@ -14,6 +14,13 @@ variable only through ``delta_transport``, and ``expand`` is the one window
 expansion, which ``render`` and the mode windows of the other modules read.
 A ``BiSeriesWindow`` holds the exact coefficients of a bivariate series on a
 finite exponent rectangle and is the oracle of every identity here.
+
+There are three polynomial classes.  ``Poly`` is the shared arithmetic on a
+coefficient map and names no variable.  ``LaurentPoly`` is a Laurent
+polynomial in one named variable with ``int`` exponents.  ``DPoly`` is a
+differential polynomial in variables u_i^{(j)}; its derivative-free elements
+are the polynomial Poisson algebras of ``lie_core`` and ``poisson_c2``, and
+``format_poly`` prints them in their generators' names.
 """
 
 from __future__ import annotations
@@ -23,8 +30,6 @@ from fractions import Fraction
 from math import factorial
 
 from .linalg import add_into, clean, rat
-
-Rational = Fraction
 
 
 def rat_str(q: int | Fraction) -> str:
@@ -70,34 +75,22 @@ def falling(n: int, k: int) -> int:
 # ---------------------------------------------------------------------------
 
 class Poly:
-    """Sparse polynomial core: a map from monomials to nonzero exact numbers.
+    """Sparse polynomial core: the arithmetic on a map from monomials to
+    nonzero exact numbers, with no variable names.
 
-    Subclasses fix how a monomial is validated (``_monomial``), how two
-    monomials multiply (``_mono_mul``), the listing order (``terms``) and
-    the repr.  Instances are immutable by convention; all arithmetic
-    returns new objects.
+    Subclasses fix how a monomial is validated (``_monomial``) and how two
+    monomials multiply (``_mono_mul``).  Instances are immutable by
+    convention; all arithmetic returns new objects.
     """
 
-    __slots__ = ("vars", "coeffs")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, variables: Iterable[str], coeffs: Mapping[tuple, object] | None = None):
-        self.vars = tuple(variables)
+    def __init__(self, coeffs: Mapping | None = None):
         self.coeffs = clean((self._monomial(m), c) for m, c in coeffs.items()) if coeffs else {}
 
-    def _monomial(self, exps) -> tuple:
-        exps = tuple(int(e) for e in exps)
-        if len(exps) != len(self.vars):
-            raise ValueError("exponent arity does not match variable set")
-        return exps
-
-    @staticmethod
-    def _mono_mul(m1: tuple, m2: tuple) -> tuple:
-        return tuple(a + b for a, b in zip(m1, m2))
-
     def _new(self, coeffs: dict):
-        """Same class and variables around an already clean coefficient map."""
+        """Same class around an already clean coefficient map."""
         out = object.__new__(type(self))
-        out.vars = self.vars
         out.coeffs = coeffs
         return out
 
@@ -107,20 +100,10 @@ class Poly:
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
-    def terms(self):
-        """Terms sorted by monomial (deterministic canonical order)."""
-        return sorted(self.coeffs.items())
-
-    def _check(self, other: "Poly"):
-        if self.vars != other.vars:
-            raise ValueError("variable sets differ")
-
     def __add__(self, other):
-        self._check(other)
         return self._new(add_into(dict(self.coeffs), other.coeffs))
 
     def __sub__(self, other):
-        self._check(other)
         return self._new(add_into(dict(self.coeffs), other.coeffs, -1))
 
     def __neg__(self):
@@ -130,66 +113,74 @@ class Poly:
         return self._new(add_into({}, self.coeffs, rat(c)))
 
     def __mul__(self, other):
-        self._check(other)
         mul = self._mono_mul
         return self._new(clean(
             (mul(m1, m2), c1 * c2)
             for m1, c1 in self.coeffs.items() for m2, c2 in other.coeffs.items()
         ))
 
-    def rename(self, variables: Iterable[str]):
-        """The same coefficients over new names for as many variables."""
-        out = self._new(self.coeffs)
-        out.vars = tuple(variables)
-        if len(out.vars) != len(self.vars):
-            raise ValueError("exponent arity does not match variable set")
-        return out
-
     def __eq__(self, other) -> bool:
-        return (type(other) is type(self)
-                and self.vars == other.vars and self.coeffs == other.coeffs)
+        return type(other) is type(self) and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((self.vars, frozenset(self.coeffs.items())))
-
-    def __repr__(self):
-        return format_terms(
-            ("*".join(f"{v}^{e}" if e != 1 else v for v, e in zip(self.vars, exps) if e), c)
-            for exps, c in self.terms()
-        )
+        return hash(frozenset(self.coeffs.items()))
 
 
 class LaurentPoly(Poly):
-    """Laurent polynomial in one variable with exact coefficients.
+    """Laurent polynomial in one named variable with exact coefficients:
+    ``LaurentPoly("y", {-2: c})`` is c*y^-2.
 
-    Exponents are 1-tuples of any sign, so the variable name travels with
-    the polynomial (``("y",)`` or ``("x",)``).
+    Exponents are ``int`` of any sign.  The name travels with the
+    polynomial, so a series can tell which side its coefficients are on.
     """
 
-    __slots__ = ()
+    __slots__ = ("var",)
 
-    def _monomial(self, exps) -> tuple:
-        if len(self.vars) != 1:
-            raise ValueError("Laurent polynomials are univariate")
-        return super()._monomial(exps)
+    def __init__(self, var: str, coeffs: Mapping[int, object] | None = None):
+        self.var = var
+        super().__init__(coeffs)
+
+    _monomial = staticmethod(int)
+
+    @staticmethod
+    def _mono_mul(e1: int, e2: int) -> int:
+        return e1 + e2
+
+    def _new(self, coeffs: dict) -> "LaurentPoly":
+        out = super()._new(coeffs)
+        out.var = self.var
+        return out
 
     @classmethod
-    def constant(cls, variables: Iterable[str], c) -> "LaurentPoly":
-        return cls(variables, {(0,): c})
+    def constant(cls, var: str, c) -> "LaurentPoly":
+        return cls(var, {0: c})
 
     def degree_span(self) -> tuple[int, int]:
         """(min, max) exponent; (0, 0) for zero."""
-        if not self.coeffs:
-            return (0, 0)
-        exps = [e for (e,) in self.coeffs]
-        return (min(exps), max(exps))
+        return (min(self.coeffs), max(self.coeffs)) if self.coeffs else (0, 0)
 
     def derivative(self, order: int = 1) -> "LaurentPoly":
         """Laurent derivative, iterated ``order`` times."""
         coeffs = self.coeffs
         for _ in range(order):
-            coeffs = {(e - 1,): c * e for (e,), c in coeffs.items() if e}
+            coeffs = {e - 1: c * e for e, c in coeffs.items() if e}
         return self._new(coeffs)
+
+    def rename(self, var: str) -> "LaurentPoly":
+        """The same coefficients in another variable."""
+        out = self._new(self.coeffs)
+        out.var = var
+        return out
+
+    def __eq__(self, other) -> bool:
+        return super().__eq__(other) and self.var == other.var
+
+    __hash__ = Poly.__hash__
+
+    def __repr__(self):
+        v = self.var
+        return format_terms(((f"{v}^{e}" if e != 1 else v) if e else "", c)
+                            for e, c in sorted(self.coeffs.items()))
 
 
 class DPoly(Poly):
@@ -197,13 +188,13 @@ class DPoly(Poly):
 
     Monomials are sorted tuples of (i, j) pairs with multiplicity; the
     derivation D sends u_i^{(j)} to u_i^{(j+1)}.  As a series coefficient it
-    is written in the series' own variable, so it names none.
+    is written in the series' own variable, so it names none.  A
+    derivative-free DPoly, every variable (i, 0), is an element of a
+    polynomial Poisson algebra; ``format_poly`` prints it in the names of
+    its generators.
     """
 
     __slots__ = ()
-
-    def __init__(self, coeffs: Mapping[tuple, object] | None = None):
-        super().__init__((), coeffs)
 
     def _monomial(self, mono) -> tuple:
         return tuple(sorted((int(i), int(j)) for i, j in mono))
@@ -241,7 +232,22 @@ class DPoly(Poly):
                     out.setdefault(v, {})[mono[:t] + mono[t + 1:]] = c * mono.count(v)
         return {v: self._new(coeffs) for v, coeffs in out.items()}
 
-    def rename(self, variables: Iterable[str]) -> "DPoly":
+    def substitute(self, values: Mapping[tuple[int, int], object]) -> "DPoly":
+        """Evaluate the variables keyed in ``values`` (as in ``partials``)
+        at exact numbers."""
+        values = {v: rat(x) for v, x in values.items()}
+        out = []
+        for mono, c in self.coeffs.items():
+            rest = []
+            for v in mono:
+                if v in values:
+                    c = c * values[v]
+                else:
+                    rest.append(v)
+            out.append((tuple(rest), c))
+        return self._new(clean(out))
+
+    def rename(self, var: str) -> "DPoly":
         """Itself: a coefficient written in whichever variable it sits on."""
         return self
 
@@ -252,6 +258,21 @@ class DPoly(Poly):
 
     def __repr__(self):
         return f"DPoly({self.coeffs!r})"
+
+
+def format_poly(p: DPoly, names) -> str:
+    """A derivative-free DPoly written in the names of its variables u_i,
+    graded-lex with the leading term first: 'e^2*h - 1/2*f + 3'."""
+    rows = []
+    for mono, c in p.coeffs.items():
+        exps = [0] * len(names)
+        for i, _ in mono:
+            exps[i] += 1
+        rows.append((len(mono), exps, c))
+    rows.sort(reverse=True, key=lambda row: row[:2])
+    return format_terms(
+        ("*".join(f"{v}^{e}" if e != 1 else v for v, e in zip(names, exps) if e), c)
+        for _, exps, c in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -344,11 +365,12 @@ class DeltaSeries(dict):
 
     ``side`` records whether the coefficients are written in y (canonical)
     or in x.  A coefficient may be of any kind with ``+``, ``scale(c)``,
-    ``derivative(order)`` in its own variable, and falsiness for zero; one
-    that names its variable must name the side.  Orders are stored
-    ascending, zero coefficients never.  Series are immutable by convention
-    and all arithmetic returns new ones; a plain {order: coefficient} map
-    compares equal to the series with the same entries.
+    ``derivative(order)`` and ``rename(var)`` in its own variable, and
+    falsiness for zero; one that names its variable in ``var`` must name the
+    side.  Orders are stored ascending, zero coefficients never.  Series are
+    immutable by convention and all arithmetic returns new ones; a plain
+    {order: coefficient} map compares equal to the series with the same
+    entries.
     """
 
     __slots__ = ("side",)
@@ -363,9 +385,8 @@ class DeltaSeries(dict):
             order = int(order)
             if order < 0:
                 raise ValueError("delta orders are nonnegative")
-            names = getattr(c, "vars", ())
-            if names and names != (side,):
-                raise ValueError(f"a coefficient in {', '.join(names)} on a series in {side}")
+            if getattr(c, "var", side) != side:
+                raise ValueError(f"a coefficient in {c.var} on a series in {side}")
             merged[order] = merged[order] + c if order in merged else c
         self.update((order, merged[order]) for order in sorted(merged) if merged[order])
 
@@ -463,7 +484,7 @@ def render(series: DeltaSeries, window: BiSeriesWindow) -> BiSeriesWindow:
     """Exact windowed expansion of a series with Laurent coefficients: each
     coefficient contributes its number at the exponent ``expand`` names."""
     out = BiSeriesWindow(window.x_lo, window.x_hi, window.y_lo, window.y_hi)
-    for a, b, w, v in expand(series, out.cells(), lambda p, e: p.coeffs.get((e,), 0)):
+    for a, b, w, v in expand(series, out.cells(), lambda p, e: p.coeffs.get(e, 0)):
         out.add(a, b, w * v)
     return out
 
@@ -471,7 +492,7 @@ def render(series: DeltaSeries, window: BiSeriesWindow) -> BiSeriesWindow:
 def delta_window(k: int, window: BiSeriesWindow) -> BiSeriesWindow:
     """Exact window expansion of Delta^(k): weight n(n-1)..(n-k+1) on the
     antidiagonal x^{n-k} y^{-n-1}."""
-    return render(DeltaSeries.single(k, LaurentPoly.constant(("y",), 1)), window)
+    return render(DeltaSeries.single(k, LaurentPoly.constant("y", 1)), window)
 
 
 def mul_power_diff(m: int, series: DeltaSeries) -> DeltaSeries:
@@ -516,7 +537,7 @@ def swap_side(series: DeltaSeries) -> DeltaSeries:
     """
     side = COEFF_IN_Y if series.side == COEFF_IN_X else COEFF_IN_X
     return DeltaSeries(
-        [(j, c.derivative(k - j).rename((side,)).scale(w))
+        [(j, c.derivative(k - j).rename(side).scale(w))
          for k, c in series.items() for j, w in delta_transport(k, side == COEFF_IN_Y)],
         side,
     )
@@ -527,7 +548,7 @@ def exchange(series: DeltaSeries) -> DeltaSeries:
     moved to: exchanging x and y turns Delta^(k) into (-1)^k Delta^(k)."""
     side = COEFF_IN_X if series.side == COEFF_IN_Y else COEFF_IN_Y
     return DeltaSeries(
-        [(k, c.rename((side,)).scale(1 if k % 2 else -1)) for k, c in series.items()], side)
+        [(k, c.rename(side).scale(1 if k % 2 else -1)) for k, c in series.items()], side)
 
 
 def skew_transfer(series: DeltaSeries) -> DeltaSeries:
@@ -557,15 +578,15 @@ def decompose(window: BiSeriesWindow, k: int) -> DeltaSeries:
     terms = []
     for i in range(k + 1):
         norm = -factorial(i) if i % 2 else factorial(i)
-        coeffs: dict[tuple, Fraction] = {}
+        coeffs: dict[int, Fraction] = {}
         for s in range(window.y_lo + i, window.y_hi + 1):
             acc = 0
             for t in range(i + 1):
                 sign = -1 if t % 2 else 1
                 acc += sign * gen_binomial(i, t) * window.get(-1 - i + t, s - t)
             if acc:
-                coeffs[(s,)] = Fraction(acc, norm)
-        terms.append((i, LaurentPoly(("y",), coeffs)))
+                coeffs[s] = Fraction(acc, norm)
+        terms.append((i, LaurentPoly("y", coeffs)))
     result = DeltaSeries(terms, COEFF_IN_Y)
     back = render(result, window)
     for a, b, c in window.entries():

@@ -1,67 +1,16 @@
 """Finite-dimensional Lie algebras by structure constants, invariant forms,
-and the Poisson bracket they induce on polynomial algebras."""
+and the Poisson bracket they induce on polynomial algebras.
+
+A polynomial in the basis symbols u_i is a derivative-free ``DPoly``: its
+variable (i, 0) is the i-th basis symbol, whose name the algebra keeps."""
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
 
-from .formal_calc import Poly, rat, rat_str
+from .formal_calc import DPoly, rat
 from .linalg import add_into, bilinear, clean, det
-
-
-class SymPoly(Poly):
-    """Polynomial in a fixed ordered set of symbols, Fraction coefficients.
-
-    Exponents are nonnegative; terms are listed graded-lexicographically.
-    """
-
-    __slots__ = ()
-
-    def _monomial(self, exps) -> tuple:
-        exps = super()._monomial(exps)
-        if any(e < 0 for e in exps):
-            raise ValueError("polynomial exponents must be nonnegative")
-        return exps
-
-    @classmethod
-    def zero(cls, variables) -> "SymPoly":
-        return cls(variables)
-
-    @classmethod
-    def constant(cls, variables, c) -> "SymPoly":
-        variables = tuple(variables)
-        return cls(variables, {(0,) * len(variables): c})
-
-    @classmethod
-    def generator(cls, variables, name, c=1) -> "SymPoly":
-        variables = tuple(variables)
-        i = variables.index(name)
-        return cls(variables, {tuple(int(t == i) for t in range(len(variables))): c})
-
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.coeffs), default=0)
-
-    def terms(self):
-        """Graded-lex order, leading (highest) terms first."""
-        return sorted(self.coeffs.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
-
-    def partial(self, name: str) -> "SymPoly":
-        i = self.vars.index(name)
-        return self._new({
-            e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i] for e, c in self.coeffs.items() if e[i]
-        })
-
-    def substitute(self, values: Mapping[str, object]) -> "SymPoly":
-        """Evaluate some variables at rational values; keeps the var set."""
-        vals = {self.vars.index(n): rat(v) for n, v in values.items()}
-        out = []
-        for e, c in self.coeffs.items():
-            for i, v in vals.items():
-                if e[i]:
-                    c = c * v ** e[i]
-            out.append((tuple(0 if i in vals else x for i, x in enumerate(e)), c))
-        return self._new(clean(out))
 
 
 # ---------------------------------------------------------------------------
@@ -153,14 +102,11 @@ class FiniteLieAlgebra:
     def bracket_basis(self, i: int, j: int) -> dict[int, Fraction]:
         return self.table.get((i, j), {})
 
-    def bracket_poly(self, i: int, j: int) -> SymPoly:
-        return SymPoly(self.names, {
-            tuple(1 if p == k else 0 for p in range(self.dim)): c
-            for k, c in self.bracket_basis(i, j).items()
-        })
+    def bracket_poly(self, i: int, j: int) -> DPoly:
+        return DPoly({((k, 0),): c for k, c in self.bracket_basis(i, j).items()})
 
-    def generator(self, name: str) -> SymPoly:
-        return SymPoly.generator(self.names, name)
+    def generator(self, name: str) -> DPoly:
+        return DPoly.variable(self.names.index(name))
 
 
 class BilinearForm:
@@ -214,27 +160,21 @@ def check_invariance(alg, form: BilinearForm) -> list[str]:
     return problems
 
 
-def biderivation(table: Mapping[tuple[int, int], SymPoly], f: SymPoly, h: SymPoly) -> SymPoly:
+def biderivation(table: Mapping[tuple[int, int], DPoly], f: DPoly, h: DPoly) -> DPoly:
     """{f, h} = sum_{i,j} (df/du_i)(dh/du_j) table[(i, j)]: the biderivation
     extension of a bracket table on the symbols u_i of f and h."""
-    names = f.vars
-    out = SymPoly.zero(names)
-    partials_h = [h.partial(n) for n in names]
-    for i, n in enumerate(names):
-        pf = f.partial(n)
-        if pf.is_zero():
-            continue
-        for j, ph in enumerate(partials_h):
+    out = DPoly()
+    partials_h = h.partials()
+    for (i, _), pf in f.partials().items():
+        for (j, _), ph in partials_h.items():
             t = table.get((i, j))
-            if t is not None and not ph.is_zero():
+            if t is not None:
                 out = out + pf * ph * t
     return out
 
 
-def sym_poisson(g: FiniteLieAlgebra, f: SymPoly, h: SymPoly) -> SymPoly:
+def sym_poisson(g: FiniteLieAlgebra, f: DPoly, h: DPoly) -> DPoly:
     """{f, h} = sum_{i,j} (df/du_i)(dh/du_j) [u_i, u_j] on the symmetric algebra."""
-    if f.vars != g.names or h.vars != g.names:
-        raise ValueError("polynomials must live on the algebra's basis symbols")
     return biderivation({pair: g.bracket_poly(*pair) for pair in g.table}, f, h)
 
 

@@ -1,7 +1,8 @@
 """Poisson algebras attached to vacuum modules and to vertex Poisson
 differential algebras.
 
-Two independent reductions live here.  The first collapses a vacuum-module
+Two independent reductions live here, and both land in derivative-free
+``DPoly`` presentations.  The first collapses a vacuum-module
 state modulo the span of all modes deeper than -1, leaving a polynomial in
 the surviving generators; the quotient carries the product a_{-1}b and
 bracket a_0 b.  The second works over a polynomial differential algebra
@@ -19,8 +20,8 @@ from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from math import factorial
 
-from .formal_calc import DeltaSeries, DPoly, rat, rat_str, skew_transfer
-from .lie_core import SymPoly, biderivation
+from .formal_calc import DeltaSeries, DPoly, format_poly, rat, rat_str, skew_transfer
+from .lie_core import biderivation
 from .linalg import add_into, bilinear
 from .vacuum_module import State, VacuumModule
 from .vertex_lie import VLStructure
@@ -35,29 +36,21 @@ def p2_generators(structure: VLStructure) -> tuple[str, ...]:
     return tuple(structure.u_prime_names) + tuple(structure.u0_prime_names)
 
 
-def c2_reduce(module: VacuumModule, state: State) -> SymPoly:
+def c2_reduce(module: VacuumModule, state: State) -> DPoly:
     """Drop every monomial containing a mode at depth two or more; surviving
-    monomials (all symbols at mode -1) become polynomial monomials."""
-    st = module.structure
-    names = p2_generators(st)
-    n_up = len(st.u_prime_names)
-    coeffs = {}
-    for mono, c in state.items():
-        if any(n <= -2 for (n, _, _) in mono):
-            continue
-        exps = [0] * len(names)
-        for (n, cls, idx) in mono:
-            exps[idx + (n_up if cls == 0 else 0)] += 1
-        coeffs[tuple(exps)] = c
-    return SymPoly(names, coeffs)
+    monomials (all symbols at mode -1) become polynomial monomials in the
+    variables (p, 0), p indexing ``p2_generators``."""
+    n_up = len(module.structure.u_prime_names)
+    return DPoly({tuple((idx + (n_up if cls == 0 else 0), 0) for (_, cls, idx) in mono): c
+                  for mono, c in state.items() if all(n >= -1 for (n, _, _) in mono)})
 
 
-def p2_product(module: VacuumModule, a: State, b: State) -> SymPoly:
+def p2_product(module: VacuumModule, a: State, b: State) -> DPoly:
     """Class of a_{-1} b in the quotient."""
     return c2_reduce(module, module.mode_of_state(a, -1, b))
 
 
-def p2_bracket(module: VacuumModule, a: State, b: State) -> SymPoly:
+def p2_bracket(module: VacuumModule, a: State, b: State) -> DPoly:
     """Class of a_0 b in the quotient."""
     return c2_reduce(module, module.mode_of_state(a, 0, b))
 
@@ -65,29 +58,28 @@ def p2_bracket(module: VacuumModule, a: State, b: State) -> SymPoly:
 class PoissonPresentation:
     """Finitely presented Poisson algebra: free polynomial product, a bracket
     table on generators extended as a biderivation, and optional ideal
-    generators (used for central-character quotients).  Each ideal member
-    must be c*gen + const with c != 0; it fixes that generator's value, and
-    two members may not fix one generator to different values."""
+    generators (used for central-character quotients).  Polynomials are
+    derivative-free ``DPoly``, the variable (i, 0) standing for the i-th
+    generator.  Each ideal member must be c*gen + const with c != 0; it fixes
+    that generator's value, and two members may not fix one generator to
+    different values."""
 
     def __init__(
         self,
         generators: Sequence[str],
-        bracket: Mapping[tuple[str, str], SymPoly] | None = None,
-        ideal: Iterable[SymPoly] = (),
+        bracket: Mapping[tuple[str, str], DPoly] | None = None,
+        ideal: Iterable[DPoly] = (),
         notes: tuple[str, ...] = (),
     ):
         self.generators = tuple(generators)
-        table: dict[tuple[int, int], SymPoly] = {}
-        zero = SymPoly.zero(self.generators)
+        table: dict[tuple[int, int], DPoly] = {}
         for (a, b), val in (bracket or {}).items():
-            ia, ib = self.generators.index(a), self.generators.index(b)
-            if val.vars != self.generators:
-                raise ValueError("bracket values must live on the generator symbols")
+            key = (self.generators.index(a), self.generators.index(b))
             if not val.is_zero():
-                table[(ia, ib)] = val
+                table[key] = val
         # antisymmetry on generators is part of the contract
         for (ia, ib), val in list(table.items()):
-            other = table.get((ib, ia), zero)
+            other = table.get((ib, ia), DPoly())
             if not (val + other).is_zero():
                 if (ib, ia) in table:
                     raise ValueError(
@@ -97,36 +89,35 @@ class PoissonPresentation:
                 table[(ib, ia)] = -val
         self.table = table
         self.ideal = tuple(p for p in ideal if not p.is_zero())
-        self._values: dict[str, Fraction] = {}
+        self._values: dict[tuple[int, int], Fraction] = {}
         for q in self.ideal:
-            lin = [(e, c) for e, c in q.coeffs.items() if sum(e) == 1]
-            if len(lin) != 1 or any(sum(e) > 1 for e in q.coeffs):
-                raise ValueError(f"ideal member {q!r} is not c*gen + const with c != 0")
-            (e, c), = lin
-            const = q.coeffs.get((0,) * len(self.generators), 0)
-            gen, value = self.generators[e.index(1)], rat(Fraction(-const, c))
-            if self._values.get(gen, value) != value:
+            lin = [(m, c) for m, c in q.coeffs.items() if len(m) == 1]
+            if len(lin) != 1 or any(len(m) > 1 for m in q.coeffs):
+                raise ValueError(f"ideal member {self.text(q)} is not c*gen + const with c != 0")
+            ((v,), c), = lin
+            value = rat(Fraction(-q.coeffs.get((), 0), c))
+            if self._values.get(v, value) != value:
                 raise ValueError(
-                    f"ideal members fix {gen} to both {rat_str(self._values[gen])} "
-                    f"and {rat_str(value)}"
+                    f"ideal members fix {self.generators[v[0]]} to both "
+                    f"{rat_str(self._values[v])} and {rat_str(value)}"
                 )
-            self._values[gen] = value
+            self._values[v] = value
         self.notes = tuple(notes)
 
-    def zero(self) -> SymPoly:
-        return SymPoly.zero(self.generators)
+    def text(self, p: DPoly) -> str:
+        return format_poly(p, self.generators)
 
-    def generator(self, name: str) -> SymPoly:
-        return SymPoly.generator(self.generators, name)
+    def generator(self, name: str) -> DPoly:
+        return DPoly.variable(self.generators.index(name))
 
-    def bracket_gens(self, ia: int, ib: int) -> SymPoly:
-        return self.table.get((ia, ib), self.zero())
+    def bracket_gens(self, ia: int, ib: int) -> DPoly:
+        return self.table.get((ia, ib), DPoly())
 
-    def bracket_poly(self, f: SymPoly, g: SymPoly) -> SymPoly:
+    def bracket_poly(self, f: DPoly, g: DPoly) -> DPoly:
         """Biderivation extension of the generator table."""
         return biderivation(self.table, f, g)
 
-    def reduce_mod_ideal(self, p: SymPoly) -> SymPoly:
+    def reduce_mod_ideal(self, p: DPoly) -> DPoly:
         """Substitute the generator values fixed by the ideal members."""
         return p.substitute(self._values) if self._values else p
 
@@ -137,7 +128,7 @@ class PoissonPresentation:
             for name in self.generators:
                 br = self.bracket_poly(q, self.generator(name))
                 if not self.reduce_mod_ideal(br).is_zero():
-                    problems.append(f"ideal not Poisson-closed at ({q!r}, {name})")
+                    problems.append(f"ideal not Poisson-closed at ({self.text(q)}, {name})")
         return problems
 
     def __repr__(self):
@@ -145,12 +136,12 @@ class PoissonPresentation:
         for (ia, ib), val in sorted(self.table.items()):
             if ia < ib:
                 lines.append(
-                    f"{{{self.generators[ia]},{self.generators[ib]}}} = {val!r}"
+                    f"{{{self.generators[ia]},{self.generators[ib]}}} = {self.text(val)}"
                 )
         if not self.table:
             lines.append("bracket: zero")
         for q in self.ideal:
-            lines.append(f"ideal: {q!r}")
+            lines.append(f"ideal: {self.text(q)}")
         lines.extend(self.notes)
         return "\n".join(lines)
 
@@ -169,10 +160,9 @@ def p2_structure(structure: VLStructure, lam: Mapping[str, object] | None = None
     loop_terms = {(ia, ib): f for ia in r for ib in r
                   for f, k, l in structure.table_terms(ia, ib) if k == l == 0}
 
-    def project(vec) -> SymPoly:
+    def project(vec) -> DPoly:
         z_part, _, up_part = structure.decompose_vector(vec)
-        return sum((SymPoly.generator(names, n, c) for n, c in zip(names, up_part + z_part) if c),
-                   SymPoly.zero(names))
+        return DPoly({((p, 0),): c for p, c in enumerate(up_part + z_part)})
 
     gen_vectors = list(structure.u_prime_vectors) + list(structure.u0_prime_vectors)
     bracket = {}
@@ -186,9 +176,7 @@ def p2_structure(structure: VLStructure, lam: Mapping[str, object] | None = None
     if lam is not None:
         lam = {str(k): rat(v) for k, v in lam.items()}
         for name in structure.u0_prime_names:
-            ideal.append(
-                SymPoly.generator(names, name) - SymPoly.constant(names, lam[name])
-            )
+            ideal.append(DPoly.variable(names.index(name)) - DPoly.constant(lam[name]))
         hr = structure.meta.get("highest_root")
         if hr is not None:
             level = lam.get("c")
@@ -221,22 +209,23 @@ def verify_p2_iso(
     module = VacuumModule(structure, lam)
     pres = presentation if presentation is not None else p2_structure(structure, lam)
 
-    def reduce(p: SymPoly) -> SymPoly:
-        return pres.reduce_mod_ideal(p)
-
+    reduce = pres.reduce_mod_ideal
+    names = p2_generators(structure)
     problems = []
 
     def compare(a: State, b: State, label: str):
         prod_mod = p2_product(module, a, b)
         prod_pol = reduce(c2_reduce(module, a) * c2_reduce(module, b))
         if reduce(prod_mod) != prod_pol:
-            problems.append(f"product mismatch on {label}: {prod_mod!r} vs {prod_pol!r}")
+            problems.append(f"product mismatch on {label}: "
+                            f"{format_poly(prod_mod, names)} vs {format_poly(prod_pol, names)}")
         br_mod = p2_bracket(module, a, b)
         br_pol = reduce(
             pres.bracket_poly(c2_reduce(module, a), c2_reduce(module, b))
         )
         if reduce(br_mod) != br_pol:
-            problems.append(f"bracket mismatch on {label}: {br_mod!r} vs {br_pol!r}")
+            problems.append(f"bracket mismatch on {label}: "
+                            f"{format_poly(br_mod, names)} vs {format_poly(br_pol, names)}")
 
     for na in structure.u_prime_names:
         for nb in structure.u_prime_names:
@@ -374,9 +363,5 @@ def pvpa_quotient(algebra: VPDiffAlgebra) -> PoissonPresentation:
     for i, a in enumerate(names):
         for j, b in enumerate(names):
             prods = algebra.mode_products(algebra.generator(a), algebra.generator(b))
-            flat = prods.get(0, DPoly()).drop_derivatives()
-            bracket[(a, b)] = SymPoly(names, {
-                tuple(sum(bi == t for bi, _ in mono) for t in range(len(names))): c
-                for mono, c in flat.coeffs.items()
-            })
+            bracket[(a, b)] = prods.get(0, DPoly()).drop_derivatives()
     return PoissonPresentation(names, bracket)

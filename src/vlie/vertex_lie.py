@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import comb
 
 from .formal_calc import DeltaSeries, DPoly, falling, format_terms, skew_transfer
-from .lie_core import BilinearForm, FiniteLieAlgebra, SymPoly, _normalize_table, check_invariance
+from .lie_core import BilinearForm, FiniteLieAlgebra, _normalize_table, check_invariance
 from .linalg import Echelon, add_into, bilinear, clean, inverse, nullspace
 
 Vector = dict[int, int | Fraction]  # sparse coordinates over the base-space basis
@@ -477,7 +477,9 @@ class _Certificate:
     only.  As in the window checks, inner brackets read the raw table on
     basis pairs, and outer ones act on normal forms through the canonical
     vectors by sesquilinearity, [(D x)_lambda y] = -lambda [x_lambda y] and
-    [x_lambda D y] = (lambda + D) [x_lambda y].
+    [x_lambda D y] = (lambda + D) [x_lambda y].  The raw table itself must
+    obey sesquilinearity at D u = d(u) for each domain vector u, which
+    neither the normal forms nor the window checks see.
     """
 
     def __init__(self, structure: VLStructure):
@@ -537,6 +539,24 @@ class _Certificate:
             + [((q + e, p - e, *key), -comb(p, e) * v) for (q, *x), w in self.raw[a, b].items()
                for (p, *key), v in self.bracket({tuple(x): w}, nc).items() for e in range(p + 1)])
 
+    def d_failures(self, u: int) -> list[tuple[int, int]]:
+        """The basis pairs (u, b) where the raw table breaks
+        [d(u)_lambda b] = -lambda [u_lambda b], and (b, u) where it breaks
+        [b_lambda d(u)] = (lambda + D) [b_lambda u]."""
+        image, raw = self.s.d_map[u], self.raw
+        out = []
+        for b in range(len(self.s.basis)):
+            if (clean((key, c * v) for j, c in image.items() for key, v in raw[j, b].items())
+                    != clean(((l + 1, *key), -c) for (l, *key), c in raw[u, b].items())):
+                out.append((u, b))
+            x = raw[b, u]
+            if (clean((key, c * v) for j, c in image.items() for key, v in raw[b, j].items())
+                    != clean([((l + 1, cls, idx, t), c) for (l, cls, idx, t), c in x.items()]
+                             + [((l, cls, idx, t + 1), c)
+                                for (l, cls, idx, t), c in x.items() if cls])):
+                out.append((b, u))
+        return out
+
     def problems(self) -> list[str]:
         s, r = self.s, range(len(self.s.basis))
         problems = [f"skew fails for ({s.basis[i]},{s.basis[j]})" for i in r for j in r[i:]
@@ -547,6 +567,14 @@ class _Certificate:
         problems += [f"kernel vector {s.u0_prime_names[z[1]]} is not central"
                      for z in gens if not z[0]
                      and any(self.generator(z, g) or self.generator(g, z) for g in gens)]
+        for u, image in s.d_map.items():
+            name = s.basis[u]
+            for x, y in self.d_failures(u):
+                problem = (f"bracket does not respect D {name} = d({name}) "
+                           f"on ({s.basis[x]},{s.basis[y]})" if image
+                           else f"kernel vector {name} is not central")
+                if problem not in problems:
+                    problems.append(problem)
         names = (s.u0_prime_names, s.u_prime_names)
         for a, b, c in itertools.combinations_with_replacement(r, 3):
             rest = self.jacobi(a, b, c) if len(problems) < 20 else None
@@ -797,12 +825,13 @@ def b3_criterion(algebra: CommAlgebra, form: BilinearForm | None = None,
 # Quadratic vertex Poisson coefficient relations
 # ---------------------------------------------------------------------------
 
-def verify_po_relations(g_matrix: Sequence[Sequence[SymPoly]],
-                        b_tensor: Mapping[tuple[int, int, int], SymPoly]) -> list[str]:
+def verify_po_relations(g_matrix: Sequence[Sequence[DPoly]],
+                        b_tensor: Mapping[tuple[int, int, int], DPoly]) -> list[str]:
     """Check the coefficient relations of order-2 quadratic bracket tables.
 
-    Inputs: g[i][j] polynomials in the base symbols u_k, and b[i,j,k]
-    polynomials.  Checks, for all indices:
+    Inputs: g[i][j] polynomials in the base symbols u_k, the variables
+    (k, 0) of a derivative-free ``DPoly``, and b[i,j,k] polynomials.
+    Checks, for all indices:
       1. g^{ij} = -g^{ji}
       2. d g^{ij} / d u_k = b^{ij}_k
       3. sum_l b^{ij}_l g^{lk} = sum_l b^{jk}_l g^{li}
@@ -817,14 +846,13 @@ def verify_po_relations(g_matrix: Sequence[Sequence[SymPoly]],
     check this against the window Jacobi check.
     """
     n = len(g_matrix)
-    if n == 0:
-        return []
-    vars_ = g_matrix[0][0].vars
-    names = vars_
-    zero = SymPoly.zero(vars_)
+    zero = DPoly()
 
     def b(i, j, k):
         return b_tensor.get((i, j, k), zero)
+
+    def partial(p, k):
+        return p.partials().get((k, 0), zero)
 
     problems = []
     for i in range(n):
@@ -834,7 +862,7 @@ def verify_po_relations(g_matrix: Sequence[Sequence[SymPoly]],
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                if g_matrix[i][j].partial(names[k]) != b(i, j, k):
+                if partial(g_matrix[i][j], k) != b(i, j, k):
                     problems.append(f"relation 2 fails at ({i},{j},{k})")
     for i in range(n):
         for j in range(n):
@@ -853,7 +881,7 @@ def verify_po_relations(g_matrix: Sequence[Sequence[SymPoly]],
                     lhs = zero
                     rhs = zero
                     for l in range(n):
-                        lhs = lhs + (b(i, j, l) * g_matrix[l][k]).partial(names[m])
+                        lhs = lhs + partial(b(i, j, l) * g_matrix[l][k], m)
                         rhs = (rhs + b(i, j, l) * b(l, k, m)
                                + b(j, k, l) * b(l, i, m)
                                + b(k, i, l) * b(l, j, m))

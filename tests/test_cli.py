@@ -76,6 +76,21 @@ class TestActAndDecompose:
         assert code == 0
         assert "round trip: exact" in out
 
+    @pytest.mark.parametrize("series, text", [
+        ('[{"order":0,"coeff":{"-2":"1/3","1":"1","0":"-2"}},{"order":2,"coeff":{"3":"5"}}]',
+         "(1/3*y^-2 - 2 + y)*Delta + (5*y^3)*Delta^(2)"),
+        ('[{"order":1,"coeff":{"0":"0","-3":"-7/2"}},{"order":0,"coeff":{"2":"0"}}]',
+         "(-7/2*y^-3)*Delta^(1)"),
+        ('[{"order":0,"coeff":{"-1":"-1","-4":"2/5"}},{"order":3,"coeff":{"0":"1","1":"-1"}}]',
+         "(2/5*y^-4 - y^-1)*Delta + (1 - y)*Delta^(3)"),
+        ('[{"order":2,"coeff":{"0":"0"}}]', "0"),
+    ])
+    def test_decompose_text(self, capsys, series, text):
+        # zero coefficients are dropped, exponents print in ascending order
+        code, out, _ = run(capsys, "decompose", "--series", series)
+        assert code == 0
+        assert out == f"{text}\nround trip: exact\n"
+
 
 class TestCheckSuites:
     def test_check_delta(self, capsys):

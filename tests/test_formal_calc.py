@@ -24,25 +24,24 @@ from vlie.formal_calc import (
 
 
 def ypoly(coeffs):
-    return LaurentPoly(("y",), {(e,): c for e, c in coeffs.items()})
+    return LaurentPoly("y", coeffs)
 
 
 def xpoly(coeffs):
-    return LaurentPoly(("x",), {(e,): c for e, c in coeffs.items()})
+    return LaurentPoly("x", coeffs)
 
 
 def random_series(rng, max_order=5, exp_range=4, side=COEFF_IN_Y):
     terms = []
-    var = (side,)
     for order in rng.sample(range(max_order + 1), rng.randint(1, max_order + 1)):
         coeffs = {}
         for _ in range(rng.randint(1, 3)):
             e = rng.randint(-exp_range, exp_range)
             c = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
             if c:
-                coeffs[(e,)] = c
+                coeffs[e] = c
         if coeffs:
-            terms.append((order, LaurentPoly(var, coeffs)))
+            terms.append((order, LaurentPoly(side, coeffs)))
     return DeltaSeries(terms, side)
 
 
@@ -218,7 +217,7 @@ class TestSeriesType:
         with pytest.raises(ValueError):
             DeltaSeries([(1, xpoly({1: 1}))], COEFF_IN_Y)
         with pytest.raises(ValueError):
-            DeltaSeries([(0, LaurentPoly(("z",), {(0,): 1}))], COEFF_IN_Y)
+            DeltaSeries([(0, LaurentPoly("z", {0: 1}))], COEFF_IN_Y)
         with pytest.raises(ValueError):
             DeltaSeries.single(0, ypoly({0: 1}), COEFF_IN_X)
 

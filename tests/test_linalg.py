@@ -112,9 +112,9 @@ def test_add_into_never_stores_zero(acc, vec, scale):
 
 def series(side, max_order=3, exp_range=3):
     poly = st.dictionaries(
-        st.integers(-exp_range, exp_range).map(lambda e: (e,)),
+        st.integers(-exp_range, exp_range),
         st.fractions(min_value=-5, max_value=5, max_denominator=4), max_size=3,
-    ).map(lambda coeffs: LaurentPoly((side,), coeffs))
+    ).map(lambda coeffs: LaurentPoly(side, coeffs))
     return st.lists(st.tuples(st.integers(0, max_order), poly), max_size=4).map(
         lambda terms: DeltaSeries(terms, side))
 

@@ -7,7 +7,7 @@ import pytest
 
 from vlie.config import build_structure, vertex_lie_from_config
 from vlie.formal_calc import DeltaSeries, DPoly, expand, format_terms, gen_binomial
-from vlie.lie_core import BilinearForm, FiniteLieAlgebra, SymPoly, heis3, sl2, sl2_form
+from vlie.lie_core import BilinearForm, FiniteLieAlgebra, heis3, sl2, sl2_form
 from vlie.linalg import add_into
 from vlie.vertex_lie import (
     CommAlgebra,
@@ -649,13 +649,10 @@ def _b3_algebras():
 def _certificate_structures():
     """name -> factory of a new, uncertified structure."""
     good, bad = _acceptance_algebras()
-    chain = [f"a{i}" for i in range(6)]
     out = {name: functools.partial(_jacobi_structure, name) for name in JACOBI_STRUCTURES}
     out.update({
         "d-relation": lambda: VLStructure(("a", "b"), None, ("a",), {"a": {"b": 1}}, {}),
-        "nilpotent-chain": lambda: VLStructure(
-            chain, None, chain[:-1], {chain[i]: {chain[i + 1]: 1} for i in range(5)},
-            {("a0", "a1"): [({"a5": 1}, 0, 0)], ("a1", "a0"): [({"a5": -1}, 0, 0)]}),
+        "nilpotent-chain": lambda: _presentation(witt(), 5),
         "virasoro-d2": lambda: _presentation(virasoro(), 2),
         "heisenberg-d1": lambda: _presentation(heisenberg([[2, 1], [1, 3]]), 1),
         "novikov-dual-d1": lambda: _presentation(build_structure("novikov-dual"), 1),
@@ -752,6 +749,36 @@ class TestCertificate:
         assert s.verify_skew_symmetry(4) == [] and s.verify_jacobi(4) == []
         with pytest.raises(ValueError, match="kernel vector z is not central"):
             s.certify()
+
+    def test_table_must_respect_d(self):
+        # d a = b, so [b_lambda a] must be -lambda [a_lambda a] = 0, yet the
+        # table gives c: b(0) = 0 while [b(0), a(-1)] = c(-1).  The window
+        # checks pass it; the certificate rejects it.
+        s = VLStructure(("a", "b", "c"), None, ("a", "c"), {"a": {"b": 1}, "c": {}},
+                        {("b", "a"): [({"c": 1}, 0, 0)], ("a", "b"): [({"c": -1}, 0, 0)]})
+        assert s.mode("b", 0) == {} and s.component_bracket("b", 0, "a", -1) == s.mode("c", -1)
+        assert s.verify_skew_symmetry(4) == [] and s.verify_jacobi(4) == []
+        with pytest.raises(ValueError, match=r"^structure fails Lie axioms: bracket does not "
+                                             r"respect D a = d\(a\) on \(a,a\); "):
+            s.certify()
+        # the same fault on the chain a0 -> a1 -> ... -> a5: a1(-1) = a0(-2)
+        # and [a0(0), a0(-2)] = 0, yet [a0(0), a1(-1)] = 120 a0(-6)
+        chain = [f"a{i}" for i in range(6)]
+        s = VLStructure(chain, None, chain[:-1], {chain[i]: {chain[i + 1]: 1} for i in range(5)},
+                        {("a0", "a1"): [({"a5": 1}, 0, 0)], ("a1", "a0"): [({"a5": -1}, 0, 0)]})
+        assert s.mode("a1", -1) == s.mode("a0", -2) and s.component_bracket("a0", 0, "a0", -2) == {}
+        assert s.component_bracket("a0", 0, "a1", -1) == {(-6, 1, 0): 120}
+        assert s.verify_skew_symmetry(4) == [] and s.verify_jacobi(4) == []
+        with pytest.raises(ValueError, match=r"respect D a0 = d\(a0\) on \(a0,a0\)"):
+            s.certify()
+        # each slot alone: [w_lambda a] = e needs [w_lambda d(a)] = (lambda+D) e,
+        # and [a_lambda w] = e needs [d(a)_lambda w] = -lambda e
+        for pair in (("w", "a"), ("a", "w")):
+            s = VLStructure(("a", "b", "w", "e"), None, ("a",), {"a": {"b": 1}},
+                            {pair: [({"e": 1}, 0, 0)]})
+            with pytest.raises(ValueError, match=r"skew fails for \(a,w\); bracket does not "
+                                                 rf"respect D a = d\(a\) on \({','.join(pair)}\)$"):
+                s.certify()
 
 
 class TestSeriesTable:
@@ -901,17 +928,15 @@ class TestB3Criterion:
 
 class TestPoRelations:
     def test_constant_antisymmetric_passes_first_three(self):
-        names = ("u1", "u2")
-        zero = SymPoly.zero(names)
-        g01 = SymPoly.constant(names, 3)
+        zero = DPoly()
+        g01 = DPoly.constant(3)
         g = [[zero, g01], [-g01, zero]]
         problems = verify_po_relations(g, {})
         assert all("relation 4" not in p for p in problems)
         assert not [p for p in problems if "relation 1" in p or "relation 2" in p or "relation 3" in p]
 
     def test_symmetric_g_fails(self):
-        names = ("u1",)
-        g = [[SymPoly.constant(names, 1)]]
+        g = [[DPoly.constant(1)]]
         problems = verify_po_relations(g, {})
         assert any("relation 1" in p for p in problems)
 
@@ -921,12 +946,10 @@ class TestPoRelations:
         # characteristic zero on symmetric pairs, so take u_i u_j = 0 for
         # i = j and u1 u2 = u2 u1 = 0 except the antisymmetric part carried
         # entirely by the constants below.
-        names = ("u1", "u2")
-        zero = SymPoly.zero(names)
+        zero = DPoly()
         # b^{12}_1 = 1 means g^{12} = u1 + g0^{12}
-        b = {(0, 1, 0): SymPoly.constant(names, 1),
-             (1, 0, 0): SymPoly.constant(names, -1)}
-        g01 = SymPoly.generator(names, "u1") + SymPoly.constant(names, 5)
+        b = {(0, 1, 0): DPoly.constant(1), (1, 0, 0): DPoly.constant(-1)}
+        g01 = DPoly.variable(0) + DPoly.constant(5)
         g = [[zero, g01], [-g01, zero]]
         problems = verify_po_relations(g, b)
         # relations 1-3: 3 needs sum_l b^{ij}_l g^{lk} = sum_l b^{jk}_l g^{li}
@@ -947,10 +970,8 @@ def _order2_data(g, central):
             if central[i][j]:
                 f["c"] = central[i][j]
             table[(names[i], names[j])] = [(f, 0, 2), ({x: -c for x, c in f.items()}, 1, 1)]
-            g_matrix[i][j] = (SymPoly(names, {tuple(int(t == k) for t in range(n)): c
-                                              for k, c in g.bracket_basis(i, j).items()})
-                              + SymPoly.constant(names, central[i][j]))
-    b_tensor = {(i, j, k): SymPoly.constant(names, c)
+            g_matrix[i][j] = g.bracket_poly(i, j) + DPoly.constant(central[i][j])
+    b_tensor = {(i, j, k): DPoly.constant(c)
                 for (i, j), entry in g.table.items() for k, c in entry.items()}
     structure = VLStructure(names + ("c",), None, ("c",), {"c": {}}, table)
     return structure, g_matrix, b_tensor
