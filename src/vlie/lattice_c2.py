@@ -280,10 +280,8 @@ def power_of_linear(rank: int, alpha: Vec, e: int) -> dict[tuple, int]:
     lin = {tuple(1 if t == i else 0 for t in range(rank)): alpha[i]
            for i in range(rank) if alpha[i]}
     for _ in range(e):
-        out = clean(
-            (tuple(x + y for x, y in zip(m1, m2)), c1 * c2)
-            for m1, c1 in out.items() for m2, c2 in lin.items()
-        )
+        out = clean((tuple(x + y for x, y in zip(m1, m2)), c1 * c2)
+                    for m1, c1 in out.items() for m2, c2 in lin.items())
     return out
 
 
@@ -304,14 +302,12 @@ class PowerIdealReducer:
         self._max_degree: int | None = None
 
     def _monomials(self, degree: int) -> list[tuple]:
-        def rec(slots, left):
-            if slots == 1:
-                yield (left,)
-                return
-            for e in range(left + 1):
-                for rest in rec(slots - 1, left - e):
-                    yield (e,) + rest
-        return sorted(rec(self.rank, degree), reverse=True)
+        """Exponent tuples of the degree, largest first: the gaps between
+        rank - 1 bars placed among degree + rank - 1 slots."""
+        slots = degree + self.rank - 1
+        return sorted((tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (slots,)))
+                       for bars in itertools.combinations(range(slots), self.rank - 1)),
+                      reverse=True)
 
     def _prepare(self, degree: int):
         if degree in self._echelon:
@@ -319,15 +315,11 @@ class PowerIdealReducer:
         # the largest-monomial pivots fix which monomials span the quotient
         echelon = Echelon()
         for alpha, e in self.generators:
-            if e > degree:
-                continue
-            base = power_of_linear(self.rank, alpha, e)
-            pad = degree - e
-            for mono in self._monomials(pad):
-                echelon.insert({
-                    tuple(x + y for x, y in zip(m, mono)): c
-                    for m, c in base.items()
-                })
+            if e <= degree:
+                base = power_of_linear(self.rank, alpha, e)
+                for pad in self._monomials(degree - e):
+                    echelon.insert({tuple(x + y for x, y in zip(m, pad)): c
+                                    for m, c in base.items()})
         self._echelon[degree] = echelon
         self._basis[degree] = [m for m in self._monomials(degree) if m not in echelon.rows]
 
@@ -367,10 +359,10 @@ class PLAlgebra:
     Elements are dicts keyed by (sector, monomial): sector () for the pure
     polynomial part, sector beta for the X_beta component.  Multiplication
     folds the X-sector relations and reduces each sector by its power
-    ideal; the Poisson bracket extends the generator table as a
-    biderivation.  ``verify_axioms`` checks every axiom at every pair and
-    triple of basis elements, exactly, with work that grows with the
-    nonzero products of the two structure-constant tables, not with dim^3.
+    ideal (one reducer per distinct ideal); the Poisson bracket extends the
+    generator table as a biderivation.  ``verify_axioms`` decides every
+    axiom exactly (Jacobi on generator triples), with work that grows with
+    the nonzero products of the two structure-constant tables, not dim^3.
     """
 
     def __init__(self, lattice: EvenLattice):
@@ -388,22 +380,24 @@ class PLAlgebra:
         self.eps = build_cocycle(lattice, self.c2)
         self.nonzero_c2 = [a for a in self.c2 if any(a)]
         r = lattice.rank
-        zero_gens = [
-            (alpha, 1 + lattice.norm(alpha)) for alpha in self.nonzero_c2
-        ]
-        self.sectors: dict[tuple, PowerIdealReducer] = {(): PowerIdealReducer(r, zero_gens)}
-        for beta in self.nonzero_c2:
-            gens = []
+        # one generator per line of the survivors (alpha, -alpha and their
+        # multiples), with the least exponent, spans the same ideal; so one
+        # reducer serves every sector with the same list
+        reducers: dict[tuple, PowerIdealReducer] = {}
+        self.sectors: dict[tuple, PowerIdealReducer] = {}
+        for beta in [(0,) * r] + self.nonzero_c2:
+            lines: dict[Vec, int] = {}
             for alpha in self.nonzero_c2:
-                diff = tuple(b - a for a, b in zip(alpha, beta))
-                e = 1 - lattice.pair(diff, alpha)
-                gens.append((alpha, e))
-            self.sectors[beta] = PowerIdealReducer(r, gens)
-        self.basis = []
-        for sector, reducer in self._sorted_sectors():
-            for d in range(reducer.max_degree() + 1):
-                for mono in reducer.basis(d):
-                    self.basis.append((sector, mono))
+                g = math.gcd(*alpha)
+                line = max(tuple(a // g for a in alpha), tuple(-a // g for a in alpha))
+                e = 1 + lattice.norm(alpha) - lattice.pair(beta, alpha)
+                lines[line] = min(e, lines.get(line, e))
+            gens = tuple(sorted(lines.items()))
+            if gens not in reducers:
+                reducers[gens] = PowerIdealReducer(r, gens)
+            self.sectors[beta if any(beta) else ()] = reducers[gens]
+        self.basis = [(sector, mono) for sector, reducer in self.sectors.items()
+                      for d in range(reducer.max_degree() + 1) for mono in reducer.basis(d)]
         self.index = {key: i for i, key in enumerate(self.basis)}
         # basis index of Z_t m -> (index of Z_t, index of m), for every basis
         # key of positive degree but the Z_t themselves; the tables are read
@@ -423,11 +417,6 @@ class PLAlgebra:
                     self._divisor.setdefault(i, (z, m))
         self._mult_table: dict | None = None
         self._bracket_table: dict | None = None
-
-    def _sorted_sectors(self):
-        return [((), self.sectors[()])] + [
-            (b, self.sectors[b]) for b in self.nonzero_c2
-        ]
 
     @property
     def dim(self) -> int:
@@ -590,19 +579,30 @@ class PLAlgebra:
         return table
 
     def verify_axioms(self) -> list[str]:
-        """Exhaustive commutativity, skew, associativity, Leibniz and Jacobi
-        over the finite basis, exact, with work that grows with the nonzero
-        products rather than with dim^3.
+        """Commutativity, skew, associativity and Leibniz at every pair and
+        triple of basis elements, and Jacobi at every triple of generators:
+        exact, with work that grows with the nonzero products, not dim^3.
 
         Pairs are compared entry by entry.  For triples, the two tables are
-        composed once into (e_a e_b) e_c, {e_a, e_b} e_c, {{e_a, e_b}, e_c}
-        and {e_c, e_a e_b} (``linalg.compose``), which hold only the nonzero
-        products.  Every term of a triple identity is one of their entries,
-        so each identity is decided at the triples where one of its terms is
-        nonzero; at every other triple it holds as a sum of zero products.
-        Problems are listed pairs first, then triples in lexicographic
-        order (associativity, Leibniz, Jacobi within a triple), and the
-        list stops after the first triple at which it holds ten or more.
+        composed once into (e_a e_b) e_c, {e_a, e_b} e_c and {e_c, e_a e_b}
+        (``linalg.compose``), which hold only the nonzero products.  Every
+        term of a triple identity is one of their entries, so each identity
+        is decided at the triples where one of its terms is nonzero; at
+        every other triple it holds as a sum of zero products.
+
+        The generators are the unit, the Z_t and the X_beta: the keys with
+        no ``_divisor``.  A pair check asks e_z e_m = e_i for the divisor
+        (z, m) of every other key i, so that every key is a product of
+        generators.  Given the exhaustive checks, the Jacobiator of the skew
+        biderivation is a derivation in each argument (Laurent-Gengoux,
+        Pichereau and Vanhaecke, *Poisson Structures*, 2013, ch. 1), so it
+        vanishes once it vanishes on generator triples, whose
+        {{g_a, g_b}, g_c} need only the generator rows.
+
+        Problems are listed pairs first (commutativity and skew by pair,
+        then factorization by key), then triples in lexicographic order
+        (associativity, Leibniz, Jacobi within a triple), and the list stops
+        after the first triple at which it holds ten or more.
         """
         if self.zero_algebra:
             return []
@@ -616,6 +616,9 @@ class PLAlgebra:
                     problems.append(f"commutativity fails at ({i},{j})")
                 if add_into(dict(br[(i, j)]), br[(j, i)]):
                     problems.append(f"skew fails at ({i},{j})")
+        for i, (z, m) in self._divisor.items():
+            if mult[(z, m)] != {i: 1}:
+                problems.append(f"factorization fails at ({z},{m})")
         # (triple, place within the triple, name) of every failure; each
         # composite table, keyed ((a, b), c), is dropped once its identity
         # is decided, so that memory holds one identity's tables at a time
@@ -637,8 +640,11 @@ class PLAlgebra:
             if br_of_mult.get(((j, k), i), {}) != rhs:
                 failures.add(((i, j, k), 1, "Leibniz"))
         del br_mult, br_of_mult, leibniz
-        # Jacobi: the cyclic sum is the same at all three rotations
-        br_br = compose(br, br)             # {{e_a, e_b}, e_c}
+        # Jacobi on generator triples: the cyclic sum is the same at all
+        # three rotations
+        gens = [i for i in range(n) if i not in self._divisor]
+        br_br = compose({(a, b): br[(a, b)] for a in gens for b in gens},
+                        {(m, c): br[(m, c)] for m in range(n) for c in gens})
         for ((a, b), c), vec in br_br.items():
             acc = add_into(dict(vec), br_br.get(((b, c), a), {}))
             if add_into(acc, br_br.get(((c, a), b), {})):

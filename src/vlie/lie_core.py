@@ -10,7 +10,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 
 from .formal_calc import DPoly, rat
-from .linalg import add_into, bilinear, clean, det
+from .linalg import add_into, bilinear, clean
 
 
 # ---------------------------------------------------------------------------
@@ -128,12 +128,6 @@ class BilinearForm:
     def value(self, i: int, j: int) -> Fraction:
         return self.matrix[i][j]
 
-    def determinant(self) -> Fraction:
-        return det(self.matrix)
-
-    def is_nondegenerate(self) -> bool:
-        return self.determinant() != 0
-
 
 def check_invariance(alg, form: BilinearForm) -> list[str]:
     """List basis triples violating (ab|c) = (a|bc).
@@ -173,8 +167,18 @@ def biderivation(table: Mapping[tuple[int, int], DPoly], f: DPoly, h: DPoly) -> 
     return out
 
 
+def check_generators(n: int, *polys: DPoly) -> None:
+    """Raise ValueError unless each poly is derivative-free in n generators:
+    every variable (i, j) has j = 0 and 0 <= i < n."""
+    bad = next((v for p in polys for mono in p.coeffs for v in mono
+                if v[1] or not 0 <= v[0] < n), None)
+    if bad is not None:
+        raise ValueError(f"variable {bad} is not one of the {n} generators (i, 0)")
+
+
 def sym_poisson(g: FiniteLieAlgebra, f: DPoly, h: DPoly) -> DPoly:
     """{f, h} = sum_{i,j} (df/du_i)(dh/du_j) [u_i, u_j] on the symmetric algebra."""
+    check_generators(g.dim, f, h)
     return biderivation({pair: g.bracket_poly(*pair) for pair in g.table}, f, h)
 
 
@@ -194,11 +198,3 @@ def sl2_form() -> BilinearForm:
     """The invariant form with (e|f) = 1, (h|h) = 2."""
     return BilinearForm([[0, 0, 1], [0, 2, 0], [1, 0, 0]])
 
-
-def heis3() -> FiniteLieAlgebra:
-    """Two-step nilpotent algebra [x,y] = z."""
-    return FiniteLieAlgebra(("x", "y", "z"), {("x", "y"): {"z": 1}})
-
-
-def abelian(n: int) -> FiniteLieAlgebra:
-    return FiniteLieAlgebra(tuple(f"a{i}" for i in range(1, n + 1)), {})

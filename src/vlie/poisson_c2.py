@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import factorial
 
 from .formal_calc import DeltaSeries, DPoly, format_poly, rat, rat_str, skew_transfer
-from .lie_core import biderivation
+from .lie_core import biderivation, check_generators
 from .linalg import add_into, bilinear
 from .vacuum_module import State, VacuumModule
 from .vertex_lie import VLStructure
@@ -89,6 +89,7 @@ class PoissonPresentation:
                 table[(ib, ia)] = -val
         self.table = table
         self.ideal = tuple(p for p in ideal if not p.is_zero())
+        check_generators(len(self.generators), *table.values(), *self.ideal)
         self._values: dict[tuple[int, int], Fraction] = {}
         for q in self.ideal:
             lin = [(m, c) for m, c in q.coeffs.items() if len(m) == 1]

@@ -70,11 +70,6 @@ class VacuumModule:
 
     # -- degrees -------------------------------------------------------------
 
-    def is_graded(self) -> bool:
-        """Degree-0 center and positive-degree creators; fixed with the
-        structure, so decided once in the constructor."""
-        return self._graded
-
     def require_graded(self, what: str):
         if not self._graded:
             raise ValueError(

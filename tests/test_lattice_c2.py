@@ -2,9 +2,11 @@ import copy
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from vlie.lattice_c2 import (
     BkAlgebra,
@@ -310,9 +312,14 @@ class TestBkCompare:
 # verify_axioms against the dense n^3 loop
 # ---------------------------------------------------------------------------
 
-def dense_verify_axioms(alg):
+def dense_verify_axioms(alg, jacobi_on_generators=False):
     """The plain loop over all dim^3 triples, eight ``bilinear`` products
-    each, with the same problem strings and the same cut at ten."""
+    each, with the same problem strings and the same cut at ten.
+
+    With ``jacobi_on_generators`` it decides what ``verify_axioms`` decides:
+    Jacobi only at triples of generator keys (degree 0, or a Z_t), and,
+    after the pairs, that each other key Z^m X_beta is the product of Z_t,
+    t its first nonzero exponent, and the key Z^m X_beta / Z_t."""
     problems = []
     mult = alg.multiplication_table()
     br = alg.bracket_table()
@@ -323,6 +330,17 @@ def dense_verify_axioms(alg):
                 problems.append(f"commutativity fails at ({i},{j})")
             if add_into(dict(br[(i, j)]), br[(j, i)]):
                 problems.append(f"skew fails at ({i},{j})")
+    generators = set(range(n))
+    if jacobi_on_generators:
+        for i, (sector, mono) in enumerate(alg.basis):
+            if sum(mono) == 0 or (sector == () and sum(mono) == 1):
+                continue
+            generators.discard(i)
+            t = next(t for t, e in enumerate(mono) if e)
+            z = alg.index[((), tuple(int(s == t) for s in range(len(mono))))]
+            m = alg.index[(sector, mono[:t] + (mono[t] - 1,) + mono[t + 1:])]
+            if mult[(z, m)] != {i: 1}:
+                problems.append(f"factorization fails at ({z},{m})")
     units = [{i: 1} for i in range(n)]
     for i in range(n):
         for j in range(n):
@@ -335,11 +353,12 @@ def dense_verify_axioms(alg):
                                bilinear(mult, br[(i, k)], units[j]))
                 if lhs != rhs:
                     problems.append(f"Leibniz fails at ({i},{j},{k})")
-                acc = bilinear(br, br[(i, j)], units[k])
-                add_into(acc, bilinear(br, br[(j, k)], units[i]))
-                add_into(acc, bilinear(br, br[(k, i)], units[j]))
-                if acc:
-                    problems.append(f"Jacobi fails at ({i},{j},{k})")
+                if {i, j, k} <= generators:
+                    acc = bilinear(br, br[(i, j)], units[k])
+                    add_into(acc, bilinear(br, br[(j, k)], units[i]))
+                    add_into(acc, bilinear(br, br[(k, i)], units[j]))
+                    if acc:
+                        problems.append(f"Jacobi fails at ({i},{j},{k})")
                 if len(problems) >= 10:
                     return problems
     return problems
@@ -409,11 +428,16 @@ class TestVerifyAxiomsOracle:
     def test_matches_dense_loop(self, gram):
         alg = algebra(gram)
         assert alg.verify_axioms() == dense_verify_axioms(alg) == []
+        assert dense_verify_axioms(alg, jacobi_on_generators=True) == []
 
     @pytest.mark.parametrize("seed", TAMPER_SEEDS)
     def test_matches_dense_loop_on_tampered_tables(self, seed):
+        """The same list as the loop with Jacobi on generator triples, and
+        the same verdict as the loop with Jacobi on every triple."""
         alg = tampered(seed)
-        assert alg.verify_axioms() == dense_verify_axioms(alg)
+        problems = alg.verify_axioms()
+        assert problems == dense_verify_axioms(alg, jacobi_on_generators=True)
+        assert bool(problems) == bool(dense_verify_axioms(alg))
 
     def test_tampered_tables_reach_every_identity_and_the_cut(self):
         kinds, lengths = set(), set()
@@ -421,7 +445,8 @@ class TestVerifyAxiomsOracle:
             problems = tampered(seed).verify_axioms()
             kinds.update(p.split(" fails")[0] for p in problems)
             lengths.add(len(problems))
-        assert kinds == {"commutativity", "skew", "associativity", "Leibniz", "Jacobi"}
+        assert kinds == {"commutativity", "skew", "factorization", "associativity", "Leibniz",
+                         "Jacobi"}
         assert 0 in lengths and max(lengths) >= 10
         assert any(0 < length < 10 for length in lengths)
 
@@ -633,3 +658,77 @@ class TestFinckePohstOracle:
                                         [0, 0, -1, 2]]))
         assert len(out) == 51
         assert sorted(tuple(-c for c in v) for v in out) == out
+
+
+# ---------------------------------------------------------------------------
+# the shared power-ideal reducers against the undeduplicated ones and sympy
+# ---------------------------------------------------------------------------
+
+A4 = [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]]
+A1_FOURTH = [[2 * (i == j) for j in range(4)] for i in range(4)]
+
+
+def undeduplicated_reducer(alg, sector) -> PowerIdealReducer:
+    """The sector's reducer before deduplication: one generator (alpha, e)
+    for every nonzero survivor alpha, with e = 1 + |alpha|^2 on the
+    polynomial sector and 1 - <beta - alpha, alpha> on sector beta."""
+    lat = alg.lattice
+    return PowerIdealReducer(lat.rank, [
+        (alpha, 1 - lat.pair(tuple(b - a for a, b in zip(alpha, sector)), alpha) if sector
+         else 1 + lat.norm(alpha)) for alpha in alg.nonzero_c2])
+
+
+class TestSharedReducers:
+    @pytest.mark.parametrize("gram", TABLE_GRAMS + [A1_CUBED, A4], ids=str)
+    def test_match_undeduplicated_reducers(self, gram):
+        """Every sector's shared reducer has the basis and the normal forms,
+        value and type, of the reducer on all its survivors, on every
+        monomial up to one degree past the last nonzero piece."""
+        alg = PLAlgebra(EvenLattice(gram))
+        for sector, red in alg.sectors.items():
+            raw = undeduplicated_reducer(alg, sector)
+            assert red.max_degree() == raw.max_degree()
+            for d in range(raw.max_degree() + 2):
+                assert red.basis(d) == raw.basis(d)
+                for mono in raw._monomials(d):
+                    want = raw.reduce({mono: 1})
+                    got = red.reduce({mono: 1})
+                    assert [(k, type(c), c) for k, c in got.items()] == [
+                        (k, type(c), c) for k, c in want.items()]
+
+    def test_one_generator_per_line(self):
+        alg = PLAlgebra(EvenLattice(A2))
+        for red in alg.sectors.values():
+            lines = [alpha for alpha, _ in red.generators]
+            assert len(lines) == 3 and len(set(lines)) == 3
+        # the polynomial sector: the three root lines, each cubed
+        assert sorted(e for _, e in alg.sectors[()].generators) == [3, 3, 3]
+        for beta in alg.nonzero_c2:
+            assert alg.sectors[beta] is alg.sectors[tuple(-c for c in beta)]
+
+    def test_a1_fourth_shares_41_reducers_in_under_5_s(self):
+        start = time.monotonic()
+        alg = PLAlgebra(EvenLattice(A1_FOURTH))
+        elapsed = time.monotonic() - start
+        assert len(alg.sectors) == 81 and alg.dim == 625
+        assert len({id(red) for red in alg.sectors.values()}) == 41
+        assert elapsed < 5.0, f"took {elapsed:.2f} s"
+
+    @pytest.mark.parametrize("gram", [A2, SKEWED, A3, A1_CUBED], ids=str)
+    def test_hilbert_function_matches_groebner_basis(self, gram):
+        """In each sector and degree the reducer's basis has as many
+        monomials as the standard monomials of a sympy Groebner basis of the
+        same ideal, up to one degree past the last nonzero piece."""
+        alg = PLAlgebra(EvenLattice(gram))
+        zs = sympy.symbols(f"z1:{alg.lattice.rank + 1}")
+        leads = {}
+        for red in alg.sectors.values():
+            if id(red) not in leads:
+                basis = sympy.groebner([sum(a * z for a, z in zip(alpha, zs)) ** e
+                                        for alpha, e in red.generators], *zs, order="grevlex")
+                leads[id(red)] = [sympy.Poly(g, *zs).monoms(order="grevlex")[0]
+                                  for g in basis.exprs]
+            for d in range(red.max_degree() + 2):
+                standard = [m for m in red._monomials(d) if not any(
+                    all(x >= y for x, y in zip(m, lead)) for lead in leads[id(red)])]
+                assert len(red.basis(d)) == len(standard), d

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from vlie.lie_core import heis3, sl2, sl2_form, sym_poisson
+from vlie.lie_core import sl2, sl2_form, sym_poisson
 from vlie.poisson_c2 import (
     DPoly,
     PoissonPresentation,
@@ -33,6 +33,8 @@ from vlie.formal_calc import (
 from vlie.linalg import add_into
 from vlie.vacuum_module import VacuumModule, state_add
 from vlie.vertex_lie import VLStructure, affine, heisenberg, loop, virasoro
+
+from test_lie_core import heis3
 
 
 def mode_window(series, radius: int) -> dict:
@@ -211,6 +213,31 @@ class TestP2Structure:
         q = DPoly({((0, 0),) * a + ((1, 0),) * b: c for (a, b), c in coeffs.items()})
         with pytest.raises(ValueError, match="ideal member"):
             PoissonPresentation(("u", "v"), {}, [q])
+
+    def test_derivative_variable_is_rejected(self):
+        """u' used to print as the bare generator u, in a presentation and in
+        a bracket on the symmetric algebra."""
+        u_prime, one = DPoly.variable(0, 1), DPoly.constant(1)
+        match = r"variable \(0, 1\) is not one of the 2 generators"
+        with pytest.raises(ValueError, match=match):
+            PoissonPresentation(("u", "v"), {("u", "v"): u_prime})
+        with pytest.raises(ValueError, match=match):
+            PoissonPresentation(("u", "v"), {}, [u_prime - one])
+        with pytest.raises(ValueError, match=r"variable \(0, 1\) is not one of the 3"):
+            sym_poisson(sl2(), u_prime, sl2().generator("f"))
+
+    def test_variable_past_the_generators_is_rejected(self):
+        """w^2 - 1 on a third variable used to raise IndexError, and w - 1
+        was accepted."""
+        w, one = DPoly.variable(2), DPoly.constant(1)
+        match = r"variable \(2, 0\) is not one of the 2 generators"
+        for ideal in ([w * w - one], [w - one]):
+            with pytest.raises(ValueError, match=match):
+                PoissonPresentation(("u", "v"), {}, ideal)
+        with pytest.raises(ValueError, match=match):
+            PoissonPresentation(("u", "v"), {("u", "v"): w})
+        with pytest.raises(ValueError, match=r"variable \(3, 0\) is not one of the 3"):
+            sym_poisson(sl2(), sl2().generator("e"), DPoly.variable(3))
 
     def test_ideal_member_fixes_its_generator(self):
         names = ("u", "v")

@@ -7,7 +7,7 @@ import pytest
 
 from vlie.config import build_structure, vertex_lie_from_config
 from vlie.formal_calc import DeltaSeries, DPoly, expand, format_terms, gen_binomial
-from vlie.lie_core import BilinearForm, FiniteLieAlgebra, heis3, sl2, sl2_form
+from vlie.lie_core import BilinearForm, FiniteLieAlgebra, sl2, sl2_form
 from vlie.linalg import add_into
 from vlie.vertex_lie import (
     CommAlgebra,
@@ -23,6 +23,8 @@ from vlie.vertex_lie import (
     virasoro,
     witt,
 )
+
+from test_lie_core import heis3
 
 
 class BracketSeries:
