@@ -106,6 +106,7 @@ class PoissonPresentation:
         self.notes = tuple(notes)
 
     def text(self, p: DPoly) -> str:
+        check_generators(len(self.generators), p)
         return format_poly(p, self.generators)
 
     def generator(self, name: str) -> DPoly:
@@ -116,6 +117,7 @@ class PoissonPresentation:
 
     def bracket_poly(self, f: DPoly, g: DPoly) -> DPoly:
         """Biderivation extension of the generator table."""
+        check_generators(len(self.generators), f, g)
         return biderivation(self.table, f, g)
 
     def reduce_mod_ideal(self, p: DPoly) -> DPoly:

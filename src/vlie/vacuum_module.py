@@ -27,14 +27,6 @@ State = dict[Monomial, int | Fraction]
 VACUUM: Monomial = ()
 
 
-def state_add(a: State, b: State, scale=1) -> State:
-    return add_into(dict(a), b, rat(scale))
-
-
-def state_scale(a: State, c) -> State:
-    return add_into({}, a, rat(c))
-
-
 class VacuumModule:
     """Induced module over the negative modes, with optional central character.
 
@@ -43,7 +35,11 @@ class VacuumModule:
     only mutable state is two get-or-compute memos: the action memo keyed
     by (mode symbol, monomial), and the vertex-operator mode memo keyed by
     (monomial of a, n, monomial of b), shared by every state that contains
-    those monomials.  The structure's own mode cache serves ``act``.
+    those monomials.  A single creator u(-1)1 has the modes of u itself, so
+    its entries are the action memo's own and the mode memo holds only
+    longer or deeper heads.  Memo values are shared, never copied: they are
+    read-only, and every public method returns a fresh dict.  The
+    structure's own mode cache serves ``act``.
     """
 
     def __init__(self, structure: VLStructure, lam: Mapping[str, object] | None = None):
@@ -271,35 +267,40 @@ class VacuumModule:
         by degree bounds, so a graded module is required.
         """
         self.require_graded("mode_of_state")
-        return self._mode_of_states(clean(a), n, clean(b))
+        return self._mode_of_states(clean(a), n, clean(b), {})
 
-    def _mode_of_states(self, a: State, n: int, b: State) -> State:
-        """a_n b as the bilinear sum over the monomials of a and of b."""
-        out: State = {}
+    def _mode_of_states(self, a: State, n: int, b: State, out: State, scale=1) -> State:
+        """out += scale * a_n b, the bilinear sum over the monomials of a and
+        of b, in place; returns out."""
         for mono, ca in a.items():
+            cs = scale * ca
             for b_mono, cb in b.items():
-                add_into(out, self._mode_of_monomial(mono, n, b_mono), ca * cb)
+                add_into(out, self._mode_of_monomial(mono, n, b_mono), cs * cb)
         return out
 
     def _mode_of_monomial(self, mono: Monomial, n: int, b_mono: Monomial) -> State:
+        """(mono 1)_n b_mono as a memo value, shared and read-only."""
         if not mono:
             return {b_mono: 1} if n == -1 else {}
+        hn, cls, idx = mono[0]
+        if cls == 0:
+            raise ValueError("central creators are scalars here; use a quotient module")
+        if hn == -1 and len(mono) == 1:
+            # (u(-1)1)_n = u(n): the action memo entry itself
+            return self._act_key((n, 1, idx), b_mono)
         key = (mono, n, b_mono)
         cached = self._mode_memo.get(key)
         if cached is not None:
             return cached
 
-        head, tail = mono[0], mono[1:]
-        hn, cls, idx = head
-        if cls == 0:
-            raise ValueError("central creators are scalars here; use a quotient module")
+        tail = mono[1:]
         k = -hn - 1  # head is u(-k-1), k >= 0
         if not tail:
             # Y(u(-k-1)1, x) = d^k/dx^k Y(u, x) / k!, so
             # (u(-k-1)1)_n = binom(k-n-1, k) u(n-k); u is a unit vector of
             # the complement, so its mode is the one symbol (n-k, 1, idx)
-            result = state_scale(
-                self._act_key((n - k, 1, idx), b_mono), gen_binomial(k - n - 1, k)
+            result = add_into(
+                {}, self._act_key((n - k, 1, idx), b_mono), gen_binomial(k - n - 1, k)
             )
             self._mode_memo[key] = result
             return result
@@ -309,8 +310,6 @@ class VacuumModule:
         deg_u = self.structure.degree_of(self.structure.u_prime_names[idx])
         bound_first = deg_tail + deg_b - n - 1
         bound_second = deg_u + deg_b - 1
-        b = {b_mono: 1}
-        tail_state = {tail: 1}
         result: State = {}
         top = max(bound_first, bound_second) + 1
         row = self._head_binomials.setdefault(k, [])
@@ -319,26 +318,18 @@ class VacuumModule:
         for i in range(top):
             coeff = row[i]  # never 0: it is (-1)^i binom(k + i, i)
             if i <= bound_first:
-                inner = self._mode_of_monomial(tail, n + i, b_mono)
-                if inner:
-                    sign = -1 if i % 2 else 1
-                    outer = self._act_creator_state(idx, -k - 1 - i, inner)
-                    add_into(result, outer, coeff * sign)
+                # + binom(-k-1, i) (-1)^i u(-k-1-i) (tail_{n+i} b)
+                c = -coeff if i % 2 else coeff
+                sym = (-k - 1 - i, 1, idx)
+                for mono2, c2 in self._mode_of_monomial(tail, n + i, b_mono).items():
+                    add_into(result, self._act_key(sym, mono2), c * c2)
             if i <= bound_second:
-                ub = self.act(self.structure.u_prime_names[idx], i, b)
-                if ub:
-                    inner = self._mode_of_states(tail_state, n - k - 1 - i, ub)
-                    sign = -1 if (k + 1 + i) % 2 else 1
-                    add_into(result, inner, -coeff * sign)
+                # - binom(-k-1, i) (-1)^(k+1+i) tail_{n-k-1-i} (u(i) b)
+                c = coeff if (k + 1 + i) % 2 else -coeff
+                for mono2, c2 in self._act_key((i, 1, idx), b_mono).items():
+                    add_into(result, self._mode_of_monomial(tail, n - k - 1 - i, mono2), c * c2)
         self._mode_memo[key] = result
         return result
-
-    def _act_creator_state(self, idx: int, n: int, state: State) -> State:
-        out: State = {}
-        sym = (n, 1, idx)
-        for mono, c in state.items():
-            add_into(out, self._act_key(sym, mono), c)
-        return out
 
     # -- derived operations -----------------------------------------------------------
 
@@ -362,22 +353,20 @@ class VacuumModule:
         problems = []
         states = self.basis_states_upto(degree)
         # a, b, the basis states and every memo result are clean, so the
-        # loop calls the unchecked bilinear sum and compares with ==; b_n s
-        # and a_m s are computed once, outside the loops they do not depend on
+        # loop calls the unchecked bilinear sum, accumulating each side in
+        # one dict, and compares with ==; b_n s and a_m s are computed once,
+        # outside the loops they do not depend on
         mode = self._mode_of_states
-        b_n = {n: [mode(b, n, s) for s in states] for n in range(-window, window + 1)}
+        b_n = {n: [mode(b, n, s, {}) for s in states] for n in range(-window, window + 1)}
         for m in range(-window, window + 1):
-            a_m = [mode(a, m, s) for s in states]
+            a_m = [mode(a, m, s, {}) for s in states]
+            terms = [(i, aib, c) for i, aib in products.items() if (c := gen_binomial(m, i))]
             for n in range(-window, window + 1):
                 for s, bs, as_ in zip(states, b_n[n], a_m):
-                    lhs = mode(a, m, bs) if bs else {}
-                    if as_:
-                        lhs = state_add(lhs, mode(b, n, as_), -1)
+                    lhs = mode(b, n, as_, mode(a, m, bs, {}), -1)
                     rhs: State = {}
-                    for i, aib in products.items():
-                        c = gen_binomial(m, i)
-                        if c:
-                            add_into(rhs, mode(aib, m + n - i, s), c)
+                    for i, aib, c in terms:
+                        mode(aib, m + n - i, s, rhs, c)
                     if lhs != rhs:
                         problems.append(
                             f"commutator mismatch at m={m}, n={n} on state "

@@ -29,7 +29,7 @@ from vlie.poisson_c2 import (
     ultra_poisson_of_lie,
     verify_p2_iso,
 )
-from vlie.vacuum_module import VacuumModule, state_add, state_scale
+from vlie.vacuum_module import VacuumModule
 from vlie.vertex_lie import (
     CommAlgebra,
     VLStructure,
@@ -42,6 +42,8 @@ from vlie.vertex_lie import (
     virasoro,
     witt,
 )
+
+from test_vacuum_module import state_add, state_scale
 
 
 @contextmanager

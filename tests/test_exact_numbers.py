@@ -49,6 +49,11 @@ def test_vacuum_memos_hold_exact_types(builder, lam, a, b):
     module = VacuumModule(s, lam)
     sa, sb = module.generator_state(a), module.generator_state(b)
     assert module.borcherds_check(sa, sb, 2, 4) == []
+    # a single creator u(-1)1 reads the action memo, so a_{-1} of the
+    # two-creator state a(-1)b(-1)1 is what fills the mode memo
+    ab = module.mode_of_state(sa, -1, sb)
+    assert ab and all(len(mono) == 2 for mono in ab)
+    assert module.mode_of_state(ab, -1, sb)
     values = structure_values(s)
     for memo in (module._act_memo, module._mode_memo):
         assert memo

@@ -31,7 +31,7 @@ from vlie.formal_calc import (
     swap_side,
 )
 from vlie.linalg import add_into
-from vlie.vacuum_module import VacuumModule, state_add
+from vlie.vacuum_module import VacuumModule
 from vlie.vertex_lie import VLStructure, affine, heisenberg, loop, virasoro
 
 from test_lie_core import heis3
@@ -238,6 +238,27 @@ class TestP2Structure:
             PoissonPresentation(("u", "v"), {("u", "v"): w})
         with pytest.raises(ValueError, match=r"variable \(3, 0\) is not one of the 3"):
             sym_poisson(sl2(), sl2().generator("e"), DPoly.variable(3))
+
+    def test_bracket_poly_rejects_a_derivative_variable(self):
+        """{u', v} used to return v, as if u' were u."""
+        u_prime, v = DPoly.variable(0, 1), DPoly.variable(1)
+        pres = PoissonPresentation(("u", "v"), {("u", "v"): v})
+        assert pres.bracket_poly(DPoly.variable(0), v) == v
+        with pytest.raises(ValueError, match=r"variable \(0, 1\) is not one of the 2 generators"):
+            pres.bracket_poly(u_prime, v)
+
+    def test_text_rejects_a_derivative_variable(self):
+        """u' used to print as u."""
+        pres = PoissonPresentation(("u", "v"), {})
+        assert pres.text(DPoly.variable(0)) == "u"
+        with pytest.raises(ValueError, match=r"variable \(0, 1\) is not one of the 2 generators"):
+            pres.text(DPoly.variable(0, 1))
+
+    def test_text_rejects_a_variable_past_the_generators(self):
+        """A sixth variable over two generators used to raise IndexError."""
+        pres = PoissonPresentation(("u", "v"), {})
+        with pytest.raises(ValueError, match=r"variable \(5, 0\) is not one of the 2 generators"):
+            pres.text(DPoly.variable(5))
 
     def test_ideal_member_fixes_its_generator(self):
         names = ("u", "v")

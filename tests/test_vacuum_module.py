@@ -8,8 +8,16 @@ from vlie.config import build_structure
 from vlie.formal_calc import gen_binomial
 from vlie.linalg import add_into, clean
 from vlie.lie_core import sl2, sl2_form
-from vlie.vacuum_module import VacuumModule, state_add, state_scale
+from vlie.vacuum_module import VacuumModule
 from vlie.vertex_lie import VLStructure, affine, heisenberg, loop, virasoro
+
+
+def state_add(a, b, scale=1):
+    return add_into(dict(a), b, scale)
+
+
+def state_scale(a, c):
+    return add_into({}, a, c)
 
 
 def state_eq(a, b) -> bool:
@@ -266,7 +274,98 @@ class TestModeOfState:
                 assert module.mode_of_state(a, n, b) == want, (name, n)
 
 
+def reference_borcherds(module, a, b, window, degree, limit=5):
+    """The oracle of ``borcherds_check``'s in-place accumulation: separate
+    lhs and rhs through the public ``mode_of_state``, joined by
+    ``state_add``.  With ``limit=None`` it lists every mismatch."""
+    products = module.modes_of_pair(a, b)
+    states = module.basis_states_upto(degree)
+    fmt = module.format_state
+    problems = []
+    for m in range(-window, window + 1):
+        for n in range(-window, window + 1):
+            for s in states:
+                lhs = state_add(
+                    module.mode_of_state(a, m, module.mode_of_state(b, n, s)),
+                    module.mode_of_state(b, n, module.mode_of_state(a, m, s)),
+                    -1,
+                )
+                rhs = {}
+                for i, aib in products.items():
+                    add_into(rhs, module.mode_of_state(aib, m + n - i, s), gen_binomial(m, i))
+                if lhs != rhs:
+                    problems.append(
+                        f"commutator mismatch at m={m}, n={n} on state {fmt(s)}: "
+                        f"{fmt(lhs)} vs {fmt(rhs)}"
+                    )
+                    if len(problems) == limit:
+                        return problems
+    return problems
+
+
+def tampered_affine():
+    """Affine sl2 at level 1 with the memo entry e(0) f(-1)1 = h(-1)1
+    doubled, before anything reads it."""
+    module = VacuumModule(affine(sl2(), sl2_form()), {"c": 1})
+    [e0] = module.structure.mode("e", 0)
+    key = (e0, module.monomial([("f", -1)]))
+    module._act_memo[key] = {mono: 2 * c for mono, c in module._act_key(*key).items()}
+    return module
+
+
+BORCHERDS_CASES = {
+    "virasoro": (lambda: VacuumModule(virasoro(), {"c": Fraction(1, 2)}),
+                 [("omega", -1)], [("omega", -1)], 3, 4),
+    "affine-sl2": (lambda: VacuumModule(affine(sl2(), sl2_form()), {"c": 1}),
+                   [("e", -1)], [("f", -1)], 3, 4),
+    "heisenberg": (lambda: VacuumModule(heisenberg([[1]]), {"c": 1}),
+                   [("u1", -2)], [("u1", -1)], 3, 5),
+    "tampered-affine-sl2": (tampered_affine, [("e", -1)], [("f", -1)], 1, 2),
+}
+
+
 class TestBorcherds:
+    @pytest.mark.parametrize("case", sorted(BORCHERDS_CASES))
+    def test_matches_reference_loop(self, case):
+        # each side on its own fresh module, so no memo entry is shared
+        make, a, b, window, degree = BORCHERDS_CASES[case]
+        module = make()
+        sa, sb = module.state([(a, 1)]), module.state([(b, 1)])
+        got = module.borcherds_check(sa, sb, window, degree)
+        assert got == reference_borcherds(make(), sa, sb, window, degree)
+        assert (got == []) == (case != "tampered-affine-sl2")
+
+    def test_tampered_memo_fails_with_five_problems(self):
+        # e_0 f reads the doubled entry, so (e_0 f)_{m+n} = 2 h(m+n) on the
+        # right, while [e_m, f_n] gives h(m+n) wherever it misses f(-1)
+        module = tampered_affine()
+        e, f = module.generator_state("e"), module.generator_state("f")
+        assert module.borcherds_check(e, f, 1, 2) == [
+            "commutator mismatch at m=-1, n=-1 on state 1: h(-2)1 vs 2*h(-2)1",
+            "commutator mismatch at m=-1, n=-1 on state e(-1)1: "
+            "h(-2)e(-1)1 vs 2*h(-2)e(-1)1",
+            "commutator mismatch at m=-1, n=-1 on state h(-1)1: "
+            "h(-2)h(-1)1 vs 2*h(-2)h(-1)1",
+            "commutator mismatch at m=-1, n=-1 on state f(-1)1: "
+            "h(-2)f(-1)1 vs 2*h(-2)f(-1)1",
+            "commutator mismatch at m=-1, n=-1 on state e(-2)1: "
+            "2*e(-4)1 + e(-2)h(-2)1 vs 4*e(-4)1 + 2*e(-2)h(-2)1",
+        ]
+        # the check stops at five of the mismatches there are
+        assert len(reference_borcherds(tampered_affine(), e, f, 1, 2, limit=None)) > 5
+
+    def test_single_creators_share_the_act_memo(self, aff):
+        # after the benchmark's affine check, no mode memo key is headed by
+        # a lone u(-1): those modes are the action memo's own entries
+        module = VacuumModule(aff.structure, aff.lam)
+        e, f = module.generator_state("e"), module.generator_state("f")
+        assert module.borcherds_check(e, f, 3, 5) == []
+        assert len(module._act_memo) == 13247
+        assert not [key for key in module._mode_memo if len(key[0]) == 1 and key[0][0][0] == -1]
+        a, b = module.monomial([("e", -1)]), module.monomial([("h", -1), ("f", -2)])
+        [e2] = module.structure.mode("e", 2)
+        assert module._mode_of_monomial(a, 2, b) is module._act_memo[(e2, b)]
+
     def test_virasoro_window(self, vir_half):
         w = vir_half.generator_state("omega")
         assert vir_half.borcherds_check(w, w, window=3, degree=6) == []
