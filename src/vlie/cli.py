@@ -425,14 +425,11 @@ def cmd_borcherds(args) -> int:
     if not a or not b:
         # a zero state satisfies the identity trivially and checks nothing
         raise ConfigError("--a and --b must be nonzero states")
-    problems = module.borcherds_check(a, b, window=args.window, degree=args.depth)
     report = Report("borcherds-check", _echo_config(args), args.seed, args.timing)
-    report.checks.append(
-        {"name": "borcherds", "pass": not problems,
-         "witness": problems[0] if problems else None}
-    )
+    report.run("borcherds",
+               lambda: module.borcherds_check(a, b, window=args.window, degree=args.depth))
     report.emit(args.format)
-    return 0 if not problems else 1
+    return 0 if report.all_pass else 1
 
 
 def cmd_p2(args) -> int:
@@ -440,20 +437,21 @@ def cmd_p2(args) -> int:
     structure = build_structure(args.builder, config)
     lam = parse_lambda(args.lam) if args.lam else None
     pres = p2_structure(structure, lam)
-    if args.format == "json":
-        payload = {
-            "generators": list(pres.generators),
-            "bracket": {
-                f"{pres.generators[i]},{pres.generators[j]}": pres.text(val)
-                for (i, j), val in sorted(pres.table.items())
-            },
-            "ideal": [pres.text(q) for q in pres.ideal],
-            "notes": list(pres.notes),
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
+    _print_presentation(pres, args.format, ideal=[pres.text(q) for q in pres.ideal],
+                        notes=list(pres.notes))
+    return 0
+
+
+def _print_presentation(pres, fmt: str, **extra):
+    """A Poisson presentation as text, or as JSON: its generators, its
+    bracket table and the ``extra`` keys."""
+    if fmt == "json":
+        bracket = {f"{pres.generators[i]},{pres.generators[j]}": pres.text(val)
+                   for (i, j), val in sorted(pres.table.items())}
+        print(json.dumps({"generators": list(pres.generators), "bracket": bracket, **extra},
+                         indent=2, sort_keys=True))
     else:
         print(pres)
-    return 0
 
 
 def _vp_algebra(args):
@@ -495,18 +493,7 @@ def cmd_vp_check(args) -> int:
 
 def cmd_pvpa(args) -> int:
     algebra = _vp_algebra(args)
-    pres = pvpa_quotient(algebra)
-    if args.format == "json":
-        payload = {
-            "generators": list(pres.generators),
-            "bracket": {
-                f"{pres.generators[i]},{pres.generators[j]}": pres.text(val)
-                for (i, j), val in sorted(pres.table.items())
-            },
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(pres)
+    _print_presentation(pvpa_quotient(algebra), args.format)
     return 0
 
 

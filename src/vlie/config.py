@@ -72,6 +72,10 @@ def lie_algebra_from_config(data: dict) -> tuple[FiniteLieAlgebra, BilinearForm 
 
 def vertex_lie_from_config(data: dict) -> VLStructure:
     try:
+        for key in ("u_prime", "u0_prime"):
+            if key in data:
+                raise ConfigError(
+                    f"{key!r} is not accepted; complements are the lowest-index pivot")
         basis = []
         degrees = []
         graded = True
@@ -116,8 +120,6 @@ def vertex_lie_from_config(data: dict) -> VLStructure:
             d_domain=domain,
             d_matrix=d_map,
             table=table,
-            u_prime=data.get("u_prime"),
-            u0_prime=data.get("u0_prime"),
             name=data.get("name", "config"),
         )
         if "u0" in data:

@@ -196,24 +196,20 @@ class VacuumModule:
             )
         if degree < 0:
             return 0
-        weights = self._creator_weights(degree)
         dp = [0] * (degree + 1)
         dp[0] = 1
-        for w in weights:
+        for w, _ in self._creators(degree):
             for d in range(w, degree + 1):
                 dp[d] += dp[d - w]
         return dp[degree]
 
-    def _creator_weights(self, cap: int) -> list[int]:
+    def _creators(self, cap: int) -> list[tuple[int, Symbol]]:
+        """(degree, symbol) of each creator u(-n), n >= 1, of degree at most
+        cap, sorted by symbol; u(-n) has degree deg u + n - 1."""
         st = self.structure
-        weights = []
-        for name in st.u_prime_names:
-            base = st.degree_of(name)
-            n = 1
-            while base + n - 1 <= cap:
-                weights.append(base + n - 1)
-                n += 1
-        return weights
+        return sorted(((st.degree_of(name) + n - 1, (-n, 1, idx))
+                       for idx, name in enumerate(st.u_prime_names)
+                       for n in range(1, cap - st.degree_of(name) + 2)), key=lambda t: t[1])
 
     def character(self, depth: int) -> list[int]:
         return [self.graded_dim(d) for d in range(depth + 1)]
@@ -221,15 +217,7 @@ class VacuumModule:
     def basis_monomials(self, degree: int) -> list[Monomial]:
         """All canonical monomials of exactly the given degree (enumeration)."""
         self.require_graded("basis enumeration")
-        st = self.structure
-        creators: list[tuple[int, Symbol]] = []
-        for idx, name in enumerate(st.u_prime_names):
-            base = st.degree_of(name)
-            n = 1
-            while base + n - 1 <= degree:
-                creators.append((base + n - 1, (-n, 1, idx)))
-                n += 1
-        creators.sort(key=lambda t: t[1])
+        creators = self._creators(degree)
         out: list[Monomial] = []
 
         def rec(i: int, left: int, acc: list[Symbol]):

@@ -13,7 +13,9 @@ The constructor stores each table entry as a ``DeltaSeries`` over linear
 
 Modes u(n) are reduced modulo (du)(m) = -m u(m-1), so canonical mode
 coordinates live on a complement basis: ker-d vectors frozen at mode -1
-(central) plus a complement of ker d + im d at every integer mode.
+(central) plus a complement of ker d + im d at every integer mode.  Each
+basis vector is reduced once, to a normal form in the C[D]-module
+M = C[D] (x) U' (+) U0', which the modes and the certificate both read.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from math import comb
 
 from .formal_calc import DeltaSeries, DPoly, falling, format_terms, skew_transfer
 from .lie_core import BilinearForm, FiniteLieAlgebra, _normalize_table, check_invariance
-from .linalg import Echelon, add_into, bilinear, clean, inverse, nullspace
+from .linalg import Echelon, add_into, bilinear, clean, inverse, narrow, nullspace
 
 Vector = dict[int, int | Fraction]  # sparse coordinates over the base-space basis
 # A canonical mode symbol (n, cls, idx): cls 0 is the idx-th frozen central
@@ -60,9 +62,17 @@ class VLStructure:
     brackets keyed by (basis index, m, basis index, n), which
     ``symbol_bracket`` also returns for two symbols on basis vectors; and a
     small memo of ``symbol_bracket`` for pairs involving a kernel vector
-    that is not a basis vector, such as (a - b).  ``certify()`` proves skew
-    symmetry and the Jacobi identity exactly; builders return certified
-    structures, while the constructor itself and ``novikov_candidate`` /
+    that is not a basis vector, such as (a - b).
+
+    The complements are always the lowest-index pivots: U0' completes im d
+    to ker d + im d, and U' takes the basis vectors that complete that.  The
+    constructor reduces each basis vector once, to its normal form in
+    M = C[D] (x) U' (+) U0', which the modes and the certificate read.  A
+    basis vector whose im-d preimages reach a cycle of d has none: its
+    modes raise "mode reduction does not terminate" at every mode, and so
+    does ``certify``.  ``certify()`` proves skew symmetry and the Jacobi
+    identity exactly; builders return certified structures, while the
+    constructor itself and ``novikov_candidate`` /
     ``quadratic_central_candidate`` return uncertified ones, which admit
     invalid data for exercising the failure paths.
     """
@@ -74,8 +84,6 @@ class VLStructure:
         d_domain: Sequence[str],
         d_matrix: Mapping[str, Mapping[str, object]] | None,
         table: Mapping[tuple[str, str], Iterable[tuple]],
-        u_prime: Sequence[str] | None = None,
-        u0_prime: Sequence[str] | None = None,
         name: str = "custom",
         meta: dict | None = None,
     ):
@@ -106,8 +114,8 @@ class VLStructure:
                 coeffs.append((l, DPoly({((self.index[m], k),): c for m, c in dict(f).items()})))
             self._table[(self.index[a], self.index[b])] = DeltaSeries(coeffs)
 
-        self._setup_complements(u_prime, u0_prime)
-        self._cyclic = self._d_cyclic_indices()
+        self._setup_complements()
+        self._normal = self._normal_forms()
         self._graded_check()
         # the basis index behind each canonical symbol (cls, idx), or None
         # for a kernel vector that is not a basis vector
@@ -122,7 +130,7 @@ class VLStructure:
 
     # -- linear algebra over the base space ---------------------------------
 
-    def _setup_complements(self, u_prime, u0_prime):
+    def _setup_complements(self):
         r = len(self.basis)
         domain = sorted(self.d_map)
         # ker d is the nullspace of d on its domain; im d keeps the image of
@@ -141,35 +149,16 @@ class VLStructure:
                 echelon.insert(v)
             return [v for v in candidates if echelon.insert(v)]
 
-        def unit(i):
-            return {i: 1}
-
-        if u_prime is not None:
-            self.u_prime_vectors = [unit(self.index[n]) for n in u_prime]
-            self.u_prime_names = tuple(u_prime)
-        else:
-            self.u_prime_vectors = greedy_extend(k_vectors + im_basis, [unit(i) for i in range(r)])
-            self.u_prime_names = tuple(self._vector_name(v) for v in self.u_prime_vectors)
-
-        if u0_prime is not None:
-            self.u0_prime_vectors = [unit(self.index[n]) for n in u0_prime]
-            self.u0_prime_names = tuple(u0_prime)
-        else:
-            self.u0_prime_vectors = greedy_extend(im_basis, k_vectors)
-            self.u0_prime_names = tuple(self._vector_name(v) for v in self.u0_prime_vectors)
-
+        # the lowest-index pivots: U0' completes im d to ker d + im d, and
+        # U' takes the basis vectors that complete ker d + im d
+        self.u0_prime_vectors = greedy_extend(im_basis, k_vectors)
+        self.u_prime_vectors = greedy_extend(k_vectors + im_basis, [{i: 1} for i in range(r)])
+        self.u0_prime_names = tuple(map(self._vector_name, self.u0_prime_vectors))
+        self.u_prime_names = tuple(map(self._vector_name, self.u_prime_vectors))
         # decomposition matrix: columns are u0' vectors, im-d generators
-        # (with their preimages), then u' vectors
+        # (with their preimages), then u' vectors, a basis by construction
         cols = self.u0_prime_vectors + im_basis + self.u_prime_vectors
-        if len(cols) != r:
-            raise ValueError(
-                "complement choice does not decompose the base space "
-                f"({len(cols)} columns vs dimension {r})"
-            )
-        try:
-            self._decomp_inv = inverse([[col.get(i, 0) for col in cols] for i in range(r)])
-        except ValueError:
-            raise ValueError("complement vectors are linearly dependent") from None
+        self._decomp_inv = inverse([[col.get(i, 0) for col in cols] for i in range(r)])
 
     def _vector_name(self, vec: Vector) -> str:
         """The basis name of a unit vector, else the combination in parentheses."""
@@ -189,29 +178,31 @@ class VLStructure:
         n1 = n0 + len(self._im_preimages)
         return coords[:n0], coords[n0:n1], coords[n1:]
 
-    def _d_cyclic_indices(self) -> frozenset[int]:
-        """Basis indices whose modes reduce forever at a negative mode.
+    def _normal_forms(self) -> list[dict | None]:
+        """Each basis vector u_i in M = C[D] (x) U' (+) U0', as {(cls, idx, t): c}
+        for D^t of the canonical generator (cls, idx), or None where the walk
+        over the im-d preimages of its decomposition reaches a cycle.
 
-        The reduction of u_i(n) steps to w(n-1) for each im-d preimage w in
-        the decomposition of u_i, and stops at n = 0.  From n >= 0 it is
-        therefore always finite; from n < 0 it never ends exactly when a
-        cycle of this preimage graph can be reached from i.  These indices
-        are the complement of the largest set closed under "every successor
-        is in the set".
+        u_i = z + sum_w c_w d(w) + u' reads D^0 z + sum_w c_w D(w) + D^0 u',
+        with D u = d(u) and D z = 0 on U0'.
         """
-        succ = {}
-        for i in range(len(self.basis)):
-            _, im_part, _ = self.decompose_vector({i: 1})
-            succ[i] = {dom for (dom, _), c in zip(self._im_preimages, im_part) if c}
-        finite: set[int] = set()
-        grew = True
-        while grew:
-            grew = False
-            for i, nxt in succ.items():
-                if i not in finite and nxt <= finite:
-                    finite.add(i)
-                    grew = True
-        return frozenset(succ).difference(finite)
+        forms: dict[int, dict | None] = {}
+
+        def walk(i):
+            if i not in forms:
+                forms[i] = None  # on the walk: reaching i again closes a cycle
+                z_part, im_part, up_part = self.decompose_vector({i: 1})
+                out = clean([((0, j, 0), c) for j, c in enumerate(z_part)])
+                for (w, _), c in zip(self._im_preimages, im_part):
+                    if c:
+                        form = walk(w)
+                        if form is None:
+                            return None
+                        add_into(out, _derive(form, 1), c)
+                forms[i] = add_into(out, {(1, j, 0): c for j, c in enumerate(up_part)})
+            return forms[i]
+
+        return [walk(i) for i in range(len(self.basis))]
 
     def _graded_check(self):
         if self.degrees is None:
@@ -249,24 +240,24 @@ class VLStructure:
         return out
 
     def _basis_mode(self, i: int, n: int) -> Modes:
-        """u_i(n) for the i-th basis vector, computed once per (i, n)."""
+        """u_i(n) for the i-th basis vector, read off its normal form once
+        per (i, n): (D^t g)(n) = (-1)^t n(n-1)..(n-t+1) g(n-t), from
+        (Du)(m) = -m u(m-1), and a U0' generator lives at mode -1 only."""
         key = (i, n)
         cached = self._mode_cache.get(key)
         if cached is not None:
             return cached
-        if n < 0 and i in self._cyclic:
+        form = self._normal[i]
+        if form is None:
             raise ValueError("mode reduction does not terminate; pathological d")
-        z_part, im_part, up_part = self.decompose_vector({i: 1})
         out: Modes = {}
-        if n == -1:
-            add_into(out, {(-1, 0, j): c for j, c in enumerate(z_part)})
-        # ker-d vectors vanish at every other mode
-        if n != 0:
-            for (dom_idx, _), c in zip(self._im_preimages, im_part):
-                if c:
-                    # (dw)(n) = -n w(n-1) with w the domain basis preimage
-                    add_into(out, self._basis_mode(dom_idx, n - 1), -n * c)
-        add_into(out, {(n, 1, j): c for j, c in enumerate(up_part)})
+        for (cls, idx, t), c in form.items():
+            if cls:
+                w = falling(n, t)
+                if w:
+                    out[(n - t, 1, idx)] = narrow(c * (-w if t % 2 else w))
+            elif n == -1:
+                out[(-1, 0, idx)] = c
         self._mode_cache[key] = out
         return out
 
@@ -439,7 +430,7 @@ class VLStructure:
     def certify(self) -> "VLStructure":
         """Prove what the window checks test, at every mode, or raise: the
         finite lambda-bracket identities of ``_Certificate``."""
-        if self._cyclic:
+        if None in self._normal:
             raise ValueError("mode reduction does not terminate; pathological d")
         problems = _Certificate(self).problems()
         if problems:
@@ -457,7 +448,7 @@ class VLStructure:
 
 
 def _derive(x: dict, u: int) -> dict:
-    """D^u x for x in the module M of ``_Certificate``: D kills U0'."""
+    """D^u x for x in M = C[D] (x) U' (+) U0': D kills U0'."""
     return {(cls, idx, t + u): c for (cls, idx, t), c in x.items() if cls or not u}
 
 
@@ -470,7 +461,7 @@ class _Certificate:
     puts the powers of lambda (and mu) first.  A table term (f, k, l) is
     (-lambda)^l D^k f in [a_lambda b].  By Kac, "Vertex Algebras for
     Beginners" (1998), the window checks pass at every mode exactly when
-    S_ab == skew_transfer(S_ba) on the normal forms and
+    S_ab == skew_transfer(S_ba) on the structure's normal forms and
     [a_lambda [b_mu c]] - [b_mu [a_lambda c]] = [[a_lambda b]_{lambda+mu} c]
     on the sorted basis triples, provided the U0' vectors are central: D z = 0
     forces lambda [z_lambda b] = 0, and a kernel vector lives at mode -1
@@ -484,30 +475,17 @@ class _Certificate:
 
     def __init__(self, structure: VLStructure):
         self.s = structure
-        self._normal: dict[int, dict] = {}
         self._generator: dict[tuple, dict] = {}
         # [u_i lambda u_j] read off the table, {} for a missing pair
         self.raw = defaultdict(dict, {pair: self.series(series, lam=True)
                                       for pair, series in structure._table.items()})
-
-    def normal_form(self, i: int) -> dict:
-        """u_i in M by the recursion of ``_basis_mode``."""
-        if i not in self._normal:
-            z_part, im_part, up_part = self.s.decompose_vector({i: 1})
-            out = clean([((0, j, 0), c) for j, c in enumerate(z_part)]
-                        + [((1, j, 0), c) for j, c in enumerate(up_part)])
-            for (w, _), c in zip(self.s._im_preimages, im_part):
-                if c:
-                    add_into(out, _derive(self.normal_form(w), 1), c)
-            self._normal[i] = out
-        return self._normal[i]
 
     def series(self, series: DeltaSeries, lam: bool = False) -> dict:
         """{(l, *key): c}: the orders of a table series in M; with ``lam``,
         the lambda-bracket, order l times (-lambda)^l."""
         return clean(((l, *key), -v * c if lam and l % 2 else v * c)
                      for l, h in series.items() for ((i, k),), c in h.coeffs.items()
-                     for key, v in _derive(self.normal_form(i), k).items())
+                     for key, v in _derive(self.s._normal[i], k).items())
 
     def generator(self, g: tuple, h: tuple) -> dict:
         """[g_lambda h] for canonical generators (cls, idx), by their vectors."""
@@ -530,7 +508,7 @@ class _Certificate:
     def jacobi(self, a: int, b: int, c: int) -> dict:
         """[a_lambda [b_mu c]] - [b_mu [a_lambda c]] - [[a_lambda b]_{lambda+mu} c],
         {(power of lambda, power of mu, *key): c}."""
-        na, nb, nc = map(self.normal_form, (a, b, c))
+        na, nb, nc = (self.s._normal[i] for i in (a, b, c))
         return clean(
             [((p, q, *key), v) for (q, *y), w in self.raw[b, c].items()
              for (p, *key), v in self.bracket(na, {tuple(y): w}).items()]
@@ -637,7 +615,6 @@ def loop(g: FiniteLieAlgebra) -> VLStructure:
         d_matrix=None,
         table=table,
         name="loop",
-        meta={"kind": "loop"},
     ).certify()
 
 
@@ -652,9 +629,6 @@ def affine(g: FiniteLieAlgebra, form: BilinearForm,
         for j, b in enumerate(g.names):
             table[(a, b)] = [({g.names[k]: c for k, c in g.bracket_basis(i, j).items()}, 0, 0),
                              ({"c": -form.value(i, j)}, 0, 1)]
-    meta = {"kind": "affine"}
-    if highest_root is not None:
-        meta["highest_root"] = highest_root
     return VLStructure(
         basis=g.names + ("c",),
         degrees=(1,) * g.dim + (0,),
@@ -662,7 +636,7 @@ def affine(g: FiniteLieAlgebra, form: BilinearForm,
         d_matrix={"c": {}},
         table=table,
         name="affine",
-        meta=meta,
+        meta=None if highest_root is None else {"highest_root": highest_root},
     ).certify()
 
 
@@ -682,7 +656,6 @@ def heisenberg(d_matrix) -> VLStructure:
         d_matrix={"c": {}},
         table=table,
         name="heisenberg",
-        meta={"kind": "heisenberg"},
     ).certify()
 
 
@@ -750,7 +723,6 @@ def novikov(algebra: CommAlgebra, form: BilinearForm | None = None) -> VLStructu
         d_matrix={"c": {}},
         table=table,
         name="novikov",
-        meta={"kind": "novikov"},
     ).certify()
 
 

@@ -11,6 +11,9 @@ from vlie import lattice_c2
 from vlie.cli import main
 
 
+DATA = Path(__file__).parent / "data"
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -145,6 +148,30 @@ class TestCheckSuites:
         assert len(checks) == 29
         assert [c["name"] for c in checks if not c["pass"]] == []
 
+    def test_borcherds_timing(self, capsys):
+        request = ("borcherds-check", "--builder", "virasoro", "--lambda", "c=1/2",
+                   "--window", "1", "--depth", "2")
+        code, out, _ = run(capsys, *request, "--format", "json", "--timing")
+        assert code == 0
+        (check,) = json.loads(out)["checks"]
+        assert check["name"] == "borcherds" and check["pass"] and type(check["ms"]) is int
+        code, out, _ = run(capsys, *request, "--timing")
+        assert code == 0
+        assert out.startswith("PASS borcherds  [") and " ms]\n" in out
+        # without --timing the report carries no time
+        assert "ms" not in json.loads(run(capsys, *request, "--format", "json")[1])["checks"][0]
+
+    def test_virasoro_domega_fixture(self, capsys):
+        # d omega = domega through the config loader: the window checks pass
+        # and the character is Virasoro's
+        config = ("--builder", "config", "--config", str(DATA / "virasoro_domega.json"))
+        code, out, _ = run(capsys, "check", "vla", *config, "--window", "3")
+        assert code == 0
+        assert "PASS vla.jacobi.config" in out and "PASS vla.skew.config" in out
+        code, out, _ = run(capsys, "character", *config, "--lambda", "c=1/2", "--depth", "10")
+        assert code == 0
+        assert out.strip() == "1,0,1,1,2,2,4,4,7,8,12"
+
     def test_vp_check(self, capsys):
         code, out, _ = run(capsys, "vp-check", "--ultra", "sl2")
         assert code == 0
@@ -205,6 +232,11 @@ class TestErrorPaths:
           "--a", '[[[["omega", -1]], "0"]]'), "config error: --a and --b must be nonzero states"),
         (("check", "lattice", "--gram", "[[2,2],[2,2]]"),
          "config error: degenerate Gram matrix is out of scope"),
+        # complements are always derived, so a config that names them is refused
+        (("bracket", "--builder", "config", "--config", str(DATA / "witt_u_prime.json"),
+          "--a", "omega", "--m", "1", "--b", "omega", "--n", "0"), "config error: 'u_prime'"),
+        (("bracket", "--builder", "config", "--config", str(DATA / "witt_u0_prime.json"),
+          "--a", "omega", "--m", "1", "--b", "omega", "--n", "0"), "config error: 'u0_prime'"),
     ])
     def test_bad_input_exits_2(self, capsys, argv, message):
         code, _, err = run(capsys, *argv)

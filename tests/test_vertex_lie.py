@@ -2,13 +2,15 @@ import functools
 import itertools
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from vlie.config import build_structure, vertex_lie_from_config
+from vlie.config import build_structure, load_config_file, vertex_lie_from_config
 from vlie.formal_calc import DeltaSeries, DPoly, expand, format_terms, gen_binomial
 from vlie.lie_core import BilinearForm, FiniteLieAlgebra, sl2, sl2_form
 from vlie.linalg import add_into
+from vlie.vacuum_module import VacuumModule
 from vlie.vertex_lie import (
     CommAlgebra,
     VLStructure,
@@ -222,17 +224,21 @@ class TestModeCache:
             assert kernel == ({(-1, 0, 0): 1} if n == -1 else {}), n
 
     def test_pathological_d_raises_every_time(self):
-        # d a = b and d b = a: a(-1) = b(-2) = 2 a(-3) = ... never reaches mode 0
+        # d a = b and d b = a: a(-1) = b(-2) = 2 a(-3) = ... never reaches
+        # mode 0, and a has no normal form, so a and b raise at every mode,
+        # mode 0 included, while c, off the cycle, still answers
         s = VLStructure(
-            basis=("a", "b"),
+            basis=("a", "b", "c"),
             degrees=None,
             d_domain=("a", "b"),
             d_matrix={"a": {"b": 1}, "b": {"a": 1}},
             table={},
         )
-        for _ in range(2):
-            with pytest.raises(ValueError, match="does not terminate"):
-                s.mode("a", -1)
+        for n in (-1, 0, 2):
+            for name in ("a", "b", "a"):
+                with pytest.raises(ValueError, match="does not terminate"):
+                    s.mode(name, n)
+            assert s.mode("c", n) == {(n, 1, 0): 1}
 
     @pytest.mark.parametrize("first", ["a70", "a40"])
     def test_nilpotent_chain_terminates_in_either_order(self, first):
@@ -561,6 +567,130 @@ class TestJacobiOracle:
             assert entry == fresh.component_bracket(ia, m, ib, n)
         for (sx, sy), entry in s._symbol_memo.items():
             assert entry == fresh.symbol_bracket(sx, sy)
+
+
+def _oracle_cyclic(s):
+    """Basis indices whose modes reduce forever at a negative mode, by a
+    fixed point.  The recursive reduction of u_i(n) steps to w(n-1) for each
+    im-d preimage w in the decomposition of u_i and stops at n = 0, so from
+    n < 0 it never ends exactly when a cycle of this preimage graph can be
+    reached from i: the complement of the largest set closed under "every
+    successor is in the set"."""
+    succ = {}
+    for i in range(len(s.basis)):
+        _, im_part, _ = s.decompose_vector({i: 1})
+        succ[i] = {w for (w, _), c in zip(s._im_preimages, im_part) if c}
+    finite = set()
+    grew = True
+    while grew:
+        grew = False
+        for i, nxt in succ.items():
+            if i not in finite and nxt <= finite:
+                finite.add(i)
+                grew = True
+    return frozenset(succ).difference(finite)
+
+
+def _oracle_mode(s, i, n, cyclic, memo):
+    """u_i(n) by the recursion (dw)(n) = -n w(n-1) over the decomposition
+    of u_i, one step per mode; ``memo`` maps (i, n) to the answer."""
+    if (i, n) not in memo:
+        if n < 0 and i in cyclic:
+            raise ValueError("mode reduction does not terminate; pathological d")
+        z_part, im_part, up_part = s.decompose_vector({i: 1})
+        out = {}
+        if n == -1:
+            add_into(out, {(-1, 0, j): c for j, c in enumerate(z_part)})
+        # ker-d vectors vanish at every other mode
+        if n != 0:
+            for (w, _), c in zip(s._im_preimages, im_part):
+                if c:
+                    add_into(out, _oracle_mode(s, w, n - 1, cyclic, memo), -n * c)
+        add_into(out, {(n, 1, j): c for j, c in enumerate(up_part)})
+        memo[(i, n)] = out
+    return memo[(i, n)]
+
+
+DATA = Path(__file__).parent / "data"
+
+
+def _virasoro_domega():
+    """Virasoro on omega, domega = d(omega) and c, from the fixture file."""
+    return build_structure("config", load_config_file(str(DATA / "virasoro_domega.json")))
+
+
+def _chain(length):
+    """d a_i = a_(i+1) on a0..a_(length-1): a nilpotent d."""
+    names = [f"a{i}" for i in range(length)]
+    return VLStructure(names, None, names[:-1],
+                       {names[i]: {names[i + 1]: 1} for i in range(length - 1)}, {})
+
+
+def _cycle_with_tail():
+    """d a = b, d b = a and d c = a + e: e = d(c) - d(b) reaches the cycle,
+    c does not."""
+    return VLStructure(("a", "b", "c", "e"), None, ("a", "b", "c"),
+                       {"a": {"b": 1}, "b": {"a": 1}, "c": {"a": 1, "e": 1}}, {})
+
+
+class TestNormalForm:
+    """Modes read off the one normal form per basis vector, against the
+    step-by-step recursion and the fixed point of cyclic indices."""
+
+    @pytest.mark.parametrize("name", SUITE_BUILDERS + ("non-injective-d", "nilpotent-chain-71",
+                                                       "virasoro-domega"))
+    def test_modes_match_recursion(self, name):
+        s = {"non-injective-d": lambda: vertex_lie_from_config(NON_INJECTIVE_D),
+             "nilpotent-chain-71": lambda: _chain(71),
+             "virasoro-domega": _virasoro_domega}.get(name, lambda: build_structure(name))()
+        assert not _oracle_cyclic(s)
+        memo = {}
+        for i in range(len(s.basis)):
+            for n in range(-6, 7):
+                want = _oracle_mode(s, i, n, frozenset(), memo)
+                # the same terms in the same order
+                assert list(s.mode(s.basis[i], n).items()) == list(want.items()), (i, n)
+
+    @pytest.mark.parametrize("s, cyclic", [
+        (VLStructure(("a", "b"), None, ("a", "b"), {"a": {"b": 1}, "b": {"a": 1}}, {}), {0, 1}),
+        (_cycle_with_tail(), {0, 1, 3}),
+        (_chain(6), set()),
+    ])
+    def test_cyclic_indices_match_fixed_point(self, s, cyclic):
+        assert {i for i, form in enumerate(s._normal) if form is None} == cyclic
+        assert _oracle_cyclic(s) == cyclic
+        for i in range(len(s.basis)):
+            for n in (-2, 0, 1):
+                if i in cyclic:
+                    with pytest.raises(ValueError, match="does not terminate"):
+                        s.mode(s.basis[i], n)
+                else:
+                    assert s.mode(s.basis[i], n) == _oracle_mode(s, i, n, cyclic, {})
+
+
+class TestVirasoroDOmega:
+    """The fixture's d omega = domega: the same Virasoro algebra, with
+    (D omega)(n) = -n omega(n-1), through the config loader."""
+
+    def test_certified_with_virasoro_complements(self):
+        s = _virasoro_domega()
+        assert s.certified
+        assert (s.u_prime_names, s.u0_prime_names) == (("omega",), ("c",))
+
+    def test_brackets_match_virasoro(self):
+        s, v = _virasoro_domega(), virasoro()
+        for m in range(-4, 5):
+            for n in range(-4, 5):
+                assert s.component_bracket("omega", m, "omega", n) == v.component_bracket(
+                    "omega", m, "omega", n)
+                assert s.component_bracket("omega", m, "domega", n) == add_into(
+                    {}, v.component_bracket("omega", m, "omega", n - 1), -n), (m, n)
+                assert s.component_bracket("domega", m, "domega", n) == add_into(
+                    {}, v.component_bracket("omega", m - 1, "omega", n - 1), m * n), (m, n)
+
+    def test_character(self):
+        module = VacuumModule(_virasoro_domega(), {"c": Fraction(1, 2)})
+        assert module.character(10) == [1, 0, 1, 1, 2, 2, 4, 4, 7, 8, 12]
 
 
 def _presentation(s, depth):
