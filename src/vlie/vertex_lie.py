@@ -20,11 +20,12 @@ M = C[D] (x) U' (+) U0', which the modes and the certificate both read.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import defaultdict
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 from .formal_calc import DeltaSeries, DPoly, falling, format_terms, skew_transfer
 from .lie_core import BilinearForm, FiniteLieAlgebra, _normalize_table, check_invariance
@@ -62,7 +63,8 @@ class VLStructure:
     brackets keyed by (basis index, m, basis index, n), which
     ``symbol_bracket`` also returns for two symbols on basis vectors; and a
     small memo of ``symbol_bracket`` for pairs involving a kernel vector
-    that is not a basis vector, such as (a - b).
+    that is not a basis vector, such as (a - b).  The common denominator
+    that ``verify_jacobi`` scales by is computed once, on first use.
 
     The complements are always the lowest-index pivots: U0' completes im d
     to ker d + im d, and U' takes the basis vectors that complete that.  The
@@ -184,25 +186,38 @@ class VLStructure:
         over the im-d preimages of its decomposition reaches a cycle.
 
         u_i = z + sum_w c_w d(w) + u' reads D^0 z + sum_w c_w D(w) + D^0 u',
-        with D u = d(u) and D z = 0 on U0'.
+        with D u = d(u) and D z = 0 on U0'.  The walk keeps an explicit
+        stack, so a long chain of preimages needs no recursion.
         """
+        preimages = [w for w, _ in self._im_preimages]
         forms: dict[int, dict | None] = {}
 
-        def walk(i):
-            if i not in forms:
-                forms[i] = None  # on the walk: reaching i again closes a cycle
-                z_part, im_part, up_part = self.decompose_vector({i: 1})
-                out = clean([((0, j, 0), c) for j, c in enumerate(z_part)])
-                for (w, _), c in zip(self._im_preimages, im_part):
-                    if c:
-                        form = walk(w)
-                        if form is None:
-                            return None
-                        add_into(out, _derive(form, 1), c)
-                forms[i] = add_into(out, {(1, j, 0): c for j, c in enumerate(up_part)})
-            return forms[i]
+        def enter(i):
+            forms[i] = None  # on the walk: reaching i again closes a cycle
+            parts = self.decompose_vector({i: 1})
+            return i, parts, iter([w for w, c in zip(preimages, parts[1]) if c])
 
-        return [walk(i) for i in range(len(self.basis))]
+        for root in range(len(self.basis)):
+            if root in forms:
+                continue
+            stack = [enter(root)]
+            while stack:
+                i, (z_part, im_part, up_part), children = stack[-1]
+                w = next((w for w in children if w not in forms), None)
+                if w is not None:
+                    stack.append(enter(w))
+                    continue
+                stack.pop()
+                # every preimage is done, or on the walk (None: a cycle)
+                out = clean([((0, j, 0), c) for j, c in enumerate(z_part)])
+                for w, c in zip(preimages, im_part):
+                    if c:
+                        if forms[w] is None:
+                            break
+                        add_into(out, _derive(forms[w], 1), c)
+                else:
+                    forms[i] = add_into(out, {(1, j, 0): c for j, c in enumerate(up_part)})
+        return [forms[i] for i in range(len(self.basis))]
 
     def _graded_check(self):
         if self.degrees is None:
@@ -353,19 +368,19 @@ class VLStructure:
         return cached
 
     def bracket_elements(self, x: Modes, y: Modes) -> Modes:
-        return self._add_bracket({}, x, y)
-
-    def _add_bracket(self, acc: Modes, x: Modes, y: Modes) -> Modes:
-        """acc += [x, y] for two combinations of modes, in place; returns acc."""
-        symbol_bracket = self.symbol_bracket
+        """[x, y] for two combinations of modes, as a new dict."""
+        out: Modes = {}
         for sx, cx in x.items():
             for sy, cy in y.items():
-                add_into(acc, symbol_bracket(sx, sy), cx * cy)
-        return acc
+                add_into(out, self.symbol_bracket(sx, sy), cx * cy)
+        return out
 
     # -- verification -------------------------------------------------------------
 
     def verify_skew_symmetry(self, window: int = 4) -> list[str]:
+        """Window check of [x, y] + [y, x] = 0.  Neither bracket stores a
+        zero, so a cell holds exactly when both have the same symbols with
+        opposite coefficients; no sum is built."""
         problems = []
         r = len(self.basis)
         for ia in range(r):
@@ -374,7 +389,8 @@ class VLStructure:
                     for n in range(-window, window + 1):
                         lhs = self.component_bracket(ia, m, ib, n)
                         rhs = self.component_bracket(ib, n, ia, m)
-                        if add_into(dict(lhs), rhs):
+                        if len(lhs) != len(rhs) or any(
+                                rhs.get(s) != -c for s, c in lhs.items()):
                             problems.append(
                                 f"skew fails at [{self.basis[ia]}({m}),{self.basis[ib]}({n})]: "
                                 f"{self.format_modes(lhs)} vs -({self.format_modes(rhs)})"
@@ -383,12 +399,42 @@ class VLStructure:
                                 return problems
         return problems
 
+    @functools.cached_property
+    def _denominator(self) -> int:
+        """D, the lcm of the denominators of the table coefficients, the
+        normal-form coefficients and the U0'/U' vectors; computed on first
+        use."""
+        values = [c for series in self._table.values() for _, h in series.items()
+                  for c in h.coeffs.values()]
+        values += [c for form in self._normal if form for c in form.values()]
+        values += [c for v in self.u0_prime_vectors + self.u_prime_vectors for c in v.values()]
+        return lcm(*(c.denominator for c in values))
+
     def verify_jacobi(self, window: int = 4, ordered: bool = False) -> list[str]:
         """Window check of [[x,y],z] + [[y,z],x] + [[z,x],y] = 0.
 
         With ``ordered`` False only sorted basis triples are scanned, which
         together with skew-symmetry covers all triples; pass True for
         candidate tables that may not even be skew.
+
+        Every cell is decided exactly, in integers.  With D the lcm of the
+        denominators of the table, the normal forms and the U0'/U' vectors
+        (``_denominator``), a basis mode times D is integral, a component
+        bracket times D^2 (a table coefficient times a basis mode), and a
+        symbol bracket times D^4: a kernel vector such as (a - b) brackets
+        through its canonical vector, which adds a factor D for each slot.
+        So each of the three terms [[x,y],z], read as D^2 [x,y] and D z
+        through the D^4 symbol brackets, is D^7 times the true one, and a
+        cell is zero exactly when its true Jacobiator is.  A scaled value
+        that is not integral raises; nothing is rounded.  The exact
+        ``Fraction``s are rebuilt only for the text of a failing cell.
+
+        The rows (x_m, y_n) are scanned in order, and in each row only the
+        cells p where a term has two nonempty operands: [xy, z_p] where
+        z_p is nonempty (and xy is), [y_n z_p, x_m] where y_n z_p is (and
+        x_m is), [z_p x_m, y_n] where z_p x_m is (and y_n is).  Every other
+        cell is zero.  The cells of a row are reported by ascending p, so
+        the list stops at 20 problems where the full scan would.
         """
         problems = []
         r = len(self.basis)
@@ -400,28 +446,66 @@ class VLStructure:
                 for i in range(r) for j in range(i, r) for k in range(j, r)
             ]
         modes = range(-window, window + 1)
-        bracket = self.component_bracket
-        add_bracket = self._add_bracket
+        D = self._denominator
+        D2, D4, D7 = D ** 2, D ** 4, D ** 7
+        # call-local scaled copies, as tuples of (symbol, int) items: basis
+        # modes times D, component brackets times D^2, and one flat table of
+        # symbol brackets (sx, sy) times D^4
+        mode = functools.cache(lambda i, n: _scaled(self._basis_mode(i, n), D))
+        bracket = functools.cache(
+            lambda ia, m, ib, n: _scaled(self.component_bracket(ia, m, ib, n), D2))
+        pairs: dict[tuple[Symbol, Symbol], tuple] = {}
+
+        def add_term(acc, x, y):
+            """acc += [x, y] for two scaled combinations of modes."""
+            get = acc.get
+            for sx, cx in x:
+                for sy, cy in y:
+                    key = (sx, sy)
+                    items = pairs.get(key)
+                    if items is None:
+                        items = pairs[key] = _scaled(self.symbol_bracket(sx, sy), D4)
+                    w = cx * cy
+                    for s, v in items:
+                        acc[s] = get(s, 0) + w * v
+
         for (i, j, k) in triples:
             # the basis modes and the [y_n, z_p] and [z_p, x_m] brackets of
-            # this triple, each read once over the window
-            xs = [self._basis_mode(i, m) for m in modes]
-            ys = [self._basis_mode(j, n) for n in modes]
-            zs = [self._basis_mode(k, p) for p in modes]
+            # this triple, each read once over the window, and for each the
+            # cells p where they are nonempty
+            xs = [mode(i, m) for m in modes]
+            ys = [mode(j, n) for n in modes]
+            zs = [mode(k, p) for p in modes]
             yz = [[bracket(j, n, k, p) for p in modes] for n in modes]
-            zx = [[bracket(k, p, i, m) for m in modes] for p in modes]
+            zx = [[bracket(k, p, i, m) for p in modes] for m in modes]
+            z_cells = [c for c, z in enumerate(zs) if z]
+            yz_cells = [[c for c, v in enumerate(row) if v] for row in yz]
+            zx_cells = [[c for c, v in enumerate(row) if v] for row in zx]
             for a, m in enumerate(modes):
+                x = xs[a]
                 for b, n in enumerate(modes):
                     xy = bracket(i, m, j, n)
-                    for c, p in enumerate(modes):
-                        acc = add_bracket({}, xy, zs[c])
-                        add_bracket(acc, yz[b][c], xs[a])
-                        add_bracket(acc, zx[c][a], ys[b])
-                        if acc:
+                    y = ys[b]
+                    cells = set(z_cells) if xy else set()
+                    if x:
+                        cells.update(yz_cells[b])
+                    if y:
+                        cells.update(zx_cells[a])
+                    for c in sorted(cells):
+                        acc: dict[Symbol, int] = {}
+                        if xy:
+                            add_term(acc, xy, zs[c])
+                        if x:
+                            add_term(acc, yz[b][c], x)
+                        if y:
+                            add_term(acc, zx[a][c], y)
+                        if any(acc.values()):
+                            p = modes[c]
                             problems.append(
                                 f"Jacobi fails on ({self.basis[i]}({m}),"
                                 f"{self.basis[j]}({n}),{self.basis[k]}({p})): "
-                                + self.format_modes(acc)
+                                + self.format_modes({s: narrow(Fraction(v, D7))
+                                                     for s, v in acc.items() if v})
                             )
                             if len(problems) >= 20:
                                 return problems
@@ -445,6 +529,20 @@ class VLStructure:
             raise ValueError("structure is not graded")
         i = self.index[name_or_index] if isinstance(name_or_index, str) else name_or_index
         return self.degrees[i]
+
+
+def _scaled(vec: Mapping, scale: int) -> tuple:
+    """The items (key, scale * c) of vec as ints; raises where one is not
+    integral, never rounds."""
+    out = []
+    for key, c in vec.items():
+        c *= scale
+        if c.__class__ is not int:
+            if c.denominator != 1:
+                raise ArithmeticError(f"scaled coefficient {c} is not integral")
+            c = c.numerator
+        out.append((key, c))
+    return tuple(out)
 
 
 def _derive(x: dict, u: int) -> dict:

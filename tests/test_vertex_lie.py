@@ -5,6 +5,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vlie.config import build_structure, load_config_file, vertex_lie_from_config
 from vlie.formal_calc import DeltaSeries, DPoly, expand, format_terms, gen_binomial
@@ -568,6 +569,123 @@ class TestJacobiOracle:
         for (sx, sy), entry in s._symbol_memo.items():
             assert entry == fresh.symbol_bracket(sx, sy)
 
+    def test_scaled_value_is_never_rounded(self):
+        # with a denominator that misses the 1/2 of the table, a scaled
+        # bracket is not integral: the check raises instead of rounding
+        s = _jacobi_structure("kernel-brackets")
+        assert s._denominator == 2
+        s = _jacobi_structure("kernel-brackets")
+        s._denominator = 1
+        with pytest.raises(ArithmeticError, match="not integral"):
+            s.verify_jacobi(1)
+
+    def test_failing_cell_is_exact(self):
+        # Virasoro's D is 12; a non-skew term 1/7 omega(y) Delta makes it 84,
+        # and the kernel works on 84^7 times each cell, but a failing cell
+        # is printed with its exact coefficients
+        assert build_structure("virasoro")._denominator == 12
+        bumped = _with_term(build_structure("virasoro"), "omega", "omega",
+                            ({"omega": Fraction(1, 7)}, 0, 0))
+        assert bumped._denominator == 84
+        problems = bumped.verify_jacobi(2)
+        assert problems == _oracle_jacobi(bumped, 2, False)
+        assert problems[0] == ("Jacobi fails on (omega(-2),omega(-2),omega(-2)): "
+                               "-6/7*omega(-7) + 3/49*omega(-6)")
+
+
+def _oracle_skew(s, window):
+    """The window skew check cell by cell: [x, y] + [y, x] through
+    ``bracket_vectors``, summed into a new dict."""
+    r = len(s.basis)
+    problems = []
+    for ia in range(r):
+        for ib in range(ia, r):
+            for m in range(-window, window + 1):
+                for n in range(-window, window + 1):
+                    lhs = s.bracket_vectors({ia: 1}, m, {ib: 1}, n)
+                    rhs = s.bracket_vectors({ib: 1}, n, {ia: 1}, m)
+                    if add_into(dict(lhs), rhs):
+                        problems.append(
+                            f"skew fails at [{s.basis[ia]}({m}),{s.basis[ib]}({n})]: "
+                            f"{s.format_modes(lhs)} vs -({s.format_modes(rhs)})")
+                        if len(problems) >= 20:
+                            return problems
+    return problems
+
+
+class TestSkewOracle:
+    @pytest.mark.parametrize("name", JACOBI_STRUCTURES)
+    def test_same_problems_as_oracle(self, name):
+        s = _jacobi_structure(name)
+        for window in range(4):
+            assert s.verify_skew_symmetry(window) == _oracle_skew(s, window), window
+
+    def test_controls_fail(self):
+        for name in ("kernel-brackets", "novikov-non-commutative", "b3-dual-numbers"):
+            assert _jacobi_structure(name).verify_skew_symmetry(3), name
+
+
+# coefficients over the denominators 2, 3, 5, 7 and 97 (and 1)
+COEFFS = st.builds(Fraction, st.integers(-3, 3).filter(bool), st.sampled_from((1, 2, 3, 5, 7, 97)))
+
+
+@st.composite
+def random_structures(draw):
+    """A small ungraded structure with a random table: no d, a central c,
+    or d a = p c, d b = q c, whose kernel vector (b - q/p a) is not a unit
+    vector and carries the denominators of p into U0'."""
+    kind = draw(st.sampled_from(("kernel", "central", "no-d")))
+    # the basis order decides which triples come before the 20-problem cut
+    basis = tuple(draw(st.permutations(("a", "b") if kind == "no-d" else ("a", "b", "c"))))
+    if kind == "no-d":
+        d_domain, d_matrix = (), None
+    elif kind == "central":
+        d_domain, d_matrix = ("c",), {"c": {}}
+    else:
+        d_domain, d_matrix = ("a", "b"), {"a": {"c": draw(COEFFS)}, "b": {"c": draw(COEFFS)}}
+    pairs = draw(st.lists(st.tuples(st.sampled_from(basis), st.sampled_from(basis)),
+                          min_size=1, max_size=3, unique=True))
+    term = st.tuples(st.dictionaries(st.sampled_from(basis), COEFFS, min_size=1, max_size=2),
+                     st.integers(0, 1), st.integers(0, 2))
+    table = {pair: draw(st.lists(term, min_size=1, max_size=2)) for pair in pairs}
+    return VLStructure(basis, None, d_domain, d_matrix, table)
+
+
+class TestJacobiKernelProperty:
+    """The integer kernel against the cell-by-cell oracle on random tables
+    with fractional coefficients and kernel vectors."""
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(random_structures(), st.booleans())
+    def test_matches_oracle(self, s, ordered):
+        for window in range(3):
+            assert s.verify_jacobi(window, ordered) == _oracle_jacobi(s, window, ordered), window
+
+    def test_empty_mode_with_nonempty_bracket(self):
+        # c(m) vanishes off m = -1, yet this table, which is not
+        # sesquilinear, gives [c(m), a(n)] = a(m+n): [[c(m), a(n)], a(p)]
+        # = a(m+n+p) is the only nonzero term of the cell
+        s = VLStructure(("c", "a"), None, ("c",), {"c": {}},
+                        {("c", "a"): [({"a": 1}, 0, 0)], ("a", "a"): [({"a": 1}, 0, 0)]})
+        problems = s.verify_jacobi(1)
+        assert problems == _oracle_jacobi(s, 1, False)
+        assert problems[0] == "Jacobi fails on (c(-1),a(-1),a(-1)): a(-3)"
+        assert "Jacobi fails on (c(0),a(-1),a(-1)): a(-2)" in problems
+
+    def test_kernel_vector_is_fractional(self):
+        s = VLStructure(("a", "b", "c"), None, ("a", "b"),
+                        {"a": {"c": Fraction(2, 97)}, "b": {"c": Fraction(3, 7)}},
+                        {("a", "a"): [({"b": Fraction(1, 5)}, 0, 1)]})
+        assert _has_fraction(s.u0_prime_vectors)
+        assert s._denominator == 2 * 3 * 5 * 7 * 97
+        for ordered in (False, True):
+            assert s.verify_jacobi(2, ordered) == _oracle_jacobi(s, 2, ordered)
+
+
+def _has_fraction(vectors):
+    """Whether some vector has a coefficient that is not an integer."""
+    return any(Fraction(c).denominator != 1 for v in vectors for c in v.values())
+
 
 def _oracle_cyclic(s):
     """Basis indices whose modes reduce forever at a negative mode, by a
@@ -666,6 +784,32 @@ class TestNormalForm:
                         s.mode(s.basis[i], n)
                 else:
                     assert s.mode(s.basis[i], n) == _oracle_mode(s, i, n, cyclic, {})
+
+    @pytest.mark.parametrize("descending", [False, True])
+    def test_long_chain_needs_no_recursion(self, descending):
+        # 1100 vectors, d a_i = a_(i+1) or d a_(i+1) = a_i: the walk from the
+        # top of the chain goes 1099 preimages deep, past the recursion limit
+        names = [f"a{i}" for i in range(1100)]
+        if descending:
+            d = {names[i + 1]: {names[i]: 1} for i in range(1099)}
+        else:
+            d = {names[i]: {names[i + 1]: 1} for i in range(1099)}
+        s = VLStructure(names, None, list(d), d, {})
+        bottom = names[-1] if descending else names[0]
+        assert s.u_prime_names == (bottom,)
+        # a vector t steps up the chain is D^t of the bottom one:
+        # (D^t g)(-1) = t! g(-1-t)
+        for t in (*range(0, 1100, 157), 1099):
+            top = names[1099 - t] if descending else names[t]
+            assert s.mode(top, -1) == {(-1 - t, 1, 0): math.factorial(t)}, t
+
+    def test_two_cycle_raises_at_every_mode(self):
+        s = VLStructure(("a", "b"), None, ("a", "b"), {"a": {"b": 1}, "b": {"a": 1}}, {})
+        for n in range(-3, 4):
+            for name in ("a", "b"):
+                with pytest.raises(ValueError,
+                                   match="^mode reduction does not terminate; pathological d$"):
+                    s.mode(name, n)
 
 
 class TestVirasoroDOmega:
