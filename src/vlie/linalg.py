@@ -10,7 +10,9 @@ basis indices}, and ``bilinear`` multiplies two vectors through it.
 ``compose`` multiplies a whole table through another at once, with work
 that grows with the nonzero products rather than with the size of the
 tables.  ``Echelon`` is the package's only elimination routine, and
-``inverse``, ``det`` and ``nullspace`` of dense matrices are thin uses of it.
+``inverse``, ``det`` and ``nullspace`` are thin uses of it; ``inverse_rows``
+and ``nullspace`` also take sparse rows, so their work grows with the
+nonzero entries.
 """
 
 from __future__ import annotations
@@ -152,8 +154,10 @@ class Echelon:
         return red
 
 
-def _sparse_rows(rows: Sequence[Sequence]) -> list[dict]:
-    return [clean(enumerate(row)) for row in rows]
+def _sparse_rows(rows: Sequence) -> list[dict]:
+    """Each row as a sparse vector over its column indices: a mapping row
+    is read as it is, a sequence row by position."""
+    return [clean(row if isinstance(row, Mapping) else enumerate(row)) for row in rows]
 
 
 def det(rows: Sequence[Sequence]) -> int | Fraction:
@@ -188,8 +192,10 @@ def _back_substitute(echelon: Echelon) -> dict:
     return full
 
 
-def inverse(rows: Sequence[Sequence]) -> list[list[int | Fraction]]:
-    """Inverse of a square matrix; raises ValueError when it is singular.
+def inverse_rows(rows: Sequence) -> list[dict]:
+    """Inverse of a square matrix as sparse rows, each in ascending column
+    order; raises ValueError when it is singular.  The rows of the matrix
+    may be sequences or mappings from column index to value.
 
     Row i is inserted as (M_i | e_i) with the matrix columns as the larger
     keys, so once every matrix column is a pivot the fully reduced row of
@@ -204,25 +210,30 @@ def inverse(rows: Sequence[Sequence]) -> list[list[int | Fraction]]:
     if any((1, j) not in echelon.rows for j in range(n)):
         raise ValueError("matrix is singular")
     full = _back_substitute(echelon)
-    return [[full[(1, j)].get((0, i), 0) for i in range(n)] for j in range(n)]
+    return [{i: c for (_, i), c in sorted(full[(1, j)].items())} for j in range(n)]
 
 
-def nullspace(rows: Sequence[Sequence]) -> list[dict[int, int | Fraction]]:
+def inverse(rows: Sequence[Sequence]) -> list[list[int | Fraction]]:
+    """Inverse of a square matrix as dense rows; raises ValueError when it
+    is singular."""
+    n = len(rows)
+    return [[row.get(i, 0) for i in range(n)] for row in inverse_rows(rows)]
+
+
+def nullspace(rows: Sequence, width: int | None = None) -> list[dict[int, int | Fraction]]:
     """Basis of {v : M v = 0} as sparse vectors, one per non-pivot column
-    in increasing order, each with entry 1 there."""
-    width = len(rows[0]) if rows else 0
+    in increasing order, each with entry 1 there.  The rows may be
+    sequences or mappings from column index to value; ``width``, the number
+    of columns, defaults to the length of the first row."""
+    if width is None:
+        width = len(rows[0]) if rows else 0
     echelon = Echelon()
     for row in _sparse_rows(rows):
         echelon.insert(row)
     full = _back_substitute(echelon)
-    basis = []
-    for free in range(width):
-        if free in full:
-            continue
-        vec = {free: 1}
-        for pivot, row in full.items():
-            c = row.get(free)
-            if c:
-                vec[pivot] = -c
-        basis.append(dict(sorted(vec.items())))
-    return basis
+    # a fully reduced row holds only non-pivot columns
+    basis = {free: {free: 1} for free in range(width) if free not in full}
+    for pivot, row in full.items():
+        for free, c in row.items():
+            basis[free][pivot] = -c
+    return [dict(sorted(vec.items())) for vec in basis.values()]

@@ -16,9 +16,10 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
+from functools import partial
 
 from .formal_calc import format_terms, gen_binomial, rat
-from .linalg import add_into, clean
+from .linalg import add_into, clean, narrow
 from .vertex_lie import Modes, Symbol, VLStructure
 
 Monomial = tuple[Symbol, ...]
@@ -39,7 +40,10 @@ class VacuumModule:
     its entries are the action memo's own and the mode memo holds only
     longer or deeper heads.  Memo values are shared, never copied: they are
     read-only, and every public method returns a fresh dict.  The
-    structure's own mode cache serves ``act``.
+    structure's own mode cache serves ``act``.  The column tables of
+    ``borcherds_check`` live for one call only and hold memo values or new
+    sums, so the two memos have the same keys and values whether or not a
+    check ran through them.
     """
 
     def __init__(self, structure: VLStructure, lam: Mapping[str, object] | None = None):
@@ -164,25 +168,26 @@ class VacuumModule:
             result = {(sym,) + mono: 1}
         else:
             head, tail = mono[0], mono[1:]
-            result: State = {}
-            # u(n) s1 rest = s1 u(n) rest + [u(n), s1] rest
-            inner = self._act_key(sym, tail)
-            for new_mono, c in inner.items():
-                add_into(result, self._prepend(head, new_mono), c)
-            for s, c in self._symbol_bracket(sym, head).items():
-                add_into(result, self._act_key(s, tail), c)
+            # u(n) s1 rest = s1 u(n) rest + [u(n), s1] rest, both sums
+            # accumulated inline and narrowed once at the end
+            acc: dict = {}
+            get = acc.get
+            act = self._act_key
+            for new_mono, c in act(sym, tail).items():
+                if not new_mono or head <= new_mono[0]:
+                    t = (head,) + new_mono
+                    acc[t] = get(t, 0) + c
+                else:
+                    for t, v in act(head, new_mono).items():
+                        acc[t] = get(t, 0) + c * v
+            # a frozen central head commutes with everything
+            bracket = {} if head[1] == 0 else self.structure.symbol_bracket(sym, head)
+            for s, c in bracket.items():
+                for t, v in act(s, tail).items():
+                    acc[t] = get(t, 0) + c * v
+            result = {t: narrow(v) for t, v in acc.items() if v}
         memo[key] = result
         return result
-
-    def _prepend(self, sym: Symbol, mono: Monomial) -> State:
-        if not mono or sym <= mono[0]:
-            return {(sym,) + mono: 1}
-        return self._act_key(sym, mono)
-
-    def _symbol_bracket(self, sym: Symbol, head: Symbol) -> Modes:
-        if sym[1] == 0 or head[1] == 0:
-            return {}  # frozen central generators commute
-        return self.structure.symbol_bracket(sym, head)
 
     # -- graded dimensions ----------------------------------------------------------
 
@@ -334,28 +339,83 @@ class VacuumModule:
 
     def borcherds_check(self, a: State, b: State, window: int, degree: int) -> list[str]:
         """Verify [a_m, b_n] = sum_i binom(m,i) (a_i b)_{m+n-i} on all basis
-        states of degree <= ``degree``, for |m|, |n| <= ``window``."""
+        states of degree <= ``degree``, for |m|, |n| <= ``window``; the
+        first five mismatching cells, in (m, n, state) order, as text.
+
+        A negative window or degree, or a zero ``a`` or ``b``, would check
+        nothing and raises ``ValueError``.
+
+        The cells read call-local columns: for each m a table t -> a_m t
+        over monomials t, filled on first use, and the same for b and each
+        n.  For a one-monomial state with coefficient 1 a column entry is
+        the memo value itself (the action memo entry for a lone u(-1)),
+        never a copy; any other state takes its bilinear sum.  a_m s and
+        b_n s of the basis states are columns too.  The right side depends
+        on (m, n) only through t = m+n-i, so each list t, i -> [(a_i b)_t s
+        for all s], read the same way, is computed once, on first use, and
+        shared by every (m, n) with that t.  Each cell sums a_m(b_n s) - b_n(a_m s) - sum_i binom(m,i)
+        (a_i b)_{m+n-i} s into one exact accumulator and passes exactly when
+        every value in it is zero; only a failing cell rebuilds its two
+        sides to print them.
+        """
         self.require_graded("borcherds_check")
+        if window < 0 or degree < 0:
+            raise ValueError(f"window and degree must be nonnegative, not {window} and {degree}")
         a, b = clean(a), clean(b)
+        if not a or not b:
+            raise ValueError("a zero state satisfies the identity trivially; a and b must be nonzero")
         products = self.modes_of_pair(a, b)
-        problems = []
         states = self.basis_states_upto(degree)
-        # a, b, the basis states and every memo result are clean, so the
-        # loop calls the unchecked bilinear sum, accumulating each side in
-        # one dict, and compares with ==; b_n s and a_m s are computed once,
-        # outside the loops they do not depend on
+        # each basis state is one monomial with coefficient 1
+        monos = [mono for s in states for mono in s]
+        fill_a, fill_b = self._column_fill(a), self._column_fill(b)
+        fill_products = {i: self._column_fill(aib) for i, aib in products.items()}
+        cols_b: dict[int, dict[Monomial, State]] = {}
+        right: dict[tuple[int, int], list[State]] = {}
         mode = self._mode_of_states
-        b_n = {n: [mode(b, n, s, {}) for s in states] for n in range(-window, window + 1)}
+        problems = []
         for m in range(-window, window + 1):
-            a_m = [mode(a, m, s, {}) for s in states]
-            terms = [(i, aib, c) for i, aib in products.items() if (c := gen_binomial(m, i))]
+            a_m: dict[Monomial, State] = {}
+            terms = [(i, c) for i in products if (c := gen_binomial(m, i))]
             for n in range(-window, window + 1):
-                for s, bs, as_ in zip(states, b_n[n], a_m):
-                    lhs = mode(b, n, as_, mode(a, m, bs, {}), -1)
-                    rhs: State = {}
-                    for i, aib, c in terms:
-                        mode(aib, m + n - i, s, rhs, c)
-                    if lhs != rhs:
+                b_n = cols_b.setdefault(n, {})
+                rhs_lists = []
+                for i, c in terms:
+                    key = (m + n - i, i)
+                    lists = right.get(key)
+                    if lists is None:
+                        lists = right[key] = [fill_products[i](m + n - i, t0) for t0 in monos]
+                    rhs_lists.append((c, lists))
+                for k, t0 in enumerate(monos):
+                    acc: dict = {}
+                    get = acc.get
+                    bs = b_n.get(t0)
+                    if bs is None:
+                        bs = b_n[t0] = fill_b(n, t0)
+                    for t, c in bs.items():
+                        col = a_m.get(t)
+                        if col is None:
+                            col = a_m[t] = fill_a(m, t)
+                        for key, v in col.items():
+                            acc[key] = get(key, 0) + c * v
+                    as_ = a_m.get(t0)
+                    if as_ is None:
+                        as_ = a_m[t0] = fill_a(m, t0)
+                    for t, c in as_.items():
+                        col = b_n.get(t)
+                        if col is None:
+                            col = b_n[t] = fill_b(n, t)
+                        for key, v in col.items():
+                            acc[key] = get(key, 0) - c * v
+                    for c, lists in rhs_lists:
+                        for key, v in lists[k].items():
+                            acc[key] = get(key, 0) - c * v
+                    if any(acc.values()):
+                        s = states[k]
+                        lhs = mode(b, n, as_, mode(a, m, bs, {}), -1)
+                        rhs: State = {}
+                        for i, c in terms:
+                            mode(products[i], m + n - i, s, rhs, c)
                         problems.append(
                             f"commutator mismatch at m={m}, n={n} on state "
                             f"{self.format_state(s)}: {self.format_state(lhs)} "
@@ -364,3 +424,13 @@ class VacuumModule:
                         if len(problems) >= 5:
                             return problems
         return problems
+
+    def _column_fill(self, x: State):
+        """(m, t) -> x_m t for a monomial t: the memo value itself when x is
+        one monomial with coefficient 1, else a new bilinear sum."""
+        if len(x) == 1:
+            ((mono, c),) = x.items()
+            if c == 1:
+                return partial(self._mode_of_monomial, mono)
+        mode = self._mode_of_states
+        return lambda m, t: mode(x, m, {t: 1}, {})

@@ -29,7 +29,7 @@ from math import comb, lcm
 
 from .formal_calc import DeltaSeries, DPoly, falling, format_terms, skew_transfer
 from .lie_core import BilinearForm, FiniteLieAlgebra, _normalize_table, check_invariance
-from .linalg import Echelon, add_into, bilinear, clean, inverse, narrow, nullspace
+from .linalg import Echelon, add_into, bilinear, clean, inverse_rows, narrow, nullspace
 
 Vector = dict[int, int | Fraction]  # sparse coordinates over the base-space basis
 # A canonical mode symbol (n, cls, idx): cls 0 is the idx-th frozen central
@@ -135,9 +135,14 @@ class VLStructure:
     def _setup_complements(self):
         r = len(self.basis)
         domain = sorted(self.d_map)
-        # ker d is the nullspace of d on its domain; im d keeps the image of
-        # one domain basis vector per echelon pivot, as (preimage, image)
-        kernel = nullspace([[self.d_map[i].get(j, 0) for i in domain] for j in range(r)])
+        # ker d is the nullspace of d on its domain, built from the nonzeros
+        # of d; im d keeps the image of one domain basis vector per echelon
+        # pivot, as (preimage, image)
+        d_rows: list[dict] = [{} for _ in range(r)]
+        for p, i in enumerate(domain):
+            for j, c in self.d_map[i].items():
+                d_rows[j][p] = c
+        kernel = nullspace(d_rows, len(domain))
         k_vectors = [{domain[p]: c for p, c in v.items()} for v in kernel]
         self.u0_names = tuple(self._vector_name(v) for v in k_vectors)
         image = Echelon()
@@ -157,10 +162,11 @@ class VLStructure:
         self.u_prime_vectors = greedy_extend(k_vectors + im_basis, [{i: 1} for i in range(r)])
         self.u0_prime_names = tuple(map(self._vector_name, self.u0_prime_vectors))
         self.u_prime_names = tuple(map(self._vector_name, self.u_prime_vectors))
-        # decomposition matrix: columns are u0' vectors, im-d generators
-        # (with their preimages), then u' vectors, a basis by construction
-        cols = self.u0_prime_vectors + im_basis + self.u_prime_vectors
-        self._decomp_inv = inverse([[col.get(i, 0) for col in cols] for i in range(r)])
+        # the u0' vectors, im-d generators (with their preimages), then u'
+        # vectors are a basis by construction; row i of the inverse of the
+        # matrix with these rows holds the coordinates of basis vector i,
+        # sparse and in ascending order
+        self._decomp_inv = inverse_rows(self.u0_prime_vectors + im_basis + self.u_prime_vectors)
 
     def _vector_name(self, vec: Vector) -> str:
         """The basis name of a unit vector, else the combination in parentheses."""
@@ -170,15 +176,15 @@ class VLStructure:
         return "(" + format_terms((self.basis[i], c) for i, c in sorted(vec.items())) + ")"
 
     def decompose_vector(self, vec: Vector):
-        """Split u = (ker-d complement part) + d(preimage) + (U' part)."""
-        r = len(self.basis)
-        coords = [0] * r
+        """Split u = (ker-d complement part) + d(preimage) + (U' part), as
+        dense coordinate lists; the sum touches only nonzeros."""
+        coords: Vector = {}
         for i, c in vec.items():
-            for j in range(r):
-                coords[j] += self._decomp_inv[j][i] * c
+            add_into(coords, self._decomp_inv[i], c)
+        dense = [coords.get(j, 0) for j in range(len(self.basis))]
         n0 = len(self.u0_prime_vectors)
         n1 = n0 + len(self._im_preimages)
-        return coords[:n0], coords[n0:n1], coords[n1:]
+        return dense[:n0], dense[n0:n1], dense[n1:]
 
     def _normal_forms(self) -> list[dict | None]:
         """Each basis vector u_i in M = C[D] (x) U' (+) U0', as {(cls, idx, t): c}
@@ -190,33 +196,37 @@ class VLStructure:
         stack, so a long chain of preimages needs no recursion.
         """
         preimages = [w for w, _ in self._im_preimages]
+        n0 = len(self.u0_prime_vectors)
+        n1 = n0 + len(preimages)
         forms: dict[int, dict | None] = {}
 
         def enter(i):
             forms[i] = None  # on the walk: reaching i again closes a cycle
-            parts = self.decompose_vector({i: 1})
-            return i, parts, iter([w for w, c in zip(preimages, parts[1]) if c])
+            # the nonzero coordinates of u_i, in ascending order
+            coords = self._decomp_inv[i]
+            im = [(preimages[j - n0], c) for j, c in coords.items() if n0 <= j < n1]
+            return i, coords, im, iter([w for w, _ in im])
 
         for root in range(len(self.basis)):
             if root in forms:
                 continue
             stack = [enter(root)]
             while stack:
-                i, (z_part, im_part, up_part), children = stack[-1]
+                i, coords, im, children = stack[-1]
                 w = next((w for w in children if w not in forms), None)
                 if w is not None:
                     stack.append(enter(w))
                     continue
                 stack.pop()
                 # every preimage is done, or on the walk (None: a cycle)
-                out = clean([((0, j, 0), c) for j, c in enumerate(z_part)])
-                for w, c in zip(preimages, im_part):
-                    if c:
-                        if forms[w] is None:
-                            break
-                        add_into(out, _derive(forms[w], 1), c)
+                out = {(0, j, 0): c for j, c in coords.items() if j < n0}
+                for w, c in im:
+                    if forms[w] is None:
+                        break
+                    add_into(out, _derive(forms[w], 1), c)
                 else:
-                    forms[i] = add_into(out, {(1, j, 0): c for j, c in enumerate(up_part)})
+                    forms[i] = add_into(out, {(1, j - n1, 0): c for j, c in coords.items()
+                                              if j >= n1})
         return [forms[i] for i in range(len(self.basis))]
 
     def _graded_check(self):

@@ -25,7 +25,7 @@ def inexact(values) -> list:
 
 
 def structure_values(s) -> list:
-    out = [c for row in s._decomp_inv for c in row]
+    out = [c for row in s._decomp_inv for c in row.values()]
     for cache in (s._mode_cache, s._bracket_cache):
         out.extend(c for modes in cache.values() for c in modes.values())
     return out

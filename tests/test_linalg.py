@@ -23,7 +23,17 @@ from vlie.formal_calc import (
     swap_side,
 )
 from vlie.lie_core import BilinearForm, check_invariance, check_lie_axioms
-from vlie.linalg import Echelon, add_into, bilinear, clean, compose, det, inverse, nullspace
+from vlie.linalg import (
+    Echelon,
+    add_into,
+    bilinear,
+    clean,
+    compose,
+    det,
+    inverse,
+    inverse_rows,
+    nullspace,
+)
 from vlie.vertex_lie import CommAlgebra
 
 from test_poisson_c2 import mode_window
@@ -84,6 +94,32 @@ def test_nullspace_dimension_and_kernel(rows):
     for vec in basis:
         for row in rows:
             assert sum((c * vec.get(j, 0) for j, c in enumerate(row)), Fraction(0)) == 0
+
+
+def as_mappings(rows):
+    """The same matrix with each row as a mapping of its nonzero entries."""
+    return [{j: c for j, c in enumerate(row) if c} for row in rows]
+
+
+@PROPERTY
+@given(square)
+def test_inverse_rows_of_mappings_match_dense(rows):
+    # sparse rows in, sparse rows out: the same inverse, never a stored zero
+    try:
+        dense = inverse(rows)
+    except ValueError:
+        with pytest.raises(ValueError):
+            inverse_rows(as_mappings(rows))
+        return
+    got = inverse_rows(as_mappings(rows))
+    assert got == as_mappings(dense)
+    assert all(list(row) == sorted(row) for row in got)
+
+
+@PROPERTY
+@given(rectangular)
+def test_nullspace_of_mappings_matches_dense(rows):
+    assert nullspace(as_mappings(rows), len(rows[0])) == nullspace(rows)
 
 
 @PROPERTY

@@ -274,6 +274,40 @@ class TestModeOfState:
                 assert module.mode_of_state(a, n, b) == want, (name, n)
 
 
+def oracle_act_key(module, sym, mono, memo):
+    """One canonical mode on one canonical monomial by the two
+    normal-ordering moves, each term joined by ``add_into``: the oracle of
+    the inline sums of ``VacuumModule._act_key``, with its own memo."""
+    key = (sym, mono)
+    if key in memo:
+        return memo[key]
+    n, cls, idx = sym
+    structure = module.structure
+    if cls == 0:
+        if module.lam is not None:
+            result = {mono: module.lam[structure.u0_prime_names[idx]]}
+        else:
+            result = {tuple(sorted(mono + (sym,))): 1}
+    elif not mono:
+        result = {(sym,): 1} if n <= -1 else {}
+    elif n <= -1 and sym <= mono[0]:
+        result = {(sym,) + mono: 1}
+    else:
+        # u(n) s1 rest = s1 u(n) rest + [u(n), s1] rest
+        head, tail = mono[0], mono[1:]
+        result = {}
+        for new_mono, c in oracle_act_key(module, sym, tail, memo).items():
+            if not new_mono or head <= new_mono[0]:
+                add_into(result, {(head,) + new_mono: 1}, c)
+            else:
+                add_into(result, oracle_act_key(module, head, new_mono, memo), c)
+        bracket = {} if head[1] == 0 else structure.symbol_bracket(sym, head)
+        for s, c in bracket.items():
+            add_into(result, oracle_act_key(module, s, tail, memo), c)
+    memo[key] = result
+    return result
+
+
 def reference_borcherds(module, a, b, window, degree, limit=5):
     """The oracle of ``borcherds_check``'s in-place accumulation: separate
     lhs and rhs through the public ``mode_of_state``, joined by
@@ -313,14 +347,39 @@ def tampered_affine():
     return module
 
 
+def tampered_virasoro():
+    """Virasoro at c = 1/2 with the mode memo entry (omega(-2)1)_2 1, which
+    is -2 omega(1)1 = 0, set to the vacuum before anything reads it.  With a = omega(-2)1 the
+    product a_1 b is -omega(-2)1, so the entry is read by the right-side
+    term i = 1 at t = m+n-1 = 2, first at m = 1, n = 2: a cell with m < 0
+    would need n > 3, and at m = 0 the term has coefficient binom(0, 1) = 0."""
+    module = VacuumModule(virasoro(), {"c": Fraction(1, 2)})
+    module._mode_memo[(module.monomial([("omega", -2)]), 2, ())] = {(): 1}
+    return module
+
+
+def unit(*symbols):
+    """The state items of one monomial with coefficient 1."""
+    return [(list(symbols), 1)]
+
+
 BORCHERDS_CASES = {
     "virasoro": (lambda: VacuumModule(virasoro(), {"c": Fraction(1, 2)}),
-                 [("omega", -1)], [("omega", -1)], 3, 4),
+                 unit(("omega", -1)), unit(("omega", -1)), 3, 4),
     "affine-sl2": (lambda: VacuumModule(affine(sl2(), sl2_form()), {"c": 1}),
-                   [("e", -1)], [("f", -1)], 3, 4),
+                   unit(("e", -1)), unit(("f", -1)), 3, 4),
     "heisenberg": (lambda: VacuumModule(heisenberg([[1]]), {"c": 1}),
-                   [("u1", -2)], [("u1", -1)], 3, 5),
-    "tampered-affine-sl2": (tampered_affine, [("e", -1)], [("f", -1)], 1, 2),
+                   unit(("u1", -2)), unit(("u1", -1)), 3, 5),
+    # several monomials with fractional coefficients on both sides, so every
+    # column is a bilinear sum and not a memo value
+    "virasoro-composite": (lambda: VacuumModule(virasoro(), {"c": Fraction(1, 2)}),
+                           [([("omega", -1)], 2), ([("omega", -2)], Fraction(1, 3))],
+                           [([("omega", -1), ("omega", -1)], 1), ([], Fraction(-1, 2))], 2, 4),
+    # one monomial with a coefficient other than 1: no memo value may stand in
+    "heisenberg-scaled": (lambda: VacuumModule(heisenberg([[1]]), {"c": 1}),
+                          [([("u1", -2)], Fraction(-3, 2))], unit(("u1", -1)), 2, 4),
+    "tampered-affine-sl2": (tampered_affine, unit(("e", -1)), unit(("f", -1)), 1, 2),
+    "tampered-virasoro": (tampered_virasoro, unit(("omega", -2)), unit(("omega", -1)), 3, 2),
 }
 
 
@@ -330,10 +389,10 @@ class TestBorcherds:
         # each side on its own fresh module, so no memo entry is shared
         make, a, b, window, degree = BORCHERDS_CASES[case]
         module = make()
-        sa, sb = module.state([(a, 1)]), module.state([(b, 1)])
+        sa, sb = module.state(a), module.state(b)
         got = module.borcherds_check(sa, sb, window, degree)
         assert got == reference_borcherds(make(), sa, sb, window, degree)
-        assert (got == []) == (case != "tampered-affine-sl2")
+        assert (got == []) == (not case.startswith("tampered-"))
 
     def test_tampered_memo_fails_with_five_problems(self):
         # e_0 f reads the doubled entry, so (e_0 f)_{m+n} = 2 h(m+n) on the
@@ -365,6 +424,48 @@ class TestBorcherds:
         a, b = module.monomial([("e", -1)]), module.monomial([("h", -1), ("f", -2)])
         [e2] = module.structure.mode("e", 2)
         assert module._mode_of_monomial(a, 2, b) is module._act_memo[(e2, b)]
+
+    @pytest.mark.parametrize("case", ["affine-sl2", "virasoro-composite"])
+    def test_act_memo_matches_oracle(self, case):
+        # every action memo entry the check leaves at the benchmark's window
+        # 3 and degree 5 equals the add_into oracle in value and in the type
+        # of each coefficient
+        make, a, b, _, _ = BORCHERDS_CASES[case]
+        module = make()
+        assert module.borcherds_check(module.state(a), module.state(b), 3, 5) == []
+        memo = {}
+        for (sym, mono), got in module._act_memo.items():
+            want = oracle_act_key(module, sym, mono, memo)
+            assert got == want, (sym, mono)
+            assert {k: type(v) for k, v in got.items()} == {k: type(v) for k, v in want.items()}
+        assert len(module._act_memo) > 500
+
+    def test_right_side_list_shared_by_t(self):
+        # the tampered entry enters through the i = 1 term: first at m = 1,
+        # n = 2, then again at m = 2, n = 1 with binom(2, 1) = 2, both from
+        # the one right-side list of t = 2, i = 1; the lhs reads it at m = 2
+        module = tampered_virasoro()
+        a, b = module.state(unit(("omega", -2))), module.generator_state("omega")
+        assert module.borcherds_check(a, b, 3, 2) == [
+            "commutator mismatch at m=1, n=2 on state 1: 0 vs -1",
+            "commutator mismatch at m=2, n=-3 on state 1: -9*omega(-3)1 vs -8*omega(-3)1",
+            "commutator mismatch at m=2, n=-2 on state 1: -7*omega(-2)1 vs -6*omega(-2)1",
+            "commutator mismatch at m=2, n=-1 on state 1: -5*omega(-1)1 vs -4*omega(-1)1",
+            "commutator mismatch at m=2, n=1 on state 1: 0 vs -2*1",
+        ]
+
+    @pytest.mark.parametrize("window, degree", [(-1, 3), (3, -1), (-2, -2)])
+    def test_negative_window_or_degree_raises(self, vir_half, window, degree):
+        w = vir_half.generator_state("omega")
+        with pytest.raises(ValueError, match="^window and degree must be nonnegative"):
+            vir_half.borcherds_check(w, w, window, degree)
+
+    def test_zero_state_raises(self, vir_half):
+        w = vir_half.generator_state("omega")
+        cancelled = vir_half.state([([("omega", -1)], 1), ([("omega", -1)], -1)])
+        for a, b in ((w, {}), ({}, w), (cancelled, w), (w, {(): 0})):
+            with pytest.raises(ValueError, match="^a zero state satisfies the identity trivially"):
+                vir_half.borcherds_check(a, b, 2, 2)
 
     def test_virasoro_window(self, vir_half):
         w = vir_half.generator_state("omega")

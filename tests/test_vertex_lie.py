@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -794,7 +795,11 @@ class TestNormalForm:
             d = {names[i + 1]: {names[i]: 1} for i in range(1099)}
         else:
             d = {names[i]: {names[i + 1]: 1} for i in range(1099)}
+        t0 = time.monotonic()
         s = VLStructure(names, None, list(d), d, {})
+        # a gate: the complements, the decomposition inverse and the normal
+        # forms work on the nonzeros of d, not on dense r x r matrices
+        assert time.monotonic() - t0 < 0.5
         bottom = names[-1] if descending else names[0]
         assert s.u_prime_names == (bottom,)
         # a vector t steps up the chain is D^t of the bottom one:
