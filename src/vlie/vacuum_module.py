@@ -24,6 +24,8 @@ from .vertex_lie import Modes, Symbol, VLStructure
 
 Monomial = tuple[Symbol, ...]
 State = dict[Monomial, int | Fraction]
+# a state over interned monomial ids, the module's internal form
+IdState = dict[int, int | Fraction]
 
 VACUUM: Monomial = ()
 
@@ -32,15 +34,30 @@ class VacuumModule:
     """Induced module over the negative modes, with optional central character.
 
     With ``lam`` given, frozen central generators act as the scalars
-    lam[name]; without it they remain degree-zero creation symbols.  The
-    only mutable state is two get-or-compute memos: the action memo keyed
-    by (mode symbol, monomial), and the vertex-operator mode memo keyed by
-    (monomial of a, n, monomial of b), shared by every state that contains
-    those monomials.  A single creator u(-1)1 has the modes of u itself, so
-    its entries are the action memo's own and the mode memo holds only
-    longer or deeper heads.  Memo values are shared, never copied: they are
-    read-only, and every public method returns a fresh dict.  The
-    structure's own mode cache serves ``act``.  The column tables of
+    lam[name]; without it they remain degree-zero creation symbols.
+
+    Inside, every monomial is an int id.  The module interns each monomial
+    once: ``_monos[i]`` is the tuple of id i, ``_heads[i]``, ``_tails[i]``
+    and ``_degs[i]`` its first symbol, the id of the rest and its degree
+    (graded modules only), and ``_ids`` maps a tuple back to its id; the
+    vacuum is id 0.  Prepending a symbol to an id is a lookup in
+    ``_cons``.  Public methods take and return states keyed by monomial
+    tuples and convert once per call.  A tuple that is not yet interned is
+    checked on that miss: its symbols must be sorted, every complement
+    symbol a creator (n <= -1) of a complement generator, and a central
+    symbol sits at n = -1 in a module without ``lam``; anything else
+    raises ``ValueError``.  Normal ordering makes only canonical
+    monomials, so nothing else is checked.
+
+    The only other mutable state is two get-or-compute memos over ids: the
+    action memo keyed by (mode symbol, monomial), and the vertex-operator
+    mode memo keyed by (monomial of a, n, monomial of b), shared by every
+    state that contains those monomials.  A single creator u(-1)1 has the
+    modes of u itself, so its entries are the action memo's own and the
+    mode memo holds only longer or deeper heads.  Memo values are shared,
+    never copied: they are read-only, and every public method returns a
+    fresh dict.  ``memo_sizes`` reports the three tables.  The structure's
+    own mode cache serves ``act``.  The column tables of
     ``borcherds_check`` live for one call only and hold memo values or new
     sums, so the two memos have the same keys and values whether or not a
     check ran through them.
@@ -58,15 +75,27 @@ class VacuumModule:
             missing = [n for n in structure.u0_prime_names if n not in self.lam]
             if missing:
                 raise ValueError(f"central character must cover {missing}")
-        self._act_memo: dict[tuple, State] = {}
-        self._mode_memo: dict[tuple, State] = {}
-        # row k holds gen_binomial(-k - 1, i) for i = 0, 1, ...
-        self._head_binomials: dict[int, list[int]] = {}
         self._graded = (
             structure.degrees is not None
             and all(structure.degree_of(n) == 0 for n in structure.u0_prime_names)
             and all(structure.degree_of(n) >= 1 for n in structure.u_prime_names)
         )
+        # the interning table; id 0 is the vacuum
+        self._monos: list[Monomial] = [VACUUM]
+        self._heads: list[Symbol | None] = [None]
+        self._tails: list[int] = [0]
+        self._degs: list[int | None] = [0]
+        self._ids: dict[Monomial, int] = {VACUUM: 0}
+        self._cons: dict[tuple[Symbol, int], int] = {}
+        self._act_memo: dict[tuple[Symbol, int], IdState] = {}
+        self._mode_memo: dict[tuple[int, int, int], IdState] = {}
+        # row k holds gen_binomial(-k - 1, i) for i = 0, 1, ...
+        self._head_binomials: dict[int, list[int]] = {}
+
+    def memo_sizes(self) -> dict[str, int]:
+        """Entries in the action memo, the mode memo and the interning table."""
+        return {"act": len(self._act_memo), "mode": len(self._mode_memo),
+                "monomials": len(self._monos)}
 
     # -- degrees -------------------------------------------------------------
 
@@ -90,6 +119,55 @@ class VacuumModule:
         if not state:
             return -1
         return max(self.monomial_degree(m) for m in state)
+
+    # -- interned monomials ----------------------------------------------------
+
+    def _prepend(self, sym: Symbol, tail: int) -> int:
+        """The id of (sym,) + monomial tail, for sym <= the head of tail."""
+        key = (sym, tail)
+        i = self._cons.get(key)
+        if i is None:
+            i = self._cons[key] = len(self._monos)
+            mono = (sym,) + self._monos[tail]
+            self._monos.append(mono)
+            self._heads.append(sym)
+            self._tails.append(tail)
+            self._degs.append(self._degs[tail] + self.symbol_degree(sym) if self._graded else None)
+            self._ids[mono] = i
+        return i
+
+    def _id(self, mono: Monomial) -> int:
+        """The id of a monomial, interned on first sight; a tuple that is not
+        a canonical monomial of this module raises ``ValueError``."""
+        i = self._ids.get(mono)
+        if i is None:
+            self._require_canonical(mono)
+            i = 0
+            for sym in reversed(mono):
+                i = self._prepend(sym, i)
+        return i
+
+    def _require_canonical(self, mono: Monomial):
+        st = self.structure
+        for sym in mono:
+            n, cls, idx = sym
+            if cls == 1:
+                ok = n <= -1 and 0 <= idx < len(st.u_prime_names)
+            elif cls == 0:
+                ok = n == -1 and self.lam is None and 0 <= idx < len(st.u0_prime_names)
+            else:
+                ok = False
+            if not ok:
+                raise ValueError(f"{sym} is not a creation symbol of this module")
+        if any(mono[k] > mono[k + 1] for k in range(len(mono) - 1)):
+            raise ValueError(f"the symbols of {mono} are not sorted")
+
+    def _ids_of(self, state: State) -> IdState:
+        return {self._id(mono): c for mono, c in state.items()}
+
+    def _state_of(self, state: IdState) -> State:
+        monos = self._monos
+        return {monos[i]: c for i, c in state.items()}
 
     # -- state constructors ----------------------------------------------------
 
@@ -139,13 +217,14 @@ class VacuumModule:
         return self.act_element(element, state)
 
     def act_element(self, element: Modes, state: State) -> State:
-        out: State = {}
+        state = self._ids_of(state)
+        out: IdState = {}
         for sym, c in element.items():
-            for mono, mc in state.items():
-                add_into(out, self._act_key(sym, mono), c * mc)
-        return out
+            for t, tc in state.items():
+                add_into(out, self._act_key(sym, t), c * tc)
+        return self._state_of(out)
 
-    def _act_key(self, sym: Symbol, mono: Monomial) -> State:
+    def _act_key(self, sym: Symbol, mono: int) -> IdState:
         """Single canonical mode applied to a canonical monomial."""
         memo = self._act_memo
         key = (sym, mono)
@@ -158,27 +237,28 @@ class VacuumModule:
             if self.lam is not None:
                 result = {mono: self.lam[self.structure.u0_prime_names[idx]]}
             else:
-                result = {tuple(sorted(mono + (sym,))): 1}
+                result = {self._id(tuple(sorted(self._monos[mono] + (sym,)))): 1}
             memo[key] = result
             return result
 
+        heads = self._heads
         if not mono:
-            result = {(sym,): 1} if n <= -1 else {}
-        elif n <= -1 and sym <= mono[0]:
-            result = {(sym,) + mono: 1}
+            result = {self._prepend(sym, 0): 1} if n <= -1 else {}
+        elif n <= -1 and sym <= heads[mono]:
+            result = {self._prepend(sym, mono): 1}
         else:
-            head, tail = mono[0], mono[1:]
+            head, tail = heads[mono], self._tails[mono]
             # u(n) s1 rest = s1 u(n) rest + [u(n), s1] rest, both sums
             # accumulated inline and narrowed once at the end
             acc: dict = {}
             get = acc.get
             act = self._act_key
-            for new_mono, c in act(sym, tail).items():
-                if not new_mono or head <= new_mono[0]:
-                    t = (head,) + new_mono
+            for new, c in act(sym, tail).items():
+                if not new or head <= heads[new]:
+                    t = self._prepend(head, new)
                     acc[t] = get(t, 0) + c
                 else:
-                    for t, v in act(head, new_mono).items():
+                    for t, v in act(head, new).items():
                         acc[t] = get(t, 0) + c * v
             # a frozen central head commutes with everything
             bracket = {} if head[1] == 0 else self.structure.symbol_bracket(sym, head)
@@ -260,9 +340,10 @@ class VacuumModule:
         by degree bounds, so a graded module is required.
         """
         self.require_graded("mode_of_state")
-        return self._mode_of_states(clean(a), n, clean(b), {})
+        a, b = self._ids_of(clean(a)), self._ids_of(clean(b))
+        return self._state_of(self._mode_of_states(a, n, b, {}))
 
-    def _mode_of_states(self, a: State, n: int, b: State, out: State, scale=1) -> State:
+    def _mode_of_states(self, a: IdState, n: int, b: IdState, out: IdState, scale=1) -> IdState:
         """out += scale * a_n b, the bilinear sum over the monomials of a and
         of b, in place; returns out."""
         for mono, ca in a.items():
@@ -271,14 +352,15 @@ class VacuumModule:
                 add_into(out, self._mode_of_monomial(mono, n, b_mono), cs * cb)
         return out
 
-    def _mode_of_monomial(self, mono: Monomial, n: int, b_mono: Monomial) -> State:
+    def _mode_of_monomial(self, mono: int, n: int, b_mono: int) -> IdState:
         """(mono 1)_n b_mono as a memo value, shared and read-only."""
         if not mono:
             return {b_mono: 1} if n == -1 else {}
-        hn, cls, idx = mono[0]
+        hn, cls, idx = self._heads[mono]
         if cls == 0:
             raise ValueError("central creators are scalars here; use a quotient module")
-        if hn == -1 and len(mono) == 1:
+        tail = self._tails[mono]
+        if hn == -1 and not tail:
             # (u(-1)1)_n = u(n): the action memo entry itself
             return self._act_key((n, 1, idx), b_mono)
         key = (mono, n, b_mono)
@@ -286,7 +368,6 @@ class VacuumModule:
         if cached is not None:
             return cached
 
-        tail = mono[1:]
         k = -hn - 1  # head is u(-k-1), k >= 0
         if not tail:
             # Y(u(-k-1)1, x) = d^k/dx^k Y(u, x) / k!, so
@@ -297,13 +378,12 @@ class VacuumModule:
             )
             self._mode_memo[key] = result
             return result
-        deg_tail = self.monomial_degree(tail)
         # b_mono is homogeneous, so its degree gives the exact cutoffs
-        deg_b = self.monomial_degree(b_mono)
+        deg_b = self._degs[b_mono]
         deg_u = self.structure.degree_of(self.structure.u_prime_names[idx])
-        bound_first = deg_tail + deg_b - n - 1
+        bound_first = self._degs[tail] + deg_b - n - 1
         bound_second = deg_u + deg_b - 1
-        result: State = {}
+        result: IdState = {}
         top = max(bound_first, bound_second) + 1
         row = self._head_binomials.setdefault(k, [])
         while len(row) < top:
@@ -329,10 +409,15 @@ class VacuumModule:
     def modes_of_pair(self, a: State, b: State) -> dict[int, State]:
         """All nonzero a_i b for i >= 0 (finitely many by degree bounds)."""
         self.require_graded("modes_of_pair")
-        top = self.state_degree(a) + self.state_degree(b) - 1
+        products = self._modes_of_pair(self._ids_of(clean(a)), self._ids_of(clean(b)))
+        return {i: self._state_of(v) for i, v in products.items()}
+
+    def _modes_of_pair(self, a: IdState, b: IdState) -> dict[int, IdState]:
+        degs = self._degs
+        top = max((degs[t] for t in a), default=-1) + max((degs[t] for t in b), default=-1) - 1
         out = {}
         for i in range(0, max(top, -1) + 1):
-            v = self.mode_of_state(a, i, b)
+            v = self._mode_of_states(a, i, b, {})
             if v:
                 out[i] = v
         return out
@@ -343,20 +428,24 @@ class VacuumModule:
         first five mismatching cells, in (m, n, state) order, as text.
 
         A negative window or degree, or a zero ``a`` or ``b``, would check
-        nothing and raises ``ValueError``.
+        nothing and raises ``ValueError``; so does a monomial of ``a`` or
+        ``b`` that is not canonical (see the class docstring).
 
-        The cells read call-local columns: for each m a table t -> a_m t
-        over monomials t, filled on first use, and the same for b and each
-        n.  For a one-monomial state with coefficient 1 a column entry is
-        the memo value itself (the action memo entry for a lone u(-1)),
-        never a copy; any other state takes its bilinear sum.  a_m s and
-        b_n s of the basis states are columns too.  The right side depends
-        on (m, n) only through t = m+n-i, so each list t, i -> [(a_i b)_t s
-        for all s], read the same way, is computed once, on first use, and
-        shared by every (m, n) with that t.  Each cell sums a_m(b_n s) - b_n(a_m s) - sum_i binom(m,i)
-        (a_i b)_{m+n-i} s into one exact accumulator and passes exactly when
-        every value in it is zero; only a failing cell rebuilds its two
-        sides to print them.
+        ``a``, ``b`` and the basis states are converted to monomial ids
+        once; everything after that, down to the accumulator, runs on ids,
+        and only a failing cell's text converts back.  The cells read
+        call-local columns: for each m a table t -> a_m t over monomials t,
+        filled on first use, and the same for b and each n.  For a
+        one-monomial state with coefficient 1 a column entry is the memo
+        value itself (the action memo entry for a lone u(-1)), never a
+        copy; any other state takes its bilinear sum.  a_m s and b_n s of
+        the basis states are columns too.  The right side depends on (m, n)
+        only through t = m+n-i, so each list t, i -> [(a_i b)_t s for all
+        s], read the same way, is computed once, on first use, and shared
+        by every (m, n) with that t.  Each cell sums a_m(b_n s) - b_n(a_m s)
+        - sum_i binom(m,i) (a_i b)_{m+n-i} s into one exact accumulator and
+        passes exactly when every value in it is zero; only a failing cell
+        rebuilds its two sides to print them.
         """
         self.require_graded("borcherds_check")
         if window < 0 or degree < 0:
@@ -364,18 +453,18 @@ class VacuumModule:
         a, b = clean(a), clean(b)
         if not a or not b:
             raise ValueError("a zero state satisfies the identity trivially; a and b must be nonzero")
-        products = self.modes_of_pair(a, b)
-        states = self.basis_states_upto(degree)
+        a, b = self._ids_of(a), self._ids_of(b)
+        products = self._modes_of_pair(a, b)
         # each basis state is one monomial with coefficient 1
-        monos = [mono for s in states for mono in s]
+        monos = [self._id(mono) for d in range(degree + 1) for mono in self.basis_monomials(d)]
         fill_a, fill_b = self._column_fill(a), self._column_fill(b)
         fill_products = {i: self._column_fill(aib) for i, aib in products.items()}
-        cols_b: dict[int, dict[Monomial, State]] = {}
-        right: dict[tuple[int, int], list[State]] = {}
+        cols_b: dict[int, dict[int, IdState]] = {}
+        right: dict[tuple[int, int], list[IdState]] = {}
         mode = self._mode_of_states
         problems = []
         for m in range(-window, window + 1):
-            a_m: dict[Monomial, State] = {}
+            a_m: dict[int, IdState] = {}
             terms = [(i, c) for i in products if (c := gen_binomial(m, i))]
             for n in range(-window, window + 1):
                 b_n = cols_b.setdefault(n, {})
@@ -411,21 +500,20 @@ class VacuumModule:
                         for key, v in lists[k].items():
                             acc[key] = get(key, 0) - c * v
                     if any(acc.values()):
-                        s = states[k]
+                        s = {t0: 1}
                         lhs = mode(b, n, as_, mode(a, m, bs, {}), -1)
-                        rhs: State = {}
+                        rhs: IdState = {}
                         for i, c in terms:
                             mode(products[i], m + n - i, s, rhs, c)
+                        s, lhs, rhs = (self.format_state(self._state_of(x)) for x in (s, lhs, rhs))
                         problems.append(
-                            f"commutator mismatch at m={m}, n={n} on state "
-                            f"{self.format_state(s)}: {self.format_state(lhs)} "
-                            f"vs {self.format_state(rhs)}"
+                            f"commutator mismatch at m={m}, n={n} on state {s}: {lhs} vs {rhs}"
                         )
                         if len(problems) >= 5:
                             return problems
         return problems
 
-    def _column_fill(self, x: State):
+    def _column_fill(self, x: IdState):
         """(m, t) -> x_m t for a monomial t: the memo value itself when x is
         one monomial with coefficient 1, else a new bilinear sum."""
         if len(x) == 1:

@@ -55,8 +55,11 @@ def test_vacuum_memos_hold_exact_types(builder, lam, a, b):
     assert ab and all(len(mono) == 2 for mono in ab)
     assert module.mode_of_state(ab, -1, sb)
     values = structure_values(s)
+    sizes = module.memo_sizes()
+    assert sizes["act"] and sizes["mode"]
     for memo in (module._act_memo, module._mode_memo):
-        assert memo
+        # memo values are keyed by monomial ids
+        assert all(type(t) is int for state in memo.values() for t in state)
         values.extend(c for state in memo.values() for c in state.values())
     assert inexact(values) == []
     if builder == "affine-sl2":

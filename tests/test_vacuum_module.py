@@ -3,12 +3,13 @@ from fractions import Fraction
 from functools import partial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vlie.config import build_structure
 from vlie.formal_calc import gen_binomial
 from vlie.linalg import add_into, clean
 from vlie.lie_core import sl2, sl2_form
-from vlie.vacuum_module import VacuumModule
+from vlie.vacuum_module import VACUUM, VacuumModule
 from vlie.vertex_lie import VLStructure, affine, heisenberg, loop, virasoro
 
 
@@ -31,14 +32,16 @@ def lie_admissible_bracket(module, a, b):
     )
 
 
-def iterate_mode(module, mono, n, b_mono, memo):
+def iterate_mode(module, mono, n, b_mono, memo, act=None):
     """(mono 1)_n b_mono by the iterate expansion alone, single creators
     included: the oracle of the closed form in ``mode_of_state``.
 
     For mono = u(-k-1) tail, with both sums cut by degree bounds,
     a_n b = sum_i binom(-k-1, i) (-1)^i u(-k-1-i) tail_{n+i} b
           - sum_i binom(-k-1, i) (-1)^(k+1+i) tail_{n-k-1-i} u(i) b.
+    ``act(name, n, state)`` applies a mode, ``module.act`` by default.
     """
+    act = act or module.act
     if not mono:
         return {b_mono: 1} if n == -1 else {}
     key = (mono, n, b_mono)
@@ -54,11 +57,11 @@ def iterate_mode(module, mono, n, b_mono, memo):
     for i in range(max(bound_first, bound_second) + 1):
         coeff = gen_binomial(-k - 1, i)
         if i <= bound_first:
-            inner = iterate_mode(module, tail, n + i, b_mono, memo)
-            add_into(result, module.act(name, -k - 1 - i, inner), coeff * (-1) ** i)
+            inner = iterate_mode(module, tail, n + i, b_mono, memo, act)
+            add_into(result, act(name, -k - 1 - i, inner), coeff * (-1) ** i)
         if i <= bound_second:
-            for ub_mono, c in module.act(name, i, {b_mono: 1}).items():
-                inner = iterate_mode(module, tail, n - k - 1 - i, ub_mono, memo)
+            for ub_mono, c in act(name, i, {b_mono: 1}).items():
+                inner = iterate_mode(module, tail, n - k - 1 - i, ub_mono, memo, act)
                 add_into(result, inner, -coeff * (-1) ** (k + 1 + i) * c)
     memo[key] = result
     return result
@@ -308,6 +311,16 @@ def oracle_act_key(module, sym, mono, memo):
     return result
 
 
+def oracle_act(module, name, n, state, memo):
+    """u(n) applied to a state through ``oracle_act_key`` alone: the
+    tuple-keyed oracle of ``act``."""
+    out = {}
+    for sym, c in module.structure.mode(name, n).items():
+        for mono, mc in state.items():
+            add_into(out, oracle_act_key(module, sym, mono, memo), c * mc)
+    return out
+
+
 def reference_borcherds(module, a, b, window, degree, limit=5):
     """The oracle of ``borcherds_check``'s in-place accumulation: separate
     lhs and rhs through the public ``mode_of_state``, joined by
@@ -342,8 +355,8 @@ def tampered_affine():
     doubled, before anything reads it."""
     module = VacuumModule(affine(sl2(), sl2_form()), {"c": 1})
     [e0] = module.structure.mode("e", 0)
-    key = (e0, module.monomial([("f", -1)]))
-    module._act_memo[key] = {mono: 2 * c for mono, c in module._act_key(*key).items()}
+    key = (e0, module._id(module.monomial([("f", -1)])))
+    module._act_memo[key] = {t: 2 * c for t, c in module._act_key(*key).items()}
     return module
 
 
@@ -354,7 +367,8 @@ def tampered_virasoro():
     term i = 1 at t = m+n-1 = 2, first at m = 1, n = 2: a cell with m < 0
     would need n > 3, and at m = 0 the term has coefficient binom(0, 1) = 0."""
     module = VacuumModule(virasoro(), {"c": Fraction(1, 2)})
-    module._mode_memo[(module.monomial([("omega", -2)]), 2, ())] = {(): 1}
+    vacuum = module._id(VACUUM)
+    module._mode_memo[(module._id(module.monomial([("omega", -2)])), 2, vacuum)] = {vacuum: 1}
     return module
 
 
@@ -419,9 +433,11 @@ class TestBorcherds:
         module = VacuumModule(aff.structure, aff.lam)
         e, f = module.generator_state("e"), module.generator_state("f")
         assert module.borcherds_check(e, f, 3, 5) == []
-        assert len(module._act_memo) == 13247
-        assert not [key for key in module._mode_memo if len(key[0]) == 1 and key[0][0][0] == -1]
-        a, b = module.monomial([("e", -1)]), module.monomial([("h", -1), ("f", -2)])
+        assert module.memo_sizes()["act"] == 13247
+        heads = [module._monos[key[0]] for key in module._mode_memo]
+        assert not [mono for mono in heads if len(mono) == 1 and mono[0][0] == -1]
+        a = module._id(module.monomial([("e", -1)]))
+        b = module._id(module.monomial([("h", -1), ("f", -2)]))
         [e2] = module.structure.mode("e", 2)
         assert module._mode_of_monomial(a, 2, b) is module._act_memo[(e2, b)]
 
@@ -434,11 +450,13 @@ class TestBorcherds:
         module = make()
         assert module.borcherds_check(module.state(a), module.state(b), 3, 5) == []
         memo = {}
-        for (sym, mono), got in module._act_memo.items():
+        for (sym, t), value in module._act_memo.items():
+            # through the id map: the key's monomial and the value's keys
+            mono, got = module._monos[t], module._state_of(value)
             want = oracle_act_key(module, sym, mono, memo)
-            assert got == want, (sym, mono)
+            assert len(got) == len(value) and got == want, (sym, mono)
             assert {k: type(v) for k, v in got.items()} == {k: type(v) for k, v in want.items()}
-        assert len(module._act_memo) > 500
+        assert module.memo_sizes()["act"] > 500
 
     def test_right_side_list_shared_by_t(self):
         # the tampered entry enters through the i = 1 term: first at m = 1,
@@ -501,6 +519,124 @@ class TestBorcherds:
         assert s.verify_skew_symmetry(0) == []
         witnesses = s.verify_skew_symmetry(2)
         assert witnesses and "e(" in witnesses[0]
+
+
+def coefficient_types(state):
+    return {mono: type(c) for mono, c in state.items()}
+
+
+PROPERTY_MODULES = {
+    "virasoro": (lambda: VacuumModule(virasoro(), {"c": Fraction(1, 2)}), ("omega",)),
+    "affine-sl2": (lambda: VacuumModule(affine(sl2(), sl2_form()), {"c": 1}), ("e", "h", "f")),
+}
+
+
+@pytest.fixture(scope="module")
+def warm_modules():
+    """One module per case, shared by every example, so its memos and
+    interning table grow across the whole property run."""
+    return {case: make() for case, (make, _) in PROPERTY_MODULES.items()}
+
+
+def random_state(data, module, degree):
+    monos = [m for d in range(degree + 1) for m in module.basis_monomials(d)]
+    coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=5).filter(bool)
+    return data.draw(st.dictionaries(st.sampled_from(monos), coeffs, min_size=1, max_size=3))
+
+
+class TestInterning:
+    # affine sl2 at level 1 orders its complement e, h, f: idx 0, 1, 2
+    UNSORTED = ((-1, 1, 0), (-2, 1, 2))  # e(-1)f(-2)
+    POSITIVE = ((1, 1, 0),)  # e(1) is no creator
+
+    def test_unsorted_monomial_raises(self, aff):
+        # read as it stands, the unsorted monomial gave e(-1)h(-1)1 alone
+        with pytest.raises(ValueError, match="are not sorted$"):
+            aff.act("e", 1, {self.UNSORTED: 1})
+        with pytest.raises(ValueError, match="are not sorted$"):
+            aff.mode_of_state(aff.generator_state("e"), 0, {self.UNSORTED: 1})
+        # its sorted form f(-2)e(-1) is accepted
+        want = aff.state([([("e", -2)], 2), ([("e", -1), ("h", -1)], 1)])
+        assert aff.act("e", 1, {tuple(sorted(self.UNSORTED)): 1}) == want
+
+    def test_positive_mode_symbol_raises(self, aff):
+        # read as a creator, e(1) gave h(-1)e(1)1
+        sizes = aff.memo_sizes()
+        with pytest.raises(ValueError, match=r"^\(1, 1, 0\) is not a creation symbol"):
+            aff.act("h", -1, {self.POSITIVE: 1})
+        with pytest.raises(ValueError, match="is not a creation symbol"):
+            aff.borcherds_check({self.POSITIVE: 1}, aff.generator_state("f"), 1, 1)
+        # a rejected monomial leaves no trace in the tables
+        assert aff.memo_sizes() == sizes
+
+    @pytest.mark.parametrize("mono", [
+        ((-1, 0, 0),),  # a central symbol in a module with a central character
+        ((-1, 1, 3),),  # no fourth complement generator
+        ((-1, 2, 0),),  # no class 2
+        ((-2, 1, 0), (0, 1, 1)),  # a sorted monomial with an annihilator
+    ])
+    def test_other_non_canonical_symbols_raise(self, aff, mono):
+        with pytest.raises(ValueError, match="is not a creation symbol"):
+            aff.act("e", -1, {mono: 1})
+
+    def test_central_symbols_without_lambda(self, vir):
+        module = VacuumModule(vir)
+        c = (-1, 0, 0)
+        # c(-1) sorts before omega(-1); at mode -2 the central symbol is refused
+        out = module.act("omega", -1, {(c,): 1})
+        assert out == {(c, (-1, 1, 0)): 1}
+        with pytest.raises(ValueError, match="is not a creation symbol"):
+            module.act("omega", -1, {((-2, 0, 0),): 1})
+
+    def test_interning_invariants(self):
+        module = VacuumModule(affine(sl2(), sl2_form()), {"c": 1})
+        e, f = module.generator_state("e"), module.generator_state("f")
+        assert module.borcherds_check(e, f, 2, 4) == []
+        plain = VacuumModule(virasoro())
+        plain.act("c", -1, plain.act("omega", -2, plain.generator_state("omega")))
+        for mod in (module, plain):
+            monos = mod._monos
+            assert monos[0] == () and len(mod._ids) == len(monos) == mod.memo_sizes()["monomials"]
+            for i, mono in enumerate(monos):
+                assert mod._id(mono) == i
+                if i:
+                    assert mod._heads[i] == mono[0] and monos[mod._tails[i]] == mono[1:]
+                    assert mod._cons[(mono[0], mod._tails[i])] == i
+                    assert list(mono) == sorted(mono)
+                if mod._graded:
+                    assert mod._degs[i] == mod.monomial_degree(mono)
+        assert any(sym[1] == 0 for mono in plain._monos for sym in mono)
+
+    def test_memo_sizes_of_the_affine_check(self):
+        module = VacuumModule(affine(sl2(), sl2_form()), {"c": 1})
+        assert module.memo_sizes() == {"act": 0, "mode": 0, "monomials": 1}
+        e, f = module.generator_state("e"), module.generator_state("f")
+        assert module.borcherds_check(e, f, 3, 5) == []
+        assert module.memo_sizes() == {"act": 13247, "mode": 0, "monomials": 3007}
+
+    @pytest.mark.parametrize("case", sorted(PROPERTY_MODULES))
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_matches_tuple_oracles(self, warm_modules, case, data):
+        # random multi-monomial states with fractional coefficients on a
+        # warm module against tuple-keyed oracles on a fresh one
+        make, names = PROPERTY_MODULES[case]
+        module, fresh = warm_modules[case], make()
+        # a of degree <= 2 keeps the Borcherds check's products small
+        a, b = random_state(data, module, 2), random_state(data, module, 3)
+        name, n = data.draw(st.sampled_from(names)), data.draw(st.integers(-3, 3))
+        act = partial(oracle_act, fresh, memo={})
+        want = act(name, n, b)
+        got = module.act(name, n, b)
+        assert got == want and coefficient_types(got) == coefficient_types(want)
+        want, memo = {}, {}
+        for mono_a, ca in a.items():
+            for mono_b, cb in b.items():
+                add_into(want, iterate_mode(fresh, mono_a, n, mono_b, memo, act), ca * cb)
+        got = module.mode_of_state(a, n, b)
+        assert got == want and coefficient_types(got) == coefficient_types(want)
+        # both modules are vertex algebras, so the identity holds
+        assert module.borcherds_check(a, b, 1, 1) == reference_borcherds(fresh, a, b, 1, 1) == []
 
 
 class TestLieAdmissible:
