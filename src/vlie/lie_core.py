@@ -1,13 +1,14 @@
 """Finite-dimensional Lie algebras by structure constants, invariant forms,
-and the Poisson bracket they induce on polynomial algebras.
-
-A polynomial in the basis symbols u_i is a derivative-free ``DPoly``: its
-variable (i, 0) is the i-th basis symbol, whose name the algebra keeps."""
+and ``lambda_bracket``, the package's one master formula for lambda-brackets
+of differential polynomials.  Its lambda^0 part on derivative-free ``DPoly``,
+whose variable (i, 0) is the i-th basis symbol, is the Poisson bracket that
+a Lie algebra induces on its symmetric algebra."""
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
+from math import comb
 
 from .formal_calc import DPoly, rat
 from .linalg import add_into, bilinear, clean
@@ -154,17 +155,59 @@ def check_invariance(alg, form: BilinearForm) -> list[str]:
     return problems
 
 
-def biderivation(table: Mapping[tuple[int, int], DPoly], f: DPoly, h: DPoly) -> DPoly:
-    """{f, h} = sum_{i,j} (df/du_i)(dh/du_j) table[(i, j)]: the biderivation
-    extension of a bracket table on the symbols u_i of f and h."""
-    out = DPoly()
-    partials_h = h.partials()
-    for (i, _), pf in f.partials().items():
-        for (j, _), ph in partials_h.items():
-            t = table.get((i, j))
-            if t is not None:
-                out = out + pf * ph * t
+def lambda_bracket(table: Mapping[tuple[int, int], Mapping[int, DPoly]],
+                   f: DPoly, g: DPoly) -> dict[int, DPoly]:
+    """{f_lambda g} by the master formula of Barakat, De Sole and Kac,
+    "Poisson vertex algebras in the theory of Hamiltonian equations" (2009),
+    summed over the variables u_i^(m) of f and u_j^(n) of g:
+
+        (dg/du_j^(n)) (lambda + D)^n {u_i_{lambda+D} u_j}_-> (-lambda - D)^m (df/du_i^(m)).
+
+    ``table.get((i, j))`` is {u_i_lambda u_j} as {power of lambda: DPoly} or
+    None, and need not be skew; the arrow makes its lambda^p a (lambda + D)^p
+    on the partial of f.  The result has the same form, with no zero stored.
+    """
+    terms = []
+    g_parts = _partials(g)
+    for (i, m), pf, cf in _partials(f):
+        for (j, n), pg, cg in g_parts:
+            inner = [(q, hp if x is None else hp * x, c)
+                     for p, hp in (table.get((i, j)) or {}).items()
+                     for q, x, c in _shift(pf, p + m, -cf * cg if m % 2 else cf * cg)]
+            terms += [(q0 + q, x if pg is None else pg * x, c)
+                      for q0, y, c0 in inner for q, x, c in _shift(y, n, c0)]
+    return _collect(terms)
+
+
+def _partials(p: DPoly) -> list:
+    """(u_i^(m), x, c) per partial c * x of p, x None for 1: no DPoly for a linear p."""
+    if max(map(len, p.coeffs), default=0) <= 1:
+        return [(mono[0], None, c) for mono, c in p.coeffs.items() if mono]
+    return [(v, x, 1) for v, x in p.partials().items()]
+
+
+def _shift(p: DPoly | None, s: int, c=1) -> list:
+    """c (lambda + D)^s p as terms (power of lambda, D^u p, c binom(s, u)); None is 1."""
+    out = [(s, p, c)]
+    for u in range(1, s + 1 if p is not None else 1):
+        linear = min(map(len, p.coeffs), default=0) == 1 == max(map(len, p.coeffs))
+        p = (_wrap({((i, j + 1),): v for ((i, j),), v in p.coeffs.items()}) if linear
+             else p.derivative())
+        if not p:
+            break
+        out.append((s - u, p, c * comb(s, u)))
     return out
+
+
+def _collect(terms: Iterable[tuple]) -> dict[int, DPoly]:
+    """The sum of the terms (power of lambda, DPoly, c) as {power: DPoly}."""
+    acc: dict[int, dict] = {}
+    for q, x, c in terms:
+        add_into(acc.setdefault(q, {}), x.coeffs, c)
+    return {q: _wrap(c) for q, c in acc.items() if c}
+
+
+_wrap = DPoly()._new  # a DPoly around an already clean coefficient map
 
 
 def check_generators(n: int, *polys: DPoly) -> None:
@@ -179,7 +222,7 @@ def check_generators(n: int, *polys: DPoly) -> None:
 def sym_poisson(g: FiniteLieAlgebra, f: DPoly, h: DPoly) -> DPoly:
     """{f, h} = sum_{i,j} (df/du_i)(dh/du_j) [u_i, u_j] on the symmetric algebra."""
     check_generators(g.dim, f, h)
-    return biderivation({pair: g.bracket_poly(*pair) for pair in g.table}, f, h)
+    return lambda_bracket({p: {0: g.bracket_poly(*p)} for p in g.table}, f, h).get(0, DPoly())
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ state modulo the span of all modes deeper than -1, leaving a polynomial in
 the surviving generators; the quotient carries the product a_{-1}b and
 bracket a_0 b.  The second works over a polynomial differential algebra
 (``DPoly``) with a bracket table on its generators, extends the table to all
-polynomials by the master formula (the Leibniz rule in both slots), and
+polynomials by the master formula, ``lie_core.lambda_bracket``, and
 quotients by derivative monomials.  Its brackets
 {f(x), g(y)} = sum_l h_l(y) Delta^(l) are ``VPSeries``: the package's one
 ``DeltaSeries`` type over ``DPoly`` coefficients, so derivatives, skew
@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import factorial
 
 from .formal_calc import DeltaSeries, DPoly, format_poly, rat, rat_str, skew_transfer
-from .lie_core import biderivation, check_generators
+from .lie_core import check_generators, lambda_bracket
 from .linalg import add_into, bilinear
 from .vacuum_module import State, VacuumModule
 from .vertex_lie import VLStructure
@@ -37,12 +37,13 @@ def p2_generators(structure: VLStructure) -> tuple[str, ...]:
 
 
 def c2_reduce(module: VacuumModule, state: State) -> DPoly:
-    """Drop every monomial containing a mode at depth two or more; surviving
-    monomials (all symbols at mode -1) become polynomial monomials in the
-    variables (p, 0), p indexing ``p2_generators``."""
-    n_up = len(module.structure.u_prime_names)
-    return DPoly({tuple((idx + (n_up if cls == 0 else 0), 0) for (_, cls, idx) in mono): c
-                  for mono, c in state.items() if all(n >= -1 for (n, _, _) in mono)})
+    """Drop each monomial with a mode at depth two or more, read off its first
+    symbol once ``VacuumModule._id`` has checked it canonical, so sorted; the
+    rest become monomials in the variables (p, 0), p indexing ``p2_generators``."""
+    n_up, monos = len(module.structure.u_prime_names), module._monos
+    return DPoly({tuple((idx + (n_up if cls == 0 else 0), 0) for _, cls, idx in monos[i]): c
+                  for i, c in module._ids_of(state).items()
+                  if not monos[i] or monos[i][0][0] >= -1})
 
 
 def p2_product(module: VacuumModule, a: State, b: State) -> DPoly:
@@ -88,6 +89,7 @@ class PoissonPresentation:
                     )
                 table[(ib, ia)] = -val
         self.table = table
+        self._lambda = {key: {0: val} for key, val in table.items()}
         self.ideal = tuple(p for p in ideal if not p.is_zero())
         check_generators(len(self.generators), *table.values(), *self.ideal)
         self._values: dict[tuple[int, int], Fraction] = {}
@@ -116,9 +118,9 @@ class PoissonPresentation:
         return self.table.get((ia, ib), DPoly())
 
     def bracket_poly(self, f: DPoly, g: DPoly) -> DPoly:
-        """Biderivation extension of the generator table."""
+        """Biderivation extension of the generator table: the engine at lambda^0."""
         check_generators(len(self.generators), f, g)
-        return biderivation(self.table, f, g)
+        return lambda_bracket(self._lambda, f, g).get(0, DPoly())
 
     def reduce_mod_ideal(self, p: DPoly) -> DPoly:
         """Substitute the generator values fixed by the ideal members."""
@@ -271,6 +273,8 @@ class VPDiffAlgebra:
 
         series = {(pos(a), pos(b)): VPSeries(s) for (a, b), s in table.items()}
         self.table: dict[tuple[int, int], VPSeries] = {key: s for key, s in series.items() if s}
+        self._lambda = {key: {l: -h if l % 2 else h for l, h in s.items()}
+                        for key, s in self.table.items()}
 
     def generator(self, name: str) -> DPoly:
         return DPoly.variable(self.names.index(name))
@@ -279,37 +283,9 @@ class VPDiffAlgebra:
         return self.table.get((i, j)) or VPSeries()
 
     def vp_bracket(self, f: DPoly, g: DPoly) -> VPSeries:
-        """{f(x), g(y)} by the master formula of Barakat, De Sole and Kac.
-
-        The Leibniz rule in both slots gives the sum over variables u_i^(m)
-        of f and u_j^(n) of g of (df/du_i^(m))(x) d_x^m d_y^n {u_i(x), u_j(y)}
-        (dg/du_j^(n))(y).  With {u_i(x), u_j(y)} = sum_l h_l(y) Delta^(l) and
-        P(x) Delta^(k) = (-1)^k dy^k(P(y) Delta), each pair contributes
-
-            dy^n( sum_l (-1)^(l+m) h_l * dy^(l+m)(df/du_i^(m) Delta) ) * dg/du_j^(n),
-
-        where -dy is the series form of lambda + d.  The table need not be skew.
-        """
-        by_j: dict[int, list] = {}
-        for (j, n), pg in g.partials().items():
-            by_j.setdefault(j, []).append((n, pg))
-        terms = []
-        for (i, m), pf in f.partials().items():
-            powers = [VPSeries({0: pf})]  # dy^r(pf Delta), r = 0, 1, ...
-            for j, parts in by_j.items():
-                h = self.table.get((i, j))
-                if not h:
-                    continue
-                while len(powers) <= max(h) + m:
-                    powers.append(powers[-1].dy())
-                inner = VPSeries([(k, hl * c if (l + m) % 2 == 0 else -(hl * c))
-                                  for l, hl in h.items() for k, c in powers[l + m].items()])
-                derived = [inner]  # dy^n(inner), n = 0, 1, ...
-                for n, pg in parts:
-                    while len(derived) <= n:
-                        derived.append(derived[-1].dy())
-                    terms += [(k, c * pg) for k, c in derived[n].items()]
-        return VPSeries(terms)
+        """{f(x), g(y)} by ``lie_core.lambda_bracket``; h_l Delta^(l) is (-lambda)^l h_l."""
+        return VPSeries([(l, -h if l % 2 else h)
+                         for l, h in lambda_bracket(self._lambda, f, g).items()])
 
     def mode_products(self, f: DPoly, g: DPoly) -> dict[int, DPoly]:
         """The family f_i g with {f(x),g(y)} = sum (1/i!)(f_i g)(y)Delta^(i)."""

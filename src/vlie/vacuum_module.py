@@ -115,7 +115,7 @@ class VacuumModule:
 
     def state_degree(self, state: State) -> int:
         """Max degree over monomials; -1 for the zero state."""
-        state = clean(state)
+        state = self._state_of(self._ids_of(clean(state)))
         if not state:
             return -1
         return max(self.monomial_degree(m) for m in state)
@@ -202,7 +202,7 @@ class VacuumModule:
         return {self.monomial([(name, -1)]): 1}
 
     def format_state(self, state: State) -> str:
-        state = clean(state)
+        state = self._state_of(self._ids_of(clean(state)))
         name = self.structure.symbol_name
         return format_terms(
             ("".join(f"{name(s)}({s[0]})" for s in mono) + "1", state[mono])

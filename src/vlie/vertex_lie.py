@@ -27,8 +27,9 @@ from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from math import comb, lcm
 
-from .formal_calc import DeltaSeries, DPoly, falling, format_terms, skew_transfer
-from .lie_core import BilinearForm, FiniteLieAlgebra, _normalize_table, check_invariance
+from .formal_calc import DeltaSeries, DPoly, falling, format_terms
+from .lie_core import (BilinearForm, FiniteLieAlgebra, _collect, _normalize_table, _shift,
+                       _wrap, check_invariance, lambda_bracket)
 from .linalg import Echelon, add_into, bilinear, clean, inverse_rows, narrow, nullspace
 
 Vector = dict[int, int | Fraction]  # sparse coordinates over the base-space basis
@@ -223,7 +224,9 @@ class VLStructure:
                 for w, c in im:
                     if forms[w] is None:
                         break
-                    add_into(out, _derive(forms[w], 1), c)
+                    # D of a normal form: D kills U0'
+                    add_into(out, {(1, idx, t + 1): v for (cls, idx, t), v in forms[w].items()
+                                   if cls}, c)
                 else:
                     forms[i] = add_into(out, {(1, j - n1, 0): c for j, c in coords.items()
                                               if j >= n1})
@@ -555,104 +558,82 @@ def _scaled(vec: Mapping, scale: int) -> tuple:
     return tuple(out)
 
 
-def _derive(x: dict, u: int) -> dict:
-    """D^u x for x in M = C[D] (x) U' (+) U0': D kills U0'."""
-    return {(cls, idx, t + u): c for (cls, idx, t), c in x.items() if cls or not u}
-
-
 class _Certificate:
     """``certify``'s window checks at every mode, decided exactly.
 
-    The canonical symbols are the modes of M = C[D] (x) U' (+) U0', where
-    D u = d(u) and D z = 0 on U0'; an element of M is {(cls, idx, t): c}
-    for D^t of the canonical generator (cls, idx), and a polynomial over M
-    puts the powers of lambda (and mu) first.  A table term (f, k, l) is
-    (-lambda)^l D^k f in [a_lambda b].  By Kac, "Vertex Algebras for
-    Beginners" (1998), the window checks pass at every mode exactly when
-    S_ab == skew_transfer(S_ba) on the structure's normal forms and
-    [a_lambda [b_mu c]] - [b_mu [a_lambda c]] = [[a_lambda b]_{lambda+mu} c]
+    An element of M = C[D] (x) U' (+) U0', where D u = d(u) and D z = 0 on
+    U0', is a linear ``DPoly`` whose variable (v, t) is D^t of the v-th
+    canonical generator, U0' first; a lambda-bracket is {power of lambda:
+    DPoly}, and a table term (f, k, l) is (-lambda)^l D^k f in [a_lambda b].
+    By Kac, "Vertex Algebras for Beginners" (1998), the window checks pass at
+    every mode exactly when [a_lambda b] = -[b_{-lambda-D} a] on the basis
+    pairs and [a_lambda [b_mu c]] - [b_mu [a_lambda c]] = [[a_lambda b]_{lambda+mu} c]
     on the sorted basis triples, provided the U0' vectors are central: D z = 0
-    forces lambda [z_lambda b] = 0, and a kernel vector lives at mode -1
-    only.  As in the window checks, inner brackets read the raw table on
-    basis pairs, and outer ones act on normal forms through the canonical
-    vectors by sesquilinearity, [(D x)_lambda y] = -lambda [x_lambda y] and
-    [x_lambda D y] = (lambda + D) [x_lambda y].  The raw table itself must
-    obey sesquilinearity at D u = d(u) for each domain vector u, which
-    neither the normal forms nor the window checks see.
+    forces lambda [z_lambda b] = 0, and a kernel vector lives at mode -1 only.
+    Inner brackets read the raw table on basis pairs, as the window checks
+    do; outer ones are ``lie_core.lambda_bracket`` over the generator table,
+    after which D z = 0 drops the derivatives of U0' variables.  The raw
+    table must respect D u = d(u), which the window checks do not see.
     """
 
     def __init__(self, structure: VLStructure):
-        self.s = structure
-        self._generator: dict[tuple, dict] = {}
+        s, n0 = self.s, self.n0 = structure, len(structure.u0_prime_vectors)
+        self.normal = [_wrap({((idx + n0 if cls else idx, t),): c
+                              for (cls, idx, t), c in form.items()}) for form in s._normal]
         # [u_i lambda u_j] read off the table, {} for a missing pair
-        self.raw = defaultdict(dict, {pair: self.series(series, lam=True)
-                                      for pair, series in structure._table.items()})
+        self.raw = defaultdict(dict, {pair: self.collect(
+            (l, _wrap({((v, t + k),): x for ((v, t),), x in self.normal[i].coeffs.items()}),
+             -c if l % 2 else c) for l, h in series.items() for ((i, k),), c in h.coeffs.items())
+            for pair, series in s._table.items()})
+        # [g_v lambda g_w] for the canonical generators: the raw entry on two basis vectors
+        units, vectors = sum(s._symbol_units, ()), s.u0_prime_vectors + s.u_prime_vectors
+        self.generators = generators = {
+            (v, w): self.raw[iv, iw] if None not in (iv, iw) else _collect(
+                (p, h, ci * cj) for i, ci in vectors[v].items() for j, cj in vectors[w].items()
+                for p, h in self.raw[i, j].items())
+            for v, iv in enumerate(units) for w, iw in enumerate(units)}
+        # the items (power of lambda, monomial, c) of [x_lambda y] in M, memoized
+        self.bracket = functools.cache(lambda x, y: [
+            (p, m, c) for p, h in lambda_bracket(generators, x, y).items()
+            for m, c in h.coeffs.items() if not any(t and v < n0 for v, t in m)])
 
-    def series(self, series: DeltaSeries, lam: bool = False) -> dict:
-        """{(l, *key): c}: the orders of a table series in M; with ``lam``,
-        the lambda-bracket, order l times (-lambda)^l."""
-        return clean(((l, *key), -v * c if lam and l % 2 else v * c)
-                     for l, h in series.items() for ((i, k),), c in h.coeffs.items()
-                     for key, v in _derive(self.s._normal[i], k).items())
-
-    def generator(self, g: tuple, h: tuple) -> dict:
-        """[g_lambda h] for canonical generators (cls, idx), by their vectors."""
-        if (g, h) not in self._generator:
-            vector = self.s.canonical_vector
-            self._generator[(g, h)] = clean(
-                (key, ci * cj * c) for i, ci in vector((0, *g)).items()
-                for j, cj in vector((0, *h)).items() for key, c in self.raw[i, j].items())
-        return self._generator[(g, h)]
-
-    def bracket(self, x: dict, y: dict) -> dict:
-        """[x_lambda y] for x, y in M: (-lambda)^s (lambda + D)^t [g_lambda h]
-        for x = D^s g and y = D^t h."""
-        return clean(
-            ((p + s + t - u, cls, idx, r + u), (-1) ** s * comb(t, u) * cx * cy * c)
-            for (g_cls, g_idx, s), cx in x.items() for (h_cls, h_idx, t), cy in y.items()
-            for (p, cls, idx, r), c in self.generator((g_cls, g_idx), (h_cls, h_idx)).items()
-            for u in range(t + 1 if cls else 1))
+    def collect(self, terms: Iterable[tuple]) -> dict[int, DPoly]:
+        """``lie_core._collect`` in M, where D z = 0 drops derivatives of U0' variables."""
+        n0, out = self.n0, _collect(terms)
+        if not n0:
+            return out
+        kept = {p: {m: c for m, c in h.coeffs.items() if not any(t and v < n0 for v, t in m)}
+                for p, h in out.items()}
+        return {p: _wrap(h) for p, h in kept.items() if h}
 
     def jacobi(self, a: int, b: int, c: int) -> dict:
         """[a_lambda [b_mu c]] - [b_mu [a_lambda c]] - [[a_lambda b]_{lambda+mu} c],
-        {(power of lambda, power of mu, *key): c}."""
-        na, nb, nc = (self.s._normal[i] for i in (a, b, c))
-        return clean(
-            [((p, q, *key), v) for (q, *y), w in self.raw[b, c].items()
-             for (p, *key), v in self.bracket(na, {tuple(y): w}).items()]
-            + [((q, p, *key), -v) for (q, *y), w in self.raw[a, c].items()
-               for (p, *key), v in self.bracket(nb, {tuple(y): w}).items()]
-            + [((q + e, p - e, *key), -comb(p, e) * v) for (q, *x), w in self.raw[a, b].items()
-               for (p, *key), v in self.bracket({tuple(x): w}, nc).items() for e in range(p + 1)])
+        {(power of lambda, power of mu, monomial): c}."""
+        raw, bracket, (na, nb, nc) = self.raw, self.bracket, (self.normal[i] for i in (a, b, c))
+        return clean([((p, q, m), v) for q, y in raw[b, c].items() for p, m, v in bracket(na, y)]
+                     + [((q, p, m), -v) for q, y in raw[a, c].items() for p, m, v in bracket(nb, y)]
+                     + [((q + e, p - e, m), -comb(p, e) * v) for q, x in raw[a, b].items()
+                        for p, m, v in bracket(x, nc) for e in range(p + 1)])
 
     def d_failures(self, u: int) -> list[tuple[int, int]]:
-        """The basis pairs (u, b) where the raw table breaks
-        [d(u)_lambda b] = -lambda [u_lambda b], and (b, u) where it breaks
-        [b_lambda d(u)] = (lambda + D) [b_lambda u]."""
+        """The basis pairs (u, b) and (b, u) where the raw table brackets d(u) - D u to nonzero."""
         image, raw = self.s.d_map[u], self.raw
-        out = []
-        for b in range(len(self.s.basis)):
-            if (clean((key, c * v) for j, c in image.items() for key, v in raw[j, b].items())
-                    != clean(((l + 1, *key), -c) for (l, *key), c in raw[u, b].items())):
-                out.append((u, b))
-            x = raw[b, u]
-            if (clean((key, c * v) for j, c in image.items() for key, v in raw[b, j].items())
-                    != clean([((l + 1, cls, idx, t), c) for (l, cls, idx, t), c in x.items()]
-                             + [((l, cls, idx, t + 1), c)
-                                for (l, cls, idx, t), c in x.items() if cls])):
-                out.append((b, u))
-        return out
+        return [pair for b in range(len(self.s.basis)) for pair, terms in (
+            ((u, b), [(p, h, c) for j, c in image.items() for p, h in raw[j, b].items()]
+             + [(l + 1, h, 1) for l, h in raw[u, b].items()]),
+            ((b, u), [(p, h, c) for j, c in image.items() for p, h in raw[b, j].items()]
+             + [(l + q, x, -c) for l, h in raw[b, u].items() for q, x, c in _shift(h, 1)]))
+            if self.collect(terms)]
 
     def problems(self) -> list[str]:
-        s, r = self.s, range(len(self.s.basis))
+        s, r, gen = self.s, range(len(self.s.basis)), self.generators
+        names = s.u0_prime_names + s.u_prime_names
         problems = [f"skew fails for ({s.basis[i]},{s.basis[j]})" for i in r for j in r[i:]
-                    if self.series(s.table_series(i, j))
-                    != self.series(skew_transfer(s.table_series(j, i)))]
-        gens = ([(0, j) for j in range(len(s.u0_prime_vectors))]
-                + [(1, j) for j in range(len(s.u_prime_vectors))])
-        problems += [f"kernel vector {s.u0_prime_names[z[1]]} is not central"
-                     for z in gens if not z[0]
-                     and any(self.generator(z, g) or self.generator(g, z) for g in gens)]
+                    if self.raw[i, j] != self.collect(
+                        (q, y, c) for p, h in self.raw[j, i].items()
+                        for q, y, c in _shift(h, p, 1 if p % 2 else -1))]
+        problems += [f"kernel vector {names[z]} is not central" for z in range(self.n0)
+                     if any(gen[z, g] or gen[g, z] for g in range(len(names)))]
         for u, image in s.d_map.items():
             name = s.basis[u]
             for x, y in self.d_failures(u):
@@ -661,7 +642,6 @@ class _Certificate:
                            else f"kernel vector {name} is not central")
                 if problem not in problems:
                     problems.append(problem)
-        names = (s.u0_prime_names, s.u_prime_names)
         for a, b, c in itertools.combinations_with_replacement(r, 3):
             rest = self.jacobi(a, b, c) if len(problems) < 20 else None
             if rest:
@@ -669,8 +649,8 @@ class _Certificate:
                 problems.append(
                     f"Jacobi fails on ({s.basis[a]},{s.basis[b]},{s.basis[c]}) "
                     f"at lambda^{p} mu^{q}: " + format_terms(
-                        (("D " if t == 1 else f"D^{t} " if t else "") + names[cls][idx], v)
-                        for (pp, qq, cls, idx, t), v in sorted(rest.items()) if (pp, qq) == (p, q)))
+                        (("D " if t == 1 else f"D^{t} " if t else "") + names[v], x)
+                        for (pp, qq, ((v, t),)), x in sorted(rest.items()) if (pp, qq) == (p, q)))
         return problems
 
 

@@ -172,6 +172,17 @@ class TestCheckSuites:
         assert code == 0
         assert out.strip() == "1,0,1,1,2,2,4,4,7,8,12"
 
+    def test_virasoro_domega_bad_fixture(self, capsys):
+        # the omega-omega l=1 coefficient -3 in place of -2: the config
+        # loader's certificate rejects it with exit 2 and one exact line
+        config = ("--builder", "config", "--config", str(DATA / "virasoro_domega_bad.json"))
+        code, out, err = run(capsys, "check", "vla", *config, "--window", "3")
+        assert (code, out) == (2, "")
+        assert err == (
+            "config error: bad vertex_lie config: structure fails Lie axioms: skew fails for "
+            "(omega,omega); bracket does not respect D omega = d(omega) on (omega,omega); "
+            "Jacobi fails on (omega,omega,omega) at lambda^1 mu^0: -D omega\n")
+
     def test_vp_check(self, capsys):
         code, out, _ = run(capsys, "vp-check", "--ultra", "sl2")
         assert code == 0

@@ -2,7 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from vlie.config import build_structure
 from vlie.lie_core import sl2, sl2_form, sym_poisson
 from vlie.poisson_c2 import (
     DPoly,
@@ -34,7 +36,7 @@ from vlie.linalg import add_into
 from vlie.vacuum_module import VacuumModule
 from vlie.vertex_lie import VLStructure, affine, heisenberg, loop, virasoro
 
-from test_lie_core import heis3
+from test_lie_core import DPOLYS, NONZERO, heis3, oracle_biderivation, random_sympoly
 
 
 def mode_window(series, radius: int) -> dict:
@@ -161,6 +163,15 @@ class TestP2Ops:
 
 
 class TestP2Structure:
+    @pytest.mark.parametrize("builder", ["witt", "virasoro", "loop-sl2", "affine-sl2",
+                                         "heisenberg:2", "novikov-dual"])
+    def test_bracket_poly_matches_biderivation_oracle(self, builder):
+        pres = p2_structure(build_structure(builder))
+        rng = random.Random(builder)
+        for _ in range(20):
+            a, b = (random_sympoly(rng, pres.generators, 3) for _ in range(2))
+            assert pres.bracket_poly(a, b) == oracle_biderivation(pres.table, a, b)
+
     def test_virasoro_quotient_is_polynomial_ring(self, vir):
         pres = p2_structure(vir, {"c": Fraction(1, 2)})
         assert pres.generators == ("omega", "c")
@@ -390,6 +401,49 @@ def _oracle_vp_bracket(vp, f, g):
     return out
 
 
+def _delta_master_formula(vp, f, g):
+    """{f(x), g(y)} by the master formula in delta-series form, through
+    repeated ``dy``: the body of ``vp_bracket`` that ``lie_core.lambda_bracket``
+    replaced, kept as its oracle.  Right on every table, skew or not.
+
+    The Leibniz rule in both slots gives the sum over variables u_i^(m) of f
+    and u_j^(n) of g of (df/du_i^(m))(x) d_x^m d_y^n {u_i(x), u_j(y)}
+    (dg/du_j^(n))(y).  With {u_i(x), u_j(y)} = sum_l h_l(y) Delta^(l) and
+    P(x) Delta^(k) = (-1)^k dy^k(P(y) Delta), each pair contributes
+    dy^n( sum_l (-1)^(l+m) h_l * dy^(l+m)(df/du_i^(m) Delta) ) * dg/du_j^(n).
+    """
+    by_j = {}
+    for (j, n), pg in g.partials().items():
+        by_j.setdefault(j, []).append((n, pg))
+    terms = []
+    for (i, m), pf in f.partials().items():
+        powers = [DeltaSeries({0: pf})]  # dy^r(pf Delta), r = 0, 1, ...
+        for j, parts in by_j.items():
+            h = vp.table.get((i, j))
+            if not h:
+                continue
+            while len(powers) <= max(h) + m:
+                powers.append(powers[-1].dy())
+            inner = DeltaSeries([(k, hl * c if (l + m) % 2 == 0 else -(hl * c))
+                                 for l, hl in h.items() for k, c in powers[l + m].items()])
+            derived = [inner]  # dy^n(inner), n = 0, 1, ...
+            for n, pg in parts:
+                while len(derived) <= n:
+                    derived.append(derived[-1].dy())
+                terms += [(k, c * pg) for k, c in derived[n].items()]
+    return DeltaSeries(terms)
+
+
+def _first_slot_table():
+    """A table that is not skew, with derivative and product coefficients."""
+    u1, u2 = DPoly.variable(0), DPoly.variable(1)
+    return VPDiffAlgebra(("u1", "u2"), {
+        ("u1", "u1"): {2: DPoly.constant(1)},
+        ("u1", "u2"): {0: DPoly.variable(0, 1), 1: u2},
+        ("u2", "u1"): {0: (u1 * u2).scale(3)},
+    })
+
+
 def _random_dpoly(rng, n):
     """One to three monomials of up to three factors u_i^(j), j <= 2, and
     sometimes a constant."""
@@ -423,7 +477,40 @@ SKEW_TABLES = {
 }
 
 
+NON_SKEW_TABLES = {
+    "asymmetric-constant": lambda: constant_order_table(("u1", "u2"), [[0, 1], [2, 0]]),
+    "square+2": lambda: _square_table(2),
+    "virasoro+2": lambda: _virasoro_table(2),
+    "first-slot": _first_slot_table,
+}
+
+
+@st.composite
+def random_vp_tables(draw):
+    """A random table on two generators, skew or not, with fractional
+    coefficients that may hold derivative variables."""
+    entries = st.dictionaries(st.integers(0, 3), NONZERO, min_size=1, max_size=2)
+    table = draw(st.dictionaries(st.sampled_from([("a", "a"), ("a", "b"), ("b", "a"), ("b", "b")]),
+                                 entries, max_size=4))
+    return VPDiffAlgebra(("a", "b"), table)
+
+
 class TestMasterFormula:
+    @pytest.mark.parametrize("name", [*SKEW_TABLES, *NON_SKEW_TABLES])
+    def test_matches_delta_series_master_formula(self, name):
+        vp = {**SKEW_TABLES, **NON_SKEW_TABLES}[name]()
+        assert (vp.check_table_skew() == []) == (name in SKEW_TABLES)
+        rng = random.Random(f"delta {name}")
+        n = len(vp.names)
+        for _ in range(25):
+            f, g = _random_dpoly(rng, n), _random_dpoly(rng, n)
+            assert vp.vp_bracket(f, g) == _delta_master_formula(vp, f, g), (f, g)
+
+    @settings(derandomize=True, database=None, max_examples=80, deadline=None)
+    @given(random_vp_tables(), DPOLYS, DPOLYS)
+    def test_random_tables_match_delta_series_master_formula(self, vp, f, g):
+        assert vp.vp_bracket(f, g) == _delta_master_formula(vp, f, g)
+
     @pytest.mark.parametrize("name", SKEW_TABLES)
     def test_matches_skew_transfer_recursion(self, name):
         vp = SKEW_TABLES[name]()
@@ -443,12 +530,7 @@ class TestMasterFormula:
     def test_first_slot_leibniz_without_skew(self):
         # {ab(x), c(y)} = a(x){b(x), c(y)} + b(x){a(x), c(y)}, a factor in x
         # multiplying the x-form of the series
-        u1, u2 = DPoly.variable(0), DPoly.variable(1)
-        vp = VPDiffAlgebra(("u1", "u2"), {
-            ("u1", "u1"): {2: DPoly.constant(1)},
-            ("u1", "u2"): {0: DPoly.variable(0, 1), 1: u2},
-            ("u2", "u1"): {0: (u1 * u2).scale(3)},
-        })
+        vp = _first_slot_table()
         assert vp.check_table_skew()
 
         def times_x(series, p):

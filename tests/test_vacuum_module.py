@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vlie.config import build_structure
-from vlie.formal_calc import gen_binomial
+from vlie.formal_calc import DPoly, gen_binomial
 from vlie.linalg import add_into, clean
 from vlie.lie_core import sl2, sl2_form
+from vlie.poisson_c2 import c2_reduce
 from vlie.vacuum_module import VACUUM, VacuumModule
 from vlie.vertex_lie import VLStructure, affine, heisenberg, loop, virasoro
 
@@ -568,6 +569,21 @@ class TestInterning:
             aff.borcherds_check({self.POSITIVE: 1}, aff.generator_state("f"), 1, 1)
         # a rejected monomial leaves no trace in the tables
         assert aff.memo_sizes() == sizes
+
+    def test_tuple_helpers_raise(self, aff):
+        # they read tuples without acting: e(1) printed as e(1)1, had degree
+        # -1 and reduced to the generator e
+        sizes = aff.memo_sizes()
+        for helper in (aff.format_state, aff.state_degree, partial(c2_reduce, aff)):
+            with pytest.raises(ValueError, match="is not a creation symbol"):
+                helper({self.POSITIVE: 1})
+            with pytest.raises(ValueError, match="are not sorted$"):
+                helper({self.UNSORTED: 1})
+        assert aff.memo_sizes() == sizes
+        state = aff.state([([("f", -2), ("e", -1)], Fraction(1, 2)), ([("h", -1)], 3)])
+        assert aff.format_state(state) == "1/2*f(-2)e(-1)1 + 3*h(-1)1"
+        assert aff.state_degree(state) == 3
+        assert c2_reduce(aff, state) == DPoly.variable(1, 0, 3)
 
     @pytest.mark.parametrize("mono", [
         ((-1, 0, 0),),  # a central symbol in a module with a central character

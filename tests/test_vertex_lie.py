@@ -2,20 +2,23 @@ import functools
 import itertools
 import math
 import time
+from collections import defaultdict
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from vlie.config import build_structure, load_config_file, vertex_lie_from_config
-from vlie.formal_calc import DeltaSeries, DPoly, expand, format_terms, gen_binomial
+from vlie.formal_calc import DeltaSeries, DPoly, expand, format_terms, gen_binomial, skew_transfer
 from vlie.lie_core import BilinearForm, FiniteLieAlgebra, sl2, sl2_form
-from vlie.linalg import add_into
+from vlie.linalg import add_into, clean
 from vlie.vacuum_module import VacuumModule
 from vlie.vertex_lie import (
     CommAlgebra,
     VLStructure,
+    _Certificate,
     affine,
     b3_criterion,
     heisenberg,
@@ -1014,6 +1017,16 @@ class TestCertificate:
                 s.certify()
         assert not s.certified
 
+    @pytest.mark.parametrize("name", list(CERTIFICATE_STRUCTURES))
+    def test_messages_are_pinned(self, name):
+        s = CERTIFICATE_STRUCTURES[name]()
+        if name not in CERTIFICATE_MESSAGES:
+            assert s.certify().certified
+            return
+        with pytest.raises(ValueError) as exc:
+            s.certify()
+        assert str(exc.value) == CERTIFICATE_MESSAGES[name]
+
     def test_witnesses_name_the_identity(self):
         with pytest.raises(ValueError, match=r"skew fails for \(e,f\)"):
             CERTIFICATE_STRUCTURES["corrupted-sl2"]().certify()
@@ -1060,6 +1073,206 @@ class TestCertificate:
             with pytest.raises(ValueError, match=r"skew fails for \(a,w\); bracket does not "
                                                  rf"respect D a = d\(a\) on \({','.join(pair)}\)$"):
                 s.certify()
+
+
+# The certify() message of every failing CERTIFICATE_STRUCTURES entry, as
+# the sesquilinear certificate gave it before the certificate's outer
+# brackets moved onto lie_core.lambda_bracket
+CERTIFICATE_MESSAGES = {
+    'kernel-brackets':
+        'structure fails Lie axioms: skew fails for (a,a); skew fails for (a,b); skew fails for (a,c)',
+    'bad-loop':
+        'structure fails Lie axioms: Jacobi fails on (u,u,v) at lambda^0 mu^1: 1/4*D u; Jacobi fails on (u,v,v) at lambda^0 mu^0: 1/4*D^2 v',
+    'nonzero-cube':
+        'structure fails Lie axioms: skew fails for (one,one); Jacobi fails on (one,one,one) at lambda^2 mu^1: 2*D one',
+    'novikov-non-commutative':
+        'structure fails Lie axioms: skew fails for (u,v); Jacobi fails on (u,v,v) at lambda^0 mu^1: 1/4*D u',
+    'novikov-bumped-dual':
+        'structure fails Lie axioms: Jacobi fails on (one,one,eps) at lambda^0 mu^1: -1/2*D eps',
+    'b3-square-to-second':
+        'structure fails Lie axioms: skew fails for (u1,u1)',
+    'b3-dual-numbers':
+        'structure fails Lie axioms: skew fails for (one,one); skew fails for (one,eps); Jacobi fails on (one,one,one) at lambda^2 mu^1: 2*D one',
+    'b3-split':
+        'structure fails Lie axioms: skew fails for (u,u); skew fails for (v,v); Jacobi fails on (u,u,u) at lambda^2 mu^1: 2*D u',
+    'virasoro-d2-bumped':
+        "structure fails Lie axioms: skew fails for (omega,omega'); bracket does not respect D omega = d(omega) on (omega,omega); bracket does not respect D omega = d(omega) on (omega',omega)",
+    'witt-d2-wrong-sign':
+        "structure fails Lie axioms: skew fails for (omega,omega''); bracket does not respect D omega = d(omega) on (omega'',omega); bracket does not respect D omega' = d(omega') on (omega',omega)",
+    'corrupted-sl2':
+        'structure fails Lie axioms: skew fails for (e,f); Jacobi fails on (e,h,f) at lambda^0 mu^1: -2*e; Jacobi fails on (e,f,f) at lambda^1 mu^1: -e',
+    'invalid-loop':
+        'structure fails Lie axioms: Jacobi fails on (e,h,f) at lambda^0 mu^0: -2*e',
+    'heisenberg-broken':
+        'structure fails Lie axioms: skew fails for (u1,u2)',
+    'virasoro-high-order':
+        'structure fails Lie axioms: Jacobi fails on (omega,omega,omega) at lambda^1 mu^7: -4*c',
+    'novikov-candidate-non-assoc':
+        'structure fails Lie axioms: Jacobi fails on (u,u,v) at lambda^0 mu^1: 1/4*D u; Jacobi fails on (u,v,v) at lambda^0 mu^0: 1/4*D^2 v',
+    'novikov-candidate-non-assoc2':
+        'structure fails Lie axioms: Jacobi fails on (u,u,v) at lambda^0 mu^1: -1/4*D v; Jacobi fails on (u,v,v) at lambda^0 mu^0: -1/4*D^2 u',
+    'novikov-candidate-non-comm':
+        'structure fails Lie axioms: skew fails for (u,v); Jacobi fails on (u,v,v) at lambda^0 mu^1: 1/4*D u',
+    'b3-square':
+        'structure fails Lie axioms: skew fails for (u1,u1)',
+    'b3-square-form':
+        'structure fails Lie axioms: skew fails for (u1,u1); skew fails for (u1,u2); Jacobi fails on (u1,u1,u1) at lambda^2 mu^2: 2*c',
+    'b3-unital1':
+        'structure fails Lie axioms: skew fails for (one,one); Jacobi fails on (one,one,one) at lambda^2 mu^1: 2*D one',
+    'b3-dual':
+        'structure fails Lie axioms: skew fails for (one,one); skew fails for (one,eps); Jacobi fails on (one,one,one) at lambda^2 mu^1: 2*D one',
+    'b3-truncated4':
+        'structure fails Lie axioms: skew fails for (one,one); skew fails for (one,t1); skew fails for (one,t2)',
+}
+
+
+def _derive(x, u):
+    """D^u x for x in M as {(cls, idx, t): c}: D kills U0'."""
+    return {(cls, idx, t + u): c for (cls, idx, t), c in x.items() if cls or not u}
+
+
+class OracleCertificate:
+    """The certificate whose outer brackets expand sesquilinearity by hand,
+    on {(cls, idx, t): c} elements of M and polynomials over M with the
+    powers of lambda (and mu) first: the oracle of ``_Certificate``, whose
+    outer brackets are ``lie_core.lambda_bracket``."""
+
+    def __init__(self, structure):
+        self.s = structure
+        self._generator = {}
+        # [u_i lambda u_j] read off the table, {} for a missing pair
+        self.raw = defaultdict(dict, {pair: self.series(series, lam=True)
+                                      for pair, series in structure._table.items()})
+
+    def series(self, series, lam=False):
+        """{(l, *key): c}: the orders of a table series in M; with ``lam``,
+        the lambda-bracket, order l times (-lambda)^l."""
+        return clean(((l, *key), -v * c if lam and l % 2 else v * c)
+                     for l, h in series.items() for ((i, k),), c in h.coeffs.items()
+                     for key, v in _derive(self.s._normal[i], k).items())
+
+    def generator(self, g, h):
+        """[g_lambda h] for canonical generators (cls, idx), by their vectors."""
+        if (g, h) not in self._generator:
+            vector = self.s.canonical_vector
+            self._generator[(g, h)] = clean(
+                (key, ci * cj * c) for i, ci in vector((0, *g)).items()
+                for j, cj in vector((0, *h)).items() for key, c in self.raw[i, j].items())
+        return self._generator[(g, h)]
+
+    def bracket(self, x, y):
+        """[x_lambda y] for x, y in M: (-lambda)^s (lambda + D)^t [g_lambda h]
+        for x = D^s g and y = D^t h."""
+        return clean(
+            ((p + s + t - u, cls, idx, r + u), (-1) ** s * comb(t, u) * cx * cy * c)
+            for (g_cls, g_idx, s), cx in x.items() for (h_cls, h_idx, t), cy in y.items()
+            for (p, cls, idx, r), c in self.generator((g_cls, g_idx), (h_cls, h_idx)).items()
+            for u in range(t + 1 if cls else 1))
+
+    def jacobi(self, a, b, c):
+        na, nb, nc = (self.s._normal[i] for i in (a, b, c))
+        return clean(
+            [((p, q, *key), v) for (q, *y), w in self.raw[b, c].items()
+             for (p, *key), v in self.bracket(na, {tuple(y): w}).items()]
+            + [((q, p, *key), -v) for (q, *y), w in self.raw[a, c].items()
+               for (p, *key), v in self.bracket(nb, {tuple(y): w}).items()]
+            + [((q + e, p - e, *key), -comb(p, e) * v) for (q, *x), w in self.raw[a, b].items()
+               for (p, *key), v in self.bracket({tuple(x): w}, nc).items() for e in range(p + 1)])
+
+    def d_failures(self, u):
+        image, raw = self.s.d_map[u], self.raw
+        out = []
+        for b in range(len(self.s.basis)):
+            if (clean((key, c * v) for j, c in image.items() for key, v in raw[j, b].items())
+                    != clean(((l + 1, *key), -c) for (l, *key), c in raw[u, b].items())):
+                out.append((u, b))
+            x = raw[b, u]
+            if (clean((key, c * v) for j, c in image.items() for key, v in raw[b, j].items())
+                    != clean([((l + 1, cls, idx, t), c) for (l, cls, idx, t), c in x.items()]
+                             + [((l, cls, idx, t + 1), c)
+                                for (l, cls, idx, t), c in x.items() if cls])):
+                out.append((b, u))
+        return out
+
+    def problems(self):
+        s, r = self.s, range(len(self.s.basis))
+        problems = [f"skew fails for ({s.basis[i]},{s.basis[j]})" for i in r for j in r[i:]
+                    if self.series(s.table_series(i, j))
+                    != self.series(skew_transfer(s.table_series(j, i)))]
+        gens = ([(0, j) for j in range(len(s.u0_prime_vectors))]
+                + [(1, j) for j in range(len(s.u_prime_vectors))])
+        problems += [f"kernel vector {s.u0_prime_names[z[1]]} is not central"
+                     for z in gens if not z[0]
+                     and any(self.generator(z, g) or self.generator(g, z) for g in gens)]
+        for u, image in s.d_map.items():
+            name = s.basis[u]
+            for x, y in self.d_failures(u):
+                problem = (f"bracket does not respect D {name} = d({name}) "
+                           f"on ({s.basis[x]},{s.basis[y]})" if image
+                           else f"kernel vector {name} is not central")
+                if problem not in problems:
+                    problems.append(problem)
+        names = (s.u0_prime_names, s.u_prime_names)
+        for a, b, c in itertools.combinations_with_replacement(r, 3):
+            rest = self.jacobi(a, b, c) if len(problems) < 20 else None
+            if rest:
+                p, q = min(rest)[:2]
+                problems.append(
+                    f"Jacobi fails on ({s.basis[a]},{s.basis[b]},{s.basis[c]}) "
+                    f"at lambda^{p} mu^{q}: " + format_terms(
+                        (("D " if t == 1 else f"D^{t} " if t else "") + names[cls][idx], v)
+                        for (pp, qq, cls, idx, t), v in sorted(rest.items()) if (pp, qq) == (p, q)))
+        return problems
+
+
+def _oracle_structures():
+    """name -> factory: the six builders, the non-injective d and the
+    Virasoro fixture with d omega = domega."""
+    out = {name: functools.partial(build_structure, name) for name in SUITE_BUILDERS}
+    out["non-injective-d"] = lambda: vertex_lie_from_config(NON_INJECTIVE_D)
+    out["virasoro-domega"] = _virasoro_domega
+    return out
+
+
+class TestCertificateOracle:
+    """``_Certificate`` against the certificate that expands sesquilinearity
+    by hand, element by element and problem by problem."""
+
+    @pytest.mark.parametrize("name", list(_oracle_structures()))
+    def test_outer_brackets_match(self, name):
+        s = _oracle_structures()[name]()
+        new, old = _Certificate(s), OracleCertificate(s)
+        n0 = len(s.u0_prime_vectors)
+
+        def to_new(x):
+            return DPoly({((idx + n0 if cls else idx, t),): c for (cls, idx, t), c in x.items()})
+
+        def to_old(items):
+            return clean(((p, 0, v, t) if v < n0 else (p, 1, v - n0, t), c)
+                         for p, ((v, t),), c in items)
+
+        # the normal forms, their derivatives and every raw coefficient
+        elements = [x for form in s._normal for x in (form, _derive(form, 1), _derive(form, 2))]
+        by_power = defaultdict(dict)
+        for pair, raw in old.raw.items():
+            for (p, *key), c in raw.items():
+                by_power[pair, p][tuple(key)] = c
+        elements += list(by_power.values())
+        elements = [x for x in elements if x]
+        assert len(elements) >= 3
+        for x in elements:
+            for y in elements:
+                assert to_old(new.bracket(to_new(x), to_new(y))) == old.bracket(x, y), (x, y)
+
+    @pytest.mark.parametrize("name", [*CERTIFICATE_STRUCTURES, *_oracle_structures()])
+    def test_problems_match(self, name):
+        s = {**CERTIFICATE_STRUCTURES, **_oracle_structures()}[name]()
+        assert _Certificate(s).problems() == OracleCertificate(s).problems()
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(random_structures())
+    def test_random_tables_match(self, s):
+        assert _Certificate(s).problems() == OracleCertificate(s).problems()
 
 
 class TestSeriesTable:
