@@ -38,12 +38,12 @@ def p2_generators(structure: VLStructure) -> tuple[str, ...]:
 
 def c2_reduce(module: VacuumModule, state: State) -> DPoly:
     """Drop each monomial with a mode at depth two or more, read off its first
-    symbol once ``VacuumModule._id`` has checked it canonical, so sorted; the
+    symbol: ``VacuumModule._id`` raises unless it is canonical, so sorted.  The
     rest become monomials in the variables (p, 0), p indexing ``p2_generators``."""
-    n_up, monos = len(module.structure.u_prime_names), module._monos
-    return DPoly({tuple((idx + (n_up if cls == 0 else 0), 0) for _, cls, idx in monos[i]): c
-                  for i, c in module._ids_of(state).items()
-                  if not monos[i] or monos[i][0][0] >= -1})
+    n_up = len(module.structure.u_prime_names)
+    return DPoly({tuple((idx + (n_up if cls == 0 else 0), 0) for _, cls, idx in mono): c
+                  for mono, c in state.items()
+                  if module._id(mono) >= 0 and (not mono or mono[0][0] >= -1)})
 
 
 def p2_product(module: VacuumModule, a: State, b: State) -> DPoly:

@@ -1264,7 +1264,7 @@ class TestCertificateOracle:
             for y in elements:
                 assert to_old(new.bracket(to_new(x), to_new(y))) == old.bracket(x, y), (x, y)
 
-    @pytest.mark.parametrize("name", [*CERTIFICATE_STRUCTURES, *_oracle_structures()])
+    @pytest.mark.parametrize("name", list({**CERTIFICATE_STRUCTURES, **_oracle_structures()}))
     def test_problems_match(self, name):
         s = {**CERTIFICATE_STRUCTURES, **_oracle_structures()}[name]()
         assert _Certificate(s).problems() == OracleCertificate(s).problems()
