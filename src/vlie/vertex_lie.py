@@ -595,7 +595,7 @@ class _Certificate:
         # the items (power of lambda, monomial, c) of [x_lambda y] in M, memoized
         self.bracket = functools.cache(lambda x, y: [
             (p, m, c) for p, h in lambda_bracket(generators, x, y).items()
-            for m, c in h.coeffs.items() if not any(t and v < n0 for v, t in m)])
+            for m, c in h.coeffs.items() if not (n0 and any(t and v < n0 for v, t in m))])
 
     def collect(self, terms: Iterable[tuple]) -> dict[int, DPoly]:
         """``lie_core._collect`` in M, where D z = 0 drops derivatives of U0' variables."""
