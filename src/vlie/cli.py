@@ -18,6 +18,7 @@ from fractions import Fraction
 from .config import (
     ConfigError,
     build_structure,
+    exact,
     load_config_file,
     parse_gram,
     parse_lambda,
@@ -461,8 +462,11 @@ def _vp_algebra(args):
         return ultra_poisson_of_lie(sl2())
     if args.heis_matrix:
         matrix = parse_gram(args.heis_matrix)
+        if not matrix or any(not isinstance(row, list) or len(row) != len(matrix)
+                             for row in matrix):
+            raise ConfigError("--heis-matrix must be a nonempty square matrix")
         names = tuple(f"u{i+1}" for i in range(len(matrix)))
-        return constant_order_table(names, matrix)
+        return constant_order_table(names, [[exact(c) for c in row] for row in matrix])
     raise ConfigError("choose a table: --ultra sl2 or --heis-matrix [[..]]")
 
 

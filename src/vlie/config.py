@@ -23,6 +23,8 @@ class ConfigError(ValueError):
 def exact(value) -> Fraction:
     if isinstance(value, float):
         raise ConfigError(f"floating point is not accepted: {value!r}")
+    if isinstance(value, bool):
+        raise ConfigError(f"a boolean is not a number: {value!r}")
     try:
         return rat(value)
     except (TypeError, ValueError) as exc:

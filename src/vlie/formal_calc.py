@@ -9,7 +9,7 @@ otherwise, and never a float.  The central objects are finite sums
 where ``Delta^(k)(x, y)`` is the k-th x-derivative of the two-variable
 expansion ``sum_n x^n y^{-n-1}``.  ``DeltaSeries`` is the package's one type
 for them, generic in the coefficient: ``LaurentPoly`` here, ``DPoly`` for
-vertex Poisson series and vertex Lie bracket tables.  Coefficients change
+the vertex Poisson brackets {f(x), g(y)}.  Coefficients change
 variable only through ``delta_transport``, and ``expand`` is the one window
 expansion, which ``render`` and the mode windows of the other modules read.
 A ``BiSeriesWindow`` holds the exact coefficients of a bivariate series on a
@@ -247,10 +247,6 @@ class DPoly(Poly):
             out.append((tuple(rest), c))
         return self._new(clean(out))
 
-    def rename(self, var: str) -> "DPoly":
-        """Itself: a coefficient written in whichever variable it sits on."""
-        return self
-
     def drop_derivatives(self) -> "DPoly":
         """Kill every monomial containing a derivative variable."""
         return self._new({m: c for m, c in self.coeffs.items()
@@ -364,13 +360,13 @@ class DeltaSeries(dict):
     """Finite sum  sum_k c_k(side) * Delta^(k)(x, y), stored as {k: c_k}.
 
     ``side`` records whether the coefficients are written in y (canonical)
-    or in x.  A coefficient may be of any kind with ``+``, ``scale(c)``,
-    ``derivative(order)`` and ``rename(var)`` in its own variable, and
-    falsiness for zero; one that names its variable in ``var`` must name the
-    side.  Orders are stored ascending, zero coefficients never.  Series are
-    immutable by convention and all arithmetic returns new ones; a plain
-    {order: coefficient} map compares equal to the series with the same
-    entries.
+    or in x.  A coefficient may be of any kind with ``+``, ``scale(c)`` and
+    ``derivative(order)`` in its own variable, and falsiness for zero; one
+    that names its variable in ``var`` must name the side, and ``rename(var)``
+    writes it in the other.  Orders are stored ascending, zero coefficients
+    never.  Series are immutable by convention and all arithmetic returns new
+    ones; a plain {order: coefficient} map compares equal to the series with
+    the same entries.
     """
 
     __slots__ = ("side",)
@@ -424,14 +420,6 @@ class DeltaSeries(dict):
     def times(self, p) -> "DeltaSeries":
         """Every coefficient multiplied by p, a coefficient on the same side."""
         return DeltaSeries([(k, v * p) for k, v in self.items()], self.side)
-
-    def dy(self) -> "DeltaSeries":
-        """d/dy: Delta^(k) becomes -Delta^(k+1), since (d/dx + d/dy) Delta = 0;
-        y-coefficients are differentiated too."""
-        terms = [(k + 1, v.scale(-1)) for k, v in self.items()]
-        if self.side == COEFF_IN_Y:
-            terms += [(k, v.derivative(1)) for k, v in self.items()]
-        return DeltaSeries(terms, self.side)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, DeltaSeries) and other.side != self.side:
@@ -536,25 +524,9 @@ def swap_side(series: DeltaSeries) -> DeltaSeries:
     Both sides must render identically on any window.
     """
     side = COEFF_IN_Y if series.side == COEFF_IN_X else COEFF_IN_X
-    return DeltaSeries(
-        [(j, c.derivative(k - j).rename(side).scale(w))
-         for k, c in series.items() for j, w in delta_transport(k, side == COEFF_IN_Y)],
-        side,
-    )
-
-
-def exchange(series: DeltaSeries) -> DeltaSeries:
-    """-S(y, x) for the series S, each coefficient left in the variable it
-    moved to: exchanging x and y turns Delta^(k) into (-1)^k Delta^(k)."""
-    side = COEFF_IN_X if series.side == COEFF_IN_Y else COEFF_IN_Y
-    return DeltaSeries(
-        [(k, c.rename(side).scale(1 if k % 2 else -1)) for k, c in series.items()], side)
-
-
-def skew_transfer(series: DeltaSeries) -> DeltaSeries:
-    """-S(y, x) for the series S, back on S's own side: the skew-symmetry
-    partner of a bracket, {b(x), a(y)} from {a(x), b(y)}."""
-    return swap_side(exchange(series))
+    moved = [(j, c.derivative(k - j).scale(w))
+             for k, c in series.items() for j, w in delta_transport(k, side == COEFF_IN_Y)]
+    return DeltaSeries([(j, c.rename(side) if hasattr(c, "var") else c) for j, c in moved], side)
 
 
 class DecompositionError(ValueError):

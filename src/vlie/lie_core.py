@@ -179,6 +179,12 @@ def lambda_bracket(table: Mapping[tuple[int, int], Mapping[int, DPoly]],
     return _collect(terms)
 
 
+def lambda_skew(entry: Mapping[int, DPoly]) -> dict[int, DPoly]:
+    """-{b_{-lambda-D} a} from {b_lambda a} = {power of lambda: DPoly}: the
+    {a_lambda b} that skew symmetry asks of a table, in the same form."""
+    return _collect(t for p, h in entry.items() for t in _shift(h, p, 1 if p % 2 else -1))
+
+
 def _partials(p: DPoly) -> list:
     """(u_i^(m), x, c) per partial c * x of p, x None for 1: no DPoly for a linear p."""
     if max(map(len, p.coeffs), default=0) <= 1:

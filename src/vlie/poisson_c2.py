@@ -6,12 +6,12 @@ Two independent reductions live here, and both land in derivative-free
 state modulo the span of all modes deeper than -1, leaving a polynomial in
 the surviving generators; the quotient carries the product a_{-1}b and
 bracket a_0 b.  The second works over a polynomial differential algebra
-(``DPoly``) with a bracket table on its generators, extends the table to all
-polynomials by the master formula, ``lie_core.lambda_bracket``, and
-quotients by derivative monomials.  Its brackets
+(``DPoly``) with a lambda-bracket table on its generators, extends the
+table to all polynomials by the master formula, ``lie_core.lambda_bracket``,
+and quotients by derivative monomials.  Its brackets
 {f(x), g(y)} = sum_l h_l(y) Delta^(l) are ``VPSeries``: the package's one
-``DeltaSeries`` type over ``DPoly`` coefficients, so derivatives, skew
-transfer and window expansion are the generic ones of ``formal_calc``.
+``DeltaSeries`` type over ``DPoly`` coefficients, whose window expansion is
+the generic one of ``formal_calc``.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from math import factorial
 
-from .formal_calc import DeltaSeries, DPoly, format_poly, rat, rat_str, skew_transfer
-from .lie_core import check_generators, lambda_bracket
+from .formal_calc import DeltaSeries, DPoly, format_poly, rat, rat_str
+from .lie_core import check_generators, lambda_bracket, lambda_skew
 from .linalg import add_into, bilinear
 from .vacuum_module import State, VacuumModule
 from .vertex_lie import VLStructure
@@ -160,10 +160,9 @@ def p2_structure(structure: VLStructure, lam: Mapping[str, object] | None = None
     character contributes linear ideal generators  u - lam(u).
     """
     names = p2_generators(structure)
-    r = range(len(structure.basis))
-    # the (k, l) = (0, 0) terms f(y) Delta of the table, as structure constants
-    loop_terms = {(ia, ib): f for ia in r for ib in r
-                  for f, k, l in structure.table_terms(ia, ib) if k == l == 0}
+    # the underived lambda^0 terms, (k, l) = (0, 0), as structure constants
+    loop_terms = {pair: {i: c for ((i, k),), c in entry[0].coeffs.items() if not k}
+                  for pair, entry in structure._table.items() if 0 in entry}
 
     def project(vec) -> DPoly:
         z_part, _, up_part = structure.decompose_vector(vec)
@@ -251,7 +250,7 @@ def verify_p2_iso(
 
 
 # ---------------------------------------------------------------------------
-# Differential polynomial algebras with a delta-series bracket
+# Differential polynomial algebras with a lambda-bracket table
 # ---------------------------------------------------------------------------
 
 VPSeries = DeltaSeries  # over DPoly coefficients, written in y
@@ -260,47 +259,45 @@ VPSeries = DeltaSeries  # over DPoly coefficients, written in y
 class VPDiffAlgebra:
     """Polynomial differential algebra with a generator bracket table.
 
-    ``table[(i, j)]`` holds {u_i(x), u_j(y)} as a VPSeries in y-form; the
-    table must cover every ordered pair of base symbols (missing pairs are
-    zero).
+    ``table[(i, j)]`` holds {u_i lambda u_j} as {power of lambda: DPoly}, the
+    form ``lie_core.lambda_bracket`` reads: h (-lambda)^l is the term
+    h(y) Delta^(l) of {u_i(x), u_j(y)}.  Missing pairs are zero; zero
+    coefficients and entries are dropped.
     """
 
-    def __init__(self, names: Sequence[str], table: Mapping[tuple, VPSeries]):
+    def __init__(self, names: Sequence[str], table: Mapping[tuple, Mapping[int, DPoly]]):
         self.names = tuple(names)
 
         def pos(x):
             return self.names.index(x) if isinstance(x, str) else int(x)
 
-        series = {(pos(a), pos(b)): VPSeries(s) for (a, b), s in table.items()}
-        self.table: dict[tuple[int, int], VPSeries] = {key: s for key, s in series.items() if s}
-        self._lambda = {key: {l: -h if l % 2 else h for l, h in s.items()}
-                        for key, s in self.table.items()}
+        entries = {(pos(a), pos(b)): {p: h for p, h in sorted(entry.items()) if h}
+                   for (a, b), entry in table.items()}
+        self.table = {key: entry for key, entry in entries.items() if entry}
 
     def generator(self, name: str) -> DPoly:
         return DPoly.variable(self.names.index(name))
 
-    def base_bracket(self, i: int, j: int) -> VPSeries:
-        return self.table.get((i, j)) or VPSeries()
-
     def vp_bracket(self, f: DPoly, g: DPoly) -> VPSeries:
         """{f(x), g(y)} by ``lie_core.lambda_bracket``; h_l Delta^(l) is (-lambda)^l h_l."""
         return VPSeries([(l, -h if l % 2 else h)
-                         for l, h in lambda_bracket(self._lambda, f, g).items()])
+                         for l, h in lambda_bracket(self.table, f, g).items()])
 
     def mode_products(self, f: DPoly, g: DPoly) -> dict[int, DPoly]:
         """The family f_i g with {f(x),g(y)} = sum (1/i!)(f_i g)(y)Delta^(i)."""
         return {i: h.scale(factorial(i)) for i, h in self.vp_bracket(f, g).items()}
 
     def check_table_skew(self) -> list[str]:
-        """The finite identity {u_i(x), u_j(y)} = -{u_j(x), u_i(y)}|_{x<->y}
-        on every ordered pair: S_ij == skew_transfer(S_ji), exactly."""
-        r = range(len(self.names))
+        """The finite identity {u_i lambda u_j} = -{u_j_{-lambda-D} u_i} on every
+        ordered pair, exactly: ``lie_core.lambda_skew``."""
+        r, get = range(len(self.names)), self.table.get
         return [f"skew fails for ({self.names[i]},{self.names[j]})" for i in r for j in r
-                if self.base_bracket(i, j) != skew_transfer(self.base_bracket(j, i))]
+                if get((i, j), {}) != lambda_skew(get((j, i), {}))]
 
 
 def ultra_poisson(names: Sequence[str], sym_bracket: Mapping[tuple, Mapping[str, object]]) -> VPDiffAlgebra:
-    """Loop-space bracket of a Poisson algebra: {u_i(x), u_j(y)} = {u_i,u_j}(y) Delta.
+    """Loop-space bracket of a Poisson algebra: {u_i lambda u_j} = {u_i,u_j},
+    that is {u_i(x), u_j(y)} = {u_i,u_j}(y) Delta.
 
     ``sym_bracket[(a, b)]`` gives {u_a, u_b} as a coordinate map over the
     base symbols.
@@ -323,10 +320,11 @@ def ultra_poisson_of_lie(g) -> VPDiffAlgebra:
     return ultra_poisson(g.names, table)
 
 
-def constant_order_table(names: Sequence[str], matrix, order: int = 1) -> VPDiffAlgebra:
-    """{u_i(x), u_j(y)} = m_ij Delta^(order); the oscillator-type tables."""
+def constant_order_table(names: Sequence[str], matrix) -> VPDiffAlgebra:
+    """{u_i lambda u_j} = -m_ij lambda, that is {u_i(x), u_j(y)} = m_ij Delta^(1);
+    the oscillator-type tables."""
     return VPDiffAlgebra(names, {
-        (a, b): {order: DPoly.constant(rat(matrix[i][j]))}
+        (a, b): {1: DPoly.constant(-rat(matrix[i][j]))}
         for i, a in enumerate(names) for j, b in enumerate(names)
     })
 

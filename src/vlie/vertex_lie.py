@@ -8,8 +8,9 @@ encoding
 
     [u_a(x), u_b(y)] = sum_i  f_i^{(k_i)}(y) Delta^(l_i)(x, y).
 
-The constructor stores each table entry as a ``DeltaSeries`` over linear
-``DPoly`` coefficients: the term (f, k, l) is the order-l coefficient D^k f.
+The constructor stores each table entry as the lambda-bracket
+[u_a lambda u_b] = {power of lambda: linear DPoly}, the form that
+``lie_core.lambda_bracket`` reads: the term (f, k, l) is (-lambda)^l D^k f.
 
 Modes u(n) are reduced modulo (du)(m) = -m u(m-1), so canonical mode
 coordinates live on a complement basis: ker-d vectors frozen at mode -1
@@ -27,9 +28,9 @@ from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from math import comb, lcm
 
-from .formal_calc import DeltaSeries, DPoly, falling, format_terms
+from .formal_calc import DPoly, falling, format_terms
 from .lie_core import (BilinearForm, FiniteLieAlgebra, _collect, _normalize_table, _shift,
-                       _wrap, check_invariance, lambda_bracket)
+                       _wrap, check_invariance, lambda_bracket, lambda_skew)
 from .linalg import Echelon, add_into, bilinear, clean, inverse_rows, narrow, nullspace
 
 Vector = dict[int, int | Fraction]  # sparse coordinates over the base-space basis
@@ -40,7 +41,6 @@ Vector = dict[int, int | Fraction]  # sparse coordinates over the base-space bas
 # the same symbols.
 Symbol = tuple[int, int, int]
 Modes = dict[Symbol, int | Fraction]
-_NO_TERMS = DeltaSeries()  # the entry of a pair missing from a bracket table
 
 
 def _unit_index(vec: Vector) -> int | None:
@@ -107,15 +107,18 @@ class VLStructure:
             img = (d_matrix or {}).get(n, {})
             self.d_map[self.index[n]] = clean({self.index[m]: c for m, c in img.items()})
 
-        self._table: dict[tuple[int, int], DeltaSeries] = {}
+        # [u_a lambda u_b] by ascending powers of lambda, no zero stored
+        self._table: dict[tuple[int, int], dict[int, DPoly]] = {}
         for (a, b), terms in table.items():
-            coeffs = []
+            entry: dict[int, dict] = {}
             for f, k, l in terms:
                 k, l = int(k), int(l)
                 if k < 0 or l < 0:
                     raise ValueError("derivative and delta orders are nonnegative")
-                coeffs.append((l, DPoly({((self.index[m], k),): c for m, c in dict(f).items()})))
-            self._table[(self.index[a], self.index[b])] = DeltaSeries(coeffs)
+                add_into(entry.setdefault(l, {}), clean(
+                    {((self.index[m], k),): c for m, c in dict(f).items()}), -1 if l % 2 else 1)
+            self._table[(self.index[a], self.index[b])] = {
+                l: _wrap(entry[l]) for l in sorted(entry) if entry[l]}
 
         self._setup_complements()
         self._normal = self._normal_forms()
@@ -235,9 +238,9 @@ class VLStructure:
     def _graded_check(self):
         if self.degrees is None:
             return
-        for (ia, ib), series in self._table.items():
+        for (ia, ib), entry in self._table.items():
             want = self.degrees[ia] + self.degrees[ib]
-            for l, h in series.items():
+            for l, h in entry.items():
                 for ((i, k),) in h.coeffs:
                     if self.degrees[i] != want - k - l - 1:
                         raise ValueError(
@@ -307,24 +310,13 @@ class VLStructure:
 
     # -- brackets ---------------------------------------------------------------
 
-    def table_series(self, ia: int, ib: int) -> DeltaSeries:
-        """[u_a(x), u_b(y)] as the series {l: D^k f}; callers must not mutate it."""
-        return self._table.get((ia, ib), _NO_TERMS)
-
-    def table_terms(self, ia: int, ib: int) -> tuple:
-        """The table entry as terms (f, k, l), f a vector, by ascending (l, k)."""
-        by_lk: dict[tuple[int, int], Vector] = {}
-        for l, h in self.table_series(ia, ib).items():
-            for ((i, k),), c in h.coeffs.items():
-                by_lk.setdefault((l, k), {})[i] = c
-        return tuple((f, k, l) for (l, k), f in sorted(by_lk.items()))
-
     def component_bracket(self, a, m: int, b, n: int) -> Modes:
         """[u_a(m), u_b(n)] reduced to canonical modes.
 
         Per table term (f, k, l) the component is
         binom(m,l) binom(m+n-l,k) (-1)^{l+k} l! k! f(m+n-l-k), each
-        binom(x,j) j! being the falling factorial x(x-1)..(x-j+1).
+        binom(x,j) j! being the falling factorial x(x-1)..(x-j+1); the
+        coefficient of lambda^l already holds the (-1)^l.
         The returned dict is the one held in the bracket cache, so callers
         must not mutate it.
         """
@@ -337,7 +329,7 @@ class VLStructure:
         if cached is not None:
             return cached
         out: Modes = {}
-        for l, h in self.table_series(ia, ib).items():
+        for l, h in self._table.get((ia, ib), {}).items():
             cl = falling(m, l)
             if not cl:
                 continue
@@ -347,7 +339,7 @@ class VLStructure:
                     # the integer weight first: one product with c, which
                     # may be a Fraction
                     add_into(out, self._basis_mode(i, m + n - l - k),
-                             c * (-cl * ck if (l + k) % 2 else cl * ck))
+                             c * (-cl * ck if k % 2 else cl * ck))
         self._bracket_cache[key] = out
         return out
 
@@ -417,7 +409,7 @@ class VLStructure:
         """D, the lcm of the denominators of the table coefficients, the
         normal-form coefficients and the U0'/U' vectors; computed on first
         use."""
-        values = [c for series in self._table.values() for _, h in series.items()
+        values = [c for entry in self._table.values() for h in entry.values()
                   for c in h.coeffs.values()]
         values += [c for form in self._normal if form for c in form.values()]
         values += [c for v in self.u0_prime_vectors + self.u_prime_vectors for c in v.values()]
@@ -564,9 +556,9 @@ class _Certificate:
     An element of M = C[D] (x) U' (+) U0', where D u = d(u) and D z = 0 on
     U0', is a linear ``DPoly`` whose variable (v, t) is D^t of the v-th
     canonical generator, U0' first; a lambda-bracket is {power of lambda:
-    DPoly}, and a table term (f, k, l) is (-lambda)^l D^k f in [a_lambda b].
-    By Kac, "Vertex Algebras for Beginners" (1998), the window checks pass at
-    every mode exactly when [a_lambda b] = -[b_{-lambda-D} a] on the basis
+    DPoly}, as in the structure's table.  By Kac, "Vertex Algebras for
+    Beginners" (1998), the window checks pass at every mode exactly when
+    [a_lambda b] = -[b_{-lambda-D} a] (``lie_core.lambda_skew``) on the basis
     pairs and [a_lambda [b_mu c]] - [b_mu [a_lambda c]] = [[a_lambda b]_{lambda+mu} c]
     on the sorted basis triples, provided the U0' vectors are central: D z = 0
     forces lambda [z_lambda b] = 0, and a kernel vector lives at mode -1 only.
@@ -581,10 +573,10 @@ class _Certificate:
         self.normal = [_wrap({((idx + n0 if cls else idx, t),): c
                               for (cls, idx, t), c in form.items()}) for form in s._normal]
         # [u_i lambda u_j] read off the table, {} for a missing pair
-        self.raw = defaultdict(dict, {pair: self.collect(
-            (l, _wrap({((v, t + k),): x for ((v, t),), x in self.normal[i].coeffs.items()}),
-             -c if l % 2 else c) for l, h in series.items() for ((i, k),), c in h.coeffs.items())
-            for pair, series in s._table.items()})
+        self.raw = defaultdict(dict, {pair: self.reduce(_collect(
+            (l, _wrap({((v, t + k),): x for ((v, t),), x in self.normal[i].coeffs.items()}), c)
+            for l, h in entry.items() for ((i, k),), c in h.coeffs.items()))
+            for pair, entry in s._table.items()})
         # [g_v lambda g_w] for the canonical generators: the raw entry on two basis vectors
         units, vectors = sum(s._symbol_units, ()), s.u0_prime_vectors + s.u_prime_vectors
         self.generators = generators = {
@@ -597,13 +589,13 @@ class _Certificate:
             (p, m, c) for p, h in lambda_bracket(generators, x, y).items()
             for m, c in h.coeffs.items() if not (n0 and any(t and v < n0 for v, t in m))])
 
-    def collect(self, terms: Iterable[tuple]) -> dict[int, DPoly]:
-        """``lie_core._collect`` in M, where D z = 0 drops derivatives of U0' variables."""
-        n0, out = self.n0, _collect(terms)
+    def reduce(self, bracket: dict[int, DPoly]) -> dict[int, DPoly]:
+        """A lambda-bracket read in M, where D z = 0 drops derivatives of U0' variables."""
+        n0 = self.n0
         if not n0:
-            return out
+            return bracket
         kept = {p: {m: c for m, c in h.coeffs.items() if not any(t and v < n0 for v, t in m)}
-                for p, h in out.items()}
+                for p, h in bracket.items()}
         return {p: _wrap(h) for p, h in kept.items() if h}
 
     def jacobi(self, a: int, b: int, c: int) -> dict:
@@ -623,15 +615,13 @@ class _Certificate:
              + [(l + 1, h, 1) for l, h in raw[u, b].items()]),
             ((b, u), [(p, h, c) for j, c in image.items() for p, h in raw[b, j].items()]
              + [(l + q, x, -c) for l, h in raw[b, u].items() for q, x, c in _shift(h, 1)]))
-            if self.collect(terms)]
+            if self.reduce(_collect(terms))]
 
     def problems(self) -> list[str]:
         s, r, gen = self.s, range(len(self.s.basis)), self.generators
         names = s.u0_prime_names + s.u_prime_names
         problems = [f"skew fails for ({s.basis[i]},{s.basis[j]})" for i in r for j in r[i:]
-                    if self.raw[i, j] != self.collect(
-                        (q, y, c) for p, h in self.raw[j, i].items()
-                        for q, y, c in _shift(h, p, 1 if p % 2 else -1))]
+                    if self.raw[i, j] != self.reduce(lambda_skew(self.raw[j, i]))]
         problems += [f"kernel vector {names[z]} is not central" for z in range(self.n0)
                      if any(gen[z, g] or gen[g, z] for g in range(len(names)))]
         for u, image in s.d_map.items():

@@ -9,6 +9,7 @@ import pytest
 
 from vlie import lattice_c2
 from vlie.cli import main
+from vlie.config import ConfigError, exact
 
 
 DATA = Path(__file__).parent / "data"
@@ -259,6 +260,48 @@ class TestErrorPaths:
             code, _, err = run(capsys, "lattice", action, "--gram", "[[2,2],[2,2]]")
             assert code == 2
             assert "degenerate" in err
+
+    @pytest.mark.parametrize("matrix, message", [
+        ("[[1,2],[3]]", "--heis-matrix must be a nonempty square matrix"),  # was an IndexError
+        ("[1,2]", "--heis-matrix must be a nonempty square matrix"),        # was a TypeError
+        ('[["a"]]', "Invalid literal for Fraction: 'a'"),                    # was exit 1
+        ("[]", "--heis-matrix must be a nonempty square matrix"),  # exit 1, or an empty algebra
+    ])
+    def test_malformed_heis_matrix_exits_2(self, capsys, matrix, message):
+        for command in ("vp-check", "pvpa"):
+            code, out, err = run(capsys, command, "--heis-matrix", matrix)
+            assert (code, out) == (2, "")
+            assert err == f"config error: {message}\n"
+
+    @pytest.mark.parametrize("argv, value", [
+        # printed omega(-2)1 and exited 0
+        (("act", "--builder", "virasoro", "--lambda", "c=1/2", "--mode", "omega:-2",
+          "--state", "[[[],true]]"), "True"),
+        # passed as the matrix [[1]]
+        (("vp-check", "--heis-matrix", "[[true]]"), "True"),
+        (("pvpa", "--heis-matrix", "[[1,false],[0,1]]"), "False"),
+    ])
+    def test_boolean_is_not_a_number(self, capsys, argv, value):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert err.endswith(f"a boolean is not a number: {value}\n")
+
+    def test_boolean_in_a_config_file_exits_2(self, tmp_path, capsys):
+        config = {"vertex_lie": {
+            "basis": [{"name": "omega", "degree": 2}], "d": {"domain": []},
+            "brackets": [{"a": "omega", "b": "omega",
+                          "terms": [{"f": [["omega", True]], "k": 1, "l": 0}]}]}}
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps(config))
+        code, out, err = run(capsys, "bracket", "--builder", "config", "--config", str(path),
+                             "--a", "omega", "--m", "0", "--b", "omega", "--n", "0")
+        assert (code, out) == (2, "")
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert err.endswith("a boolean is not a number: True\n")
+        assert exact(1) == 1 and exact("-1/2") == Fraction(-1, 2)
+        with pytest.raises(ConfigError, match="a boolean is not a number: False"):
+            exact(False)
 
 
 class TestConfigFile:

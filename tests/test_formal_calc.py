@@ -18,9 +18,37 @@ from vlie.formal_calc import (
     mul_power_diff,
     render,
     series_add,
-    skew_transfer,
     swap_side,
 )
+
+
+# The delta-series skew route and d/dy, which the lambda-bracket engine and
+# ``lie_core.lambda_skew`` replaced in the package; kept here as oracles,
+# checked against windows below, for the tests of the vertex Poisson and
+# vertex Lie brackets.
+
+def dy(series):
+    """d/dy: Delta^(k) becomes -Delta^(k+1), since (d/dx + d/dy) Delta = 0;
+    y-coefficients are differentiated too."""
+    terms = [(k + 1, v.scale(-1)) for k, v in series.items()]
+    if series.side == COEFF_IN_Y:
+        terms += [(k, v.derivative(1)) for k, v in series.items()]
+    return DeltaSeries(terms, series.side)
+
+
+def exchange(series):
+    """-S(y, x) for the series S, each coefficient left in the variable it
+    moved to: exchanging x and y turns Delta^(k) into (-1)^k Delta^(k).  A
+    ``DPoly`` names no variable, so only a Laurent coefficient is renamed."""
+    side = COEFF_IN_X if series.side == COEFF_IN_Y else COEFF_IN_Y
+    return DeltaSeries([(k, (c.rename(side) if hasattr(c, "var") else c).scale(1 if k % 2 else -1))
+                        for k, c in series.items()], side)
+
+
+def skew_transfer(series):
+    """-S(y, x) for the series S, back on S's own side: the skew-symmetry
+    partner of a bracket, {b(x), a(y)} from {a(x), b(y)}."""
+    return swap_side(exchange(series))
 
 
 def ypoly(coeffs):
@@ -246,10 +274,10 @@ class TestSeriesType:
         base = BiSeriesWindow.square(8)
         for _ in range(10):
             s = random_series(rng, max_order=3, exp_range=2, side=side)
-            win, dy = render(s, base), render(s.dy(), base)
+            win, dy_win = render(s, base), render(dy(s), base)
             for a in range(base.x_lo, base.x_hi):
                 for b in range(base.y_lo, base.y_hi):
-                    assert dy.get(a, b) == (b + 1) * win.get(a, b + 1)
+                    assert dy_win.get(a, b) == (b + 1) * win.get(a, b + 1)
 
     @pytest.mark.parametrize("side", [COEFF_IN_Y, COEFF_IN_X])
     def test_skew_transfer_is_the_negated_transpose(self, side):

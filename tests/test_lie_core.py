@@ -4,18 +4,21 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vlie.formal_calc import DPoly, format_poly
+from vlie.formal_calc import DeltaSeries, DPoly, format_poly
 from vlie.lie_core import (
     BilinearForm,
     FiniteLieAlgebra,
     check_invariance,
     check_lie_axioms,
     lambda_bracket,
+    lambda_skew,
     sl2,
     sl2_form,
     sym_poisson,
 )
 from vlie.linalg import det
+
+from test_formal_calc import skew_transfer
 
 
 def heis3() -> FiniteLieAlgebra:
@@ -178,6 +181,12 @@ TABLES = st.dictionaries(st.sampled_from([(0, 0), (0, 1), (1, 0), (1, 1)]),
                          max_size=4)
 
 
+def flip_odd(x):
+    """{l: (-1)^l x_l}: h (-lambda)^l <-> h Delta^(l), the map between a
+    lambda-bracket and its delta series {f(x), g(y)}, in either direction."""
+    return {l: -h if l % 2 else h for l, h in x.items()}
+
+
 def lam_add(x, y, scale=1):
     """x + scale * y for lambda-polynomials {power: DPoly}, no zero stored."""
     out = dict(x)
@@ -253,6 +262,15 @@ class TestLambdaBracketProperties:
         want = oracle_biderivation(table, f, g)
         assert lambda_bracket({pair: {0: h} for pair, h in table.items()}, f, g) == (
             {0: want} if want else {})
+
+    @PROPERTY_SETTINGS
+    @given(st.dictionaries(st.integers(0, 3), NONZERO, max_size=3))
+    def test_lambda_skew_is_the_delta_series_skew_transfer(self, x):
+        # nonlinear coefficients, derivative variables, and entries that are
+        # not skew themselves
+        assert lambda_skew(x) == flip_odd(skew_transfer(DeltaSeries(flip_odd(x))))
+        assert lambda_skew(x) == skew_partner(x)
+        assert lambda_skew(lambda_skew(x)) == x
 
     def test_zero_entries_and_unknown_pairs(self):
         u, v = DPoly.variable(0), DPoly.variable(1, 2)

@@ -19,7 +19,6 @@ from vlie.formal_calc import (
     decompose,
     mul_power_diff,
     render,
-    skew_transfer,
     swap_side,
 )
 from vlie.lie_core import BilinearForm, check_invariance, check_lie_axioms
@@ -36,6 +35,7 @@ from vlie.linalg import (
 )
 from vlie.vertex_lie import CommAlgebra
 
+from test_formal_calc import skew_transfer
 from test_poisson_c2 import mode_window
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=60, deadline=None)

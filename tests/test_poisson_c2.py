@@ -24,19 +24,29 @@ from vlie.formal_calc import (
     BiSeriesWindow,
     DeltaSeries,
     LaurentPoly,
-    exchange,
     expand,
     falling,
     render,
     series_add as vps_add,
-    skew_transfer as vps_skew_transfer,
     swap_side,
 )
 from vlie.linalg import add_into
 from vlie.vacuum_module import VacuumModule
 from vlie.vertex_lie import VLStructure, affine, heisenberg, loop, virasoro
 
-from test_lie_core import DPOLYS, NONZERO, heis3, oracle_biderivation, random_sympoly
+from test_formal_calc import dy, exchange, skew_transfer as vps_skew_transfer
+from test_lie_core import (DPOLYS, NONZERO, flip_odd, heis3, oracle_biderivation,
+                           random_sympoly, skew_tables)
+
+
+def delta_series(vp, i, j) -> DeltaSeries:
+    """{u_i(x), u_j(y)} as a series, from the table's lambda-bracket."""
+    return DeltaSeries(flip_odd(vp.table.get((i, j), {})))
+
+
+def from_delta(names, table) -> VPDiffAlgebra:
+    """The algebra whose {u_i(x), u_j(y)} are the given delta series {l: DPoly}."""
+    return VPDiffAlgebra(names, {pair: flip_odd(series) for pair, series in table.items()})
 
 
 def mode_window(series, radius: int) -> dict:
@@ -375,9 +385,9 @@ def _oracle_vp_bracket(vp, f, g):
     def var_var(vi, vj):
         (i, s), (j, t) = vi, vj
         # d/dx raises every order, since the coefficients sit in y
-        series = DeltaSeries({k + s: c for k, c in vp.base_bracket(i, j).items()})
+        series = DeltaSeries({k + s: c for k, c in delta_series(vp, i, j).items()})
         for _ in range(t):
-            series = series.dy()
+            series = dy(series)
         return series
 
     def var_poly(v, g):
@@ -419,17 +429,17 @@ def _delta_master_formula(vp, f, g):
     for (i, m), pf in f.partials().items():
         powers = [DeltaSeries({0: pf})]  # dy^r(pf Delta), r = 0, 1, ...
         for j, parts in by_j.items():
-            h = vp.table.get((i, j))
+            h = delta_series(vp, i, j)
             if not h:
                 continue
             while len(powers) <= max(h) + m:
-                powers.append(powers[-1].dy())
+                powers.append(dy(powers[-1]))
             inner = DeltaSeries([(k, hl * c if (l + m) % 2 == 0 else -(hl * c))
                                  for l, hl in h.items() for k, c in powers[l + m].items()])
             derived = [inner]  # dy^n(inner), n = 0, 1, ...
             for n, pg in parts:
                 while len(derived) <= n:
-                    derived.append(derived[-1].dy())
+                    derived.append(dy(derived[-1]))
                 terms += [(k, c * pg) for k, c in derived[n].items()]
     return DeltaSeries(terms)
 
@@ -437,7 +447,7 @@ def _delta_master_formula(vp, f, g):
 def _first_slot_table():
     """A table that is not skew, with derivative and product coefficients."""
     u1, u2 = DPoly.variable(0), DPoly.variable(1)
-    return VPDiffAlgebra(("u1", "u2"), {
+    return from_delta(("u1", "u2"), {
         ("u1", "u1"): {2: DPoly.constant(1)},
         ("u1", "u2"): {0: DPoly.variable(0, 1), 1: u2},
         ("u2", "u1"): {0: (u1 * u2).scale(3)},
@@ -459,12 +469,12 @@ def _random_dpoly(rng, n):
 def _square_table(c):
     """{u(x), u(y)} = w'(y)Delta + c w(y)Delta^(1) with w = u*u; skew for c = -2."""
     w = DPoly.variable(0) * DPoly.variable(0)
-    return VPDiffAlgebra(("u",), {("u", "u"): {0: w.derivative(), 1: w.scale(c)}})
+    return from_delta(("u",), {("u", "u"): {0: w.derivative(), 1: w.scale(c)}})
 
 
 def _virasoro_table(c=-2):
     """{L(x), L(y)} = L'(y)Delta + c L(y)Delta^(1) - Delta^(3); skew for c = -2."""
-    return VPDiffAlgebra(("L",), {("L", "L"): {
+    return from_delta(("L",), {("L", "L"): {
         0: DPoly.variable(0, 1), 1: DPoly.variable(0, 0, c), 3: DPoly.constant(-1)}})
 
 
@@ -565,8 +575,8 @@ def _skew_on_fields(vp, fields, radius=9):
 
     r = range(len(vp.names))
     return [f"skew fails for ({vp.names[i]},{vp.names[j]})" for i in r for j in r
-            if not render(laurent(vp.base_bracket(i, j)), window).equal_on_overlap(
-                render(exchange(laurent(vp.base_bracket(j, i))), window))]
+            if not render(laurent(delta_series(vp, i, j)), window).equal_on_overlap(
+                render(exchange(laurent(delta_series(vp, j, i))), window))]
 
 
 class TestSkewAndConfluence:
@@ -586,13 +596,22 @@ class TestSkewAndConfluence:
         # needs (DL)(p) = -p L(p-1), and the sign-flipped table is not skew
         for c, skew in ((-2, True), (2, False)):
             table = {("L", "L"): {0: DPoly.variable(0, 1), 1: DPoly.variable(0, 0, c)}}
-            assert (VPDiffAlgebra(("L",), table).check_table_skew() == []) == skew
+            assert (from_delta(("L",), table).check_table_skew() == []) == skew
 
     def test_nonlinear_coefficient_skew(self):
         # a mode window reads the product w = u*u as an opaque symbol and
         # rejected the skew table too
         assert _square_table(-2).check_table_skew() == []
         assert _square_table(2).check_table_skew() == ["skew fails for (u,u)"]
+
+    @settings(derandomize=True, database=None, max_examples=80, deadline=None)
+    @given(st.one_of(random_vp_tables(), skew_tables().map(lambda t: VPDiffAlgebra(("a", "b"), t))))
+    def test_verdicts_match_delta_series_skew_transfer(self, vp):
+        # the check this replaced: S_ij == skew_transfer(S_ji) on the series
+        r = range(len(vp.names))
+        want = [f"skew fails for ({vp.names[i]},{vp.names[j]})" for i in r for j in r
+                if delta_series(vp, i, j) != vps_skew_transfer(delta_series(vp, j, i))]
+        assert vp.check_table_skew() == want
 
     @pytest.mark.parametrize("name", [*SKEW_TABLES, "square+2", "virasoro+2", "asymmetric"])
     def test_skew_verdicts_match_laurent_substitution(self, name):

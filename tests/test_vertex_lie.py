@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vlie.config import build_structure, load_config_file, vertex_lie_from_config
-from vlie.formal_calc import DeltaSeries, DPoly, expand, format_terms, gen_binomial, skew_transfer
+from vlie.formal_calc import DeltaSeries, DPoly, expand, format_terms, gen_binomial
 from vlie.lie_core import BilinearForm, FiniteLieAlgebra, sl2, sl2_form
 from vlie.linalg import add_into, clean
 from vlie.vacuum_module import VacuumModule
@@ -31,7 +31,22 @@ from vlie.vertex_lie import (
     witt,
 )
 
-from test_lie_core import heis3
+from test_formal_calc import skew_transfer
+from test_lie_core import flip_odd, heis3
+
+
+def table_series(structure: VLStructure, ia: int, ib: int) -> DeltaSeries:
+    """[u_a(x), u_b(y)] as the series {l: D^k f}, from the table's lambda-bracket."""
+    return DeltaSeries(flip_odd(structure._table.get((ia, ib), {})))
+
+
+def table_terms(structure: VLStructure, ia: int, ib: int) -> tuple:
+    """The table entry as terms (f, k, l), f a vector, by ascending (l, k)."""
+    by_lk: dict = {}
+    for l, h in table_series(structure, ia, ib).items():
+        for ((i, k),), c in h.coeffs.items():
+            by_lk.setdefault((l, k), {})[i] = c
+    return tuple((f, k, l) for (l, k), f in sorted(by_lk.items()))
 
 
 class BracketSeries:
@@ -45,7 +60,9 @@ class BracketSeries:
     def __init__(self, structure: VLStructure, a: str, b: str):
         self.structure = structure
         self.a, self.b = a, b
-        self.series = structure.table_series(structure.index[a], structure.index[b])
+        self.terms = table_terms(structure, structure.index[a], structure.index[b])
+        self.series = DeltaSeries([(l, DPoly({((i, k),): c for i, c in fv.items()}))
+                                   for fv, k, l in self.terms])
 
     def coefficient(self, m: int, n: int) -> dict:
         """Coefficient of x^{-m-1} y^{-n-1}, via raw series expansion."""
@@ -67,7 +84,7 @@ class BracketSeries:
     def __repr__(self):
         st = self.structure
         bits = []
-        for fv, k, l in st.table_terms(st.index[self.a], st.index[self.b]):
+        for fv, k, l in self.terms:
             poly = format_terms((st.basis[i], c) for i, c in sorted(fv.items()))
             fname = f"({poly})" if (len(fv) > 1 or k == 0) else poly
             deriv = "" if k == 0 else ("'" if k == 1 else f"^({k})")
@@ -192,7 +209,7 @@ def _rebuilt(s):
         d_matrix={names[i]: {names[j]: c for j, c in v.items()} for i, v in s.d_map.items()},
         table={
             (names[a], names[b]): [({names[i]: c for i, c in fv.items()}, k, l)
-                                   for fv, k, l in s.table_terms(a, b)]
+                                   for fv, k, l in table_terms(s, a, b)]
             for a in range(r) for b in range(r)
         },
     )
@@ -863,7 +880,7 @@ def _presentation(s, depth):
     for a, ta in elements:
         for b, tb in elements:
             terms = []
-            for fv, k, l in s.table_terms(s.index[a], s.index[b]):
+            for fv, k, l in table_terms(s, s.index[a], s.index[b]):
                 f = {s.basis[i]: c for i, c in fv.items()}
                 for u in range(tb + 1):
                     weight = math.comb(tb, u) * (-1) ** (tb - u)
@@ -883,7 +900,7 @@ def _with_term(s, a, b, term):
     """A new structure: s with one more term on the pair (a, b)."""
     names = s.basis
     table = {(names[i], names[j]): [({names[q]: c for q, c in fv.items()}, k, l)
-                                    for fv, k, l in s.table_terms(i, j)]
+                                    for fv, k, l in table_terms(s, i, j)]
              for i in range(len(names)) for j in range(len(names))}
     table[(a, b)] = table[(a, b)] + [term]
     return VLStructure(
@@ -1141,8 +1158,8 @@ class OracleCertificate:
         self.s = structure
         self._generator = {}
         # [u_i lambda u_j] read off the table, {} for a missing pair
-        self.raw = defaultdict(dict, {pair: self.series(series, lam=True)
-                                      for pair, series in structure._table.items()})
+        self.raw = defaultdict(dict, {pair: self.series(table_series(structure, *pair), lam=True)
+                                      for pair in structure._table})
 
     def series(self, series, lam=False):
         """{(l, *key): c}: the orders of a table series in M; with ``lam``,
@@ -1197,8 +1214,8 @@ class OracleCertificate:
     def problems(self):
         s, r = self.s, range(len(self.s.basis))
         problems = [f"skew fails for ({s.basis[i]},{s.basis[j]})" for i in r for j in r[i:]
-                    if self.series(s.table_series(i, j))
-                    != self.series(skew_transfer(s.table_series(j, i)))]
+                    if self.series(table_series(s, i, j))
+                    != self.series(skew_transfer(table_series(s, j, i)))]
         gens = ([(0, j) for j in range(len(s.u0_prime_vectors))]
                 + [(1, j) for j in range(len(s.u_prime_vectors))])
         problems += [f"kernel vector {s.u0_prime_names[z[1]]} is not central"
@@ -1276,8 +1293,8 @@ class TestCertificateOracle:
 
 
 class TestSeriesTable:
-    """Each table entry is one DeltaSeries over linear DPoly coefficients, in
-    which the term (f, k, l) is the order-l coefficient D^k f."""
+    """Each table entry is one lambda-bracket over linear DPoly coefficients,
+    in which the term (f, k, l) is (-lambda)^l D^k f, by ascending powers."""
 
     @pytest.mark.parametrize("name", JACOBI_STRUCTURES)
     def test_coefficient_extraction_matches_component_bracket(self, name):
@@ -1295,21 +1312,28 @@ class TestSeriesTable:
 
     def test_entry_is_a_series_of_derivatives(self):
         s = witt()
-        assert s.table_series(0, 0) == DeltaSeries(
-            {0: DPoly.variable(0, 1), 1: DPoly.variable(0, 0, -2)})
-        assert s.table_terms(0, 0) == (({0: 1}, 1, 0), ({0: -2}, 0, 1))
+        assert s._table[(0, 0)] == {0: DPoly.variable(0, 1), 1: DPoly.variable(0, 0, 2)}
+        assert table_terms(s, 0, 0) == (({0: 1}, 1, 0), ({0: -2}, 0, 1))
+        assert list(virasoro()._table[(0, 0)]) == [0, 1, 3]
 
     def test_terms_on_one_order_are_merged(self):
         s = _jacobi_structure("kernel-brackets")
         a, b = s.index["a"], s.index["b"]
-        assert list(s.table_series(a, b)) == [0]
-        assert s.table_terms(a, b) == (({a: 1}, 0, 0), ({b: Fraction(1, 2)}, 1, 0))
+        assert list(s._table[(a, b)]) == [0]
+        assert table_terms(s, a, b) == (({a: 1}, 0, 0), ({b: Fraction(1, 2)}, 1, 0))
+        # powers ascend whatever order the terms come in
+        s = VLStructure(("u",), None, (), None,
+                        {("u", "u"): [({"u": 1}, 0, 3), ({"u": 2}, 1, 0), ({"u": 5}, 0, 1)]})
+        assert s._table[(0, 0)] == {0: DPoly.variable(0, 1, 2), 1: DPoly.variable(0, 0, -5),
+                                    3: DPoly.variable(0, 0, -1)}
+        assert list(s._table[(0, 0)]) == [0, 1, 3]
 
     def test_zero_terms_are_dropped(self):
         s = affine(sl2(), sl2_form())
         e, h = s.index["e"], s.index["h"]
-        assert s.table_terms(e, e) == ()
-        assert list(s.table_series(e, h)) == [0]
+        assert table_terms(s, e, e) == ()
+        assert s._table[(e, e)] == {}
+        assert list(s._table[(e, h)]) == [0]
 
     def test_repr_prints_coefficients_like_format_terms(self):
         assert repr(BracketSeries(loop(sl2()), "f", "e")) == "(-h)(y)*Delta"
