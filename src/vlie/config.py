@@ -149,7 +149,14 @@ def parse_gram(text: str):
 
 
 def parse_lattice(text: str) -> EvenLattice:
+    """An even lattice from a Gram matrix whose entries are JSON integers,
+    never a boolean or a string.  ``parse_gram`` leaves the entries alone,
+    as ``--heis-matrix`` also takes fraction strings."""
     gram = parse_gram(text)
+    for row in gram:
+        for x in row if isinstance(row, list) else ():
+            if x.__class__ is not int:
+                raise ConfigError(f"bad Gram matrix: entry {x!r} is not an integer")
     try:
         lattice = EvenLattice(gram)
     except (TypeError, ValueError) as exc:

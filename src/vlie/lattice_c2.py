@@ -28,6 +28,8 @@ class EvenLattice:
     """Integer lattice given by a symmetric Gram matrix with even diagonal."""
 
     def __init__(self, gram):
+        if any(isinstance(x, bool) for row in gram for x in row):
+            raise ValueError("Gram matrix entries must be integers, not booleans")
         self.gram = tuple(tuple(int(x) for x in row) for row in gram)
         r = len(self.gram)
         if not r:
@@ -374,6 +376,7 @@ class PLAlgebra:
             self.c2 = []
             self.sectors = {}
             self.basis: list[tuple] = []
+            self.index: dict[tuple, int] = {}
             self.eps = None
             return
         self.c2 = enumerate_c2(lattice)
@@ -417,6 +420,7 @@ class PLAlgebra:
                     self._divisor.setdefault(i, (z, m))
         self._mult_table: dict | None = None
         self._bracket_table: dict | None = None
+        self._sector_rules: dict[tuple[Vec, Vec], tuple | None] = {}
 
     @property
     def dim(self) -> int:
@@ -440,6 +444,16 @@ class PLAlgebra:
         return {((), (0,) * self.lattice.rank): 1}
 
     def reduce(self, element: Mapping) -> dict:
+        """Normal form of an element: each sector reduced by its power ideal.
+
+        A combination of basis keys is returned cleaned, as it is.  Each
+        sector's basis keys are the standard monomials of its reducer, the
+        monomials of degree at most ``max_degree`` that are no pivot of the
+        echelon, and ``Echelon.reduce`` leaves a vector without pivot keys
+        unchanged; so such a combination is its own normal form.
+        """
+        if element.keys() <= self.index.keys():
+            return clean(element)
         out: dict = {}
         by_sector: dict[tuple, dict] = {}
         for (sector, mono), c in element.items():
@@ -452,30 +466,49 @@ class PLAlgebra:
 
     # -- multiplication ----------------------------------------------------------
 
+    def _sector_rule(self, alpha: Vec, beta: Vec) -> tuple | None:
+        """X_alpha X_beta = eps(alpha, beta)/n! (alpha.Z)^n X_(alpha+beta),
+        n = -<alpha, beta>, as (target sector, (alpha.Z)^n, eps(alpha,
+        beta)/n!); None when alpha + beta is no survivor, as the product of
+        the classes falls out of the survivor set.  The rule depends on the
+        order of the pair, and is memoized per ordered pair on first use."""
+        rule = self._sector_rules.get((alpha, beta), False)
+        if rule is False:
+            target = tuple(map(operator.add, alpha, beta))
+            if any(target) and target not in self.sectors:
+                rule = None
+            else:
+                n = -self.lattice.pair(alpha, beta)
+                rule = (target if any(target) else (),
+                        power_of_linear(self.lattice.rank, alpha, n),
+                        Fraction(self.eps.value(alpha, beta), math.factorial(n)))
+            self._sector_rules[(alpha, beta)] = rule
+        return rule
+
     def multiply(self, a: Mapping, b: Mapping) -> dict:
+        """The product of two elements, reduced.
+
+        Two X classes multiply by the rule of their ordered pair of sectors
+        (``_sector_rule``), shifted by the product of the monomials.  When
+        every term lands on a basis key the sum is a combination of standard
+        monomials, its own normal form, and ``reduce`` returns it cleaned.
+        """
         if self.zero_algebra:
             return {}
         out: dict = {}
+        rule = self._sector_rule
         for (s1, m1), c1 in a.items():
             for (s2, m2), c2 in b.items():
                 c = c1 * c2
-                m = tuple(x + y for x, y in zip(m1, m2))
+                m = tuple(map(operator.add, m1, m2))
                 if s1 == () or s2 == ():
                     add_into(out, {(s2 if s1 == () else s1, m): c})
                     continue
-                alpha, beta = s1, s2
-                target = tuple(x + y for x, y in zip(alpha, beta))
-                if tuple(target) not in self.sectors and any(target):
-                    continue  # product of classes falls out of the survivor set
-                pairing = self.lattice.pair(alpha, beta)
-                n = -pairing
-                fact = math.factorial(n)
-                sign = self.eps.value(alpha, beta)
-                power = power_of_linear(self.lattice.rank, alpha, n)
-                sector = target if any(target) else ()
-                add_into(out, {(sector, tuple(x + y for x, y in zip(m, pm))): pc
-                               for pm, pc in power.items()},
-                         c * Fraction(sign, fact))
+                found = rule(s1, s2)
+                if found is not None:
+                    sector, power, scale = found
+                    add_into(out, {(sector, tuple(map(operator.add, m, pm))): pc
+                                   for pm, pc in power.items()}, c * scale)
         return self.reduce(out)
 
     # -- the Poisson bracket --------------------------------------------------------
@@ -599,23 +632,30 @@ class PLAlgebra:
         vanishes once it vanishes on generator triples, whose
         {{g_a, g_b}, g_c} need only the generator rows.
 
-        Problems are listed pairs first (commutativity and skew by pair,
-        then factorization by key), then triples in lexicographic order
-        (associativity, Leibniz, Jacobi within a triple), and the list stops
-        after the first triple at which it holds ten or more.
+        Commutativity and skew are decided once per unordered pair, skew
+        without copying an entry, and a failing pair is reported in both
+        orders.  Problems are listed pairs first (commutativity and skew by
+        ordered pair, then factorization by key), then triples in
+        lexicographic order (associativity, Leibniz, Jacobi within a
+        triple), and the list stops after the first triple at which it holds
+        ten or more.
         """
         if self.zero_algebra:
             return []
-        problems = []
         mult = self.multiplication_table()
         br = self.bracket_table()
         n = self.dim
+        # each unordered pair is decided once and, failing, reported in both
+        # orders; "commutativity" sorts before "skew" within a pair
+        pair_failures = []
         for i in range(n):
-            for j in range(n):
-                if mult[(i, j)] != mult[(j, i)]:
-                    problems.append(f"commutativity fails at ({i},{j})")
-                if add_into(dict(br[(i, j)]), br[(j, i)]):
-                    problems.append(f"skew fails at ({i},{j})")
+            for j in range(i, n):
+                if i != j and mult[(i, j)] != mult[(j, i)]:
+                    pair_failures += [(i, j, "commutativity"), (j, i, "commutativity")]
+                b_ij, b_ji = br[(i, j)], br[(j, i)]
+                if len(b_ij) != len(b_ji) or any(b_ji.get(k) != -c for k, c in b_ij.items()):
+                    pair_failures += [(i, j, "skew"), (j, i, "skew")] if i != j else [(i, i, "skew")]
+        problems = [f"{name} fails at ({i},{j})" for i, j, name in sorted(pair_failures)]
         for i, (z, m) in self._divisor.items():
             if mult[(z, m)] != {i: 1}:
                 problems.append(f"factorization fails at ({z},{m})")
@@ -747,9 +787,31 @@ class BkAlgebra:
         return {("Z", d): Fraction(sign, math.factorial(d))}
 
 
+def bk_images(alg: PLAlgebra, bk: BkAlgebra) -> dict:
+    """The image of each basis key of ``bk`` under the generator
+    correspondence Z -> Z_alpha, X -> X_alpha, Y -> X_{-alpha}, in the order
+    of ``bk.basis``: Z^d is Z^(d-1) times Z, one multiplication per power."""
+    z = alg.z_gen(0)
+    images = {("Z", 0): alg.one()}
+    for d in range(1, 2 * bk.k + 1):
+        images[("Z", d)] = alg.multiply(images[("Z", d - 1)], z)
+    images[("X", 0)] = alg.x_gen((1,))
+    images[("Y", 0)] = alg.x_gen((-1,))
+    return images
+
+
 def bk_compare(k: int) -> dict:
     """Certify the generator correspondence between the rank-one lattice
-    algebra with norm 2k and the explicit presentation above."""
+    algebra with norm 2k and the explicit presentation above.
+
+    The images of the basis keys are built once (``bk_images``), and an
+    element of the presentation maps to the combination of the images of
+    its keys with its coefficients.  Taking the normal form is linear and
+    every image is a normal form, so that combination is the normal form of
+    the image, with no further reduction.  Products and brackets of the
+    images are taken in the lattice algebra, by ``multiply`` and
+    ``bracket``, and compared with the images of the presentation's.
+    """
     lattice = EvenLattice([[2 * k]])
     alg = build_pl_algebra(lattice)
     bk = BkAlgebra(k)
@@ -768,22 +830,14 @@ def bk_compare(k: int) -> dict:
         problems.append(f"dimension {alg.dim} differs from {bk.dim}")
         return report
 
-    # correspondence: Z^d -> Z_alpha^d, X -> X_alpha, Y -> X_{-alpha}
-    def to_lattice(key: tuple) -> dict:
-        if key[0] == "Z":
-            out = alg.one()
-            for _ in range(key[1]):
-                out = alg.multiply(out, alg.z_gen(0))
-            return out
-        return alg.x_gen((1,)) if key[0] == "X" else alg.x_gen((-1,))
+    images = bk_images(alg, bk)
 
     def map_element(el: dict) -> dict:
         out: dict = {}
         for key, c in el.items():
-            add_into(out, to_lattice(key), c)
-        return alg.reduce(out)
+            add_into(out, images[key], c)
+        return out
 
-    images = {key: map_element({key: 1}) for key in bk.basis}
     seen = set()
     for key, img in images.items():
         flat = tuple(sorted((kk, c) for kk, c in img.items()))

@@ -2,9 +2,10 @@
 
 A sparse vector is a dict from sortable keys (basis indices, exponent
 tuples, mode symbols) to nonzero exact numbers: an ``int`` when the value is
-integral, a ``Fraction`` otherwise, and never a float.  ``clean`` builds one
-from raw input and ``add_into`` combines them in place; both store integral
-values as ``int`` (``narrow``), so integer work never enters ``fractions``.
+integral, a ``Fraction`` otherwise, and never a float.  ``add_into``
+combines them in place, in one loop, and ``clean`` builds one from raw input
+through the same loop; both store integral values as ``int`` (``narrow``),
+so integer work never enters ``fractions``.
 A finite algebra is a structure-constant table {(i, j): sparse vector over
 basis indices}, and ``bilinear`` multiplies two vectors through it.
 ``compose`` multiplies a whole table through another at once, with work
@@ -45,38 +46,36 @@ def rat(value) -> int | Fraction:
     raise TypeError(f"not an exact rational: {value!r}")
 
 
-def _accumulate(acc: dict, pairs: Iterable[tuple]) -> dict:
-    """acc += sum of the (key, value) pairs in place, never storing a zero
-    and storing every integral value as an int."""
-    get = acc.get
-    for key, c in pairs:
-        v = get(key)
-        if v is None:
-            if c:
-                acc[key] = narrow(c)
-        else:
-            v += c
-            if v:
-                acc[key] = narrow(v)
-            else:
-                del acc[key]
-    return acc
-
-
 def clean(items: Mapping | Iterable[tuple]) -> dict:
     """Sparse vector from a mapping or (key, value) pairs: values are coerced
     by ``rat``, repeated keys summed and zeros dropped."""
-    if isinstance(items, Mapping):
+    if items.__class__ is dict or isinstance(items, Mapping):
         items = items.items()
-    return _accumulate({}, ((k, c if c.__class__ is int else rat(c)) for k, c in items))
+    return add_into({}, [(k, c if c.__class__ is int else rat(c)) for k, c in items])
 
 
-def add_into(acc: dict, vec: Mapping, scale=1) -> dict:
-    """acc += scale * vec in place, never storing a zero; returns acc."""
+def add_into(acc: dict, vec: Mapping | list[tuple], scale=1) -> dict:
+    """acc += scale * vec in place, never storing a zero and storing every
+    integral value as an int; returns acc.  ``vec`` is a mapping or a list
+    of (key, value) pairs, whose repeated keys are summed."""
     if not scale:
         return acc
-    items = vec.items()
-    return _accumulate(acc, items if scale == 1 else ((k, scale * c) for k, c in items))
+    one = scale == 1
+    get = acc.get
+    for key, c in (vec if vec.__class__ is list else vec.items()):
+        if not one:
+            c = scale * c
+        v = get(key)
+        if v is not None:
+            c = v + c
+        if not c:
+            if v is not None:
+                del acc[key]
+        elif c.__class__ is Fraction and c.denominator == 1:
+            acc[key] = c.numerator
+        else:
+            acc[key] = c
+    return acc
 
 
 def bilinear(table: Mapping, u: Mapping, v: Mapping) -> dict:

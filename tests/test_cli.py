@@ -287,6 +287,18 @@ class TestErrorPaths:
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert err.endswith(f"a boolean is not a number: {value}\n")
 
+    @pytest.mark.parametrize("gram, entry", [
+        ("[[2,true],[true,2]]", "True"),  # printed the A2 results and exited 0
+        ('[["2"]]', "'2'"),               # built a rank-1 algebra
+        ('[[2,1],[1,"4"]]', "'4'"),
+        ("[[null]]", "None"),
+    ])
+    @pytest.mark.parametrize("action", ["p2", "c2-set", "poisson"])
+    def test_gram_entries_are_json_integers(self, capsys, action, gram, entry):
+        code, out, err = run(capsys, "lattice", action, "--gram", gram)
+        assert (code, out) == (2, "")
+        assert err == f"config error: bad Gram matrix: entry {entry} is not an integer\n"
+
     def test_boolean_in_a_config_file_exits_2(self, tmp_path, capsys):
         config = {"vertex_lie": {
             "basis": [{"name": "omega", "degree": 2}], "d": {"domain": []},
@@ -302,6 +314,35 @@ class TestErrorPaths:
         assert exact(1) == 1 and exact("-1/2") == Fraction(-1, 2)
         with pytest.raises(ConfigError, match="a boolean is not a number: False"):
             exact(False)
+
+
+class TestBkCompareControls:
+    """A presentation that differs from the lattice algebra in one bracket
+    sign or in one product must be reported as a mismatch, exit 1."""
+
+    def test_flipped_bracket_sign_is_a_mismatch(self, capsys, monkeypatch):
+        bracket = lattice_c2.BkAlgebra.bracket_basis
+
+        def flipped(self, a, b):
+            out = bracket(self, a, b)
+            return {key: -c for key, c in out.items()} if (a, b) == (("Z", 1), ("X", 0)) else out
+        monkeypatch.setattr(lattice_c2.BkAlgebra, "bracket_basis", flipped)
+        code, out, _ = run(capsys, "lattice", "bk-compare", "--k", "2")
+        assert code == 1
+        # {X, Z} is read off {Z, X}, so both orders differ
+        assert out == ("MISMATCH: bracket mismatch at {('Z', 1),('X', 0)}; "
+                       "bracket mismatch at {('X', 0),('Z', 1)}\n")
+
+    def test_wrong_xy_product_is_a_mismatch(self, capsys, monkeypatch):
+        product = lattice_c2.BkAlgebra.multiply_basis
+
+        def doubled(self, a, b):
+            out = product(self, a, b)
+            return {key: 2 * c for key, c in out.items()} if (a, b) == (("X", 0), ("Y", 0)) else out
+        monkeypatch.setattr(lattice_c2.BkAlgebra, "multiply_basis", doubled)
+        code, out, _ = run(capsys, "lattice", "bk-compare", "--k", "3")
+        assert code == 1
+        assert out == "MISMATCH: product mismatch at ('X', 0) * ('Y', 0)\n"
 
 
 class TestConfigFile:

@@ -15,6 +15,7 @@ from vlie.lattice_c2 import (
     PLAlgebra,
     PowerIdealReducer,
     bk_compare,
+    bk_images,
     build_cocycle,
     build_pl_algebra,
     detect_indefinite,
@@ -22,7 +23,7 @@ from vlie.lattice_c2 import (
     negative_norm_witness,
     power_of_linear,
 )
-from vlie.linalg import add_into, bilinear
+from vlie.linalg import add_into, bilinear, clean
 
 A2 = [[2, -1], [-1, 2]]
 
@@ -62,6 +63,12 @@ class TestEvenLattice:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
             EvenLattice([[2, 1], [0, 2]])
+
+    @pytest.mark.parametrize("gram", [[[2, True], [True, 2]], [[True]], [[2, 0], [0, False]]],
+                             ids=str)
+    def test_rejects_booleans(self, gram):
+        with pytest.raises(ValueError, match="not booleans"):
+            EvenLattice(gram)
 
     def test_positive_definite(self):
         assert EvenLattice([[2]]).is_positive_definite()
@@ -732,3 +739,161 @@ class TestSharedReducers:
                 standard = [m for m in red._monomials(d) if not any(
                     all(x >= y for x, y in zip(m, lead)) for lead in leads[id(red)])]
                 assert len(red.basis(d)) == len(standard), d
+
+
+# ---------------------------------------------------------------------------
+# multiply, reduce and bk_compare against the routes that recompute
+# ---------------------------------------------------------------------------
+
+def echelon_reduce(alg, element) -> dict:
+    """``PLAlgebra.reduce`` through the sector reducers on every input: the
+    normal form before standard monomials were returned as they are."""
+    by_sector: dict = {}
+    for (sector, mono), c in element.items():
+        by_sector.setdefault(sector, {})[mono] = c
+    return {(sector, mono): c for sector, coeffs in by_sector.items()
+            for mono, c in alg.sectors[sector].reduce(coeffs).items()}
+
+
+def recomputing_multiply(alg, a, b, reduced=True) -> dict:
+    """``PLAlgebra.multiply`` with the pairing, the cocycle sign, n! and
+    (alpha.Z)^n recomputed at every pair of terms: the product before the
+    memo of sector rules; with ``reduced`` false, before the reduction."""
+    out: dict = {}
+    for (s1, m1), c1 in a.items():
+        for (s2, m2), c2 in b.items():
+            c = c1 * c2
+            m = tuple(x + y for x, y in zip(m1, m2))
+            if s1 == () or s2 == ():
+                add_into(out, {(s2 if s1 == () else s1, m): c})
+                continue
+            target = tuple(x + y for x, y in zip(s1, s2))
+            if target not in alg.sectors and any(target):
+                continue
+            n = -alg.lattice.pair(s1, s2)
+            power = power_of_linear(alg.lattice.rank, s1, n)
+            add_into(out, {(target if any(target) else (), tuple(x + y for x, y in zip(m, pm))): pc
+                           for pm, pc in power.items()},
+                     c * Fraction(alg.eps.value(s1, s2), math.factorial(n)))
+    return echelon_reduce(alg, out) if reduced else out
+
+
+def recomputing_bk_compare(k: int) -> dict:
+    """``bk_compare`` with Z^d rebuilt by d products for every basis key it
+    maps, and each mapped element reduced again: the route before the
+    images were built once."""
+    alg = build_pl_algebra(EvenLattice([[2 * k]]))
+    bk = BkAlgebra(k)
+    report = {"k": k, "c2": alg.c2, "dim_lattice": alg.dim, "dim_reference": bk.dim,
+              "problems": []}
+    problems = report["problems"]
+    if sorted(alg.c2) != sorted([(-1,), (0,), (1,)]):
+        problems.append(f"survivor set is {alg.c2}")
+        return report
+    if alg.dim != bk.dim:
+        problems.append(f"dimension {alg.dim} differs from {bk.dim}")
+        return report
+    images = {key: recomputing_map_element(alg, {key: 1}) for key in bk.basis}
+    seen = set()
+    for key, img in images.items():
+        flat = tuple(sorted((kk, c) for kk, c in img.items()))
+        if not flat or flat in seen:
+            problems.append(f"correspondence not injective at {key}")
+            return report
+        seen.add(flat)
+    for a in bk.basis:
+        for b in bk.basis:
+            if recomputing_map_element(alg, bk.multiply_basis(a, b)) != recomputing_multiply(
+                    alg, images[a], images[b]):
+                problems.append(f"product mismatch at {a} * {b}")
+            if recomputing_map_element(alg, bk.bracket_basis(a, b)) != alg.bracket(
+                    images[a], images[b]):
+                problems.append(f"bracket mismatch at {{{a},{b}}}")
+            if len(problems) >= 5:
+                return report
+    return report
+
+
+def recomputing_map_element(alg, el: dict) -> dict:
+    def to_lattice(key):
+        if key[0] == "Z":
+            out = alg.one()
+            for _ in range(key[1]):
+                out = recomputing_multiply(alg, out, echelon_reduce(alg, {((), (1,)): 1}))
+            return out
+        return echelon_reduce(alg, {((1,) if key[0] == "X" else (-1,), (0,)): 1})
+
+    out: dict = {}
+    for key, c in el.items():
+        add_into(out, to_lattice(key), c)
+    return echelon_reduce(alg, out)
+
+
+def typed_vec(vec) -> list:
+    """The terms of a vector with their types, in key order."""
+    return sorted((key, type(c), c) for key, c in vec.items())
+
+
+class TestRepeatedWorkOracles:
+    @pytest.mark.parametrize("gram", ORACLE_GRAMS, ids=str)
+    def test_generator_products_match_the_recomputing_product(self, gram):
+        """Every ordered pair of generators (the unit, the Z_t and the
+        X_beta), and seeded sums of basis keys, with values and types."""
+        alg = algebra(gram)
+        generators = [{alg.basis[i]: 1} for i in range(alg.dim) if i not in alg._divisor]
+        rng = random.Random(str(gram))
+        sums = [{key: rng.choice((1, -2, Fraction(1, 3), Fraction(-5, 2)))
+                 for key in rng.sample(alg.basis, 3)} for _ in range(4)]
+        for a in generators + sums:
+            for b in generators + sums:
+                assert typed_vec(alg.multiply(a, b)) == typed_vec(recomputing_multiply(alg, a, b))
+
+    @pytest.mark.parametrize("gram", [A2, SKEWED, A3], ids=str)
+    def test_each_ordered_pair_of_sectors_has_its_own_rule(self, gram, monkeypatch):
+        """Before the reduction X_alpha X_beta, eps(alpha,beta)/n! (alpha.Z)^n
+        X_(alpha+beta), differs from X_beta X_alpha; a memo that served
+        both orders from one rule would agree with the oracle only after
+        the reduction, where the product is commutative."""
+        alg = PLAlgebra(EvenLattice(gram))
+        monkeypatch.setattr(alg, "reduce", clean)
+        classes = [{(beta, (0,) * alg.lattice.rank): 1} for beta in alg.nonzero_c2]
+        unequal = 0
+        for a in classes:
+            for b in classes:
+                got = alg.multiply(a, b)
+                assert typed_vec(got) == typed_vec(recomputing_multiply(alg, a, b, reduced=False))
+                unequal += got != alg.multiply(b, a)
+        assert unequal
+
+    @pytest.mark.parametrize("gram", ORACLE_GRAMS + [A3], ids=str)
+    def test_reduce_matches_the_echelon_route(self, gram):
+        """On combinations of basis keys, where the normal form is the input
+        cleaned, and on inputs with other keys: monomials off the basis and
+        past the last nonzero degree, mixed with basis keys."""
+        alg = PLAlgebra(EvenLattice(gram))
+        rng = random.Random(str(gram))
+        values = (0, 1, -3, Fraction(2), Fraction(1, 2), "-1/3")
+        others = [(sector, mono) for sector, red in alg.sectors.items()
+                  for d in range(red.max_degree() + 2) for mono in red._monomials(d)
+                  if (sector, mono) not in alg.index]
+        assert others
+        inputs = [{key: rng.choice(values) for key in rng.sample(alg.basis, min(4, alg.dim))}
+                  for _ in range(20)]
+        inputs += [{**basis_part, rng.choice(others): rng.choice(values[1:])}
+                   for basis_part in inputs[:10]]
+        inputs += [{key: 1} for key in others]
+        for element in inputs:
+            got = alg.reduce(element)
+            assert typed_vec(got) == typed_vec(echelon_reduce(alg, element))
+            if all(key in alg.index for key in element):
+                assert got == clean(element)
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_bk_images_and_report_match_the_recomputing_route(self, k):
+        alg = build_pl_algebra(EvenLattice([[2 * k]]))
+        bk = BkAlgebra(k)
+        images = bk_images(alg, bk)
+        assert list(images) == bk.basis
+        for key in bk.basis:
+            assert typed_vec(images[key]) == typed_vec(recomputing_map_element(alg, {key: 1}))
+        assert bk_compare(k) == recomputing_bk_compare(k)

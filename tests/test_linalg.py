@@ -31,6 +31,7 @@ from vlie.linalg import (
     det,
     inverse,
     inverse_rows,
+    narrow,
     nullspace,
 )
 from vlie.vertex_lie import CommAlgebra
@@ -412,3 +413,62 @@ def test_echelon_matches_sympy(vectors):
             diff = add_into(dict(red), vec, -1)
             assert not diff or (earlier and matrix(earlier + [diff]).rank() == rank)
         earlier.append(vec)
+
+
+# -- the one-loop add_into against the two-function one it replaced -------------
+
+def accumulate_add_into(acc: dict, vec, scale=1) -> dict:
+    """``add_into`` as ``_accumulate`` over a per-term generator: the
+    accumulation before it was one loop."""
+    def accumulate(pairs):
+        for key, c in pairs:
+            v = acc.get(key)
+            if v is None:
+                if c:
+                    acc[key] = narrow(c)
+            else:
+                v += c
+                if v:
+                    acc[key] = narrow(v)
+                else:
+                    del acc[key]
+        return acc
+
+    if not scale:
+        return acc
+    items = vec.items()
+    return accumulate(items if scale == 1 else ((k, scale * c) for k, c in items))
+
+
+# values that cancel, integral Fractions, and the scales the callers use
+unnormalized = st.dictionaries(st.integers(0, 4), st.one_of(mixed, st.just(Fraction(0)),
+                                                            st.just(0)), max_size=5)
+scales = st.one_of(st.sampled_from((0, 1, -1, Fraction(1), Fraction(-1), Fraction(2, 1))), mixed)
+
+
+@PROPERTY
+@given(mixed_sparse, unnormalized, scales, st.booleans())
+def test_add_into_matches_the_accumulate_route(acc, vec, scale, cancel):
+    """The same dict as the accumulate route, with no stored zero and every
+    integral value an int, also where a term cancels an entry to zero."""
+    acc = clean(acc)
+    if cancel and acc and scale:
+        key = next(iter(acc))
+        vec[key] = -acc[key] / Fraction(scale)
+    want = accumulate_add_into(dict(acc), vec, scale)
+    got = add_into(dict(acc), vec, scale)
+    assert [(k, type(c), c) for k, c in got.items()] == [(k, type(c), c) for k, c in want.items()]
+    assert all(got.values())
+    assert_exact_types(got)
+
+
+@PROPERTY
+@given(st.lists(st.tuples(st.integers(0, 4), st.one_of(mixed, st.just(0))), max_size=8))
+def test_clean_of_pairs_matches_the_accumulate_route(pairs):
+    """``clean`` sums repeated keys in their order, through the same loop."""
+    got = clean(pairs)
+    want: dict = {}
+    for k, c in pairs:
+        accumulate_add_into(want, {k: c})
+    assert [(k, type(c), c) for k, c in got.items()] == [(k, type(c), c) for k, c in want.items()]
+    assert clean(dict(pairs)) == clean(list(dict(pairs).items()))
