@@ -19,7 +19,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 
 from .formal_calc import format_terms
-from .linalg import Echelon, add_into, bilinear, clean, compose, det, inverse
+from .linalg import Echelon, add_into, bilinear, clean, compose, det
 
 Vec = tuple[int, ...]
 
@@ -28,9 +28,11 @@ class EvenLattice:
     """Integer lattice given by a symmetric Gram matrix with even diagonal."""
 
     def __init__(self, gram):
-        if any(isinstance(x, bool) for row in gram for x in row):
-            raise ValueError("Gram matrix entries must be integers, not booleans")
-        self.gram = tuple(tuple(int(x) for x in row) for row in gram)
+        for row in gram:
+            for x in row:
+                if x.__class__ is not int:
+                    raise ValueError(f"Gram matrix entry {x!r} is not an integer")
+        self.gram = tuple(tuple(row) for row in gram)
         r = len(self.gram)
         if not r:
             raise ValueError("Gram matrix must have rank at least 1")
@@ -51,39 +53,31 @@ class EvenLattice:
     def norm(self, a: Vec) -> int:
         return self.pair(a, a)
 
-    def minors(self) -> list[int | Fraction]:
-        """Leading principal minors, exact."""
-        return [det([row[:k] for row in self.gram[:k]]) for k in range(1, self.rank + 1)]
-
     def is_positive_definite(self) -> bool:
-        return all(m > 0 for m in self.minors())
+        d, _ = self.ldl()
+        return len(d) == self.rank and d[-1] > 0
 
     def is_degenerate(self) -> bool:
-        return self.minors()[-1] == 0
-
-    def inverse_gram(self) -> list[list[int | Fraction]]:
-        try:
-            return inverse(self.gram)
-        except ValueError:
-            raise ValueError("degenerate Gram matrix") from None
-
-    def dual_exponent(self) -> int:
-        """Smallest k >= 1 with k * gram^{-1} integral."""
-        inv = self.inverse_gram()
-        k = 1
-        for row in inv:
-            for x in row:
-                k = k * x.denominator // math.gcd(k, x.denominator)
-        return k
+        # a zero pivot of ldl need not mean a zero determinant: [[0, 1], [1, 0]]
+        return det(self.gram) == 0
 
     def ldl(self) -> tuple[list[Fraction], list[list[Fraction]]]:
         """G = L D L^T exactly, with L unit lower triangular: returns (D, L),
-        so that norm(x) = sum_i D_i (x_i + sum_{j>i} L_ji x_j)^2."""
+        so that norm(x) = sum_i D_i (x_i + sum_{j>i} L_ji x_j)^2.
+
+        The factorization stops at the first pivot that is not positive,
+        which is then the last entry of D; the columns of L before it are
+        complete.  The pivots are the ratios of consecutive leading minors,
+        so the Gram is positive definite exactly when D has rank entries,
+        all positive (Sylvester).
+        """
         g, r = self.gram, self.rank
         d: list[Fraction] = []
         low = [[Fraction(int(i == j)) for j in range(r)] for i in range(r)]
         for j in range(r):
             d.append(Fraction(g[j][j]) - sum(low[j][k] ** 2 * d[k] for k in range(j)))
+            if d[j] <= 0:
+                break
             for i in range(j + 1, r):
                 low[i][j] = (g[i][j] - sum(low[i][k] * low[j][k] * d[k]
                                            for k in range(j))) / d[j]
@@ -129,106 +123,97 @@ class EvenLattice:
 
 def negative_norm_witness(lattice: EvenLattice) -> Vec | None:
     """A negative-norm vector from the first non-positive pivot d_k of the
-    LDL^T factorization of the Gram matrix G; None when there is none (a
-    positive semidefinite Gram).
+    LDL^T factorization G = L D L^T; None when there is none (a positive
+    semidefinite Gram).
 
-    With A the leading k x k block (positive definite, as every earlier
-    pivot is positive) and b the next column above the diagonal, the vector
-    x = (-A^-1 b, 1, 0, ...) has norm d_k, the Schur complement.  When
-    d_k = 0 and G is nondegenerate, some (G x)_j = c is nonzero, and
-    x + t e_j with t = -c/G_jj (G_jj > 0), else t = -c, has norm
-    2tc + t^2 G_jj < 0.  The rational vector is scaled to a primitive
-    integer one, which keeps the sign of its norm.  No search: the cost is
-    rank inversions of the leading blocks, whatever the Gram's entries.
+    The vector x = L^-T e_k, by back-substitution in L^T x = e_k, has
+    x_k = 1, x_i = 0 for i > k and norm e_k^T D e_k = d_k.  As
+    G x = L D e_k = d_k L e_k, (G x)_i = 0 for i < k: x is (-A^-1 b, 1, 0,
+    ...), with A the leading k x k block and b the next column above the
+    diagonal, and d_k is the Schur complement.  When d_k = 0 and G is
+    nondegenerate, some (G x)_j = c is nonzero, and x + t e_j with
+    t = -c/G_jj (G_jj > 0), else t = -c, has norm 2tc + t^2 G_jj < 0.  The
+    rational vector is scaled to a primitive integer one, which keeps the
+    sign of its norm.  No search: the cost is one factorization, whatever
+    the Gram's entries.
     """
+    d, low = lattice.ldl()
+    k = len(d) - 1
+    if d[k] > 0:
+        return None
     g, r = lattice.gram, lattice.rank
-    for k in range(r):
-        a_inv = inverse([row[:k] for row in g[:k]]) if k else []
-        x = [-sum(a_inv[i][j] * g[j][k] for j in range(k)) for i in range(k)]
-        x += [1] + [0] * (r - k - 1)
-        norm = lattice.norm(x)
-        if norm > 0:
-            continue
-        if norm == 0:
-            gx = [sum(g[i][j] * x[j] for j in range(r)) for i in range(r)]
-            j = next((i for i, c in enumerate(gx) if c), None)
-            if j is None:
-                return None  # x spans the radical of a degenerate Gram
-            t = Fraction(-gx[j], g[j][j]) if g[j][j] > 0 else -gx[j]
-            x[j] += t
-        x = [Fraction(c) for c in x]
-        scale = math.lcm(*(c.denominator for c in x))
-        ints = [int(c * scale) for c in x]
-        common = math.gcd(*ints)
-        return tuple(c // common for c in ints)
-    return None
+    x = [Fraction(int(i == k)) for i in range(r)]
+    for i in range(k - 1, -1, -1):
+        x[i] = -sum(low[j][i] * x[j] for j in range(i + 1, k + 1))
+    if d[k] == 0:
+        gx = [sum(g[i][j] * x[j] for j in range(r)) for i in range(r)]
+        j = next((i for i, c in enumerate(gx) if c), None)
+        if j is None:
+            return None  # x spans the radical of a degenerate Gram
+        x[j] += Fraction(-gx[j], g[j][j]) if g[j][j] > 0 else -gx[j]
+    scale = math.lcm(*(c.denominator for c in x))
+    ints = [int(c * scale) for c in x]
+    common = math.gcd(*ints)
+    return tuple(c // common for c in ints)
 
 
 def detect_indefinite(lattice: EvenLattice) -> dict:
-    """Classify the Gram matrix; non positive definite means a zero algebra.
+    """Whether the algebra is zero, with a negative-norm witness when it is.
 
-    Degenerate lattices are rejected as out of scope.
+    A Gram that is not positive definite has a class of negative norm,
+    which multiplies against its inverse down to the unit and collapses
+    the whole quotient.  Degenerate lattices are rejected as out of scope.
     """
     if lattice.is_degenerate():
         raise ValueError("degenerate Gram matrix is out of scope")
-    if lattice.is_positive_definite():
-        return {"positive_definite": True, "zero_algebra": False, "witness": None}
     witness = negative_norm_witness(lattice)
-    return {
-        "positive_definite": False,
-        "zero_algebra": True,
-        "witness": list(witness) if witness is not None else None,
-        "reason": "a class of negative norm multiplies against its inverse "
-                  "down to the unit, forcing the whole quotient to collapse",
-    }
+    return {"zero_algebra": witness is not None,
+            "witness": list(witness) if witness is not None else None}
 
 
 def enumerate_c2(lattice: EvenLattice) -> list[Vec]:
     """The finite set {alpha : <alpha - beta, beta> <= 0 for all beta}, in
     lexicographic order.
 
-    Candidates range over the dual-coordinate box |a_i| <= k (G^-1)_ii with
-    k the dual exponent.  A violating beta (a killer of alpha) has
+    The norm bound.  <alpha - beta, beta> <= 0 reads
+    |alpha/2 - beta|^2 >= |alpha/2|^2, so alpha survives exactly when no
+    lattice vector is nearer to alpha/2 than 0 is.  Babai's nearest plane
+    ("On Lovasz' lattice reduction and the nearest lattice point problem",
+    1986) puts a lattice vector x within (D_1 + ... + D_r) / 4 of any real
+    y, D being the pivots of the LDL^T: fix x_i from the last coordinate
+    to the first as an integer nearest to y_i + sum_{j>i} L_ji (y_j - x_j),
+    so that each term D_i (y_i - x_i + sum_{j>i} L_ji (y_j - x_j))^2 of
+    |y - x|^2 is at most D_i / 4.  With y = alpha/2, a survivor has
+    |alpha|^2 / 4 <= tr D / 4, and as norms are integers,
+    |alpha|^2 <= floor(tr D).  A1^4 attains the bound: (1, 1, 1, 1) has
+    norm 8 = tr D.
+
+    The killers.  A violating beta (a killer of alpha) has
     <alpha, beta> > |beta|^2.  Then alpha - beta is a killer too, since
     <beta, alpha - beta> = <alpha, beta> - |beta|^2 > 0, and
 
         |beta|^2 + |alpha - beta|^2 = |alpha|^2 - 2(<alpha, beta> - |beta|^2)
                                     < |alpha|^2,
 
-    so a candidate that dies has a killer of norm below |alpha|^2 / 2.  The
-    vectors of norm below half the longest candidate's are enumerated once
-    (``EvenLattice.short_vectors``), and each candidate is tested against
-    those of norm below half its own, starting with the vector that killed
-    the last candidate to die.
+    so a candidate that dies has a killer of norm below |alpha|^2 / 2.
+
+    So one Fincke-Pohst enumeration (``EvenLattice.short_vectors``) up to
+    floor(tr D), sorted by norm, holds every candidate, and each candidate
+    is tested against the prefix of the same list of norm below half its
+    own.
     """
     if not lattice.is_positive_definite():
         raise ValueError("the survivor set needs a positive definite lattice")
-    k = lattice.dual_exponent()
-    inv = lattice.inverse_gram()
-    boxes = []
-    for i in range(lattice.rank):
-        lim_f = Fraction(k) * inv[i][i]
-        lim = int(lim_f)  # k * (G^-1)_ii is a nonnegative integer here
-        boxes.append(range(-lim, lim + 1))
-    candidates = []  # (alpha, G alpha, |alpha|^2)
-    for alpha in itertools.product(*boxes):
-        g_alpha = [sum(map(operator.mul, row, alpha)) for row in lattice.gram]
-        candidates.append((alpha, g_alpha, sum(map(operator.mul, alpha, g_alpha))))
-    # 2 |beta|^2 < |alpha|^2 is |beta|^2 <= (|alpha|^2 - 1) // 2
-    short = lattice.short_vectors((max(norm for _, _, norm in candidates) - 1) // 2)
+    short = lattice.short_vectors(math.floor(sum(lattice.ldl()[0])))
     norms = [norm for norm, _ in short]
-    killer = None
     out = []
-    for alpha, g_alpha, norm_a in candidates:
-        if killer is not None and sum(map(operator.mul, g_alpha, killer[1])) > killer[0]:
-            continue
-        for norm_b, beta in itertools.islice(short, bisect.bisect_left(norms, (norm_a + 1) // 2)):
-            if sum(map(operator.mul, g_alpha, beta)) > norm_b:
-                killer = (norm_b, beta)
-                break
-        else:
+    for norm_a, alpha in short:
+        g_alpha = [sum(map(operator.mul, row, alpha)) for row in lattice.gram]
+        # 2 |beta|^2 < |alpha|^2 is |beta|^2 < (|alpha|^2 + 1) // 2
+        killers = short[:bisect.bisect_left(norms, (norm_a + 1) // 2)]
+        if all(sum(map(operator.mul, g_alpha, beta)) <= norm_b for norm_b, beta in killers):
             out.append(alpha)
-    return out
+    return sorted(out)
 
 
 class Cocycle:
@@ -371,7 +356,6 @@ class PLAlgebra:
         info = detect_indefinite(lattice)
         self.lattice = lattice
         self.zero_algebra = info["zero_algebra"]
-        self.indefinite_info = info
         if self.zero_algebra:
             self.c2 = []
             self.sectors = {}

@@ -11,9 +11,9 @@ basis indices}, and ``bilinear`` multiplies two vectors through it.
 ``compose`` multiplies a whole table through another at once, with work
 that grows with the nonzero products rather than with the size of the
 tables.  ``Echelon`` is the package's only elimination routine, and
-``inverse``, ``det`` and ``nullspace`` are thin uses of it; ``inverse_rows``
-and ``nullspace`` also take sparse rows, so their work grows with the
-nonzero entries.
+``inverse_rows``, ``det`` and ``nullspace`` are thin uses of it;
+``inverse_rows`` and ``nullspace`` also take sparse rows, so their work
+grows with the nonzero entries.
 """
 
 from __future__ import annotations
@@ -210,13 +210,6 @@ def inverse_rows(rows: Sequence) -> list[dict]:
         raise ValueError("matrix is singular")
     full = _back_substitute(echelon)
     return [{i: c for (_, i), c in sorted(full[(1, j)].items())} for j in range(n)]
-
-
-def inverse(rows: Sequence[Sequence]) -> list[list[int | Fraction]]:
-    """Inverse of a square matrix as dense rows; raises ValueError when it
-    is singular."""
-    n = len(rows)
-    return [[row.get(i, 0) for i in range(n)] for row in inverse_rows(rows)]
 
 
 def nullspace(rows: Sequence, width: int | None = None) -> list[dict[int, int | Fraction]]:

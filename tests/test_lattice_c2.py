@@ -1,3 +1,4 @@
+import bisect
 import copy
 import itertools
 import math
@@ -7,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import assume, given, settings, strategies as st
 
 from vlie.lattice_c2 import (
     BkAlgebra,
@@ -23,9 +25,28 @@ from vlie.lattice_c2 import (
     negative_norm_witness,
     power_of_linear,
 )
-from vlie.linalg import add_into, bilinear, clean
+from vlie.linalg import add_into, bilinear, clean, det, inverse_rows
 
 A2 = [[2, -1], [-1, 2]]
+PROPERTY = settings(derandomize=True, database=None, max_examples=60, deadline=None)
+
+
+@st.composite
+def even_grams(draw, max_rank, diagonal, off_diagonal):
+    """A symmetric Gram of rank 1..max_rank, its diagonal drawn from
+    ``diagonal`` and the entries off it from -off_diagonal..off_diagonal."""
+    r = draw(st.integers(1, max_rank))
+    gram = [[0] * r for _ in range(r)]
+    for i in range(r):
+        gram[i][i] = draw(st.sampled_from(diagonal))
+        for j in range(i):
+            gram[i][j] = gram[j][i] = draw(st.integers(-off_diagonal, off_diagonal))
+    return gram
+
+
+def leading_minors_positive(gram) -> bool:
+    """Sylvester's criterion on determinants, apart from the LDL^T."""
+    return all(det([row[:k] for row in gram[:k]]) > 0 for k in range(1, len(gram) + 1))
 
 
 def relation_consistency_problems(alg: PLAlgebra) -> list[str]:
@@ -64,10 +85,11 @@ class TestEvenLattice:
         with pytest.raises(ValueError):
             EvenLattice([[2, 1], [0, 2]])
 
-    @pytest.mark.parametrize("gram", [[[2, True], [True, 2]], [[True]], [[2, 0], [0, False]]],
-                             ids=str)
-    def test_rejects_booleans(self, gram):
-        with pytest.raises(ValueError, match="not booleans"):
+    @pytest.mark.parametrize("gram", [[[2, True], [True, 2]], [[True]], [[2, 0], [0, False]],
+                                      [[Fraction(5, 2)]], [[2.9]], [["4"]]], ids=str)
+    def test_rejects_non_integers(self, gram):
+        # int(x) would read these as [[2]], [[2]] and [[4]]
+        with pytest.raises(ValueError, match="is not an integer"):
             EvenLattice(gram)
 
     def test_positive_definite(self):
@@ -76,9 +98,14 @@ class TestEvenLattice:
         assert not EvenLattice([[-2]]).is_positive_definite()
         assert not EvenLattice([[0, 1], [1, 0]]).is_positive_definite()
 
-    def test_dual_exponent(self):
-        assert EvenLattice([[2]]).dual_exponent() == 2
-        assert EvenLattice(A2).dual_exponent() == 3
+    def test_ldl_stops_at_the_first_pivot_that_is_not_positive(self):
+        # the pivots 2, 0 of a rank-3 Gram: D has two entries
+        assert EvenLattice([[2, 2, 0], [2, 2, 1], [0, 1, 2]]).ldl()[0] == [2, 0]
+        # a zero first pivot, yet not degenerate: is_degenerate reads det
+        lat = EvenLattice([[0, 1], [1, 0]])
+        assert lat.ldl()[0] == [0]
+        assert not lat.is_degenerate()
+        assert EvenLattice([[2, 2], [2, 2]]).is_degenerate()
 
     def test_short_vectors(self):
         lat = EvenLattice(A2)
@@ -233,6 +260,33 @@ class TestPoissonTable:
         assert table[(xbar, x)] == {z: -1}
 
 
+def block_inverse_witness(lat):
+    """The negative-norm witness through the inverses of the leading blocks:
+    for the first k with |x|^2 <= 0, x = (-A^-1 b, 1, 0, ...), repaired
+    and scaled as ``negative_norm_witness`` does; the construction before
+    it read x off the LDL^T."""
+    g, r = lat.gram, lat.rank
+    for k in range(r):
+        a_inv = dense_inverse([row[:k] for row in g[:k]]) if k else []
+        x = [-sum(a_inv[i][j] * g[j][k] for j in range(k)) for i in range(k)]
+        x += [1] + [0] * (r - k - 1)
+        norm = lat.norm(x)
+        if norm > 0:
+            continue
+        if norm == 0:
+            gx = [sum(g[i][j] * x[j] for j in range(r)) for i in range(r)]
+            j = next((i for i, c in enumerate(gx) if c), None)
+            if j is None:
+                return None
+            x[j] += Fraction(-gx[j], g[j][j]) if g[j][j] > 0 else -gx[j]
+        x = [Fraction(c) for c in x]
+        scale = math.lcm(*(c.denominator for c in x))
+        ints = [int(c * scale) for c in x]
+        common = math.gcd(*ints)
+        return tuple(c // common for c in ints)
+    return None
+
+
 def box_negative_vector(lat, radius=6):
     """The first vector of negative norm in the box |x_i| <= radius: the
     search the witness made before its pivot construction."""
@@ -297,6 +351,22 @@ class TestDegeneration:
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError):
             detect_indefinite(EvenLattice([[2, 2], [2, 2]]))
+
+    def test_reports_the_verdict_and_the_witness_only(self):
+        assert detect_indefinite(EvenLattice(A2)) == {"zero_algebra": False, "witness": None}
+        assert detect_indefinite(EvenLattice([[2, 13], [13, 84]])) == {
+            "zero_algebra": True, "witness": [-13, 2]}
+
+    @PROPERTY
+    @given(even_grams(4, range(-6, 7, 2), 6))
+    def test_witness_matches_the_block_inverse_route(self, gram):
+        lat = EvenLattice(gram)
+        definite = leading_minors_positive(gram)
+        assert lat.is_positive_definite() == definite
+        witness = negative_norm_witness(lat)
+        assert witness == block_inverse_witness(lat)
+        if not definite and not lat.is_degenerate():
+            assert lat.norm(witness) < 0
 
 
 class TestBkCompare:
@@ -478,6 +548,8 @@ class TestVerifyAxiomsOracle:
 
 A3 = [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
 A1_CUBED = [[2, 0, 0], [0, 2, 0], [0, 0, 2]]
+A4 = [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]]
+A1_FOURTH = [[2 * (i == j) for j in range(4)] for i in range(4)]
 SKEWED = [[4, 1], [1, 6]]
 TABLE_GRAMS = [[[2 * k]] for k in range(1, 8)] + [A2, [[2, 0], [0, 2]]] + DIM29 + [SKEWED, A3]
 SURVIVOR_GRAMS = ([g for grams in RANK2_BY_DIM.values() for g in grams]
@@ -525,10 +597,15 @@ def typed(table) -> dict:
     return {pair: {k: (type(c), c) for k, c in vec.items()} for pair, vec in table.items()}
 
 
+def dense_inverse(rows) -> list[list]:
+    """The inverse as dense rows, through ``inverse_rows``."""
+    return [[row.get(j, 0) for j in range(len(rows))] for row in inverse_rows(rows)]
+
+
 def box_vectors_with_norm_at_most(lat, bound):
     """All vectors of norm <= bound, by scanning the box |v_i| <=
     sqrt(bound (G^-1)_ii): the short-vector search before Fincke-Pohst."""
-    inv = lat.inverse_gram()
+    inv = dense_inverse(lat.gram)
     boxes = []
     for i in range(lat.rank):
         limit_sq = Fraction(bound) * inv[i][i]
@@ -539,16 +616,27 @@ def box_vectors_with_norm_at_most(lat, bound):
     return [v for v in itertools.product(*boxes) if lat.norm(v) <= bound]
 
 
+def dual_box(lat) -> list[range]:
+    """The candidate box |a_i| <= k (G^-1)_ii, k the least positive integer
+    with k G^-1 integral: the candidates before the norm bound."""
+    inv = dense_inverse(lat.gram)
+    k = math.lcm(*(Fraction(x).denominator for row in inv for x in row))
+    return [range(-int(k * inv[i][i]), int(k * inv[i][i]) + 1) for i in range(lat.rank)]
+
+
 def box_enumerate_c2(lat):
-    """The survivor set with one box scan per candidate: the search
-    before Fincke-Pohst."""
-    k = lat.dual_exponent()
-    inv = lat.inverse_gram()
-    boxes = [range(-int(k * inv[i][i]), int(k * inv[i][i]) + 1) for i in range(lat.rank)]
+    """The survivor set by box scans, the search before Fincke-Pohst and the
+    norm bound: the candidates fill the dual box, and each is tested
+    against every vector of norm at most its own, from one scan of the box
+    at the largest candidate norm."""
+    candidates = [(lat.norm(alpha), alpha) for alpha in itertools.product(*dual_box(lat))]
+    scan = sorted((lat.norm(beta), beta)
+                  for beta in box_vectors_with_norm_at_most(lat, max(candidates)[0]))
+    norms = [norm for norm, _ in scan]
     out = []
-    for alpha in itertools.product(*boxes):
-        if all(lat.pair(alpha, beta) - lat.norm(beta) <= 0
-               for beta in box_vectors_with_norm_at_most(lat, lat.norm(alpha))):
+    for norm_a, alpha in candidates:
+        if all(lat.pair(alpha, beta) <= norm_b
+               for norm_b, beta in scan[:bisect.bisect_right(norms, norm_a)]):
             out.append(alpha)
     return sorted(out)
 
@@ -657,23 +745,60 @@ class TestFinckePohstOracle:
     @pytest.mark.parametrize("gram", SURVIVOR_GRAMS, ids=str)
     def test_survivors_match_box_scan(self, gram):
         lat = EvenLattice(gram)
-        assert enumerate_c2(lat) == box_enumerate_c2(lat)
+        want = box_enumerate_c2(lat)
+        assert enumerate_c2(lat) == want
+        # the norm bound of the docstring, on the box scan's survivors
+        assert max(map(lat.norm, want)) <= sum(lat.ldl()[0])
+
+    @PROPERTY
+    @given(even_grams(3, (2, 4, 6), 2))
+    def test_survivors_match_box_scan_on_random_grams(self, gram):
+        assume(leading_minors_positive(gram))
+        lat = EvenLattice(gram)
+        assume(math.prod(map(len, dual_box(lat))) <= 1500)
+        want = box_enumerate_c2(lat)
+        assert enumerate_c2(lat) == want
+        assert max(map(lat.norm, want)) <= sum(lat.ldl()[0])
 
     def test_a4_survivor_count(self):
         # too large for the box scan; 51 survivors, a set closed under -1
-        out = enumerate_c2(EvenLattice([[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1],
-                                        [0, 0, -1, 2]]))
+        out = enumerate_c2(EvenLattice(A4))
         assert len(out) == 51
         assert sorted(tuple(-c for c in v) for v in out) == out
+
+    def test_a1_fourth_attains_the_trace_bound(self):
+        # the 16 vectors (+-1, +-1, +-1, +-1) have norm 8 = tr D
+        lat = EvenLattice(A1_FOURTH)
+        assert sum(lat.ldl()[0]) == 8
+        assert sorted(v for v in enumerate_c2(lat) if lat.norm(v) == 8) == list(
+            itertools.product((-1, 1), repeat=4))
+
+    def test_one_enumeration_and_killers_below_half_the_norm(self, monkeypatch):
+        """One ``short_vectors`` call to floor(tr D) gives the candidates, and
+        the killers of each are the prefix of that list of norm below half
+        its own."""
+        prefixes, bounds = [], []
+
+        class Recording(list):
+            def __getitem__(self, key):
+                if isinstance(key, slice):
+                    prefixes.append(key)
+                return super().__getitem__(key)
+
+        short_vectors = EvenLattice.short_vectors
+        monkeypatch.setattr(EvenLattice, "short_vectors", lambda self, bound: (
+            bounds.append(bound) or Recording(short_vectors(self, bound))))
+        lat = EvenLattice(A3)
+        enumerate_c2(lat)
+        assert bounds == [math.floor(sum(lat.ldl()[0]))] == [4]
+        short = short_vectors(lat, 4)
+        assert prefixes == [slice(None, sum(2 * norm_b < norm_a for norm_b, _ in short))
+                            for norm_a, _ in short]
 
 
 # ---------------------------------------------------------------------------
 # the shared power-ideal reducers against the undeduplicated ones and sympy
 # ---------------------------------------------------------------------------
-
-A4 = [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]]
-A1_FOURTH = [[2 * (i == j) for j in range(4)] for i in range(4)]
-
 
 def undeduplicated_reducer(alg, sector) -> PowerIdealReducer:
     """The sector's reducer before deduplication: one generator (alpha, e)
