@@ -315,8 +315,22 @@ class PowerIdealReducer:
         return self._basis[degree]
 
     def max_degree(self) -> int:
-        """Largest degree with a nonzero graded piece."""
+        """Largest degree with a nonzero graded piece.
+
+        It exists exactly when the generators' lines span Q^r.  If r of
+        them are independent, they are coordinates y_i in which the ideal
+        holds every y_i^(e_i), so every degree past sum (e_i - 1) vanishes.
+        If not, some v != 0 is a zero of every generator, and no power of a
+        linear form that is nonzero at v lies in the ideal: every degree is
+        nonzero, and ``ValueError`` is raised.
+        """
         if self._max_degree is None:
+            span = Echelon()
+            for alpha, _ in self.generators:
+                span.insert(dict(enumerate(alpha)))
+            if len(span.rows) < self.rank:
+                raise ValueError(f"the lines of {self.generators} do not span Q^{self.rank}: "
+                                 "every degree of the quotient is nonzero")
             d = 0
             while self.basis(d):
                 d += 1
@@ -600,29 +614,50 @@ class PLAlgebra:
         triple of basis elements, and Jacobi at every triple of generators:
         exact, with work that grows with the nonzero products, not dim^3.
 
-        Pairs are compared entry by entry.  For triples, the two tables are
-        composed once into (e_a e_b) e_c, {e_a, e_b} e_c and {e_c, e_a e_b}
-        (``linalg.compose``), which hold only the nonzero products.  Every
-        term of a triple identity is one of their entries, so each identity
-        is decided at the triples where one of its terms is nonzero; at
-        every other triple it holds as a sum of zero products.
+        Pairs are compared entry by entry.  The generators are the unit, the
+        Z_t and the X_beta: the keys with no ``_divisor``.  A pair check asks
+        e_z e_m = e_i for the divisor (z, m) of every other key i, so that
+        every key is a product of generators.  Commutativity and skew are
+        decided once per unordered pair, skew without copying an entry, and
+        a failing pair is reported in both orders.
 
-        The generators are the unit, the Z_t and the X_beta: the keys with
-        no ``_divisor``.  A pair check asks e_z e_m = e_i for the divisor
-        (z, m) of every other key i, so that every key is a product of
-        generators.  Given the exhaustive checks, the Jacobiator of the skew
-        biderivation is a derivation in each argument (Laurent-Gengoux,
-        Pichereau and Vanhaecke, *Poisson Structures*, 2013, ch. 1), so it
-        vanishes once it vanishes on generator triples, whose
-        {{g_a, g_b}, g_c} need only the generator rows.
+        When every pair check passes, ``_triples_hold`` decides the triples
+        on composites (``linalg.compose``) of the rows a <= b alone, about
+        half the work of the composites over both orders, by the symmetries
+        that commutativity and skew of the tables, just proved, give each
+        identity:
 
-        Commutativity and skew are decided once per unordered pair, skew
-        without copying an entry, and a failing pair is reported in both
-        orders.  Problems are listed pairs first (commutativity and skew by
-        ordered pair, then factorization by key), then triples in
-        lexicographic order (associativity, Leibniz, Jacobi within a
-        triple), and the list stops after the first triple at which it holds
-        ten or more.
+        - Associativity.  Let Q(a,b;c) = (e_a e_b) e_c, composed from the
+          product rows a <= b only; by commutativity Q(a,b;c) = Q(b,a;c)
+          and e_c (e_a e_b) = Q(a,b;c).  Over the orderings of a triple
+          a <= b <= c the products take the three values Q(a,b;c),
+          Q(b,c;a) and Q(a,c;b), so associativity holds at every ordering
+          exactly when the three are equal.
+        - Leibniz.  {i, jk} = {i,j}k + {i,k}j is symmetric in j and k, as
+          e_j e_k = e_k e_j; so j <= k suffices.  {i, jk} comes from the
+          product rows j <= k, and {i,j}k from the bracket rows i < j, read
+          negated for i > j (skew) and zero for i = j.
+        - Jacobi on generators.  Under skew the Jacobiator is alternating,
+          and it vanishes when two arguments are equal ({a,a} = 0 and
+          {{a,c},a} + {{c,a},a} = 0); so a < b < c suffices, as
+          {{a,b},c} + {{b,c},a} - {{a,c},b}, from the bracket rows a < b.
+          Given the other identities and the factorization of every key
+          into generators, the Jacobiator of the skew biderivation is a
+          derivation in each argument (Laurent-Gengoux, Pichereau and
+          Vanhaecke, *Poisson Structures*, 2013, ch. 1), so it vanishes
+          once it vanishes on generator triples.
+
+        A pass is returned at once.  The symmetric route decides each
+        identity once per orbit of its symmetries, so it does not say at
+        which ordered triples the dense loop fails; only after a failure
+        does ``_triple_report`` compose over both orders of every pair to
+        build that list.  It is the report builder, and a valid algebra
+        never reaches it.
+
+        Problems are listed pairs first (commutativity and skew by ordered
+        pair, then factorization by key), then triples in lexicographic
+        order (associativity, Leibniz, Jacobi within a triple), and the list
+        stops after the first triple at which it holds ten or more.
         """
         if self.zero_algebra:
             return []
@@ -643,6 +678,59 @@ class PLAlgebra:
         for i, (z, m) in self._divisor.items():
             if mult[(z, m)] != {i: 1}:
                 problems.append(f"factorization fails at ({z},{m})")
+        if not problems and self._triples_hold(mult, br):
+            return []
+        return self._triple_report(mult, br, problems)
+
+    def _triples_hold(self, mult: dict, br: dict) -> bool:
+        """Associativity and Leibniz at every triple, and Jacobi at every
+        triple of generators, by the reductions ``verify_axioms`` states,
+        for tables that pass every pair check.  The composites hold only
+        nonzero products, so each identity is decided at the triples where
+        one of its terms is nonzero; at every other triple it holds as a
+        sum of zero products."""
+        n = self.dim
+        mult_rows = {(a, b): mult[(a, b)] for a in range(n) for b in range(a, n)}
+        # associativity: a nonzero Q(a,b;c) with a <= b <= c is compared with
+        # the other two values of its triple; any other nonzero value must
+        # find that one nonzero too
+        assoc = compose(mult_rows, mult)
+        for ((a, b), c), vec in assoc.items():
+            if c >= b:
+                if assoc.get(((b, c), a)) != vec or assoc.get(((a, c), b)) != vec:
+                    return False
+            elif ((a, c) if a <= c else (c, a), b) not in assoc:
+                return False
+        del assoc
+        # Leibniz, both sides keyed ((j, k), i) with j <= k; at j = k the
+        # two terms of the right side coincide
+        lhs = compose(mult_rows, br, slot=1)            # {e_i, e_j e_k}
+        rhs: dict = {}
+        for ((a, b), c), vec in compose({(a, b): br[(a, b)] for a in range(n)
+                                         for b in range(a + 1, n)}, mult).items():
+            for i, j, sign in ((a, b, 1), (b, a, -1)):  # {e_i, e_j} e_c
+                add_into(rhs.setdefault(((j, c) if j <= c else (c, j), i), {}), vec,
+                         2 * sign if j == c else sign)
+        if lhs != {key: vec for key, vec in rhs.items() if vec}:
+            return False
+        del lhs, rhs
+        # Jacobi on generator triples a < b < c: {{x,y},z} with x < y is
+        # signed by the place of z within the triple
+        gens = [i for i in range(n) if i not in self._divisor]
+        jacobiator: dict = {}
+        for ((a, b), c), vec in compose(
+                {(a, b): br[(a, b)] for a in gens for b in gens if a < b},
+                {(m, c): br[(m, c)] for m in range(n) for c in gens}).items():
+            if c != a and c != b:
+                add_into(jacobiator.setdefault(tuple(sorted((a, b, c))), {}), vec,
+                         -1 if a < c < b else 1)
+        return not any(jacobiator.values())
+
+    def _triple_report(self, mult: dict, br: dict, problems: list[str]) -> list[str]:
+        """``problems`` followed by every failing triple, from composites
+        over both orders of every pair, in lexicographic order and cut as
+        ``verify_axioms`` states."""
+        n = self.dim
         # (triple, place within the triple, name) of every failure; each
         # composite table, keyed ((a, b), c), is dropped once its identity
         # is decided, so that memory holds one identity's tables at a time

@@ -1,8 +1,10 @@
 import bisect
+import contextlib
 import copy
 import itertools
 import math
 import random
+import signal
 import time
 from fractions import Fraction
 
@@ -542,6 +544,106 @@ class TestVerifyAxiomsOracle:
         assert problems[len(pairs):] == ["Leibniz fails at (0,0,0)", "Jacobi fails at (0,0,0)"]
 
 
+def key_indices(alg) -> dict:
+    """The basis index of each formatted basis key, such as 'Z1*X[1,1]'."""
+    return {alg.format_key(key): i for i, key in enumerate(alg.basis)}
+
+
+def symmetric_edits(gram, mult=(), br=(), zero_bracket=False) -> PLAlgebra:
+    """A copy of an algebra whose product gains vec at (a, b) and (b, a),
+    and whose bracket gains vec at (a, b) and -vec at (b, a), for each
+    (a, b, vec) given by formatted basis keys; so commutativity and skew
+    hold at every pair.  With ``zero_bracket`` the bracket is zero first,
+    so that Leibniz and Jacobi hold whatever the product."""
+    alg = copy.copy(algebra(gram))
+    names = key_indices(alg)
+    tables = ({k: dict(v) for k, v in alg.multiplication_table().items()},
+              {k: {} if zero_bracket else dict(v) for k, v in alg.bracket_table().items()})
+    for table, edits, sign in zip(tables, (mult, br), (1, -1)):
+        for a, b, vec in edits:
+            delta = {names[k]: c for k, c in vec.items()}
+            add_into(table[(names[a], names[b])], delta)
+            add_into(table[(names[b], names[a])], delta, sign)
+    alg._mult_table, alg._bracket_table = tables
+    return alg
+
+
+def failing_triples(problems, name) -> set:
+    """The triples, each sorted, at which ``name`` fails in a problem list."""
+    return {tuple(sorted(map(int, p.split("at (")[1].rstrip(")").split(","))))
+            for p in problems if p.startswith(name)}
+
+
+class TestReducedTriples:
+    """Tables that pass every pair check but break one triple identity at
+    the triples that the symmetric route of ``verify_axioms`` reaches by
+    one comparison only: each must reach the report builder and give the
+    dense loop's list."""
+
+    @pytest.mark.parametrize("gram, edit, triple, broken", [
+        # the unit's product with one key dropped: one value vanishes
+        ([[2]], ("1", "X[-1]", {"X[-1]": -1}), ("1", "X[-1]", "X[1]"), 0),
+        ([[2]], ("1", "Z1^2", {"Z1^2": -1}), ("1", "X[-1]", "X[1]"), 1),
+        ([[2]], ("1", "X[1]", {"X[1]": -1}), ("1", "X[-1]", "X[1]"), 2),
+        # Z1 X[1,1] gains Z2 X[1,1]: one value moves, none vanishes
+        (A2, ("Z1", "X[1,1]", {"Z2*X[1,1]": 1}), ("Z1", "X[-1,-1]", "X[1,1]"), 2),
+    ], ids=["Q(a,b;c)", "Q(b,c;a)", "Q(a,c;b)", "Q(a,c;b) on A2"])
+    def test_associativity_broken_at_one_value(self, gram, edit, triple, broken):
+        """With the bracket zero, at the triple a < b < c only the value
+        ``broken`` of Q(a,b;c), Q(b,c;a) and Q(a,c;b) differs."""
+        alg = symmetric_edits(gram, mult=[edit], zero_bracket=True)
+        problems = alg.verify_axioms()
+        assert problems == dense_verify_axioms(alg, jacobi_on_generators=True)
+        assert problems and all(p.startswith("associativity") for p in problems)
+        a, b, c = (key_indices(alg)[name] for name in triple)
+        assert a < b < c
+        mult = alg.multiplication_table()
+        values = [bilinear(mult, mult[(x, y)], {z: 1}) for x, y, z in
+                  ((a, b, c), (b, c, a), (a, c, b))]
+        moved = values.pop(broken)
+        assert values[0] == values[1] != moved
+
+    def test_leibniz_broken_only_at_equal_arguments(self):
+        # {Z1, Z1^2} = Z1^4 fails {Z1, Z1 Z1} = 2 {Z1, Z1} Z1 only
+        alg = symmetric_edits([[4]], br=[("Z1", "Z1^2", {"Z1^4": 1})])
+        problems = alg.verify_axioms()
+        assert problems == dense_verify_axioms(alg, jacobi_on_generators=True)
+        assert problems == ["Leibniz fails at (1,1,1)"]
+
+    def test_jacobi_broken_on_three_distinct_generators(self):
+        # {Z1, Z2} = Z1 Z2^2: Leibniz still holds, as Z1 Z2^2 kills every
+        # key but the unit, while {{X_b, X_-b}, Z1} moves
+        alg = symmetric_edits(A2, br=[("Z1", "Z2", {"Z1*Z2^2": 1})])
+        problems = alg.verify_axioms()
+        assert problems == dense_verify_axioms(alg, jacobi_on_generators=True)
+        assert problems and all(p.startswith("Jacobi") for p in problems)
+        generators = set(range(alg.dim)) - set(alg._divisor)
+        for triple in failing_triples(problems, "Jacobi"):
+            assert len(set(triple)) == 3 and set(triple) <= generators
+
+    def test_tampered_tables_that_pass_every_pair_check_still_fail(self):
+        """The reduced route itself rejects at least 20 tampered tables:
+        their lists hold triple problems and no pair problem, and equal the
+        dense loop's.  ``TAMPER_SEEDS`` holds 14 such tables, so the seeds
+        run on past it."""
+        rejected = 0
+        for seed in range(300):
+            alg = tampered(seed)
+            problems = alg.verify_axioms()
+            if problems and all(p.count(",") == 2 for p in problems):
+                assert problems == dense_verify_axioms(alg, jacobi_on_generators=True), seed
+                rejected += 1
+        assert rejected >= 20
+
+    @pytest.mark.parametrize("gram", ORACLE_GRAMS, ids=str)
+    def test_valid_algebras_never_reach_the_report_builder(self, gram, monkeypatch):
+        def report(self, mult, br, problems):
+            raise AssertionError("a valid algebra reached the full triple code")
+
+        monkeypatch.setattr(PLAlgebra, "_triple_report", report)
+        assert algebra(gram).verify_axioms() == []
+
+
 # ---------------------------------------------------------------------------
 # the recursive tables and the Fincke-Pohst survivor set against their oracles
 # ---------------------------------------------------------------------------
@@ -810,6 +912,22 @@ def undeduplicated_reducer(alg, sector) -> PowerIdealReducer:
          else 1 + lat.norm(alpha)) for alpha in alg.nonzero_c2])
 
 
+@contextlib.contextmanager
+def within_a_second():
+    """Raise TimeoutError in the block once it has run for a second, so
+    that a loop without end fails the test instead of hanging the run."""
+    def timeout(signum, frame):
+        raise TimeoutError("still running after a second")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 class TestSharedReducers:
     @pytest.mark.parametrize("gram", TABLE_GRAMS + [A1_CUBED, A4], ids=str)
     def test_match_undeduplicated_reducers(self, gram):
@@ -845,6 +963,16 @@ class TestSharedReducers:
         assert len(alg.sectors) == 81 and alg.dim == 625
         assert len({id(red) for red in alg.sectors.values()}) == 41
         assert elapsed < 5.0, f"took {elapsed:.2f} s"
+
+    @pytest.mark.parametrize("rank, generators", [(1, []), (2, [((1, 0), 2)])])
+    def test_lines_that_do_not_span_raise(self, rank, generators):
+        with within_a_second(), pytest.raises(ValueError, match="do not span"):
+            PowerIdealReducer(rank, generators).max_degree()
+
+    def test_a_survivor_set_that_does_not_span_raises(self, monkeypatch):
+        monkeypatch.setattr("vlie.lattice_c2.enumerate_c2", lambda lattice: [(0,)])
+        with within_a_second(), pytest.raises(ValueError, match="do not span"):
+            PLAlgebra(EvenLattice([[2]]))
 
     @pytest.mark.parametrize("gram", [A2, SKEWED, A3, A1_CUBED], ids=str)
     def test_hilbert_function_matches_groebner_basis(self, gram):
