@@ -615,11 +615,14 @@ class PLAlgebra:
         exact, with work that grows with the nonzero products, not dim^3.
 
         Pairs are compared entry by entry.  The generators are the unit, the
-        Z_t and the X_beta: the keys with no ``_divisor``.  A pair check asks
-        e_z e_m = e_i for the divisor (z, m) of every other key i, so that
-        every key is a product of generators.  Commutativity and skew are
-        decided once per unordered pair, skew without copying an entry, and
-        a failing pair is reported in both orders.
+        Z_t and the X_beta: the keys with no ``_divisor``.  Commutativity and
+        skew are decided once per unordered pair, skew without copying an
+        entry, and a failing pair is reported in both orders.  Deciding
+        Jacobi on generators needs e_z e_m = e_i for the divisor (z, m) of
+        every other key i, so that every key is a product of generators.
+        This factorization is not an axiom and never prints a problem: where
+        some key does not factor, Jacobi is decided at every triple, in the
+        report route.
 
         When every pair check passes, ``_triples_hold`` decides the triples
         on composites (``linalg.compose``) of the rows a <= b alone, about
@@ -655,9 +658,9 @@ class PLAlgebra:
         never reaches it.
 
         Problems are listed pairs first (commutativity and skew by ordered
-        pair, then factorization by key), then triples in lexicographic
-        order (associativity, Leibniz, Jacobi within a triple), and the list
-        stops after the first triple at which it holds ten or more.
+        pair), then triples in lexicographic order (associativity, Leibniz,
+        Jacobi within a triple), and the list stops after the first triple
+        at which it holds ten or more.
         """
         if self.zero_algebra:
             return []
@@ -675,12 +678,13 @@ class PLAlgebra:
                 if len(b_ij) != len(b_ji) or any(b_ji.get(k) != -c for k, c in b_ij.items()):
                     pair_failures += [(i, j, "skew"), (j, i, "skew")] if i != j else [(i, i, "skew")]
         problems = [f"{name} fails at ({i},{j})" for i, j, name in sorted(pair_failures)]
-        for i, (z, m) in self._divisor.items():
-            if mult[(z, m)] != {i: 1}:
-                problems.append(f"factorization fails at ({z},{m})")
-        if not problems and self._triples_hold(mult, br):
+        if not problems and self._factors(mult) and self._triples_hold(mult, br):
             return []
         return self._triple_report(mult, br, problems)
+
+    def _factors(self, mult: dict) -> bool:
+        """Whether every key i with a divisor (z, m) is e_z e_m."""
+        return all(mult[(z, m)] == {i: 1} for i, (z, m) in self._divisor.items())
 
     def _triples_hold(self, mult: dict, br: dict) -> bool:
         """Associativity and Leibniz at every triple, and Jacobi at every
@@ -729,7 +733,8 @@ class PLAlgebra:
     def _triple_report(self, mult: dict, br: dict, problems: list[str]) -> list[str]:
         """``problems`` followed by every failing triple, from composites
         over both orders of every pair, in lexicographic order and cut as
-        ``verify_axioms`` states."""
+        ``verify_axioms`` states; Jacobi at generator triples where every
+        key factors, else at every triple."""
         n = self.dim
         # (triple, place within the triple, name) of every failure; each
         # composite table, keyed ((a, b), c), is dropped once its identity
@@ -752,9 +757,10 @@ class PLAlgebra:
             if br_of_mult.get(((j, k), i), {}) != rhs:
                 failures.add(((i, j, k), 1, "Leibniz"))
         del br_mult, br_of_mult, leibniz
-        # Jacobi on generator triples: the cyclic sum is the same at all
-        # three rotations
-        gens = [i for i in range(n) if i not in self._divisor]
+        # Jacobi on generator triples, or on all of them: the cyclic sum is
+        # the same at all three rotations
+        factors = self._factors(mult)
+        gens = [i for i in range(n) if not factors or i not in self._divisor]
         br_br = compose({(a, b): br[(a, b)] for a in gens for b in gens},
                         {(m, c): br[(m, c)] for m in range(n) for c in gens})
         for ((a, b), c), vec in br_br.items():

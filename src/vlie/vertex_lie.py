@@ -385,17 +385,22 @@ class VLStructure:
     def verify_skew_symmetry(self, window: int = 4) -> list[str]:
         """Window check of [x, y] + [y, x] = 0.  Neither bracket stores a
         zero, so a cell holds exactly when both have the same symbols with
-        opposite coefficients; no sum is built."""
-        problems = []
+        opposite coefficients; no sum is built.
+
+        ``_skew_holds`` decides a pass first.  Only a window that fails is
+        scanned again, at every (m, n) of each basis pair i <= j, to build
+        the list, which stops at 20 problems."""
         r = len(self.basis)
+        if self._skew_holds(window, [(ia, ib) for ia in range(r) for ib in range(ia, r)]):
+            return []
+        problems = []
         for ia in range(r):
             for ib in range(ia, r):
                 for m in range(-window, window + 1):
                     for n in range(-window, window + 1):
                         lhs = self.component_bracket(ia, m, ib, n)
                         rhs = self.component_bracket(ib, n, ia, m)
-                        if len(lhs) != len(rhs) or any(
-                                rhs.get(s) != -c for s, c in lhs.items()):
+                        if not _opposite(lhs, rhs):
                             problems.append(
                                 f"skew fails at [{self.basis[ia]}({m}),{self.basis[ib]}({n})]: "
                                 f"{self.format_modes(lhs)} vs -({self.format_modes(rhs)})"
@@ -403,6 +408,26 @@ class VLStructure:
                             if len(problems) >= 20:
                                 return problems
         return problems
+
+    def _skew_holds(self, window: int, pairs: Iterable[tuple[int, int]]) -> bool:
+        """Whether every window cell of the skew check holds on the basis
+        pairs i <= j given; stops at the first that fails.  On a diagonal
+        pair (i, i) the cells (m, n) and (n, m) are one identity, so each
+        unordered mode pair is checked once."""
+        cache = self._bracket_cache
+        modes = range(-window, window + 1)
+        for ia, ib in pairs:
+            for a, m in enumerate(modes):
+                for n in modes[a:] if ia == ib else modes:
+                    lhs = cache.get((ia, m, ib, n))
+                    if lhs is None:
+                        lhs = self.component_bracket(ia, m, ib, n)
+                    rhs = cache.get((ib, n, ia, m))
+                    if rhs is None:
+                        rhs = self.component_bracket(ib, n, ia, m)
+                    if not _opposite(lhs, rhs):
+                        return False
+        return True
 
     @functools.cached_property
     def _denominator(self) -> int:
@@ -422,6 +447,65 @@ class VLStructure:
         together with skew-symmetry covers all triples; pass True for
         candidate tables that may not even be skew.
 
+        A pass is decided first, on fewer cells, for either ``ordered``.
+        Where skew holds on the window, the Jacobiator J(x, y, z) of window
+        modes is alternating.  Swapping x and y turns [[y,x],z] + [[x,z],y]
+        + [[z,y],x] term by term into minus [[x,y],z], [[z,x],y] and
+        [[y,z],x]: skew is used only on the inner brackets, whose operands
+        are window modes, and the outer bracket (``add_term`` in
+        ``_jacobi_scan``) is bilinear, so J changes sign exactly; likewise
+        for y and z.  With x = y, [x,x] = 0 and [[x,z],x] = -[[z,x],x] make
+        J exactly zero.  So every cell of every ordered triple is, up to
+        sign, a cell of a sorted basis triple i <= j <= k with m < n where
+        i = j and n < p where j = k, or zero.  ``_jacobi_holds`` decides
+        skew on every window pair and Jacobi on those cells only, and a pass
+        returns [] at once.  Any failure, of skew or of Jacobi, goes to
+        ``_jacobi_report``, which scans every cell of the triples of
+        ``ordered`` to build the list; a valid structure never reaches it.
+        """
+        cells = self._jacobi_scan(window)
+        if self._jacobi_holds(window, cells):
+            return []
+        return self._jacobi_report(ordered, cells)
+
+    def _jacobi_holds(self, window: int, cells) -> bool:
+        """Whether skew holds on every window pair and Jacobi on the reduced
+        cells of every sorted triple; stops at the first failure.  The
+        pairs of a triple are decided as it comes up, so a table that fails
+        early pays for few of them; the pair i <= j lies in (i, i, j)."""
+        decided: set[tuple[int, int]] = set()
+        for i, j, k in itertools.combinations_with_replacement(range(len(self.basis)), 3):
+            pairs = {(i, j), (j, k), (i, k)} - decided
+            if not self._skew_holds(window, pairs):
+                return False
+            decided |= pairs
+            if next(cells(i, j, k, True), None) is not None:
+                return False
+        return True
+
+    def _jacobi_report(self, ordered: bool, cells) -> list[str]:
+        """The failing cells of the sorted basis triples, or with
+        ``ordered`` of all ordered ones, in scan order; the list stops at
+        20 problems."""
+        r = range(len(self.basis))
+        triples = (itertools.product(r, repeat=3) if ordered
+                   else itertools.combinations_with_replacement(r, 3))
+        problems = []
+        for i, j, k in triples:
+            for m, n, p, value in cells(i, j, k, False):
+                problems.append(
+                    f"Jacobi fails on ({self.basis[i]}({m}),{self.basis[j]}({n}),"
+                    f"{self.basis[k]}({p})): " + self.format_modes(value))
+                if len(problems) >= 20:
+                    return problems
+        return problems
+
+    def _jacobi_scan(self, window: int):
+        """cells(i, j, k, reduced): the failing window cells (m, n, p,
+        Jacobiator) of the basis triple (i, j, k), in scan order; with
+        ``reduced`` only the rows m < n where i = j and the cells n < p
+        where j = k.  Every triple of one scan shares its scaled copies.
+
         Every cell is decided exactly, in integers.  With D the lcm of the
         denominators of the table, the normal forms and the U0'/U' vectors
         (``_denominator``), a basis mode times D is integral, a component
@@ -432,24 +516,14 @@ class VLStructure:
         through the D^4 symbol brackets, is D^7 times the true one, and a
         cell is zero exactly when its true Jacobiator is.  A scaled value
         that is not integral raises; nothing is rounded.  The exact
-        ``Fraction``s are rebuilt only for the text of a failing cell.
+        ``Fraction``s are rebuilt only for a failing cell.
 
         The rows (x_m, y_n) are scanned in order, and in each row only the
         cells p where a term has two nonempty operands: [xy, z_p] where
         z_p is nonempty (and xy is), [y_n z_p, x_m] where y_n z_p is (and
         x_m is), [z_p x_m, y_n] where z_p x_m is (and y_n is).  Every other
-        cell is zero.  The cells of a row are reported by ascending p, so
-        the list stops at 20 problems where the full scan would.
+        cell is zero.  The cells of a row come by ascending p.
         """
-        problems = []
-        r = len(self.basis)
-        if ordered:
-            triples = [(i, j, k) for i in range(r) for j in range(r) for k in range(r)]
-        else:
-            triples = [
-                (i, j, k)
-                for i in range(r) for j in range(i, r) for k in range(j, r)
-            ]
         modes = range(-window, window + 1)
         D = self._denominator
         D2, D4, D7 = D ** 2, D ** 4, D ** 7
@@ -457,8 +531,15 @@ class VLStructure:
         # modes times D, component brackets times D^2, and one flat table of
         # symbol brackets (sx, sy) times D^4
         mode = functools.cache(lambda i, n: _scaled(self._basis_mode(i, n), D))
-        bracket = functools.cache(
-            lambda ia, m, ib, n: _scaled(self.component_bracket(ia, m, ib, n), D2))
+        cache = self._bracket_cache
+
+        @functools.cache
+        def bracket(ia, m, ib, n):
+            vec = cache.get((ia, m, ib, n))
+            if vec is None:
+                vec = self.component_bracket(ia, m, ib, n)
+            return _scaled(vec, D2) if vec else ()
+
         pairs: dict[tuple[Symbol, Symbol], tuple] = {}
 
         def add_term(acc, x, y):
@@ -474,47 +555,44 @@ class VLStructure:
                     for s, v in items:
                         acc[s] = get(s, 0) + w * v
 
-        for (i, j, k) in triples:
+        def cells(i, j, k, reduced):
             # the basis modes and the [y_n, z_p] and [z_p, x_m] brackets of
             # this triple, each read once over the window, and for each the
-            # cells p where they are nonempty
+            # cells p where they are nonempty, as bit masks
             xs = [mode(i, m) for m in modes]
             ys = [mode(j, n) for n in modes]
             zs = [mode(k, p) for p in modes]
             yz = [[bracket(j, n, k, p) for p in modes] for n in modes]
             zx = [[bracket(k, p, i, m) for p in modes] for m in modes]
-            z_cells = [c for c, z in enumerate(zs) if z]
-            yz_cells = [[c for c, v in enumerate(row) if v] for row in yz]
-            zx_cells = [[c for c, v in enumerate(row) if v] for row in zx]
+            z_mask = _mask(zs)
+            yz_masks = [_mask(row) for row in yz]
+            zx_masks = [_mask(row) for row in zx]
             for a, m in enumerate(modes):
-                x = xs[a]
-                for b, n in enumerate(modes):
+                x, zx_a = xs[a], zx[a]
+                for b in range(a + 1 if reduced and i == j else 0, len(modes)):
+                    n = modes[b]
                     xy = bracket(i, m, j, n)
-                    y = ys[b]
-                    cells = set(z_cells) if xy else set()
-                    if x:
-                        cells.update(yz_cells[b])
-                    if y:
-                        cells.update(zx_cells[a])
-                    for c in sorted(cells):
+                    y, yz_b = ys[b], yz[b]
+                    live = ((z_mask if xy else 0) | (yz_masks[b] if x else 0)
+                            | (zx_masks[a] if y else 0))
+                    if reduced and j == k:
+                        live &= -2 << b  # the cells c > b
+                    while live:
+                        c = (live & -live).bit_length() - 1
+                        live &= live - 1
                         acc: dict[Symbol, int] = {}
-                        if xy:
-                            add_term(acc, xy, zs[c])
-                        if x:
-                            add_term(acc, yz[b][c], x)
-                        if y:
-                            add_term(acc, zx[a][c], y)
+                        z, yz_c, zx_c = zs[c], yz_b[c], zx_a[c]
+                        if xy and z:
+                            add_term(acc, xy, z)
+                        if x and yz_c:
+                            add_term(acc, yz_c, x)
+                        if y and zx_c:
+                            add_term(acc, zx_c, y)
                         if any(acc.values()):
-                            p = modes[c]
-                            problems.append(
-                                f"Jacobi fails on ({self.basis[i]}({m}),"
-                                f"{self.basis[j]}({n}),{self.basis[k]}({p})): "
-                                + self.format_modes({s: narrow(Fraction(v, D7))
-                                                     for s, v in acc.items() if v})
-                            )
-                            if len(problems) >= 20:
-                                return problems
-        return problems
+                            yield m, n, modes[c], {s: narrow(Fraction(v, D7))
+                                                   for s, v in acc.items() if v}
+
+        return cells
 
     def certify(self) -> "VLStructure":
         """Prove what the window checks test, at every mode, or raise: the
@@ -534,6 +612,16 @@ class VLStructure:
             raise ValueError("structure is not graded")
         i = self.index[name_or_index] if isinstance(name_or_index, str) else name_or_index
         return self.degrees[i]
+
+
+def _opposite(x: Mapping, y: Mapping) -> bool:
+    """Whether y = -x, for two dicts that store no zero."""
+    return len(x) == len(y) and all(y.get(s) == -c for s, c in x.items())
+
+
+def _mask(items: Sequence) -> int:
+    """The bit mask of the positions of the nonempty items."""
+    return sum(1 << c for c, v in enumerate(items) if v)
 
 
 def _scaled(vec: Mapping, scale: int) -> tuple:

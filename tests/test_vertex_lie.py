@@ -646,6 +646,113 @@ class TestSkewOracle:
             assert _jacobi_structure(name).verify_skew_symmetry(3), name
 
 
+def _oracle_cell(s, i, j, k, m, n, p):
+    """One cell of ``_oracle_jacobi``: its Jacobiator, every bracket afresh."""
+    vi, vj, vk = ({t: 1} for t in (i, j, k))
+    acc = _oracle_bracket_elements(s, s.bracket_vectors(vi, m, vj, n), s.mode(vk, p))
+    add_into(acc, _oracle_bracket_elements(s, s.bracket_vectors(vj, n, vk, p), s.mode(vi, m)))
+    add_into(acc, _oracle_bracket_elements(s, s.bracket_vectors(vk, p, vi, m), s.mode(vj, n)))
+    return acc
+
+
+def _skew_edit(s, a, b, term):
+    """s with ``term`` on both (a, b) and (b, a): a central lambda^1 term,
+    (a|b) c for a symmetric form, keeps skew."""
+    s = _with_term(s, a, b, term)
+    return s if a == b else _with_term(s, b, a, term)
+
+
+def _witt_cubed():
+    """Witt with (D + 2 lambda)^3 omega added to [omega_lambda omega]: an odd
+    polynomial in D + 2 lambda, so skew, but no longer Lie."""
+    s = build_structure("witt")
+    for term in (({"omega": 1}, 3, 0), ({"omega": -6}, 2, 1), ({"omega": 12}, 1, 2),
+                 ({"omega": -8}, 0, 3)):
+        s = _with_term(s, "omega", "omega", term)
+    return s
+
+
+# skew-keeping tamperings; the Jacobi failures of all but affine-e|f begin
+# on a triple with a repeated basis element
+SKEW_TAMPERINGS = {
+    "affine-e|h": lambda: _skew_edit(build_structure("affine-sl2"), "e", "h", ({"c": -1}, 0, 1)),
+    "affine-e|e": lambda: _skew_edit(build_structure("affine-sl2"), "e", "e", ({"c": -1}, 0, 1)),
+    "witt-cubed": _witt_cubed,
+    "affine-e|f": lambda: _skew_edit(build_structure("affine-sl2"), "e", "f", ({"c": -1}, 0, 1)),
+}
+
+
+def _symmetric(k):
+    """[a_lambda a] = D^k a on one generator: symmetric, so not skew."""
+    return VLStructure(("a",), None, (), None, {("a", "a"): [({"a": 1}, k, 0)]})
+
+
+class TestReducedJacobi:
+    """``verify_jacobi`` decides a pass on the reduced cells of the sorted
+    triples, after skew; a failure of either goes to ``_jacobi_report``."""
+
+    @pytest.mark.parametrize("name", SUITE_BUILDERS + ("novikov-t3",))
+    def test_valid_structures_never_reach_the_report(self, name, monkeypatch):
+        def report(self, ordered, cells):
+            raise AssertionError("a valid structure reached the report scan")
+
+        monkeypatch.setattr(VLStructure, "_jacobi_report", report)
+        s = novikov(truncated_poly(3)) if name == "novikov-t3" else build_structure(name)
+        for window in range(5):
+            assert s.verify_skew_symmetry(window) == [], window
+            for ordered in (False, True):
+                assert s.verify_jacobi(window, ordered) == [], (window, ordered)
+
+    @pytest.mark.parametrize("ordered", [False, True])
+    @pytest.mark.parametrize("name", SKEW_TAMPERINGS)
+    def test_skew_keeping_tamperings_match_oracle(self, name, ordered):
+        s = SKEW_TAMPERINGS[name]()
+        assert s.verify_skew_symmetry(2) == []
+        for window in range(3):
+            assert s.verify_jacobi(window, ordered) == _oracle_jacobi(s, window, ordered), window
+        first = s.verify_jacobi(2, ordered)[0]
+        triple = [arg.split("(")[0] for arg in first[len("Jacobi fails on ("):].split("),")]
+        assert (len(set(triple)) < 3) == (name != "affine-e|f"), first
+
+    @pytest.mark.parametrize("name", SKEW_TAMPERINGS)
+    def test_reduced_cells_are_the_sorted_representatives(self, name):
+        """The failing cells of each sorted triple: all of them in scan
+        order, and with ``reduced`` those with m < n where i = j and n < p
+        where j = k, each with the oracle's Jacobiator."""
+        s = SKEW_TAMPERINGS[name]()
+        window = 2
+        modes = range(-window, window + 1)
+        cells = s._jacobi_scan(window)
+        reduced_failures = 0
+        for i, j, k in itertools.combinations_with_replacement(range(len(s.basis)), 3):
+            failing = {}
+            for m, n, p in itertools.product(modes, repeat=3):
+                value = _oracle_cell(s, i, j, k, m, n, p)
+                if value:
+                    failing[m, n, p] = value
+            assert [cell[:3] for cell in cells(i, j, k, False)] == sorted(failing)
+            got = {(m, n, p): value for m, n, p, value in cells(i, j, k, True)}
+            assert got == {(m, n, p): value for (m, n, p), value in failing.items()
+                           if (i != j or m < n) and (j != k or n < p)}, (i, j, k)
+            reduced_failures += len(got)
+        assert reduced_failures
+
+    @pytest.mark.parametrize("k, window", [(0, 0), (1, 1)])
+    def test_non_skew_table_passes_the_reduced_cells_but_fails(self, k, window):
+        """With one generator the reduced cells are m < n < p: none at window
+        0, where [a(0), a(0)] = a(0) is not skew, and at window 1 only
+        (-1, 0, 1), where the Jacobiator 2 s (s - 1) a(s - 2) of
+        [a(m), a(n)] = -(m + n) a(m + n - 1), s = m + n + p, vanishes.  Only
+        the skew decision sends these tables to the report."""
+        s = _symmetric(k)
+        assert not s._skew_holds(window, [(0, 0)])
+        assert s.verify_skew_symmetry(window) == _oracle_skew(s, window) != []
+        assert next(s._jacobi_scan(window)(0, 0, 0, True), None) is None
+        for ordered in (False, True):
+            problems = s.verify_jacobi(window, ordered)
+            assert problems == _oracle_jacobi(s, window, ordered) != [], ordered
+
+
 # coefficients over the denominators 2, 3, 5, 7 and 97 (and 1)
 COEFFS = st.builds(Fraction, st.integers(-3, 3).filter(bool), st.sampled_from((1, 2, 3, 5, 7, 97)))
 
