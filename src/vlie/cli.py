@@ -38,7 +38,8 @@ from .formal_calc import (
     render,
     swap_side,
 )
-from .lattice_c2 import EvenLattice, bk_compare, build_pl_algebra, detect_indefinite, enumerate_c2
+from .lattice_c2 import (EvenLattice, PLAlgebra, bk_compare, build_pl_algebra, detect_indefinite,
+                         enumerate_c2)
 from .lie_core import sl2
 from .poisson_c2 import (
     p2_structure,
@@ -289,8 +290,7 @@ def suite_lattice(report: Report, args):
 
             report.run("lattice.zero-algebra", zero_algebra)
             return
-        alg = build_pl_algebra(lattice)
-        report.run("lattice.axioms", alg.verify_axioms)
+        report.run("lattice.axioms", PLAlgebra(lattice).verify_axioms)
         return
     for k in (1, 2, 3):
         def compare(k=k):
@@ -299,7 +299,7 @@ def suite_lattice(report: Report, args):
         report.run(f"lattice.rank1-compare.k{k}", compare)
 
     def a2_suite():
-        alg = build_pl_algebra(EvenLattice([[2, -1], [-1, 2]]))
+        alg = PLAlgebra(EvenLattice([[2, -1], [-1, 2]]))
         problems = []
         if len(alg.c2) != 7:
             problems.append(f"survivor count {len(alg.c2)} != 7")

@@ -31,6 +31,14 @@ def exact(value) -> Fraction:
         raise ConfigError(str(exc)) from None
 
 
+def integer(value) -> int:
+    """An int or an integer string: never a float, a boolean or a fraction."""
+    number = exact(value)
+    if number.__class__ is not int:
+        raise ConfigError(f"not an integer: {value!r}")
+    return number
+
+
 def load_config_file(path: str) -> dict:
     p = Path(path)
     if not p.exists():
@@ -88,7 +96,7 @@ def vertex_lie_from_config(data: dict) -> VLStructure:
             else:
                 basis.append(item["name"])
                 if "degree" in item:
-                    degrees.append(int(item["degree"]))
+                    degrees.append(integer(item["degree"]))
                 else:
                     graded = False
         d_cfg = data.get("d", {})
@@ -114,7 +122,7 @@ def vertex_lie_from_config(data: dict) -> VLStructure:
             terms = []
             for term in entry.get("terms", []):
                 f = {name: exact(c) for name, c in term["f"]}
-                terms.append((f, int(term.get("k", 0)), int(term.get("l", 0))))
+                terms.append((f, integer(term.get("k", 0)), integer(term.get("l", 0))))
             table[(entry["a"], entry["b"])] = terms
         structure = VLStructure(
             basis=basis,
@@ -227,9 +235,11 @@ def build_structure(name: str, config: dict | None = None) -> VLStructure:
         return loop(sl2())
     if key in ("affine-sl2", "affine_sl2"):
         return affine(sl2(), sl2_form(), highest_root="e")
-    if key.startswith("heisenberg"):
-        _, _, rank = key.partition(":")
-        r = int(rank) if rank else 1
+    if key.partition(":")[0] == "heisenberg":
+        _, sep, rank = key.partition(":")
+        if sep and not (rank.isdecimal() and int(rank) > 0):
+            raise ConfigError(f"the heisenberg rank must be a positive integer: {rank!r}")
+        r = int(rank) if sep else 1
         matrix = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
         return heisenberg(matrix)
     if key in ("novikov-dual", "novikov_dual"):

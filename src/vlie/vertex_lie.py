@@ -383,42 +383,31 @@ class VLStructure:
     # -- verification -------------------------------------------------------------
 
     def verify_skew_symmetry(self, window: int = 4) -> list[str]:
-        """Window check of [x, y] + [y, x] = 0.  Neither bracket stores a
-        zero, so a cell holds exactly when both have the same symbols with
-        opposite coefficients; no sum is built.
-
-        ``_skew_holds`` decides a pass first.  Only a window that fails is
-        scanned again, at every (m, n) of each basis pair i <= j, to build
-        the list, which stops at 20 problems."""
+        """Window check of [x, y] + [y, x] = 0 on the basis pairs i <= j:
+        the first 20 cells of ``_skew_failures``, so a pass is an empty
+        list and no cell is read twice."""
         r = len(self.basis)
-        if self._skew_holds(window, [(ia, ib) for ia in range(r) for ib in range(ia, r)]):
-            return []
-        problems = []
-        for ia in range(r):
-            for ib in range(ia, r):
-                for m in range(-window, window + 1):
-                    for n in range(-window, window + 1):
-                        lhs = self.component_bracket(ia, m, ib, n)
-                        rhs = self.component_bracket(ib, n, ia, m)
-                        if not _opposite(lhs, rhs):
-                            problems.append(
-                                f"skew fails at [{self.basis[ia]}({m}),{self.basis[ib]}({n})]: "
-                                f"{self.format_modes(lhs)} vs -({self.format_modes(rhs)})"
-                            )
-                            if len(problems) >= 20:
-                                return problems
-        return problems
+        failures = self._skew_failures(window, [(ia, ib) for ia in range(r) for ib in range(ia, r)])
+        return [f"skew fails at [{self.basis[ia]}({m}),{self.basis[ib]}({n})]: "
+                f"{self.format_modes(lhs)} vs -({self.format_modes(rhs)})"
+                for ia, m, ib, n, lhs, rhs in itertools.islice(failures, 20)]
 
-    def _skew_holds(self, window: int, pairs: Iterable[tuple[int, int]]) -> bool:
-        """Whether every window cell of the skew check holds on the basis
-        pairs i <= j given; stops at the first that fails.  On a diagonal
-        pair (i, i) the cells (m, n) and (n, m) are one identity, so each
-        unordered mode pair is checked once."""
+    def _skew_failures(self, window: int, pairs: Iterable[tuple[int, int]]):
+        """The failing skew cells (i, m, j, n, [x, y], [y, x]) of the basis
+        pairs i <= j given, at every (m, n) of the window, in scan order.
+        Neither bracket stores a zero, so a cell holds exactly when both
+        have the same symbols with opposite coefficients; no sum is built.
+        On a diagonal pair (i, i) the cells (m, n) and (n, m) are one
+        identity: only n >= m is computed, and a failing (m, n) comes again,
+        mirrored as (n, m), when row n does."""
         cache = self._bracket_cache
         modes = range(-window, window + 1)
         for ia, ib in pairs:
+            mirrored = [[] for _ in modes]
             for a, m in enumerate(modes):
-                for n in modes[a:] if ia == ib else modes:
+                yield from mirrored[a]
+                for b in range(a if ia == ib else 0, len(modes)):
+                    n = modes[b]
                     lhs = cache.get((ia, m, ib, n))
                     if lhs is None:
                         lhs = self.component_bracket(ia, m, ib, n)
@@ -426,8 +415,9 @@ class VLStructure:
                     if rhs is None:
                         rhs = self.component_bracket(ib, n, ia, m)
                     if not _opposite(lhs, rhs):
-                        return False
-        return True
+                        yield ia, m, ib, n, lhs, rhs
+                        if ia == ib and b > a:
+                            mirrored[b].append((ia, n, ib, m, rhs, lhs))
 
     @functools.cached_property
     def _denominator(self) -> int:
@@ -441,64 +431,47 @@ class VLStructure:
         return lcm(*(c.denominator for c in values))
 
     def verify_jacobi(self, window: int = 4, ordered: bool = False) -> list[str]:
-        """Window check of [[x,y],z] + [[y,z],x] + [[z,x],y] = 0.
+        """Window check of [[x,y],z] + [[y,z],x] + [[z,x],y] = 0: the first
+        20 failing cells of the sorted basis triples, which together with
+        skew symmetry cover all triples, or with ``ordered`` of all ordered
+        ones, for candidate tables that may not even be skew.
 
-        With ``ordered`` False only sorted basis triples are scanned, which
-        together with skew-symmetry covers all triples; pass True for
-        candidate tables that may not even be skew.
-
-        A pass is decided first, on fewer cells, for either ``ordered``.
-        Where skew holds on the window, the Jacobiator J(x, y, z) of window
-        modes is alternating.  Swapping x and y turns [[y,x],z] + [[x,z],y]
-        + [[z,y],x] term by term into minus [[x,y],z], [[z,x],y] and
+        Each triple is skipped when its sorted triple's orbit holds, which
+        is decided once, on fewer cells.  Where skew holds on the pairs of
+        a triple, the Jacobiator J(x, y, z) of its window modes is
+        alternating.  Swapping x and y turns [[y,x],z] + [[x,z],y] +
+        [[z,y],x] term by term into minus [[x,y],z], [[z,x],y] and
         [[y,z],x]: skew is used only on the inner brackets, whose operands
-        are window modes, and the outer bracket (``add_term`` in
-        ``_jacobi_scan``) is bilinear, so J changes sign exactly; likewise
-        for y and z.  With x = y, [x,x] = 0 and [[x,z],x] = -[[z,x],x] make
-        J exactly zero.  So every cell of every ordered triple is, up to
-        sign, a cell of a sorted basis triple i <= j <= k with m < n where
-        i = j and n < p where j = k, or zero.  ``_jacobi_holds`` decides
-        skew on every window pair and Jacobi on those cells only, and a pass
-        returns [] at once.  Any failure, of skew or of Jacobi, goes to
-        ``_jacobi_report``, which scans every cell of the triples of
-        ``ordered`` to build the list; a valid structure never reaches it.
+        are window modes of the triple, and the outer bracket (``add_term``
+        in ``_jacobi_scan``) is bilinear, so J changes sign exactly;
+        likewise for y and z.  With x = y, [x,x] = 0 and [[x,z],x] =
+        -[[z,x],x] make J exactly zero.  So every cell of every ordering of
+        a sorted triple i <= j <= k is, up to sign, one of its reduced
+        cells, those with m < n where i = j and n < p where j = k, or zero.
+        An orbit holds when skew holds on its three pairs (each pair decided
+        once, by ``_skew_failures``) and no reduced cell fails.  Every other
+        triple yields its full cells, so a valid structure never reads one,
+        and the list is exactly that of the full scan.
         """
         cells = self._jacobi_scan(window)
-        if self._jacobi_holds(window, cells):
-            return []
-        return self._jacobi_report(ordered, cells)
-
-    def _jacobi_holds(self, window: int, cells) -> bool:
-        """Whether skew holds on every window pair and Jacobi on the reduced
-        cells of every sorted triple; stops at the first failure.  The
-        pairs of a triple are decided as it comes up, so a table that fails
-        early pays for few of them; the pair i <= j lies in (i, i, j)."""
-        decided: set[tuple[int, int]] = set()
-        for i, j, k in itertools.combinations_with_replacement(range(len(self.basis)), 3):
-            pairs = {(i, j), (j, k), (i, k)} - decided
-            if not self._skew_holds(window, pairs):
-                return False
-            decided |= pairs
-            if next(cells(i, j, k, True), None) is not None:
-                return False
-        return True
-
-    def _jacobi_report(self, ordered: bool, cells) -> list[str]:
-        """The failing cells of the sorted basis triples, or with
-        ``ordered`` of all ordered ones, in scan order; the list stops at
-        20 problems."""
         r = range(len(self.basis))
+
+        @functools.cache
+        def skew(i, j):
+            return next(self._skew_failures(window, [(i, j)]), None) is None
+
+        @functools.cache
+        def orbit_holds(i, j, k):
+            return (skew(i, j) and skew(j, k) and skew(i, k)
+                    and next(cells(i, j, k, True), None) is None)
+
         triples = (itertools.product(r, repeat=3) if ordered
                    else itertools.combinations_with_replacement(r, 3))
-        problems = []
-        for i, j, k in triples:
-            for m, n, p, value in cells(i, j, k, False):
-                problems.append(
-                    f"Jacobi fails on ({self.basis[i]}({m}),{self.basis[j]}({n}),"
-                    f"{self.basis[k]}({p})): " + self.format_modes(value))
-                if len(problems) >= 20:
-                    return problems
-        return problems
+        failures = ((i, j, k, cell) for i, j, k in triples if not orbit_holds(*sorted((i, j, k)))
+                    for cell in cells(i, j, k, False))
+        return [f"Jacobi fails on ({self.basis[i]}({m}),{self.basis[j]}({n}),"
+                f"{self.basis[k]}({p})): " + self.format_modes(value)
+                for i, j, k, (m, n, p, value) in itertools.islice(failures, 20)]
 
     def _jacobi_scan(self, window: int):
         """cells(i, j, k, reduced): the failing window cells (m, n, p,

@@ -125,6 +125,38 @@ class TestCheckSuites:
             assert code == 1
             assert "FAIL lattice.zero-algebra" in out
 
+    # the algebra of each axiom check, by its Gram matrix; the rank-one
+    # comparisons verify their own algebras inside bk_compare
+    LATTICE_CHECKS = [
+        (("--gram", "[[4,1],[1,2]]"), ((4, 1), (1, 2)), "lattice.axioms"),
+        ((), ((2, -1), (-1, 2)), "lattice.a2-axioms"),
+    ]
+
+    @pytest.mark.parametrize("argv, gram, name", LATTICE_CHECKS)
+    def test_check_lattice_verifies_each_algebra_once(self, capsys, monkeypatch, argv, gram, name):
+        verify = lattice_c2.PLAlgebra.verify_axioms
+        calls = []
+
+        def counted(self):
+            calls.append(self.lattice.gram)
+            return verify(self)
+
+        monkeypatch.setattr(lattice_c2.PLAlgebra, "verify_axioms", counted)
+        code, out, _ = run(capsys, "check", "lattice", *argv)
+        assert code == 0 and f"PASS {name}" in out
+        assert calls.count(gram) == 1
+
+    @pytest.mark.parametrize("argv, gram, name", LATTICE_CHECKS)
+    def test_check_lattice_reports_a_failing_algebra(self, capsys, monkeypatch, argv, gram, name):
+        # a failing algebra is a FAIL line with its witness, not a traceback
+        verify = lattice_c2.PLAlgebra.verify_axioms
+        monkeypatch.setattr(lattice_c2.PLAlgebra, "verify_axioms", lambda self: (
+            ["Leibniz fails at (X, X, Y)"] if self.lattice.gram == gram else verify(self)))
+        code, out, _ = run(capsys, "check", "lattice", *argv)
+        assert code == 1
+        assert [line for line in out.splitlines() if line.startswith("FAIL")] \
+            == [f"FAIL {name}: Leibniz fails at (X, X, Y)"]
+
     def test_json_report_deterministic(self, capsys):
         code1, out1, _ = run(
             capsys, "check", "delta", "--samples", "6", "--seed", "11",
@@ -201,6 +233,16 @@ class TestErrorPaths:
                            "--a", "x", "--m", "0", "--b", "x", "--n", "0")
         assert code == 2
         assert "unknown builder" in err
+
+    @pytest.mark.parametrize("rank", ["x", "0", "-2", "2.5"])
+    @pytest.mark.parametrize("command, argv", [
+        ("bracket", ("--a", "a", "--m", "1", "--b", "a", "--n", "0")),
+        ("check vla", ("--window", "1")),  # rank 0 or -2 passed on c alone
+    ])
+    def test_heisenberg_rank_is_a_positive_integer(self, capsys, rank, command, argv):
+        code, out, err = run(capsys, *command.split(), "--builder", f"heisenberg:{rank}", *argv)
+        assert (code, out) == (2, "")
+        assert err == f"config error: the heisenberg rank must be a positive integer: {rank!r}\n"
 
     def test_bad_gram_json_exits_2(self, capsys):
         code, _, err = run(capsys, "lattice", "p2", "--gram", "[[oops")
@@ -428,6 +470,47 @@ class TestConfigFile:
         )
         assert code == 2
         assert "d.matrix" in err
+
+    def test_integer_fields_refuse_booleans(self, tmp_path, capsys):
+        # "k": true loaded as k = 1; integer strings keep working
+        def terms(k):
+            return {"vertex_lie": {
+                "basis": [{"name": "omega", "degree": "2"}], "d": {"domain": []},
+                "brackets": [{"a": "omega", "b": "omega",
+                              "terms": [{"f": [["omega", "1"]], "k": k, "l": 0},
+                                        {"f": [["omega", "-2"]], "k": 0, "l": "1"}]}]}}
+
+        argv = ("--a", "omega", "--m", "2", "--b", "omega", "--n", "0")
+        path = tmp_path / "witt.json"
+        path.write_text(json.dumps(terms("1")))
+        assert run(capsys, "bracket", "--builder", "config", "--config", str(path), *argv) \
+            == (0, "2*omega(1)\n", "")
+        path.write_text(json.dumps(terms(True)))
+        code, out, err = run(capsys, "bracket", "--builder", "config", "--config", str(path), *argv)
+        assert (code, out, err) == (2, "", "config error: a boolean is not a number: True\n")
+
+    def test_integer_fields_refuse_toml_floats(self, tmp_path, capsys):
+        # TOML floats reach the loader, where int() truncated them
+        pytest.importorskip("tomllib")
+
+        def request(degree, k):
+            path = tmp_path / "witt.toml"
+            path.write_text(
+                "[vertex_lie]\n"
+                f'basis = [{{ name = "omega", degree = {degree} }}]\n'
+                "d = { domain = [] }\n"
+                "[[vertex_lie.brackets]]\n"
+                'a = "omega"\n'
+                'b = "omega"\n'
+                f'terms = [{{ f = [["omega", "1"]], k = {k}, l = 0 }},'
+                ' { f = [["omega", "-2"]], k = 0, l = 1 }]\n')
+            return run(capsys, "bracket", "--builder", "config", "--config", str(path),
+                       "--a", "omega", "--m", "2", "--b", "omega", "--n", "0")
+
+        assert request(2, 1) == (0, "2*omega(1)\n", "")
+        for degree, k, value in ((2.9, 1, 2.9), (2, 1.7, 1.7)):
+            assert request(degree, k) == (
+                2, "", f"config error: floating point is not accepted: {value}\n")
 
 
 def fresh_process(*argv):

@@ -688,20 +688,37 @@ def _symmetric(k):
 
 
 class TestReducedJacobi:
-    """``verify_jacobi`` decides a pass on the reduced cells of the sorted
-    triples, after skew; a failure of either goes to ``_jacobi_report``."""
+    """``verify_jacobi`` skips a triple when skew holds on the pairs of its
+    sorted triple and no reduced cell of that triple fails; every other
+    triple yields its full cells, the report."""
 
     @pytest.mark.parametrize("name", SUITE_BUILDERS + ("novikov-t3",))
     def test_valid_structures_never_reach_the_report(self, name, monkeypatch):
-        def report(self, ordered, cells):
-            raise AssertionError("a valid structure reached the report scan")
+        """A valid structure asks only for reduced cells, once for each
+        sorted triple, with ``ordered`` or without."""
+        scan = VLStructure._jacobi_scan
+        asked = []
 
-        monkeypatch.setattr(VLStructure, "_jacobi_report", report)
+        def reduced_only(self, window):
+            cells = scan(self, window)
+
+            def guarded(i, j, k, reduced):
+                if not reduced:
+                    raise AssertionError("a valid structure reached the full cells")
+                asked.append((i, j, k))
+                return cells(i, j, k, reduced)
+
+            return guarded
+
+        monkeypatch.setattr(VLStructure, "_jacobi_scan", reduced_only)
         s = novikov(truncated_poly(3)) if name == "novikov-t3" else build_structure(name)
+        sorted_triples = list(itertools.combinations_with_replacement(range(len(s.basis)), 3))
         for window in range(5):
             assert s.verify_skew_symmetry(window) == [], window
             for ordered in (False, True):
+                asked.clear()
                 assert s.verify_jacobi(window, ordered) == [], (window, ordered)
+                assert asked == sorted_triples, (window, ordered)
 
     @pytest.mark.parametrize("ordered", [False, True])
     @pytest.mark.parametrize("name", SKEW_TAMPERINGS)
@@ -745,7 +762,7 @@ class TestReducedJacobi:
         [a(m), a(n)] = -(m + n) a(m + n - 1), s = m + n + p, vanishes.  Only
         the skew decision sends these tables to the report."""
         s = _symmetric(k)
-        assert not s._skew_holds(window, [(0, 0)])
+        assert next(s._skew_failures(window, [(0, 0)]), None) is not None
         assert s.verify_skew_symmetry(window) == _oracle_skew(s, window) != []
         assert next(s._jacobi_scan(window)(0, 0, 0, True), None) is None
         for ordered in (False, True):
@@ -777,6 +794,18 @@ def random_structures(draw):
                      st.integers(0, 1), st.integers(0, 2))
     table = {pair: draw(st.lists(term, min_size=1, max_size=2)) for pair in pairs}
     return VLStructure(basis, None, d_domain, d_matrix, table)
+
+
+class TestSkewProperty:
+    """``verify_skew_symmetry`` against the cell-by-cell oracle on random
+    tables, most of them not skew: failing cells of a diagonal pair come
+    once computed and once mirrored, and the list stops at 20 problems."""
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(random_structures())
+    def test_matches_oracle(self, s):
+        for window in range(4):
+            assert s.verify_skew_symmetry(window) == _oracle_skew(s, window), window
 
 
 class TestJacobiKernelProperty:
