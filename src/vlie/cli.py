@@ -55,10 +55,6 @@ from .vertex_lie import (BilinearForm, CommAlgebra, novikov_candidate, quadratic
 REPORT_VERSION = "1"
 
 
-class CheckFailure(Exception):
-    """A mathematical check failed; carries the witness text."""
-
-
 class Report:
     """Ordered check results with deterministic serialization."""
 
@@ -71,16 +67,9 @@ class Report:
 
     def run(self, name: str, fn):
         t0 = time.monotonic()
-        witness = None
-        try:
-            problems = fn()
-            ok = not problems
-            if problems:
-                witness = problems[0] if isinstance(problems, list) else str(problems)
-        except CheckFailure as exc:
-            ok = False
-            witness = str(exc)
-        entry = {"name": name, "pass": ok, "witness": witness}
+        problems = fn()
+        ok = not problems
+        entry = {"name": name, "pass": ok, "witness": problems[0] if problems else None}
         if self.timing:
             entry["ms"] = int((time.monotonic() - t0) * 1000)
         self.checks.append(entry)

@@ -427,6 +427,8 @@ class PLAlgebra:
     # -- element helpers ------------------------------------------------------
 
     def z_gen(self, i: int) -> dict:
+        if not 0 <= i < self.lattice.rank:
+            raise IndexError(f"Z index {i} is outside 0..{self.lattice.rank - 1}")
         mono = tuple(1 if t == i else 0 for t in range(self.lattice.rank))
         return self.reduce({((), mono): 1})
 
@@ -621,14 +623,18 @@ class PLAlgebra:
         Jacobi on generators needs e_z e_m = e_i for the divisor (z, m) of
         every other key i, so that every key is a product of generators.
         This factorization is not an axiom and never prints a problem: where
-        some key does not factor, Jacobi is decided at every triple, in the
-        report route.
+        some key does not factor, Jacobi is decided at every triple.
 
-        When every pair check passes, ``_triples_hold`` decides the triples
-        on composites (``linalg.compose``) of the rows a <= b alone, about
-        half the work of the composites over both orders, by the symmetries
-        that commutativity and skew of the tables, just proved, give each
-        identity:
+        The triples are decided per orbit, the orderings of one sorted
+        triple.  At an ordered triple (i, j, k) each identity of the dense
+        loop (``_triple_problems``) reads only the rows of the triple's own
+        pairs: T[i,j] and T[j,k] for associativity, T[j,k], B[i,j] and
+        B[i,k] for Leibniz, and the three inner brackets for Jacobi.  The
+        outer table always sits in the same slot, T[m,.] or B[m,.].  So
+        when the triple's pairs pass commutativity and skew,
+        ``_failing_orbits`` decides every ordering of the orbit exactly,
+        from composites (``linalg.compose``) of the rows a <= b alone, by
+        the symmetries that these pair identities give each identity:
 
         - Associativity.  Let Q(a,b;c) = (e_a e_b) e_c, composed from the
           product rows a <= b only; by commutativity Q(a,b;c) = Q(b,a;c)
@@ -650,12 +656,12 @@ class PLAlgebra:
           Vanhaecke, *Poisson Structures*, 2013, ch. 1), so it vanishes
           once it vanishes on generator triples.
 
-        A pass is returned at once.  The symmetric route decides each
-        identity once per orbit of its symmetries, so it does not say at
-        which ordered triples the dense loop fails; only after a failure
-        does ``_triple_report`` compose over both orders of every pair to
-        build that list.  It is the report builder, and a valid algebra
-        never reaches it.
+        Every orbit that holds a failing pair is flagged as well: for a
+        failing (a, b), every sorted {a, b, c}; for a failing (a, a), every
+        orbit that holds a twice.  Only the orderings of the flagged orbits
+        are evaluated, each by its dense definition, so a valid algebra
+        flags no orbit and evaluates no triple, and every list is the dense
+        loop's.
 
         Problems are listed pairs first (commutativity and skew by ordered
         pair), then triples in lexicographic order (associativity, Leibniz,
@@ -678,22 +684,33 @@ class PLAlgebra:
                 if len(b_ij) != len(b_ji) or any(b_ji.get(k) != -c for k, c in b_ij.items()):
                     pair_failures += [(i, j, "skew"), (j, i, "skew")] if i != j else [(i, i, "skew")]
         problems = [f"{name} fails at ({i},{j})" for i, j, name in sorted(pair_failures)]
-        if not problems and self._factors(mult) and self._triples_hold(mult, br):
-            return []
-        return self._triple_report(mult, br, problems)
+        slots = set(range(n))
+        if self._factors(mult):
+            slots -= self._divisor.keys()
+        orbits = self._failing_orbits(mult, br, slots)
+        for a, b, _ in pair_failures:
+            orbits.update(tuple(sorted((a, b, c))) for c in range(n))
+        # the list stops after the first triple at which it holds ten or
+        # more problems; (0,0,0) is the first triple of all
+        for i, j, k in sorted({t for orbit in orbits for t in itertools.permutations(orbit)}):
+            if len(problems) >= 10 and (i, j, k) != (0, 0, 0):
+                break
+            problems += self._triple_problems(mult, br, i, j, k, slots)
+        return problems
 
     def _factors(self, mult: dict) -> bool:
         """Whether every key i with a divisor (z, m) is e_z e_m."""
         return all(mult[(z, m)] == {i: 1} for i, (z, m) in self._divisor.items())
 
-    def _triples_hold(self, mult: dict, br: dict) -> bool:
-        """Associativity and Leibniz at every triple, and Jacobi at every
-        triple of generators, by the reductions ``verify_axioms`` states,
-        for tables that pass every pair check.  The composites hold only
-        nonzero products, so each identity is decided at the triples where
-        one of its terms is nonzero; at every other triple it holds as a
-        sum of zero products."""
+    def _failing_orbits(self, mult: dict, br: dict, slots: set[int]) -> set[tuple]:
+        """The sorted triples at which associativity or Leibniz fails, or
+        Jacobi on a triple of ``slots``, by the reductions ``verify_axioms``
+        states: exact at every orbit whose pairs pass commutativity and
+        skew.  The composites hold only nonzero products, so each identity
+        is decided at the triples where one of its terms is nonzero; at
+        every other triple it holds as a sum of zero products."""
         n = self.dim
+        failing: set[tuple] = set()
         mult_rows = {(a, b): mult[(a, b)] for a in range(n) for b in range(a, n)}
         # associativity: a nonzero Q(a,b;c) with a <= b <= c is compared with
         # the other two values of its triple; any other nonzero value must
@@ -702,12 +719,13 @@ class PLAlgebra:
         for ((a, b), c), vec in assoc.items():
             if c >= b:
                 if assoc.get(((b, c), a)) != vec or assoc.get(((a, c), b)) != vec:
-                    return False
+                    failing.add((a, b, c))
             elif ((a, c) if a <= c else (c, a), b) not in assoc:
-                return False
+                failing.add(tuple(sorted((a, b, c))))
         del assoc
         # Leibniz, both sides keyed ((j, k), i) with j <= k; at j = k the
-        # two terms of the right side coincide
+        # two terms of the right side coincide.  The whole tables are
+        # compared first, and the failing keys are sought only on a mismatch
         lhs = compose(mult_rows, br, slot=1)            # {e_i, e_j e_k}
         rhs: dict = {}
         for ((a, b), c), vec in compose({(a, b): br[(a, b)] for a in range(n)
@@ -716,64 +734,39 @@ class PLAlgebra:
                 add_into(rhs.setdefault(((j, c) if j <= c else (c, j), i), {}), vec,
                          2 * sign if j == c else sign)
         if lhs != {key: vec for key, vec in rhs.items() if vec}:
-            return False
+            failing.update(tuple(sorted((j, k, i))) for (j, k), i in lhs.keys() | rhs.keys()
+                           if lhs.get(((j, k), i), {}) != rhs.get(((j, k), i), {}))
         del lhs, rhs
-        # Jacobi on generator triples a < b < c: {{x,y},z} with x < y is
+        # Jacobi on triples a < b < c of slots: {{x,y},z} with x < y is
         # signed by the place of z within the triple
-        gens = [i for i in range(n) if i not in self._divisor]
         jacobiator: dict = {}
         for ((a, b), c), vec in compose(
-                {(a, b): br[(a, b)] for a in gens for b in gens if a < b},
-                {(m, c): br[(m, c)] for m in range(n) for c in gens}).items():
+                {(a, b): br[(a, b)] for a in slots for b in slots if a < b},
+                {(m, c): br[(m, c)] for m in range(n) for c in slots}).items():
             if c != a and c != b:
                 add_into(jacobiator.setdefault(tuple(sorted((a, b, c))), {}), vec,
                          -1 if a < c < b else 1)
-        return not any(jacobiator.values())
+        failing.update(triple for triple, vec in jacobiator.items() if vec)
+        return failing
 
-    def _triple_report(self, mult: dict, br: dict, problems: list[str]) -> list[str]:
-        """``problems`` followed by every failing triple, from composites
-        over both orders of every pair, in lexicographic order and cut as
-        ``verify_axioms`` states; Jacobi at generator triples where every
-        key factors, else at every triple."""
-        n = self.dim
-        # (triple, place within the triple, name) of every failure; each
-        # composite table, keyed ((a, b), c), is dropped once its identity
-        # is decided, so that memory holds one identity's tables at a time
-        failures = set()
-        assoc = compose(mult, mult)         # (e_a e_b) e_c
-        for (a, b), c in assoc:             # (ij)k at (a,b,c), (jk)i at (c,a,b)
-            for i, j, k in ((a, b, c), (c, a, b)):
-                if assoc.get(((i, j), k), {}) != assoc.get(((j, k), i), {}):
-                    failures.add(((i, j, k), 0, "associativity"))
-        del assoc
-        # Leibniz: {i, jk} = {i,j}k + {i,k}j
-        br_mult = compose(br, mult)         # {e_a, e_b} e_c
-        br_of_mult = compose(mult, br, slot=1)  # {e_c, e_a e_b}
-        leibniz = {(c, a, b) for (a, b), c in br_of_mult}
-        for (a, b), c in br_mult:
-            leibniz.update(((a, b, c), (a, c, b)))
-        for i, j, k in leibniz:
-            rhs = add_into(dict(br_mult.get(((i, j), k), {})), br_mult.get(((i, k), j), {}))
-            if br_of_mult.get(((j, k), i), {}) != rhs:
-                failures.add(((i, j, k), 1, "Leibniz"))
-        del br_mult, br_of_mult, leibniz
-        # Jacobi on generator triples, or on all of them: the cyclic sum is
-        # the same at all three rotations
-        factors = self._factors(mult)
-        gens = [i for i in range(n) if not factors or i not in self._divisor]
-        br_br = compose({(a, b): br[(a, b)] for a in gens for b in gens},
-                        {(m, c): br[(m, c)] for m in range(n) for c in gens})
-        for ((a, b), c), vec in br_br.items():
-            acc = add_into(dict(vec), br_br.get(((b, c), a), {}))
-            if add_into(acc, br_br.get(((c, a), b), {})):
-                failures.update((t, 2, "Jacobi") for t in ((a, b, c), (b, c, a), (c, a, b)))
-        # the list stops after the first triple at which it holds ten or
-        # more problems; (0,0,0) is the first triple of all
-        for (i, j, k), group in itertools.groupby(sorted(failures), key=lambda f: f[0]):
-            if len(problems) >= 10 and (i, j, k) != (0, 0, 0):
-                break
-            problems.extend(f"{name} fails at ({i},{j},{k})" for _, _, name in group)
-        return problems
+    def _triple_problems(self, mult: dict, br: dict, i: int, j: int, k: int,
+                         slots: set[int]) -> list[str]:
+        """The problems of the dense loop at the ordered triple (i, j, k),
+        each identity by its definition through ``bilinear``; Jacobi only
+        when i, j and k are all in ``slots``."""
+        e_i, e_j, e_k = {i: 1}, {j: 1}, {k: 1}
+        failed = []
+        if bilinear(mult, mult[(i, j)], e_k) != bilinear(mult, mult[(j, k)], e_i):
+            failed.append("associativity")
+        if bilinear(br, e_i, mult[(j, k)]) != add_into(bilinear(mult, br[(i, j)], e_k),
+                                                      bilinear(mult, br[(i, k)], e_j)):
+            failed.append("Leibniz")
+        if {i, j, k} <= slots:
+            jacobiator = bilinear(br, br[(i, j)], e_k)
+            add_into(jacobiator, bilinear(br, br[(j, k)], e_i))
+            if add_into(jacobiator, bilinear(br, br[(k, i)], e_j)):
+                failed.append("Jacobi")
+        return [f"{name} fails at ({i},{j},{k})" for name in failed]
 
     def format_key(self, key: tuple) -> str:
         sector, mono = key

@@ -225,6 +225,13 @@ class TestPLAlgebra:
         assert alg.dim == 7 + 6 * 2
         assert alg.verify_axioms() == []
 
+    def test_z_gen_index_is_in_range(self):
+        alg = build_pl_algebra(EvenLattice(A2))
+        assert alg.z_gen(1) == {((), (0, 1)): 1}
+        for i in (2, -1):
+            with pytest.raises(IndexError):
+                alg.z_gen(i)
+
     def test_unit_brackets_to_zero(self):
         alg = build_pl_algebra(EvenLattice([[2]]))
         one = alg.one()
@@ -579,8 +586,9 @@ def failing_triples(problems, name) -> set:
 class TestReducedTriples:
     """Tables that pass every pair check but break one triple identity at
     the triples that the symmetric route of ``verify_axioms`` reaches by
-    one comparison only: each must reach the report builder and give the
-    dense loop's list."""
+    one comparison only: each must flag its orbit and give the dense loop's
+    list.  The per-triple evaluator that builds the list visits only the
+    orderings of flagged orbits, the orbits of failing pairs among them."""
 
     @pytest.mark.parametrize("gram, edit, triple, broken", [
         # the unit's product with one key dropped: one value vanishes
@@ -660,11 +668,63 @@ class TestReducedTriples:
 
     @pytest.mark.parametrize("gram", ORACLE_GRAMS, ids=str)
     def test_valid_algebras_never_reach_the_report_builder(self, gram, monkeypatch):
-        def report(self, mult, br, problems):
-            raise AssertionError("a valid algebra reached the full triple code")
+        """The per-triple evaluator builds the report; a valid algebra
+        flags no orbit and never calls it."""
+        def evaluate(self, mult, br, i, j, k, slots):
+            raise AssertionError("a valid algebra reached the per-triple evaluator")
 
-        monkeypatch.setattr(PLAlgebra, "_triple_report", report)
+        monkeypatch.setattr(PLAlgebra, "_triple_problems", evaluate)
         assert algebra(gram).verify_axioms() == []
+
+    @pytest.mark.parametrize("seed, pair, orbit", [(8, (1, 1), (1, 1, 2)), (26, (0, 7), (0, 7, 8))])
+    def test_failing_pairs_flag_their_orbits(self, seed, pair, orbit):
+        """A failing pair leaves the composites of its orbits unreliable:
+        on these tampered tables the list holds a triple of ``orbit``, an
+        orbit that holds ``pair`` and that the composites do not flag, and
+        it is the dense loop's only because every such orbit is flagged."""
+        alg = tampered(seed)
+        mult, br = alg.multiplication_table(), alg.bracket_table()
+        problems = alg.verify_axioms()
+        assert problems == dense_verify_axioms(alg, jacobi_on_generators=True)
+        assert f"fails at ({pair[0]},{pair[1]})" in problems[0]
+        assert alg._factors(mult)
+        slots = set(range(alg.dim)) - alg._divisor.keys()
+        assert orbit in failing_triples(problems, "")
+        assert orbit not in alg._failing_orbits(mult, br, slots)
+
+    def test_the_evaluator_visits_only_flagged_orbits(self, monkeypatch):
+        """On every tampered table the evaluator visits, in lexicographic
+        order, a prefix of the orderings of the flagged orbits: those of
+        ``_failing_orbits`` and, for each failing pair (a, b), every sorted
+        {a, b, c}, which for a = b are the orbits that hold a twice."""
+        flagged, visited = [], []
+        failing_orbits, evaluate = PLAlgebra._failing_orbits, PLAlgebra._triple_problems
+
+        def spy_orbits(self, *args):
+            orbits = failing_orbits(self, *args)
+            flagged.append(set(orbits))
+            return orbits
+
+        def spy_evaluate(self, mult, br, i, j, k, slots):
+            visited.append((i, j, k))
+            return evaluate(self, mult, br, i, j, k, slots)
+
+        monkeypatch.setattr(PLAlgebra, "_failing_orbits", spy_orbits)
+        monkeypatch.setattr(PLAlgebra, "_triple_problems", spy_evaluate)
+        for seed in TAMPER_SEEDS:
+            alg = tampered(seed)
+            mult, br, n = alg.multiplication_table(), alg.bracket_table(), alg.dim
+            flagged.clear()
+            visited.clear()
+            problems = alg.verify_axioms()
+            orbits = flagged[0]
+            for a in range(n):
+                for b in range(a, n):
+                    if mult[(a, b)] != mult[(b, a)] or add_into(dict(br[(a, b)]), br[(b, a)]):
+                        orbits |= {tuple(sorted((a, b, c))) for c in range(n)}
+            orderings = sorted({t for orbit in orbits for t in itertools.permutations(orbit)})
+            assert visited == orderings[:len(visited)], seed
+            assert len(visited) == len(orderings) or len(problems) >= 10, seed
 
 
 # ---------------------------------------------------------------------------
