@@ -252,11 +252,12 @@ def build_structure(name: str, config: dict | None = None) -> VLStructure:
         if not config or "lie_algebra" not in config:
             raise ConfigError(f"builder {name!r} needs --config with a lie_algebra table")
         algebra, form = lie_algebra_from_config(config["lie_algebra"])
-        if key == "loop:config":
-            return loop(algebra)
-        if form is None:
+        if key == "affine:config" and form is None:
             raise ConfigError("the affinization needs a 'form' matrix in lie_algebra")
-        return affine(algebra, form)
+        try:
+            return loop(algebra) if key == "loop:config" else affine(algebra, form)
+        except ValueError as exc:
+            raise ConfigError(f"bad lie_algebra config: {exc}") from None
     raise ConfigError(
         f"unknown builder {name!r}; available: witt, virasoro, loop-sl2, "
         "affine-sl2, heisenberg[:rank], novikov-dual, config, loop:config, "

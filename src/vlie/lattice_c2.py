@@ -364,30 +364,29 @@ class PLAlgebra:
     generator table as a biderivation.  ``verify_axioms`` decides every
     axiom exactly (Jacobi on generator triples), with work that grows with
     the nonzero products of the two structure-constant tables, not dim^3.
+
+    An indefinite Gram gives the zero algebra on the same path: a class of
+    negative norm multiplies down to the unit, so no class survives and the
+    polynomial sector is reduced by the unit ideal, generated by the
+    (Z_t)^0 = 1.  Its basis is empty, and every element reduces to {}.
     """
 
     def __init__(self, lattice: EvenLattice):
-        info = detect_indefinite(lattice)
         self.lattice = lattice
-        self.zero_algebra = info["zero_algebra"]
-        if self.zero_algebra:
-            self.c2 = []
-            self.sectors = {}
-            self.basis: list[tuple] = []
-            self.index: dict[tuple, int] = {}
-            self.eps = None
-            return
-        self.c2 = enumerate_c2(lattice)
+        self.zero_algebra = detect_indefinite(lattice)["zero_algebra"]
+        self.c2 = [] if self.zero_algebra else enumerate_c2(lattice)
         self.eps = build_cocycle(lattice, self.c2)
         self.nonzero_c2 = [a for a in self.c2 if any(a)]
         r = lattice.rank
+        units = ({tuple(int(s == t) for s in range(r)): 0 for t in range(r)}
+                 if self.zero_algebra else {})
         # one generator per line of the survivors (alpha, -alpha and their
         # multiples), with the least exponent, spans the same ideal; so one
         # reducer serves every sector with the same list
         reducers: dict[tuple, PowerIdealReducer] = {}
         self.sectors: dict[tuple, PowerIdealReducer] = {}
         for beta in [(0,) * r] + self.nonzero_c2:
-            lines: dict[Vec, int] = {}
+            lines: dict[Vec, int] = dict(units)
             for alpha in self.nonzero_c2:
                 g = math.gcd(*alpha)
                 line = max(tuple(a // g for a in alpha), tuple(-a // g for a in alpha))
@@ -418,7 +417,7 @@ class PLAlgebra:
                     self._divisor.setdefault(i, (z, m))
         self._mult_table: dict | None = None
         self._bracket_table: dict | None = None
-        self._sector_rules: dict[tuple[Vec, Vec], tuple | None] = {}
+        self._sector_rules: dict[tuple[Vec, Vec, int], tuple | None] = {}
 
     @property
     def dim(self) -> int:
@@ -441,7 +440,7 @@ class PLAlgebra:
         return self.reduce({(beta, (0,) * self.lattice.rank): 1})
 
     def one(self) -> dict:
-        return {((), (0,) * self.lattice.rank): 1}
+        return self.reduce({((), (0,) * self.lattice.rank): 1})
 
     def reduce(self, element: Mapping) -> dict:
         """Normal form of an element: each sector reduced by its power ideal.
@@ -466,23 +465,26 @@ class PLAlgebra:
 
     # -- multiplication ----------------------------------------------------------
 
-    def _sector_rule(self, alpha: Vec, beta: Vec) -> tuple | None:
-        """X_alpha X_beta = eps(alpha, beta)/n! (alpha.Z)^n X_(alpha+beta),
-        n = -<alpha, beta>, as (target sector, (alpha.Z)^n, eps(alpha,
-        beta)/n!); None when alpha + beta is no survivor, as the product of
-        the classes falls out of the survivor set.  The rule depends on the
-        order of the pair, and is memoized per ordered pair on first use."""
-        rule = self._sector_rules.get((alpha, beta), False)
+    def _sector_rule(self, alpha: Vec, beta: Vec, shift: int = 0) -> tuple | None:
+        """eps(alpha, beta)/n! (alpha.Z)^n X_(alpha+beta), n = -<alpha, beta>
+        - shift, as (target sector, (alpha.Z)^n, eps(alpha, beta)/n!): with
+        shift 0 the product X_alpha X_beta, with shift 1 the bracket
+        {X_alpha, X_beta}.  None when n < 0 or alpha + beta is no survivor
+        (<alpha, beta> > 0 already rules alpha + beta out), as the classes
+        then meet in zero.  The rule depends on the order of the pair, and
+        is memoized per (alpha, beta, shift) on first use."""
+        key = (alpha, beta, shift)
+        rule = self._sector_rules.get(key, False)
         if rule is False:
+            n = -self.lattice.pair(alpha, beta) - shift
             target = tuple(map(operator.add, alpha, beta))
-            if any(target) and target not in self.sectors:
+            if n < 0 or any(target) and target not in self.sectors:
                 rule = None
             else:
-                n = -self.lattice.pair(alpha, beta)
                 rule = (target if any(target) else (),
                         power_of_linear(self.lattice.rank, alpha, n),
                         Fraction(self.eps.value(alpha, beta), math.factorial(n)))
-            self._sector_rules[(alpha, beta)] = rule
+            self._sector_rules[key] = rule
         return rule
 
     def multiply(self, a: Mapping, b: Mapping) -> dict:
@@ -493,8 +495,6 @@ class PLAlgebra:
         every term lands on a basis key the sum is a combination of standard
         monomials, its own normal form, and ``reduce`` returns it cleaned.
         """
-        if self.zero_algebra:
-            return {}
         out: dict = {}
         rule = self._sector_rule
         for (s1, m1), c1 in a.items():
@@ -522,23 +522,14 @@ class PLAlgebra:
             return clean({b: lat.pair(za, beta)}) if any(beta) else {}
         if not any(beta):
             return clean({a: -lat.pair(zb, alpha)})
-        pairing = lat.pair(alpha, beta)
-        if pairing >= 0:
+        rule = self._sector_rule(alpha, beta, 1)
+        if rule is None:
             return {}
-        target = tuple(x + y for x, y in zip(alpha, beta))
-        if any(target) and target not in self.sectors:
-            return {}
-        n = -pairing - 1
-        sign = self.eps.value(alpha, beta)
-        power = power_of_linear(lat.rank, alpha, n)
-        sector = target if any(target) else ()
-        scale = Fraction(sign, math.factorial(n))
+        sector, power, scale = rule
         return self.reduce({(sector, pm): pc * scale for pm, pc in power.items()})
 
     def bracket(self, a: Mapping, b: Mapping) -> dict:
         """The bracket of two elements, read off ``bracket_table``."""
-        if self.zero_algebra:
-            return {}
         u, v = ({self.index[k]: c for k, c in self.reduce(x).items()} for x in (a, b))
         return {self.basis[k]: c for k, c in bilinear(self.bracket_table(), u, v).items()}
 
@@ -668,8 +659,6 @@ class PLAlgebra:
         Jacobi within a triple), and the list stops after the first triple
         at which it holds ten or more.
         """
-        if self.zero_algebra:
-            return []
         mult = self.multiplication_table()
         br = self.bracket_table()
         n = self.dim
@@ -791,13 +780,12 @@ class PLAlgebra:
 def build_pl_algebra(lattice: EvenLattice) -> PLAlgebra:
     """Construct the quotient algebra and insist on exhaustive consistency."""
     alg = PLAlgebra(lattice)
-    if not alg.zero_algebra:
-        problems = alg.verify_axioms()
-        if problems:
-            raise AssertionError(
-                "presented algebra is inconsistent (implementation bug): "
-                + "; ".join(problems[:3])
-            )
+    problems = alg.verify_axioms()
+    if problems:
+        raise AssertionError(
+            "presented algebra is inconsistent (implementation bug): "
+            + "; ".join(problems[:3])
+        )
     return alg
 
 
@@ -909,13 +897,14 @@ def bk_compare(k: int) -> dict:
             add_into(out, images[key], c)
         return out
 
-    seen = set()
+    # the dimensions agree, so the map is bijective exactly when the images
+    # are linearly independent: none may reduce to zero against the span of
+    # those before it
+    span = Echelon()
     for key, img in images.items():
-        flat = tuple(sorted((kk, c) for kk, c in img.items()))
-        if not flat or flat in seen:
+        if not span.insert(img):
             problems.append(f"correspondence not injective at {key}")
             return report
-        seen.add(flat)
 
     for a in bk.basis:
         for b in bk.basis:

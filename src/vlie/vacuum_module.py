@@ -14,6 +14,7 @@ ever sees central symbols (which commute) and complement modes.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from functools import partial
@@ -89,8 +90,6 @@ class VacuumModule:
         self._cons: dict[tuple[Symbol, int], int] = {}
         self._act_memo: dict[tuple[Symbol, int], IdState] = {}
         self._mode_memo: dict[tuple[int, int, int], IdState] = {}
-        # row k holds gen_binomial(-k - 1, i) for i = 0, 1, ...
-        self._head_binomials: dict[int, list[int]] = {}
 
     def memo_sizes(self) -> dict[str, int]:
         """Entries in the action memo, the mode memo and the interning table."""
@@ -384,23 +383,21 @@ class VacuumModule:
         bound_first = self._degs[tail] + deg_b - n - 1
         bound_second = deg_u + deg_b - 1
         result: IdState = {}
-        top = max(bound_first, bound_second) + 1
-        row = self._head_binomials.setdefault(k, [])
-        while len(row) < top:
-            row.append(gen_binomial(-k - 1, len(row)))
-        for i in range(top):
-            coeff = row[i]  # never 0: it is (-1)^i binom(k + i, i)
+        sign = -1 if k % 2 else 1
+        for i in range(max(bound_first, bound_second) + 1):
+            # binom(-k-1, i) (-1)^i = binom(k + i, i), never 0
+            c = math.comb(k + i, i)
             if i <= bound_first:
                 # + binom(-k-1, i) (-1)^i u(-k-1-i) (tail_{n+i} b)
-                c = -coeff if i % 2 else coeff
                 sym = (-k - 1 - i, 1, idx)
                 for mono2, c2 in self._mode_of_monomial(tail, n + i, b_mono).items():
                     add_into(result, self._act_key(sym, mono2), c * c2)
             if i <= bound_second:
-                # - binom(-k-1, i) (-1)^(k+1+i) tail_{n-k-1-i} (u(i) b)
-                c = coeff if (k + 1 + i) % 2 else -coeff
+                # - binom(-k-1, i) (-1)^(k+1+i) tail_{n-k-1-i} (u(i) b),
+                # whose coefficient is (-1)^k binom(k + i, i)
                 for mono2, c2 in self._act_key((i, 1, idx), b_mono).items():
-                    add_into(result, self._mode_of_monomial(tail, n - k - 1 - i, mono2), c * c2)
+                    add_into(result, self._mode_of_monomial(tail, n - k - 1 - i, mono2),
+                             sign * c * c2)
         self._mode_memo[key] = result
         return result
 

@@ -431,6 +431,25 @@ class TestConfigFile:
         assert code == 0
         assert out.strip() == "h(0) + c(-1)"
 
+    @pytest.mark.parametrize("builder, lie_algebra, message", [
+        # both exited 1 with an "error:" line
+        ("loop:config", {"basis": ["e", "h", "e"], "brackets": []},
+         "duplicate basis names"),
+        ("affine:config", {"basis": ["e", "h", "f"],
+                           "brackets": [["h", "e", [["e", "2"]]], ["h", "f", [["f", "-2"]]],
+                                        ["e", "f", [["h", "1"]]]],
+                           "form": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]},
+         "form is not invariant: "),
+    ])
+    def test_lie_algebra_the_builder_rejects_exits_2(self, tmp_path, capsys, builder,
+                                                      lie_algebra, message):
+        path = tmp_path / "lie.json"
+        path.write_text(json.dumps({"lie_algebra": lie_algebra}))
+        code, out, err = run(capsys, "check", "vla", "--builder", builder, "--config", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"config error: bad lie_algebra config: {message}")
+        assert err.count("\n") == 1
+
     def test_u0_mismatch_rejected(self, tmp_path, capsys):
         config = {
             "vertex_lie": {

@@ -12,6 +12,7 @@ import pytest
 import sympy
 from hypothesis import assume, given, settings, strategies as st
 
+from vlie import lattice_c2
 from vlie.lattice_c2 import (
     BkAlgebra,
     Cocycle,
@@ -378,12 +379,49 @@ class TestDegeneration:
             assert lat.norm(witness) < 0
 
 
+class TestZeroAlgebra:
+    """An indefinite Gram gives the unit-ideal quotient on the same path as a
+    definite one: an empty basis, and every element reduces to zero."""
+
+    @pytest.mark.parametrize("gram", [[[-2]], [[0, 1], [1, 0]],
+                                      [[2, 0, 0], [0, -2, 0], [0, 0, 2]]], ids=str)
+    def test_every_operation_gives_zero(self, gram):
+        alg = build_pl_algebra(EvenLattice(gram))
+        assert alg.dim == 0 and alg.zero_algebra and alg.c2 == []
+        assert alg.multiplication_table() == {} and alg.bracket_table() == {}
+        assert alg.one() == {}
+        assert [alg.z_gen(t) for t in range(len(gram))] == [{}] * len(gram)
+        assert alg.x_gen((0,) * len(gram)) == {}
+        assert alg.verify_axioms() == []
+        assert alg.multiply(alg.one(), alg.one()) == {}
+        assert alg.bracket(alg.one(), alg.one()) == {}
+        with pytest.raises(KeyError):
+            alg.x_gen((1,) + (0,) * (len(gram) - 1))
+        with pytest.raises(IndexError):
+            alg.z_gen(len(gram))
+
+    def test_one_is_the_unit_key_of_a_definite_gram(self):
+        alg = PLAlgebra(EvenLattice(A2))
+        assert typed_vec(alg.one()) == [(((), (0, 0)), int, 1)]
+
+
 class TestBkCompare:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_isomorphism(self, k):
         report = bk_compare(k)
         assert report["problems"] == []
         assert report["dim_lattice"] == 2 * k + 3
+
+    def test_dependent_images_are_not_injective(self, monkeypatch):
+        """Z^2 + Z in place of the image of Z^3 differs from every other
+        image but lies in their span: injectivity is decided by rank."""
+        def images(alg, bk):
+            out = bk_images(alg, bk)
+            out[("Z", 3)] = add_into(dict(out[("Z", 2)]), out[("Z", 1)])
+            return out
+
+        monkeypatch.setattr(lattice_c2, "bk_images", images)
+        assert bk_compare(2)["problems"] == ["correspondence not injective at ('Z', 3)"]
 
     def test_reference_algebra_consistency(self):
         bk = BkAlgebra(2)
@@ -1165,6 +1203,25 @@ def recomputing_map_element(alg, el: dict) -> dict:
     return echelon_reduce(alg, out)
 
 
+def recomputing_class_bracket(alg, alpha, beta) -> dict:
+    """{X_alpha, X_beta} with the pairing, the target, the cocycle sign,
+    (alpha.Z)^n and n! recomputed at every call: the bracket of two classes
+    before it read the sector rule of the product."""
+    lat = alg.lattice
+    pairing = lat.pair(alpha, beta)
+    if pairing >= 0:
+        return {}
+    target = tuple(x + y for x, y in zip(alpha, beta))
+    if any(target) and target not in alg.sectors:
+        return {}
+    n = -pairing - 1
+    sign = alg.eps.value(alpha, beta)
+    power = power_of_linear(lat.rank, alpha, n)
+    sector = target if any(target) else ()
+    scale = Fraction(sign, math.factorial(n))
+    return alg.reduce({(sector, pm): pc * scale for pm, pc in power.items()})
+
+
 def typed_vec(vec) -> list:
     """The terms of a vector with their types, in key order."""
     return sorted((key, type(c), c) for key, c in vec.items())
@@ -1200,6 +1257,22 @@ class TestRepeatedWorkOracles:
                 assert typed_vec(got) == typed_vec(recomputing_multiply(alg, a, b, reduced=False))
                 unequal += got != alg.multiply(b, a)
         assert unequal
+
+    @pytest.mark.parametrize("gram", ORACLE_GRAMS, ids=str)
+    def test_class_brackets_match_the_recomputing_bracket(self, gram):
+        """``_gen_bracket`` on every ordered pair of survivor classes, with
+        values and types, each after the product of the same pair: the
+        product and the bracket read one memo of sector rules, and a memo
+        that served the bracket the product's rule would fail here."""
+        alg = PLAlgebra(EvenLattice(gram))
+        zero = (0,) * alg.lattice.rank
+        for alpha in alg.nonzero_c2:
+            for beta in alg.nonzero_c2:
+                a, b = (alpha, zero), (beta, zero)
+                assert typed_vec(alg.multiply({a: 1}, {b: 1})) == typed_vec(
+                    recomputing_multiply(alg, {a: 1}, {b: 1}))
+                assert typed_vec(alg._gen_bracket(a, b)) == typed_vec(
+                    recomputing_class_bracket(alg, alpha, beta))
 
     @pytest.mark.parametrize("gram", ORACLE_GRAMS + [A3], ids=str)
     def test_reduce_matches_the_echelon_route(self, gram):
