@@ -29,6 +29,7 @@ from .config import (
 from .formal_calc import (
     BiSeriesWindow,
     DeltaSeries,
+    DPoly,
     LaurentPoly,
     decompose,
     delta_window,
@@ -218,12 +219,19 @@ def suite_vacuum(report: Report, args, config):
     report.run(f"vacuum.enumeration.{name}", enumeration_consistency)
 
     def borcherds():
-        gens = list(structure.u_prime_names)
-        a = module.generator_state(gens[0])
-        b = module.generator_state(gens[-1])
+        a, b = _generator_states(structure, module)
         return module.borcherds_check(a, b, window=args.window, degree=args.depth)
 
     report.run(f"vacuum.borcherds.{name}", borcherds)
+
+
+def _generator_states(structure, module):
+    """The default states of a Borcherds check: the first and the last
+    complement generator, each at mode -1."""
+    if not structure.u_prime_names:
+        raise ConfigError("the structure has no complement generator for the default states")
+    return (module.generator_state(structure.u_prime_names[0]),
+            module.generator_state(structure.u_prime_names[-1]))
 
 
 def suite_p2(report: Report, args, config):
@@ -404,14 +412,10 @@ def cmd_borcherds(args) -> int:
     config = load_config_file(args.config) if args.config else None
     structure = build_structure(args.builder, config)
     module = _vacuum_module(structure, parse_lambda(args.lam))
-    if args.a:
-        a = parse_state_json(module, args.a)
-    else:
-        a = module.generator_state(structure.u_prime_names[0])
-    if args.b:
-        b = parse_state_json(module, args.b)
-    else:
-        b = module.generator_state(structure.u_prime_names[-1])
+    if not (args.a and args.b):
+        first, last = _generator_states(structure, module)
+    a = parse_state_json(module, args.a) if args.a else first
+    b = parse_state_json(module, args.b) if args.b else last
     if not a or not b:
         # a zero state satisfies the identity trivially and checks nothing
         raise ConfigError("--a and --b must be nonzero states")
@@ -466,7 +470,6 @@ def cmd_vp_check(args) -> int:
 
     def leibniz():
         rng = random.Random(report.seed)
-        from .poisson_c2 import DPoly
         problems = []
         n = len(algebra.names)
         for t in range(10):

@@ -66,6 +66,8 @@ def _reject_float(text):
 def lie_algebra_from_config(data: dict) -> tuple[FiniteLieAlgebra, BilinearForm | None]:
     try:
         names = tuple(data["basis"])
+        if not names:
+            raise ConfigError("bad lie_algebra config: the basis is empty")
         table = {}
         for a, b, entries in data.get("brackets", []):
             table[(a, b)] = {k: exact(c) for k, c in entries}

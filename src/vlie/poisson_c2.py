@@ -8,10 +8,11 @@ the surviving generators; the quotient carries the product a_{-1}b and
 bracket a_0 b.  The second works over a polynomial differential algebra
 (``DPoly``) with a lambda-bracket table on its generators, extends the
 table to all polynomials by the master formula, ``lie_core.lambda_bracket``,
-and quotients by derivative monomials.  Its brackets
-{f(x), g(y)} = sum_l h_l(y) Delta^(l) are ``VPSeries``: the package's one
-``DeltaSeries`` type over ``DPoly`` coefficients, whose window expansion is
-the generic one of ``formal_calc``.
+and quotients by derivative monomials, where a generator bracket is its
+table entry's lambda^0 coefficient.  Its brackets
+{f(x), g(y)} = sum_l h_l(y) Delta^(l) are the package's one ``DeltaSeries``
+type over ``DPoly`` coefficients, whose window expansion is the generic one
+of ``formal_calc``.
 """
 
 from __future__ import annotations
@@ -253,23 +254,24 @@ def verify_p2_iso(
 # Differential polynomial algebras with a lambda-bracket table
 # ---------------------------------------------------------------------------
 
-VPSeries = DeltaSeries  # over DPoly coefficients, written in y
-
-
 class VPDiffAlgebra:
     """Polynomial differential algebra with a generator bracket table.
 
     ``table[(i, j)]`` holds {u_i lambda u_j} as {power of lambda: DPoly}, the
     form ``lie_core.lambda_bracket`` reads: h (-lambda)^l is the term
     h(y) Delta^(l) of {u_i(x), u_j(y)}.  Missing pairs are zero; zero
-    coefficients and entries are dropped.
+    coefficients and entries are dropped; a generator index out of range
+    raises ``ValueError``.
     """
 
     def __init__(self, names: Sequence[str], table: Mapping[tuple, Mapping[int, DPoly]]):
         self.names = tuple(names)
 
         def pos(x):
-            return self.names.index(x) if isinstance(x, str) else int(x)
+            i = self.names.index(x) if isinstance(x, str) else int(x)
+            if not 0 <= i < len(self.names):
+                raise ValueError(f"generator index {x!r} is out of range")
+            return i
 
         entries = {(pos(a), pos(b)): {p: h for p, h in sorted(entry.items()) if h}
                    for (a, b), entry in table.items()}
@@ -278,10 +280,11 @@ class VPDiffAlgebra:
     def generator(self, name: str) -> DPoly:
         return DPoly.variable(self.names.index(name))
 
-    def vp_bracket(self, f: DPoly, g: DPoly) -> VPSeries:
-        """{f(x), g(y)} by ``lie_core.lambda_bracket``; h_l Delta^(l) is (-lambda)^l h_l."""
-        return VPSeries([(l, -h if l % 2 else h)
-                         for l, h in lambda_bracket(self.table, f, g).items()])
+    def vp_bracket(self, f: DPoly, g: DPoly) -> DeltaSeries:
+        """{f(x), g(y)} by ``lie_core.lambda_bracket``, a ``DeltaSeries`` over ``DPoly``
+        written in y; h_l Delta^(l) is (-lambda)^l h_l."""
+        return DeltaSeries([(l, -h if l % 2 else h)
+                            for l, h in lambda_bracket(self.table, f, g).items()])
 
     def mode_products(self, f: DPoly, g: DPoly) -> dict[int, DPoly]:
         """The family f_i g with {f(x),g(y)} = sum (1/i!)(f_i g)(y)Delta^(i)."""
@@ -295,29 +298,10 @@ class VPDiffAlgebra:
                 if get((i, j), {}) != lambda_skew(get((j, i), {}))]
 
 
-def ultra_poisson(names: Sequence[str], sym_bracket: Mapping[tuple, Mapping[str, object]]) -> VPDiffAlgebra:
-    """Loop-space bracket of a Poisson algebra: {u_i lambda u_j} = {u_i,u_j},
-    that is {u_i(x), u_j(y)} = {u_i,u_j}(y) Delta.
-
-    ``sym_bracket[(a, b)]`` gives {u_a, u_b} as a coordinate map over the
-    base symbols.
-    """
-    idx = {n: i for i, n in enumerate(names)}
-    return VPDiffAlgebra(names, {
-        pair: {0: DPoly({((idx[n], 0),): c for n, c in coords.items()})}
-        for pair, coords in sym_bracket.items()
-    })
-
-
 def ultra_poisson_of_lie(g) -> VPDiffAlgebra:
-    """Ultra bracket of the symmetric-algebra Poisson structure of a Lie algebra."""
-    table = {}
-    for i, a in enumerate(g.names):
-        for j, b in enumerate(g.names):
-            bk = g.bracket_basis(i, j)
-            if bk:
-                table[(a, b)] = {g.names[k]: c for k, c in bk.items()}
-    return ultra_poisson(g.names, table)
+    """Ultra bracket of the symmetric-algebra Poisson structure of a Lie algebra:
+    {u_i lambda u_j} = [u_i,u_j], that is {u_i(x), u_j(y)} = [u_i,u_j](y) Delta."""
+    return VPDiffAlgebra(g.names, {pair: {0: g.bracket_poly(*pair)} for pair in g.table})
 
 
 def constant_order_table(names: Sequence[str], matrix) -> VPDiffAlgebra:
@@ -332,13 +316,13 @@ def constant_order_table(names: Sequence[str], matrix) -> VPDiffAlgebra:
 def pvpa_quotient(algebra: VPDiffAlgebra) -> PoissonPresentation:
     """Poisson structure on the quotient by derivative monomials.
 
-    The normal form drops every monomial containing a derivative variable;
-    the bracket of generator classes is the order-0 mode product, reduced.
+    The normal form drops every monomial containing a derivative variable.
+    The master formula gives {u_i lambda u_j} as the table entry itself, so
+    the bracket of generator classes is the entry's lambda^0 coefficient,
+    reduced.  Pairs go in sorted order, as the antisymmetry check of
+    ``PoissonPresentation`` reports the first pair it meets.
     """
     names = algebra.names
-    bracket = {}
-    for i, a in enumerate(names):
-        for j, b in enumerate(names):
-            prods = algebra.mode_products(algebra.generator(a), algebra.generator(b))
-            bracket[(a, b)] = prods.get(0, DPoly()).drop_derivatives()
-    return PoissonPresentation(names, bracket)
+    return PoissonPresentation(names, {(names[i], names[j]): entry[0].drop_derivatives()
+                                       for (i, j), entry in sorted(algebra.table.items())
+                                       if 0 in entry})

@@ -450,6 +450,35 @@ class TestConfigFile:
         assert err.startswith(f"config error: bad lie_algebra config: {message}")
         assert err.count("\n") == 1
 
+    CENTRAL_ONLY = {"vertex_lie": {"basis": [{"name": "c", "degree": 0}],
+                                   "d": {"domain": ["c"]}, "brackets": []}}
+    EMPTY_LIE = {"lie_algebra": {"basis": [], "brackets": []}}
+
+    @pytest.mark.parametrize("config, argv, message", [
+        # a structure on c alone has no complement generator for the default
+        # states: both raised IndexError
+        pytest.param(CENTRAL_ONLY, ("check", "vacuum", "--builder", "config"),
+                     "the structure has no complement generator for the default states",
+                     id="central-check-vacuum"),
+        pytest.param(CENTRAL_ONLY, ("borcherds-check", "--builder", "config", "--lambda", "c=1"),
+                     "the structure has no complement generator for the default states",
+                     id="central-borcherds-check"),
+        # an empty basis: check vla passed vacuously, check vacuum raised IndexError
+        pytest.param(EMPTY_LIE, ("check", "vla", "--builder", "loop:config"),
+                     "bad lie_algebra config: the basis is empty", id="empty-loop-check-vla"),
+        pytest.param({"lie_algebra": {**EMPTY_LIE["lie_algebra"], "form": []}},
+                     ("check", "vla", "--builder", "affine:config"),
+                     "bad lie_algebra config: the basis is empty", id="empty-affine-check-vla"),
+        pytest.param(EMPTY_LIE, ("check", "vacuum", "--builder", "loop:config"),
+                     "bad lie_algebra config: the basis is empty", id="empty-loop-check-vacuum"),
+    ])
+    def test_structures_without_generators_exit_2(self, tmp_path, capsys, config, argv,
+                                                   message):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        code, out, err = run(capsys, *argv, "--config", str(path))
+        assert (code, out, err) == (2, "", f"config error: {message}\n")
+
     def test_u0_mismatch_rejected(self, tmp_path, capsys):
         config = {
             "vertex_lie": {

@@ -1,11 +1,12 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from vlie.config import build_structure
-from vlie.lie_core import sl2, sl2_form, sym_poisson
+from vlie.lie_core import FiniteLieAlgebra, lambda_bracket, sl2, sl2_form, sym_poisson
 from vlie.poisson_c2 import (
     DPoly,
     PoissonPresentation,
@@ -656,6 +657,58 @@ class TestSkewAndConfluence:
         assert mode_window(series, 5) == mode_window(rebuilt, 5)
 
 
+LIE_ALGEBRAS = {
+    "sl2": sl2,
+    "heis3": heis3,
+    "so3": lambda: FiniteLieAlgebra(("x", "y", "z"), {("y", "z"): {"x": 1}, ("z", "x"): {"y": 1},
+                                                      ("x", "y"): {"z": 1}}),
+    "nonabelian-2d": lambda: FiniteLieAlgebra(("a", "b"), {("b", "a"): {"b": 1}}),
+}
+
+
+def name_keyed_ultra(g) -> VPDiffAlgebra:
+    """The ultra table built through generator names, every ordered pair in
+    turn; an oracle for ``ultra_poisson_of_lie``."""
+    table = {}
+    for i, a in enumerate(g.names):
+        for j, b in enumerate(g.names):
+            bk = g.bracket_basis(i, j)
+            if bk:
+                table[(a, b)] = {g.names[k]: c for k, c in bk.items()}
+    idx = {n: i for i, n in enumerate(g.names)}
+    return VPDiffAlgebra(g.names, {
+        pair: {0: DPoly({((idx[n], 0),): c for n, c in coords.items()})}
+        for pair, coords in table.items()
+    })
+
+
+def engine_route_pvpa(algebra: VPDiffAlgebra) -> PoissonPresentation:
+    """The quotient bracket of each ordered generator pair through the engine:
+    the order-0 mode product, reduced; an oracle for ``pvpa_quotient``."""
+    names = algebra.names
+    bracket = {}
+    for i, a in enumerate(names):
+        for j, b in enumerate(names):
+            prods = algebra.mode_products(algebra.generator(a), algebra.generator(b))
+            bracket[(a, b)] = prods.get(0, DPoly()).drop_derivatives()
+    return PoissonPresentation(names, bracket)
+
+
+def assert_matches_the_engine_route(vp: VPDiffAlgebra):
+    """``pvpa_quotient`` gives the engine route's generators and table, key
+    order included, or raises ``ValueError`` with the same message."""
+    try:
+        want = engine_route_pvpa(vp)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            pvpa_quotient(vp)
+        assert str(got.value) == str(exc)
+        return
+    pres = pvpa_quotient(vp)
+    assert pres.generators == want.generators
+    assert list(pres.table.items()) == list(want.table.items())
+
+
 class TestPvpaQuotient:
     def test_ultra_recovers_symmetric_poisson(self):
         g = sl2()
@@ -684,3 +737,62 @@ class TestPvpaQuotient:
         pres = pvpa_quotient(vp)
         assert pres.generators == ("u",)
         assert pres.table == {}
+
+    def test_reads_the_table_of_a_non_skew_table_in_sorted_order(self):
+        # stated (b,a) first: the pair the antisymmetry check reports is the
+        # first sorted one, as when every ordered pair went through the engine
+        vp = VPDiffAlgebra(("a", "b"), {("b", "a"): {0: DPoly.variable(0)},
+                                        ("a", "b"): {0: DPoly.variable(1)}})
+        assert list(vp.table) == [(1, 0), (0, 1)]
+        with pytest.raises(ValueError, match=re.escape("not antisymmetric on (a,b)")):
+            pvpa_quotient(vp)
+        assert_matches_the_engine_route(vp)
+
+    @pytest.mark.parametrize("name", [*SKEW_TABLES, *NON_SKEW_TABLES])
+    def test_matches_the_engine_route(self, name):
+        assert_matches_the_engine_route({**SKEW_TABLES, **NON_SKEW_TABLES}[name]())
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(random_vp_tables())
+    def test_random_tables_match_the_engine_route(self, vp):
+        assert_matches_the_engine_route(vp)
+
+    @pytest.mark.parametrize("name", [*SKEW_TABLES, *NON_SKEW_TABLES])
+    def test_the_engine_bracket_of_two_generators_is_the_table_entry(self, name):
+        vp = {**SKEW_TABLES, **NON_SKEW_TABLES}[name]()
+        r = range(len(vp.names))
+        for i in r:
+            for j in r:
+                got = lambda_bracket(vp.table, DPoly.variable(i), DPoly.variable(j))
+                assert got == vp.table.get((i, j), {})
+
+    @settings(derandomize=True, database=None, max_examples=80, deadline=None)
+    @given(random_vp_tables())
+    def test_random_engine_brackets_of_two_generators_are_the_table_entries(self, vp):
+        for i in range(2):
+            for j in range(2):
+                got = lambda_bracket(vp.table, DPoly.variable(i), DPoly.variable(j))
+                assert got == vp.table.get((i, j), {})
+
+    def test_a_derivative_in_a_lambda0_entry_is_dropped(self):
+        # {L lambda L} = D L + 2 L lambda + lambda^3/6 holds D L at lambda^0
+        vp = _virasoro_table()
+        assert vp.table[(0, 0)][0] == DPoly.variable(0, 1)
+        assert pvpa_quotient(vp).table == {}
+
+
+class TestUltraPoissonOfLie:
+    @pytest.mark.parametrize("name", ["sl2", "heis3", "so3", "nonabelian-2d"])
+    def test_matches_the_name_keyed_construction(self, name):
+        g = LIE_ALGEBRAS[name]()
+        if name in ("so3", "nonabelian-2d"):
+            assert list(g.table) != sorted(g.table)
+        vp = ultra_poisson_of_lie(g)
+        assert vp.names == g.names
+        assert vp.table == name_keyed_ultra(g).table
+
+    def test_bad_generator_index_is_rejected(self):
+        for pair in ((0, 2), (-1, 0)):
+            with pytest.raises(ValueError, match="out of range"):
+                VPDiffAlgebra(("a", "b"), {pair: {0: DPoly.constant(1)}})
+
