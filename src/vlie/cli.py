@@ -49,7 +49,7 @@ from .poisson_c2 import (
     verify_p2_iso,
     constant_order_table,
 )
-from .vacuum_module import VacuumModule
+from .vacuum_module import VacuumModule, central_character
 from .vertex_lie import (BilinearForm, CommAlgebra, novikov_candidate, quadratic_central_candidate,
                          symbol_order)
 
@@ -166,16 +166,16 @@ def suite_delta(report: Report, args):
     report.run("delta.swap-side", swap_involution)
 
 
-def _builders_for_suite(args, config):
+def _builders_for_suite(args, structure):
     if args.builder:
-        return [(args.builder, build_structure(args.builder, config))]
+        return [(args.builder, structure)]
     names = ["witt", "virasoro", "loop-sl2", "affine-sl2", "heisenberg:2", "novikov-dual"]
     return [(n, build_structure(n)) for n in names]
 
 
-def suite_vla(report: Report, args, config):
+def suite_vla(report: Report, args, structure):
     window = args.window
-    for name, structure in _builders_for_suite(args, config):
+    for name, structure in _builders_for_suite(args, structure):
         report.run(f"vla.skew.{name}", lambda s=structure: s.verify_skew_symmetry(window))
         report.run(f"vla.jacobi.{name}", lambda s=structure: s.verify_jacobi(window))
 
@@ -194,13 +194,10 @@ def suite_vla(report: Report, args, config):
     report.run("vla.negative-controls", negative_controls)
 
 
-def suite_vacuum(report: Report, args, config):
+def suite_vacuum(report: Report, args, structure):
     name = args.builder or "virasoro"
-    structure = build_structure(name, config)
-    lam = parse_lambda(args.lam)
-    if not lam and "c" in structure.basis:
-        lam = {"c": Fraction(1, 2)}
-    module = VacuumModule(structure, lam)
+    module = VacuumModule(structure, _central_character(
+        structure, args, {"c": Fraction(1, 2)} if "c" in structure.basis else {}))
 
     if name == "virasoro":
         def golden_character():
@@ -234,22 +231,12 @@ def _generator_states(structure, module):
             module.generator_state(structure.u_prime_names[-1]))
 
 
-def suite_p2(report: Report, args, config):
-    report.run(
-        "p2.iso.virasoro",
-        lambda: verify_p2_iso(build_structure("virasoro"), {"c": Fraction(1, 2)},
-                              samples=args.samples // 4, seed=report.seed),
-    )
-    report.run(
-        "p2.iso.affine-sl2",
-        lambda: verify_p2_iso(build_structure("affine-sl2"), {"c": 1},
-                              samples=args.samples // 4, seed=report.seed),
-    )
-    report.run(
-        "p2.iso.loop-sl2",
-        lambda: verify_p2_iso(build_structure("loop-sl2"), {},
-                              samples=args.samples // 4, seed=report.seed),
-    )
+def suite_p2(report: Report, args):
+    for name, lam in (("virasoro", {"c": Fraction(1, 2)}), ("affine-sl2", {"c": 1}),
+                      ("loop-sl2", {})):
+        report.run(f"p2.iso.{name}",
+                   lambda name=name, lam=lam: verify_p2_iso(
+                       build_structure(name), lam, samples=args.samples // 4, seed=report.seed))
 
     def ultra_loop():
         g = sl2()
@@ -320,16 +307,18 @@ def suite_lattice(report: Report, args):
 # ---------------------------------------------------------------------------
 
 def cmd_check(args) -> int:
-    config = load_config_file(args.config) if args.config else None
+    # the --builder structure (Virasoro for check vacuum without one) is
+    # read before any suite runs, and the vla and vacuum suites share it
+    structure = _structure(args, args.builder or "virasoro")
     report = Report(f"check {args.suite}", _echo_config(args), args.seed, args.timing)
     if args.suite in ("delta", "all"):
         suite_delta(report, args)
     if args.suite in ("vla", "all"):
-        suite_vla(report, args, config)
+        suite_vla(report, args, structure)
     if args.suite in ("vacuum", "all"):
-        suite_vacuum(report, args, config)
+        suite_vacuum(report, args, structure)
     if args.suite in ("p2", "all"):
-        suite_p2(report, args, config)
+        suite_p2(report, args)
     if args.suite in ("lattice", "all"):
         suite_lattice(report, args)
     report.emit(args.format)
@@ -354,16 +343,25 @@ def _require_basis(structure, *names: str):
             raise ConfigError(f"unknown basis name {name!r}; basis: {', '.join(structure.basis)}")
 
 
-def _vacuum_module(structure, lam) -> VacuumModule:
+def _structure(args, name: str | None = None):
+    """The structure of ``name`` or --builder, built with the --config file."""
+    config = load_config_file(args.config) if args.config else None
+    return build_structure(name or args.builder, config)
+
+
+def _central_character(structure, args, default):
+    """The --lambda central character of ``structure``, or ``default`` when
+    there is none; a name that is no central generator, or a central
+    generator left out, is a configuration error."""
+    lam = parse_lambda(args.lam) if args.lam else default
     try:
-        return VacuumModule(structure, lam)
+        return None if lam is None else central_character(structure, lam)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
 
 def cmd_bracket(args) -> int:
-    config = load_config_file(args.config) if args.config else None
-    structure = build_structure(args.builder, config)
+    structure = _structure(args)
     _require_basis(structure, args.a, args.b)
     element = structure.component_bracket(args.a, args.m, args.b, args.n)
     if args.format == "json":
@@ -376,9 +374,8 @@ def cmd_bracket(args) -> int:
 
 
 def cmd_character(args) -> int:
-    config = load_config_file(args.config) if args.config else None
-    structure = build_structure(args.builder, config)
-    module = _vacuum_module(structure, parse_lambda(args.lam))
+    structure = _structure(args)
+    module = VacuumModule(structure, _central_character(structure, args, {}))
     values = module.character(args.depth)
     if args.format == "json":
         print(json.dumps({"depths": values}))
@@ -388,10 +385,8 @@ def cmd_character(args) -> int:
 
 
 def cmd_act(args) -> int:
-    config = load_config_file(args.config) if args.config else None
-    structure = build_structure(args.builder, config)
-    lam = parse_lambda(args.lam) if args.lam else None
-    module = _vacuum_module(structure, lam)
+    structure = _structure(args)
+    module = VacuumModule(structure, _central_character(structure, args, None))
     name, _, mode = args.mode.partition(":")
     try:
         n = int(mode)
@@ -409,9 +404,8 @@ def cmd_act(args) -> int:
 
 
 def cmd_borcherds(args) -> int:
-    config = load_config_file(args.config) if args.config else None
-    structure = build_structure(args.builder, config)
-    module = _vacuum_module(structure, parse_lambda(args.lam))
+    structure = _structure(args)
+    module = VacuumModule(structure, _central_character(structure, args, {}))
     if not (args.a and args.b):
         first, last = _generator_states(structure, module)
     a = parse_state_json(module, args.a) if args.a else first
@@ -427,10 +421,8 @@ def cmd_borcherds(args) -> int:
 
 
 def cmd_p2(args) -> int:
-    config = load_config_file(args.config) if args.config else None
-    structure = build_structure(args.builder, config)
-    lam = parse_lambda(args.lam) if args.lam else None
-    pres = p2_structure(structure, lam)
+    structure = _structure(args)
+    pres = p2_structure(structure, _central_character(structure, args, None))
     _print_presentation(pres, args.format, ideal=[pres.text(q) for q in pres.ideal],
                         notes=list(pres.notes))
     return 0
@@ -450,17 +442,12 @@ def _print_presentation(pres, fmt: str, **extra):
 
 def _vp_algebra(args):
     if args.ultra:
-        if args.ultra != "sl2":
-            raise ConfigError("the bundled ultra table is 'sl2'")
         return ultra_poisson_of_lie(sl2())
-    if args.heis_matrix:
-        matrix = parse_gram(args.heis_matrix)
-        if not matrix or any(not isinstance(row, list) or len(row) != len(matrix)
-                             for row in matrix):
-            raise ConfigError("--heis-matrix must be a nonempty square matrix")
-        names = tuple(f"u{i+1}" for i in range(len(matrix)))
-        return constant_order_table(names, [[exact(c) for c in row] for row in matrix])
-    raise ConfigError("choose a table: --ultra sl2 or --heis-matrix [[..]]")
+    matrix = parse_gram(args.heis_matrix)
+    if not matrix or any(not isinstance(row, list) or len(row) != len(matrix) for row in matrix):
+        raise ConfigError("--heis-matrix must be a nonempty square matrix")
+    names = tuple(f"u{i+1}" for i in range(len(matrix)))
+    return constant_order_table(names, [[exact(c) for c in row] for row in matrix])
 
 
 def cmd_vp_check(args) -> int:
@@ -606,12 +593,26 @@ def _positive(text: str) -> int:
     return value
 
 
-def _common(parser):
-    parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--config", help="JSON/TOML structure file")
-    parser.add_argument("--timing", action="store_true",
-                        help="attach timings (breaks byte-identical output)")
+def _command(sub, name: str, fn, summary: str, report: bool = False):
+    """A subcommand with --format, plus --seed and --timing when it emits a
+    ``Report``."""
+    p = sub.add_parser(name, help=summary)
+    p.add_argument("--format", choices=("text", "json"), default="text")
+    if report:
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--timing", action="store_true",
+                       help="attach timings (breaks byte-identical output)")
+    p.set_defaults(fn=fn)
+    return p
+
+
+def _builder_flags(p, required: bool = True, lam: bool = True):
+    """--builder with its --config file and, where read, --lambda."""
+    p.add_argument("--builder", required=required)
+    p.add_argument("--config", help="JSON/TOML structure file")
+    if lam:
+        p.add_argument("--lambda", dest="lam", action="append", default=[],
+                       help="central character entries name=value")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -622,83 +623,56 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check", help="run a verification suite")
+    p = _command(sub, "check", cmd_check, "run a verification suite", report=True)
     p.add_argument("suite", choices=("delta", "vla", "vacuum", "p2", "lattice", "all"))
-    p.add_argument("--builder")
+    _builder_flags(p, required=False)
     p.add_argument("--window", type=_nonnegative, default=4)
     p.add_argument("--depth", type=_nonnegative, default=4)
     p.add_argument("--samples", type=_nonnegative, default=40)
     p.add_argument("--gram")
-    p.add_argument("--lambda", dest="lam", action="append", default=[])
-    _common(p)
-    p.set_defaults(fn=cmd_check)
 
-    p = sub.add_parser("bracket", help="component bracket of two basis modes")
-    p.add_argument("--builder", required=True)
+    p = _command(sub, "bracket", cmd_bracket, "component bracket of two basis modes")
+    _builder_flags(p, lam=False)
     p.add_argument("--a", required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--b", required=True)
     p.add_argument("--n", type=int, required=True)
-    _common(p)
-    p.set_defaults(fn=cmd_bracket)
 
-    p = sub.add_parser("character", help="graded dimensions of a vacuum module")
-    p.add_argument("--builder", required=True)
-    p.add_argument("--lambda", dest="lam", action="append", default=[],
-                   help="central character entries name=value")
+    p = _command(sub, "character", cmd_character, "graded dimensions of a vacuum module")
+    _builder_flags(p)
     p.add_argument("--depth", type=_nonnegative, default=10)
-    _common(p)
-    p.set_defaults(fn=cmd_character)
 
-    p = sub.add_parser("act", help="apply a mode to a state")
-    p.add_argument("--builder", required=True)
-    p.add_argument("--lambda", dest="lam", action="append", default=[])
+    p = _command(sub, "act", cmd_act, "apply a mode to a state")
+    _builder_flags(p)
     p.add_argument("--mode", required=True, help="name:n")
     p.add_argument("--state", required=True, help="JSON state")
-    _common(p)
-    p.set_defaults(fn=cmd_act)
 
-    p = sub.add_parser("borcherds-check", help="commutator identity on a window")
-    p.add_argument("--builder", required=True)
-    p.add_argument("--lambda", dest="lam", action="append", default=[])
+    p = _command(sub, "borcherds-check", cmd_borcherds, "commutator identity on a window",
+                 report=True)
+    _builder_flags(p)
     p.add_argument("--a", help="JSON state (default: first generator)")
     p.add_argument("--b", help="JSON state (default: last generator)")
     p.add_argument("--window", type=_nonnegative, default=2)
     p.add_argument("--depth", type=_nonnegative, default=4)
-    _common(p)
-    p.set_defaults(fn=cmd_borcherds)
 
-    p = sub.add_parser("p2", help="Poisson presentation of the quotient")
-    p.add_argument("--builder", required=True)
-    p.add_argument("--lambda", dest="lam", action="append", default=[])
-    _common(p)
-    p.set_defaults(fn=cmd_p2)
+    _builder_flags(_command(sub, "p2", cmd_p2, "Poisson presentation of the quotient"))
 
-    p = sub.add_parser("vp-check", help="table skew and Leibniz suites")
-    p.add_argument("--ultra", help="bundled symmetric-algebra table: sl2")
-    p.add_argument("--heis-matrix", help="constant order-1 table matrix (JSON)")
-    _common(p)
-    p.set_defaults(fn=cmd_vp_check)
+    for name, fn, summary in (("vp-check", cmd_vp_check, "table skew and Leibniz suites"),
+                              ("pvpa", cmd_pvpa, "quotient presentation by derivative monomials")):
+        p = _command(sub, name, fn, summary, report=fn is cmd_vp_check)
+        table = p.add_mutually_exclusive_group(required=True)
+        table.add_argument("--ultra", choices=("sl2",), help="bundled symmetric-algebra table")
+        table.add_argument("--heis-matrix", help="constant order-1 table matrix (JSON)")
 
-    p = sub.add_parser("pvpa", help="quotient presentation by derivative monomials")
-    p.add_argument("--ultra")
-    p.add_argument("--heis-matrix")
-    _common(p)
-    p.set_defaults(fn=cmd_pvpa)
-
-    p = sub.add_parser("lattice", help="lattice quotient algebras")
+    p = _command(sub, "lattice", cmd_lattice, "lattice quotient algebras")
     p.add_argument("action", choices=("c2-set", "p2", "poisson", "bk-compare"))
     p.add_argument("--gram", required=False, default="[[2]]")
     p.add_argument("--k", type=_positive, default=1)
-    _common(p)
-    p.set_defaults(fn=cmd_lattice)
 
-    p = sub.add_parser("decompose", help="expand and re-extract a delta series")
+    p = _command(sub, "decompose", cmd_decompose, "expand and re-extract a delta series")
     p.add_argument("--series", required=True,
                    help='JSON like [{"order":0,"coeff":{"1":"1"}}]')
     p.add_argument("--k", type=_nonnegative)
-    _common(p)
-    p.set_defaults(fn=cmd_decompose)
 
     return parser
 

@@ -212,8 +212,12 @@ class DPoly(Poly):
         return cls({((i, j),): c})
 
     def derivative(self, order: int = 1) -> "DPoly":
-        """Apply D ``order`` times (Leibniz over each monomial factor)."""
+        """Apply D ``order`` times (Leibniz over each monomial factor).  On a
+        linear polynomial, D sends distinct variables to distinct variables,
+        so nothing is sorted or cleaned."""
         coeffs = self.coeffs
+        if all(len(mono) == 1 for mono in coeffs):
+            return self._new({((i, j + order),): c for ((i, j),), c in coeffs.items()})
         for _ in range(order):
             coeffs = clean(
                 (tuple(sorted(mono[:t] + ((i, j + 1),) + mono[t + 1:])), c)

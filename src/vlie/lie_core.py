@@ -196,9 +196,7 @@ def _shift(p: DPoly | None, s: int, c=1) -> list:
     """c (lambda + D)^s p as terms (power of lambda, D^u p, c binom(s, u)); None is 1."""
     out = [(s, p, c)]
     for u in range(1, s + 1 if p is not None else 1):
-        linear = min(map(len, p.coeffs), default=0) == 1 == max(map(len, p.coeffs))
-        p = (_wrap({((i, j + 1),): v for ((i, j),), v in p.coeffs.items()}) if linear
-             else p.derivative())
+        p = p.derivative()
         if not p:
             break
         out.append((s - u, p, c * comb(s, u)))

@@ -24,7 +24,7 @@ from math import factorial
 from .formal_calc import DeltaSeries, DPoly, format_poly, rat, rat_str
 from .lie_core import check_generators, lambda_bracket, lambda_skew
 from .linalg import add_into, bilinear
-from .vacuum_module import State, VacuumModule
+from .vacuum_module import State, VacuumModule, central_character
 from .vertex_lie import VLStructure
 
 
@@ -179,7 +179,7 @@ def p2_structure(structure: VLStructure, lam: Mapping[str, object] | None = None
     ideal = []
     notes = []
     if lam is not None:
-        lam = {str(k): rat(v) for k, v in lam.items()}
+        lam = central_character(structure, lam)
         for name in structure.u0_prime_names:
             ideal.append(DPoly.variable(names.index(name)) - DPoly.constant(lam[name]))
         hr = structure.meta.get("highest_root")

@@ -31,6 +31,21 @@ IdState = dict[int, int | Fraction]
 VACUUM: Monomial = ()
 
 
+def central_character(structure: VLStructure, lam: Mapping[str, object]) -> dict[str, int | Fraction]:
+    """``lam`` as exact values on the central generators of ``structure``,
+    its ``u0_prime_names``.  A ValueError names a key that is no central
+    generator, or the central generators that ``lam`` leaves out."""
+    out = {str(k): rat(v) for k, v in lam.items()}
+    central = structure.u0_prime_names
+    unknown = [n for n in out if n not in central]
+    if unknown:
+        raise ValueError(f"not a central generator: {unknown}; central generators: {list(central)}")
+    missing = [n for n in central if n not in out]
+    if missing:
+        raise ValueError(f"central character must cover {missing}")
+    return out
+
+
 class VacuumModule:
     """Induced module over the negative modes, with optional central character.
 
@@ -72,10 +87,7 @@ class VacuumModule:
         if lam is None:
             self.lam = None
         else:
-            self.lam = {str(k): rat(v) for k, v in lam.items()}
-            missing = [n for n in structure.u0_prime_names if n not in self.lam]
-            if missing:
-                raise ValueError(f"central character must cover {missing}")
+            self.lam = central_character(structure, lam)
         self._graded = (
             structure.degrees is not None
             and all(structure.degree_of(n) == 0 for n in structure.u0_prime_names)

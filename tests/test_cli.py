@@ -589,3 +589,99 @@ class TestParserReuse:
         assert "expected one argument" in err
         request = ("lattice", "poisson", "--gram", "[[4]]", "--format", "json")
         assert run(capsys, *request) == fresh_process(*request)
+
+
+DOMEGA = str(DATA / "virasoro_domega.json")
+# a valid request of every subcommand
+REQUESTS = {
+    "check": ("check", "delta", "--samples", "2"),
+    "bracket": ("bracket", "--builder", "virasoro", "--a", "omega", "--m", "1",
+                "--b", "omega", "--n", "0"),
+    "character": ("character", "--builder", "virasoro", "--lambda", "c=1/2", "--depth", "3"),
+    "act": ("act", "--builder", "witt", "--mode", "omega:-1", "--state", '[[[],"1"]]'),
+    "borcherds-check": ("borcherds-check", "--builder", "witt", "--window", "1", "--depth", "2"),
+    "p2": ("p2", "--builder", "witt"),
+    "vp-check": ("vp-check", "--ultra", "sl2"),
+    "pvpa": ("pvpa", "--ultra", "sl2"),
+    "lattice": ("lattice", "poisson", "--gram", "[[2]]"),
+    "decompose": ("decompose", "--series", '[{"order":0,"coeff":{"1":"1"}}]'),
+}
+FLAGS = {"--format": ("--format", "json"), "--seed": ("--seed", "5"), "--timing": ("--timing",),
+         "--config": ("--config", DOMEGA)}
+REMOVED_SLOTS = [(command, "--config") for command in ("vp-check", "pvpa", "lattice", "decompose")]
+REMOVED_SLOTS += [(command, flag)
+                  for command in ("bracket", "character", "act", "p2", "pvpa", "lattice", "decompose")
+                  for flag in ("--seed", "--timing")]
+KEPT_SLOTS = [(command, "--format") for command in REQUESTS]
+KEPT_SLOTS += [(command, flag) for command in ("check", "borcherds-check", "vp-check")
+               for flag in ("--seed", "--timing")]
+KEPT_SLOTS += [(command, "--config") for command in ("check", "bracket", "character", "act",
+                                                     "borcherds-check", "p2")]
+# the --config requests read the file through the config builder, a
+# structure on omega, domega = d(omega) and c
+CONFIG_REQUESTS = {
+    "check": ("check", "vla", "--window", "1"),
+    "bracket": ("bracket", "--a", "omega", "--m", "1", "--b", "domega", "--n", "0"),
+    "character": ("character", "--lambda", "c=1/2", "--depth", "3"),
+    "act": ("act", "--lambda", "c=1/2", "--mode", "omega:-1", "--state", '[[[],"1"]]'),
+    "borcherds-check": ("borcherds-check", "--lambda", "c=1/2", "--window", "1", "--depth", "2"),
+    "p2": ("p2", "--lambda", "c=1/2"),
+}
+
+
+class TestFlagSlots:
+    """Each subcommand accepts only the flags it reads: --format on all,
+    --builder, --config and --lambda on the builder commands, and --seed and
+    --timing on the commands that emit a report.  Any other flag is a usage
+    error, exit 2 with nothing on stdout."""
+
+    def test_slot_counts(self):
+        assert (len(set(REMOVED_SLOTS)), len(set(KEPT_SLOTS))) == (18, 22)
+        assert len(REQUESTS) * 4 == 18 + 22
+
+    @pytest.mark.parametrize("command, flag", REMOVED_SLOTS,
+                             ids=[" ".join(slot) for slot in REMOVED_SLOTS])
+    def test_unread_flag_is_a_usage_error(self, capsys, command, flag):
+        code, out, err = run(capsys, *REQUESTS[command], *FLAGS[flag])
+        assert (code, out) == (2, "")
+        assert f"unrecognized arguments: {flag}" in err
+
+    @pytest.mark.parametrize("command, flag", KEPT_SLOTS,
+                             ids=[" ".join(slot) for slot in KEPT_SLOTS])
+    def test_kept_flag_parses(self, capsys, command, flag):
+        if flag == "--config":
+            argv = (*CONFIG_REQUESTS[command], "--builder", "config", *FLAGS[flag])
+        else:
+            argv = (*REQUESTS[command], *FLAGS[flag])
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out
+
+
+    @pytest.mark.parametrize("command", ["vp-check", "pvpa"])
+    def test_both_tables_are_a_usage_error(self, capsys, command):
+        code, out, err = run(capsys, command, "--ultra", "sl2", "--heis-matrix", "[[1]]")
+        assert (code, out) == (2, "")
+        assert "not allowed with argument" in err
+
+    @pytest.mark.parametrize("command", ["vp-check", "pvpa"])
+    def test_a_table_is_required(self, capsys, command):
+        assert run(capsys, command)[:2] == (2, "")
+        code, out, err = run(capsys, command, "--ultra", "so3")
+        assert (code, out) == (2, "")
+        assert "invalid choice" in err
+
+    @pytest.mark.parametrize("argv", [
+        # a name that is no central generator was ignored: exit 0
+        ("borcherds-check", "--builder", "witt", "--lambda", "c=1"),
+        ("p2", "--builder", "witt", "--lambda", "c=1"),
+        ("character", "--builder", "virasoro", "--lambda", "c=1/2", "--lambda", "zz=3"),
+        # c left out: check vacuum exited 1, p2 exited 1 on a bare KeyError
+        ("check", "vacuum", "--builder", "virasoro", "--lambda", "d=1"),
+        ("character", "--builder", "virasoro", "--lambda", "d=1"),
+        ("p2", "--builder", "virasoro", "--lambda", "d=1"),
+    ], ids=" ".join)
+    def test_central_character_outside_the_structure_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("config error: ") and err.count("\n") == 1

@@ -16,7 +16,7 @@ from vlie.lie_core import (
     sl2_form,
     sym_poisson,
 )
-from vlie.linalg import det
+from vlie.linalg import clean, det
 
 from test_formal_calc import skew_transfer
 
@@ -279,3 +279,28 @@ class TestLambdaBracketProperties:
         assert lambda_bracket({(0, 1): {1: DPoly.constant(1)}}, DPoly.constant(5), v) == {}
         # {u_lambda v''} = (lambda + D)^2 lambda = lambda^3 on this table
         assert lambda_bracket({(0, 1): {1: DPoly.constant(1)}}, u, v) == {3: DPoly.constant(1)}
+
+
+def generic_derivative(p: DPoly, order: int) -> dict:
+    """D^order p by Leibniz on every factor, each monomial re-sorted and the
+    sum cleaned: the route ``DPoly.derivative`` takes on a nonlinear p."""
+    coeffs = p.coeffs
+    for _ in range(order):
+        coeffs = clean((tuple(sorted(mono[:t] + ((i, j + 1),) + mono[t + 1:])), c)
+                       for mono, c in coeffs.items() for t, (i, j) in enumerate(mono))
+    return coeffs
+
+
+# integral values too, which the coefficient maps store as int
+COEFFS = st.one_of(FRACTIONS, st.integers(-3, 3).filter(bool))
+LINEAR = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 3)).map(lambda v: (v,)),
+                         COEFFS, max_size=4).map(DPoly)
+
+
+class TestDPolyDerivative:
+    @PROPERTY_SETTINGS
+    @given(st.one_of(LINEAR, DPOLYS), st.integers(0, 3))
+    def test_matches_the_generic_route(self, p, order):
+        got, want = p.derivative(order).coeffs, generic_derivative(p, order)
+        assert list(got.items()) == list(want.items())
+        assert [type(c) for c in got.values()] == [type(c) for c in want.values()]

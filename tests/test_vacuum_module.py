@@ -9,9 +9,9 @@ from vlie.config import build_structure
 from vlie.formal_calc import DPoly, gen_binomial
 from vlie.linalg import add_into, clean
 from vlie.lie_core import sl2, sl2_form
-from vlie.poisson_c2 import c2_reduce
-from vlie.vacuum_module import VACUUM, VacuumModule
-from vlie.vertex_lie import VLStructure, affine, heisenberg, loop, virasoro
+from vlie.poisson_c2 import c2_reduce, p2_structure
+from vlie.vacuum_module import VACUUM, VacuumModule, central_character
+from vlie.vertex_lie import VLStructure, affine, heisenberg, loop, virasoro, witt
 
 
 def state_add(a, b, scale=1):
@@ -677,3 +677,26 @@ class TestLieAdmissible:
             acc = state_add(br(a, br(b, c)), br(b, br(c, a)))
             acc = state_add(acc, br(c, br(a, b)))
             assert acc == {}, (a, b, c)
+
+
+class TestCentralCharacter:
+    """One check of a central character, shared by the vacuum module and
+    the Poisson presentation of its quotient."""
+
+    def test_exact_values_on_the_central_generators(self):
+        lam = central_character(virasoro(), {"c": "1/2"})
+        assert lam == {"c": Fraction(1, 2)}
+        assert type(central_character(virasoro(), {"c": Fraction(4, 2)})["c"]) is int
+        assert central_character(witt(), {}) == {}
+
+    @pytest.mark.parametrize("make, lam, message", [
+        (witt, {"c": 1}, r"not a central generator: \['c'\]; central generators: \[\]"),
+        (virasoro, {"c": 1, "zz": 3}, r"not a central generator: \['zz'\]"),
+        (virasoro, {"d": 1}, r"not a central generator: \['d'\]"),
+        (virasoro, {}, r"central character must cover \['c'\]"),
+    ])
+    def test_module_and_presentation_reject_the_same_input(self, make, lam, message):
+        structure = make()
+        for build in (central_character, VacuumModule, p2_structure):
+            with pytest.raises(ValueError, match=message):
+                build(structure, lam)
