@@ -19,8 +19,9 @@ from .config import (
     ConfigError,
     build_structure,
     exact,
+    integer,
     load_config_file,
-    parse_gram,
+    load_json,
     parse_lambda,
     parse_lattice,
     parse_state_json,
@@ -443,8 +444,9 @@ def _print_presentation(pres, fmt: str, **extra):
 def _vp_algebra(args):
     if args.ultra:
         return ultra_poisson_of_lie(sl2())
-    matrix = parse_gram(args.heis_matrix)
-    if not matrix or any(not isinstance(row, list) or len(row) != len(matrix) for row in matrix):
+    matrix = load_json(args.heis_matrix, "--heis-matrix")
+    if (not isinstance(matrix, list) or not matrix
+            or any(not isinstance(row, list) or len(row) != len(matrix) for row in matrix)):
         raise ConfigError("--heis-matrix must be a nonempty square matrix")
     names = tuple(f"u{i+1}" for i in range(len(matrix)))
     return constant_order_table(names, [[exact(c) for c in row] for row in matrix])
@@ -543,16 +545,12 @@ def cmd_lattice(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    try:
-        data = json.loads(args.series)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"bad series JSON: {exc.msg}") from None
+    data = load_json(args.series, "series")
     terms = []
     try:
         for item in data:
-            order = int(item["order"])
-            coeffs = {int(e): Fraction(str(c)) for e, c in item["coeff"].items()}
-            terms.append((order, LaurentPoly("y", coeffs)))
+            coeffs = {integer(e): exact(c) for e, c in item["coeff"].items()}
+            terms.append((integer(item["order"]), LaurentPoly("y", coeffs)))
         series = DeltaSeries(terms)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad series spec: {exc}") from None

@@ -63,6 +63,14 @@ def _reject_float(text):
     raise ConfigError(f"floating point is not accepted: {text}")
 
 
+def load_json(text: str, what: str):
+    """JSON input given on the command line, with no float anywhere in it."""
+    try:
+        return json.loads(text, parse_float=_reject_float)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"bad {what} JSON: {exc.msg}") from None
+
+
 def lie_algebra_from_config(data: dict) -> tuple[FiniteLieAlgebra, BilinearForm | None]:
     try:
         names = tuple(data["basis"])
@@ -148,21 +156,12 @@ def vertex_lie_from_config(data: dict) -> VLStructure:
         raise ConfigError(f"bad vertex_lie config: {exc}") from None
 
 
-def parse_gram(text: str):
-    try:
-        data = json.loads(text, parse_float=_reject_float)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"bad Gram matrix JSON: {exc.msg}") from None
-    if not isinstance(data, list):
-        raise ConfigError("Gram matrix must be a JSON list of rows")
-    return data
-
-
 def parse_lattice(text: str) -> EvenLattice:
     """An even lattice from a Gram matrix whose entries are JSON integers,
-    never a boolean or a string.  ``parse_gram`` leaves the entries alone,
-    as ``--heis-matrix`` also takes fraction strings."""
-    gram = parse_gram(text)
+    never a boolean or a string."""
+    gram = load_json(text, "Gram matrix")
+    if not isinstance(gram, list):
+        raise ConfigError("Gram matrix must be a JSON list of rows")
     for row in gram:
         for x in row if isinstance(row, list) else ():
             if x.__class__ is not int:
@@ -188,10 +187,7 @@ def parse_lambda(pairs: list[str]) -> dict[str, Fraction]:
 
 def parse_state_json(module, text: str):
     """States as [[[[name, n], ...], coeff], ...]."""
-    try:
-        data = json.loads(text, parse_float=_reject_float)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"bad state JSON: {exc.msg}") from None
+    data = load_json(text, "state")
     try:
         return module.state(
             [([(name, int(n)) for name, n in mono], exact(coeff))

@@ -709,6 +709,33 @@ class _Certificate:
 # Builders
 # ---------------------------------------------------------------------------
 
+_WITT_TERMS = (({"omega": 1}, 1, 0), ({"omega": -2}, 0, 1))
+
+
+def _central(names, degree: int | None, table, name: str, meta: dict | None = None) -> VLStructure:
+    """The uncertified structure on names, each of the given degree, plus a
+    central c of degree 0, with d c = 0; ungraded when degree is None."""
+    return VLStructure(
+        basis=tuple(names) + ("c",),
+        degrees=None if degree is None else (degree,) * len(names) + (0,),
+        d_domain=("c",),
+        d_matrix={"c": {}},
+        table=table,
+        name=name,
+        meta=meta,
+    )
+
+
+def _lie_table(g: FiniteLieAlgebra, form: BilinearForm | None = None) -> dict:
+    """[a(x), b(y)] = [a,b](y) Delta, plus  -(a|b) c(y) Delta^(1)  when a form is given."""
+    names = g.names
+    return {
+        (a, b): [({names[k]: c for k, c in g.bracket_basis(i, j).items()}, 0, 0)]
+        + ([] if form is None else [({"c": -form.value(i, j)}, 0, 1)])
+        for i, a in enumerate(names) for j, b in enumerate(names)
+    }
+
+
 def witt() -> VLStructure:
     """One generator of degree 2; bracket  w'(y)Delta - 2 w(y)Delta^(1)."""
     return VLStructure(
@@ -716,43 +743,26 @@ def witt() -> VLStructure:
         degrees=(2,),
         d_domain=(),
         d_matrix=None,
-        table={("omega", "omega"): [({"omega": 1}, 1, 0), ({"omega": -2}, 0, 1)]},
+        table={("omega", "omega"): _WITT_TERMS},
         name="witt",
     ).certify()
 
 
 def virasoro() -> VLStructure:
     """Witt plus the central line  -(1/12) c(y) Delta^(3)."""
-    return VLStructure(
-        basis=("omega", "c"),
-        degrees=(2, 0),
-        d_domain=("c",),
-        d_matrix={"c": {}},
-        table={
-            ("omega", "omega"): [
-                ({"omega": 1}, 1, 0),
-                ({"omega": -2}, 0, 1),
-                ({"c": Fraction(-1, 12)}, 0, 3),
-            ],
-            ("omega", "c"): [],
-            ("c", "c"): [],
-        },
-        name="virasoro",
-    ).certify()
+    return _central(("omega",), 2, {
+        ("omega", "omega"): (*_WITT_TERMS, ({"c": Fraction(-1, 12)}, 0, 3)),
+    }, "virasoro").certify()
 
 
 def loop(g: FiniteLieAlgebra) -> VLStructure:
     """Loop structure over a Lie algebra: [a(x), b(y)] = [a,b](y) Delta."""
-    table = {}
-    for i, a in enumerate(g.names):
-        for j, b in enumerate(g.names):
-            table[(a, b)] = [({g.names[k]: c for k, c in g.bracket_basis(i, j).items()}, 0, 0)]
     return VLStructure(
         basis=g.names,
         degrees=(1,) * g.dim,
         d_domain=(),
         d_matrix=None,
-        table=table,
+        table=_lie_table(g),
         name="loop",
     ).certify()
 
@@ -763,39 +773,16 @@ def affine(g: FiniteLieAlgebra, form: BilinearForm,
     problems = check_invariance(g, form)
     if problems:
         raise ValueError("form is not invariant: " + "; ".join(problems[:3]))
-    table = {}
-    for i, a in enumerate(g.names):
-        for j, b in enumerate(g.names):
-            table[(a, b)] = [({g.names[k]: c for k, c in g.bracket_basis(i, j).items()}, 0, 0),
-                             ({"c": -form.value(i, j)}, 0, 1)]
-    return VLStructure(
-        basis=g.names + ("c",),
-        degrees=(1,) * g.dim + (0,),
-        d_domain=("c",),
-        d_matrix={"c": {}},
-        table=table,
-        name="affine",
-        meta=None if highest_root is None else {"highest_root": highest_root},
-    ).certify()
+    return _central(g.names, 1, _lie_table(g, form), "affine",
+                    None if highest_root is None else {"highest_root": highest_root}).certify()
 
 
 def heisenberg(d_matrix) -> VLStructure:
-    """Rank-r oscillator structure: [u_i(m), u_j(n)] = d_ij m delta_{m+n,0} c."""
+    """Rank-r oscillator structure: [u_i(m), u_j(n)] = d_ij m delta_{m+n,0} c,
+    the affinization of the abelian Lie algebra on u1..ur by the form d."""
     form = BilinearForm(d_matrix)
-    r = len(form.matrix)
-    names = tuple(f"u{i}" for i in range(1, r + 1))
-    table = {}
-    for i, a in enumerate(names):
-        for j, b in enumerate(names):
-            table[(a, b)] = [({"c": -form.value(i, j)}, 0, 1)]
-    return VLStructure(
-        basis=names + ("c",),
-        degrees=(1,) * r + (0,),
-        d_domain=("c",),
-        d_matrix={"c": {}},
-        table=table,
-        name="heisenberg",
-    ).certify()
+    names = tuple(f"u{i}" for i in range(1, len(form.matrix) + 1))
+    return _central(names, 1, _lie_table(FiniteLieAlgebra(names, {}), form), "heisenberg").certify()
 
 
 class CommAlgebra:
@@ -848,29 +835,23 @@ def novikov(algebra: CommAlgebra, form: BilinearForm | None = None) -> VLStructu
     (1/2)(m-n)(ab)(m+n-1) + (1/6)(a|b)(m^3-m) delta_{m,-n} c
     in Virasoro-style mode indexing.
     """
-    r = len(algebra.names)
-    if form is None:
-        form = BilinearForm([[0] * r for _ in range(r)])
-    problems = check_invariance(algebra, form)
+    problems = [] if form is None else check_invariance(algebra, form)
     if problems:
         raise ValueError("form is not associative: " + "; ".join(problems[:3]))
-    table = _product_table(algebra, form, _novikov_terms)
-    return VLStructure(
-        basis=algebra.names + ("c",),
-        degrees=(2,) * r + (0,),
-        d_domain=("c",),
-        d_matrix={"c": {}},
-        table=table,
-        name="novikov",
-    ).certify()
+    return _central(algebra.names, 2, _product_table(algebra, form, _novikov_terms),
+                    "novikov").certify()
 
 
-def _product_table(algebra: CommAlgebra, form: BilinearForm, terms) -> dict:
+def _product_table(algebra: CommAlgebra, form: BilinearForm | None, terms) -> dict:
     """Table entries terms(ab, (a|b)) over the basis pairs, with the product
-    ab as a name map; zero terms are dropped by the structure."""
+    ab as a name map and (a|b) = 0 without a form; zero terms are dropped by
+    the structure."""
     names = algebra.names
+    if form is not None and len(form.matrix) != len(names):
+        raise ValueError("form dimension does not match the algebra")
     return {
-        (a, b): terms({names[k]: c for k, c in algebra.product_basis(i, j).items()}, form.value(i, j))
+        (a, b): terms({names[k]: c for k, c in algebra.product_basis(i, j).items()},
+                      0 if form is None else form.value(i, j))
         for i, a in enumerate(names) for j, b in enumerate(names)
     }
 
@@ -881,24 +862,10 @@ def _novikov_terms(ab: dict, v) -> list:
             ({"c": Fraction(-1, 6) * v}, 0, 3)]
 
 
-def _candidate(algebra: CommAlgebra, form: BilinearForm | None, terms, name: str) -> VLStructure:
-    """An uncertified, ungraded structure on the algebra plus a central c."""
-    r = len(algebra.names)
-    if form is None:
-        form = BilinearForm([[0] * r for _ in range(r)], require_symmetric=False)
-    return VLStructure(
-        basis=algebra.names + ("c",),
-        degrees=None,
-        d_domain=("c",),
-        d_matrix={"c": {}},
-        table=_product_table(algebra, form, terms),
-        name=name,
-    )
-
-
 def novikov_candidate(algebra: CommAlgebra, form: BilinearForm | None = None) -> VLStructure:
     """Uncertified Novikov-shaped table for testing invalid input algebras."""
-    return _candidate(algebra, form, _novikov_terms, "novikov-candidate")
+    return _central(algebra.names, None, _product_table(algebra, form, _novikov_terms),
+                    "novikov-candidate")
 
 
 def quadratic_central_candidate(algebra: CommAlgebra, form: BilinearForm | None = None) -> VLStructure:
@@ -906,9 +873,9 @@ def quadratic_central_candidate(algebra: CommAlgebra, form: BilinearForm | None 
 
     Components: [a(m), b(n)] = -mn (ab)(m+n-2) + m(m-1) delta_{m+n,1} (a|b) c.
     """
-    return _candidate(
+    return _central(algebra.names, None, _product_table(
         algebra, form,
-        lambda ab, v: [({n: -c for n, c in ab.items()}, 1, 1), (ab, 0, 2), ({"c": v}, 0, 2)],
+        lambda ab, v: [({n: -c for n, c in ab.items()}, 1, 1), (ab, 0, 2), ({"c": v}, 0, 2)]),
         "b3-candidate")
 
 

@@ -315,6 +315,27 @@ class TestErrorPaths:
             assert (code, out) == (2, "")
             assert err == f"config error: {message}\n"
 
+    @pytest.mark.parametrize("argv, message", [
+        # printed (1/2*y)*Delta and exited 0
+        (("decompose", "--series", '[{"order":0,"coeff":{"1":0.5}}]'),
+         "floating point is not accepted: 0.5"),
+        # read as order 1 and exited 0
+        (("decompose", "--series", '[{"order":1.0,"coeff":{"0":"1"}}]'),
+         "floating point is not accepted: 1.0"),
+        (("decompose", "--series", '[{"order":true,"coeff":{"0":"1"}}]'),
+         "bad series spec: a boolean is not a number: True"),
+        (("decompose", "--series", '[{"order":0,"coeff":{"0":true}}]'),
+         "bad series spec: a boolean is not a number: True"),
+        # named a Gram matrix
+        (("pvpa", "--heis-matrix", ""), "bad --heis-matrix JSON: Expecting value"),
+        (("vp-check", "--heis-matrix", "5"), "--heis-matrix must be a nonempty square matrix"),
+        (("pvpa", "--heis-matrix", '{"u1": 1}'), "--heis-matrix must be a nonempty square matrix"),
+    ])
+    def test_exact_json_input(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"config error: {message}\n"
+
     @pytest.mark.parametrize("argv, value", [
         # printed omega(-2)1 and exited 0
         (("act", "--builder", "virasoro", "--lambda", "c=1/2", "--mode", "omega:-2",
