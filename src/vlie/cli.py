@@ -50,7 +50,7 @@ from .poisson_c2 import (
     verify_p2_iso,
     constant_order_table,
 )
-from .vacuum_module import VacuumModule, central_character
+from .vacuum_module import UngradedError, VacuumModule, central_character
 from .vertex_lie import (BilinearForm, CommAlgebra, novikov_candidate, quadratic_central_candidate,
                          symbol_order)
 
@@ -390,8 +390,8 @@ def cmd_act(args) -> int:
     module = VacuumModule(structure, _central_character(structure, args, None))
     name, _, mode = args.mode.partition(":")
     try:
-        n = int(mode)
-    except ValueError:
+        n = integer(mode)
+    except ConfigError:
         raise ConfigError("mode looks like name:n, e.g. omega:3") from None
     name = name.strip()
     _require_basis(structure, name)
@@ -690,7 +690,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except ConfigError as exc:
+    except (ConfigError, UngradedError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, KeyError) as exc:

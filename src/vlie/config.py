@@ -1,16 +1,18 @@
 """Configuration loading: named builders plus JSON/TOML structure tables.
 
 All numbers in config files are exact: integers or fraction strings like
-"-1/12".  Floats are rejected.
+"-1/12" (an optional sign, ASCII digits, and optionally "/" and a nonzero
+denominator).  Floats and any other string are rejected.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
-from .formal_calc import rat
+from .formal_calc import rat, rat_str
 from .lattice_c2 import EvenLattice
 from .lie_core import BilinearForm, FiniteLieAlgebra, sl2, sl2_form
 from .vertex_lie import CommAlgebra, VLStructure, affine, heisenberg, loop, novikov, virasoro, witt
@@ -20,11 +22,17 @@ class ConfigError(ValueError):
     """Malformed configuration input (maps to exit code 2)."""
 
 
+# a sign, ASCII digits, and optionally "/" and ASCII digits of nonzero value
+_NUMBER = re.compile(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?")
+
+
 def exact(value) -> Fraction:
     if isinstance(value, float):
         raise ConfigError(f"floating point is not accepted: {value!r}")
     if isinstance(value, bool):
         raise ConfigError(f"a boolean is not a number: {value!r}")
+    if isinstance(value, str) and not _NUMBER.fullmatch(value):
+        raise ConfigError(f"Invalid literal for Fraction: {value!r}")
     try:
         return rat(value)
     except (TypeError, ValueError) as exc:
@@ -125,8 +133,6 @@ def vertex_lie_from_config(data: dict) -> VLStructure:
                         f"{len(basis)} basis names"
                     )
                 d_map[name] = {basis[i]: exact(c) for i, c in enumerate(row) if exact(c)}
-        else:
-            d_map = {name: {} for name in domain}
         table = {}
         for entry in data.get("brackets", []):
             terms = []
@@ -181,7 +187,7 @@ def parse_lambda(pairs: list[str]) -> dict[str, Fraction]:
         if "=" not in pair:
             raise ConfigError(f"central character entries look like name=value: {pair!r}")
         name, _, value = pair.partition("=")
-        out[name.strip()] = exact(value.strip())
+        out[name.strip()] = exact(value)
     return out
 
 
@@ -190,7 +196,7 @@ def parse_state_json(module, text: str):
     data = load_json(text, "state")
     try:
         return module.state(
-            [([(name, int(n)) for name, n in mono], exact(coeff))
+            [([(name, integer(n)) for name, n in mono], exact(coeff))
              for mono, coeff in data]
         )
     except (KeyError, TypeError, ValueError) as exc:
@@ -198,8 +204,6 @@ def parse_state_json(module, text: str):
 
 
 def state_to_json(module, state) -> list:
-    from .formal_calc import rat_str
-
     out = []
     for mono in sorted(state):
         coeff = state[mono]
@@ -235,7 +239,7 @@ def build_structure(name: str, config: dict | None = None) -> VLStructure:
         return affine(sl2(), sl2_form(), highest_root="e")
     if key.partition(":")[0] == "heisenberg":
         _, sep, rank = key.partition(":")
-        if sep and not (rank.isdecimal() and int(rank) > 0):
+        if sep and not (rank.isascii() and rank.isdecimal() and int(rank) > 0):
             raise ConfigError(f"the heisenberg rank must be a positive integer: {rank!r}")
         r = int(rank) if sep else 1
         matrix = [[1 if i == j else 0 for j in range(r)] for i in range(r)]

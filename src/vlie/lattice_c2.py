@@ -796,54 +796,40 @@ def build_pl_algebra(lattice: EvenLattice) -> PLAlgebra:
 class BkAlgebra:
     """The explicit rank-one quotient: basis 1, Z..Z^{2k}, X, Y with
     X^2 = Y^2 = XZ = YZ = 0, XY = Z^{2k}/(2k)!, and bracket
-    {Z,X} = 2kX, {Z,Y} = -2kY, {X,Y} = Z^{2k-1}/(2k-1)!."""
+    {Z,X} = 2kX, {Z,Y} = -2kY, {X,Y} = Z^{2k-1}/(2k-1)!.
+
+    The product and the bracket are two tables keyed by pairs of basis
+    keys; a missing pair is zero.  A class times a power of Z is read off
+    the reversed pair: the product is equal and the bracket negated.
+    """
 
     def __init__(self, k: int):
         if k < 1:
             raise ValueError("k must be positive")
         self.k = k
-        self.basis = [("Z", d) for d in range(2 * k + 1)] + [("X", 0), ("Y", 0)]
+        z = [("Z", d) for d in range(2 * k + 1)]
+        x, y = ("X", 0), ("Y", 0)
+        self.basis = z + [x, y]
+        top = {z[2 * k]: Fraction(1, math.factorial(2 * k))}
+        self._product = {(a, b): {z[a[1] + b[1]]: 1} for a in z for b in z if a[1] + b[1] <= 2 * k}
+        self._product.update({(z[0], x): {x: 1}, (z[0], y): {y: 1}, (x, y): top, (y, x): top})
+        xy = Fraction(1, math.factorial(2 * k - 1))
+        self._bracket = {(z[1], x): {x: 2 * k}, (z[1], y): {y: -2 * k},
+                         (x, y): {z[2 * k - 1]: xy}, (y, x): {z[2 * k - 1]: -xy}}
 
     @property
     def dim(self) -> int:
         return 2 * self.k + 3
 
-    def _zpow(self, d: int) -> dict:
-        return {("Z", d): 1} if d <= 2 * self.k else {}
-
     def multiply_basis(self, a: tuple, b: tuple) -> dict:
-        k = self.k
-        if a[0] == "Z" and b[0] == "Z":
-            return self._zpow(a[1] + b[1])
-        if a[0] == "Z" and b[0] in ("X", "Y"):
-            return {(b[0], 0): 1} if a[1] == 0 else {}
-        if b[0] == "Z":
+        if a[0] != "Z" and b[0] == "Z":
             return self.multiply_basis(b, a)
-        if a[0] == b[0]:
-            return {}
-        out = self._zpow(2 * k)
-        return {key: Fraction(c, math.factorial(2 * k)) for key, c in out.items()}
+        return dict(self._product.get((a, b), {}))
 
     def bracket_basis(self, a: tuple, b: tuple) -> dict:
-        k = self.k
-        if a[0] == "Z" and b[0] == "Z":
-            return {}
-        if a[0] == "Z" and b[0] in ("X", "Y"):
-            # {Z^d, X} = d Z^{d-1} {Z,X} = 2k d Z^{d-1} X; X Z = 0 kills d > 1
-            d = a[1]
-            if d == 0:
-                return {}
-            if d == 1:
-                sign = 2 * k if b[0] == "X" else -2 * k
-                return {(b[0], 0): sign}
-            return {}
-        if b[0] == "Z":
+        if a[0] != "Z" and b[0] == "Z":
             return {key: -c for key, c in self.bracket_basis(b, a).items()}
-        if a[0] == b[0]:
-            return {}
-        sign = 1 if (a[0], b[0]) == ("X", "Y") else -1
-        d = 2 * k - 1
-        return {("Z", d): Fraction(sign, math.factorial(d))}
+        return dict(self._bracket.get((a, b), {}))
 
 
 def bk_images(alg: PLAlgebra, bk: BkAlgebra) -> dict:

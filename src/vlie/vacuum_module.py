@@ -31,6 +31,10 @@ IdState = dict[int, int | Fraction]
 VACUUM: Monomial = ()
 
 
+class UngradedError(ValueError):
+    """A graded operation on a module that is not graded."""
+
+
 def central_character(structure: VLStructure, lam: Mapping[str, object]) -> dict[str, int | Fraction]:
     """``lam`` as exact values on the central generators of ``structure``,
     its ``u0_prime_names``.  A ValueError names a key that is no central
@@ -90,7 +94,7 @@ class VacuumModule:
             self.lam = central_character(structure, lam)
         self._graded = (
             structure.degrees is not None
-            and all(structure.degree_of(n) == 0 for n in structure.u0_prime_names)
+            and all(structure.degree_of(i) == 0 for v in structure.u0_prime_vectors for i in v)
             and all(structure.degree_of(n) >= 1 for n in structure.u_prime_names)
         )
         # the interning table; id 0 is the vacuum
@@ -112,14 +116,15 @@ class VacuumModule:
 
     def require_graded(self, what: str):
         if not self._graded:
-            raise ValueError(
+            raise UngradedError(
                 f"{what} needs a graded structure with degree-0 center and "
                 "positive-degree creators; this one is not"
             )
 
     def symbol_degree(self, sym: Symbol) -> int:
-        st = self.structure
-        return st.degree_of(st.symbol_name(sym)) + (-sym[0]) - 1
+        # on a graded module every central generator, such as (a - b), has degree 0
+        n, cls, idx = sym
+        return (self.structure.degree_of(self.structure.u_prime_names[idx]) if cls else 0) - n - 1
 
     def monomial_degree(self, mono: Monomial) -> int:
         return sum(self.symbol_degree(s) for s in mono)

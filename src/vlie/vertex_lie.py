@@ -31,7 +31,7 @@ from math import comb, lcm
 from .formal_calc import DPoly, falling, format_terms
 from .lie_core import (BilinearForm, FiniteLieAlgebra, _collect, _normalize_table, _shift,
                        _wrap, check_invariance, lambda_bracket, lambda_skew)
-from .linalg import Echelon, add_into, bilinear, clean, inverse_rows, narrow, nullspace
+from .linalg import Echelon, add_into, bilinear, clean, compose, inverse_rows, narrow, nullspace
 
 Vector = dict[int, int | Fraction]  # sparse coordinates over the base-space basis
 # A canonical mode symbol (n, cls, idx): cls 0 is the idx-th frozen central
@@ -99,13 +99,19 @@ class VLStructure:
         self.meta = dict(meta or {})
 
         self.d_domain = tuple(d_domain)
+        d_matrix = d_matrix or {}
         for n in self.d_domain:
             if n not in self.index:
                 raise ValueError(f"d-domain name {n!r} not in basis")
-        self.d_map: dict[int, Vector] = {}
-        for n in self.d_domain:
-            img = (d_matrix or {}).get(n, {})
-            self.d_map[self.index[n]] = clean({self.index[m]: c for m, c in img.items()})
+        for n, img in d_matrix.items():
+            if n not in self.d_domain:
+                raise ValueError(f"d-matrix name {n!r} not in the d-domain")
+            for m in img:
+                if m not in self.index:
+                    raise ValueError(f"d-image name {m!r} not in basis")
+        self.d_map: dict[int, Vector] = {
+            self.index[n]: clean({self.index[m]: c for m, c in d_matrix.get(n, {}).items()})
+            for n in self.d_domain}
 
         # [u_a lambda u_b] by ascending powers of lambda, no zero stored
         self._table: dict[tuple[int, int], dict[int, DPoly]] = {}
@@ -821,10 +827,8 @@ class CommAlgebra:
         return problems
 
     def cube_is_zero(self) -> bool:
-        """Whether every triple product vanishes."""
-        r = len(self.names)
-        return not any(bilinear(self.table, self.product_basis(i, j), {k: 1})
-                       for i in range(r) for j in range(r) for k in range(r))
+        """Whether every triple product vanishes; ``compose`` yields the nonzero ones."""
+        return not compose(self.table, self.table)
 
 
 def novikov(algebra: CommAlgebra, form: BilinearForm | None = None) -> VLStructure:

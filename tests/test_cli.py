@@ -9,7 +9,7 @@ import pytest
 
 from vlie import lattice_c2
 from vlie.cli import main
-from vlie.config import ConfigError, exact
+from vlie.config import ConfigError, exact, integer
 
 
 DATA = Path(__file__).parent / "data"
@@ -706,3 +706,149 @@ class TestFlagSlots:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+def config_error(capsys, *argv) -> str:
+    """The one ``config error:`` line of a request that exits 2 with
+    nothing on stdout, without its prefix."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    return err[len("config error: "):-1]
+
+
+class TestNumberStrings:
+    """A number string is an optional sign, ASCII digits, and optionally
+    "/" and ASCII digits with a nonzero value; anything else exits 2."""
+
+    @pytest.mark.parametrize("value, message", [
+        # a ZeroDivisionError traceback, exit 1
+        ("1/0", "Invalid literal for Fraction: '1/0'"),
+        ("-3/00", "Invalid literal for Fraction: '-3/00'"),
+        # read as 1/2, 1/1000, 10, 1/2 and 1: exit 0
+        ("0.5", "Invalid literal for Fraction: '0.5'"),
+        ("1e-3", "Invalid literal for Fraction: '1e-3'"),
+        ("1_0", "Invalid literal for Fraction: '1_0'"),
+        (" 1/2", "Invalid literal for Fraction: ' 1/2'"),
+        ("١", "Invalid literal for Fraction: '١'"),
+        ("", "Invalid literal for Fraction: ''"),
+        ("1/", "Invalid literal for Fraction: '1/'"),
+        ("1/-2", "Invalid literal for Fraction: '1/-2'"),
+    ])
+    def test_bad_lambda_value_exits_2(self, capsys, value, message):
+        assert config_error(capsys, "character", "--builder", "virasoro",
+                            "--lambda", f"c={value}", "--depth", "3") == message
+
+    @pytest.mark.parametrize("value, want", [
+        ("1/2", Fraction(1, 2)), ("+1/2", Fraction(1, 2)), ("-4/2", -2), ("007", 7), ("0/5", 0),
+    ])
+    def test_exact_reads_the_grammar(self, value, want):
+        got = exact(value)
+        assert got == want and type(got) is type(want)
+
+    @pytest.mark.parametrize("value", ["1.0", "1e0", "1_0", " 1", "١", "1/0"])
+    def test_integer_reads_the_grammar(self, value):
+        with pytest.raises(ConfigError):
+            integer(value)
+        assert integer("-12") == -12 and integer(3) == 3
+
+    def test_float_and_boolean_messages_are_kept(self):
+        with pytest.raises(ConfigError, match=r"^floating point is not accepted: 0\.5$"):
+            exact(0.5)
+        with pytest.raises(ConfigError, match="^a boolean is not a number: True$"):
+            exact(True)
+
+    def test_zero_denominator_in_each_reader_exits_2(self, capsys, tmp_path):
+        """Each of these raised ZeroDivisionError and exited 1."""
+        assert config_error(
+            capsys, "act", "--builder", "virasoro", "--lambda", "c=1/2", "--mode", "omega:-2",
+            "--state", '[[[], "1/0"]]') == "bad state: Invalid literal for Fraction: '1/0'"
+        assert config_error(
+            capsys, "decompose", "--series", '[{"order":0,"coeff":{"1":"1/0"}}]'
+        ) == "bad series spec: Invalid literal for Fraction: '1/0'"
+        for command in ("pvpa", "vp-check"):
+            assert config_error(capsys, command, "--heis-matrix",
+                                '[["1/0"]]') == "Invalid literal for Fraction: '1/0'"
+        config = {"vertex_lie": {
+            "basis": [{"name": "omega", "degree": 2}], "d": {"domain": []},
+            "brackets": [{"a": "omega", "b": "omega",
+                          "terms": [{"f": [["omega", "1/0"]], "k": 1, "l": 0}]}]}}
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps(config))
+        assert config_error(capsys, "bracket", "--builder", "config", "--config", str(path),
+                            "--a", "omega", "--m", "0", "--b", "omega",
+                            "--n", "0") == "Invalid literal for Fraction: '1/0'"
+
+    @pytest.mark.parametrize("rank", ["١", "٢"])
+    def test_heisenberg_rank_is_ascii(self, capsys, rank):
+        # built the rank-1 and rank-2 structures
+        assert config_error(capsys, "bracket", "--builder", f"heisenberg:{rank}", "--a", "u1",
+                            "--m", "1", "--b", "u1", "--n", "-1") == (
+            f"the heisenberg rank must be a positive integer: {rank!r}")
+
+    @pytest.mark.parametrize("mode", ["omega:1_0", "omega:-2.0", "omega: -2", "omega:١",
+                                      "omega:true"])
+    def test_act_mode_is_an_integer_string(self, capsys, mode):
+        # omega:1_0 was read as omega(10) and printed 0
+        assert config_error(capsys, "act", "--builder", "virasoro", "--lambda", "c=1/2",
+                            "--mode", mode, "--state", "[[[],1]]") == (
+            "mode looks like name:n, e.g. omega:3")
+
+    @pytest.mark.parametrize("n, message", [
+        # read as omega(1): bad state: creation modes have n <= -1
+        ("true", "bad state: a boolean is not a number: True"),
+        ('"-2"', None),
+        ('"1_0"', "bad state: Invalid literal for Fraction: '1_0'"),
+        ("-2.0", "floating point is not accepted: -2.0"),
+    ])
+    def test_state_modes_are_integers(self, capsys, n, message):
+        argv = ("act", "--builder", "virasoro", "--lambda", "c=1/2", "--mode", "omega:-2",
+                "--state", f'[[[["omega", {n}]], 1]]')
+        if message is None:
+            assert run(capsys, *argv) == (0, "omega(-2)omega(-2)1\n", "")
+        else:
+            assert config_error(capsys, *argv) == message
+
+
+NON_INJECTIVE = {"vertex_lie": {
+    "basis": [{"name": "a", "degree": 1}, {"name": "b", "degree": 1}, {"name": "c", "degree": 2}],
+    "d": {"domain": ["a", "b"], "matrix": [[0, 0, 1], [0, 0, 1]]},
+    "brackets": []}}
+UNGRADED = {"vertex_lie": {"basis": ["u"], "brackets": []}}
+
+
+class TestVacuumModuleScope:
+    def test_kernel_combination_generator_acts(self, capsys, tmp_path):
+        """d a = d b = c: the kernel vector (a - b) is the central
+        generator, of degree 1; act exited 1 with error: '(a - b)'."""
+        path = tmp_path / "noninjective.json"
+        path.write_text(json.dumps(NON_INJECTIVE))
+        base = ("act", "--builder", "config", "--config", str(path))
+        assert run(capsys, *base, "--mode", "a:-1", "--state", "[[[],1]]") == (0, "a(-1)1\n", "")
+        code, out, _ = run(capsys, *base, "--mode", "a:-1", "--state", "[[[],1]]",
+                           "--format", "json")
+        assert code == 0 and json.loads(out) == {"state": [[[["a", -1]], "1"]]}
+
+    @pytest.mark.parametrize("argv, what", [
+        (("character", "--depth", "3"), "graded_dim"),
+        (("borcherds-check",), "borcherds_check"),
+        (("check", "vacuum"), "basis enumeration"),
+    ])
+    @pytest.mark.parametrize("config, lam", [(UNGRADED, ()),
+                                             (NON_INJECTIVE, ("--lambda", "(a - b)=1"))],
+                             ids=["ungraded", "non-injective"])
+    def test_ungraded_module_exits_2(self, capsys, tmp_path, argv, what, config, lam):
+        """Each exited 1 with an error: line, the code of a failed check;
+        the central generator (a - b) has degree 1."""
+        path = tmp_path / "structure.json"
+        path.write_text(json.dumps(config))
+        assert config_error(capsys, *argv, *lam, "--builder", "config",
+                            "--config", str(path)) == (
+            f"{what} needs a graded structure with degree-0 center and positive-degree "
+            "creators; this one is not")
+
+    def test_act_works_on_an_ungraded_structure(self, capsys, tmp_path):
+        path = tmp_path / "ungraded.json"
+        path.write_text(json.dumps(UNGRADED))
+        assert run(capsys, "act", "--builder", "config", "--config", str(path), "--mode", "u:-2",
+                   "--state", '[[[["u", -1]], "1/2"]]') == (0, "1/2*u(-2)u(-1)1\n", "")

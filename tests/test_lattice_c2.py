@@ -28,7 +28,7 @@ from vlie.lattice_c2 import (
     negative_norm_witness,
     power_of_linear,
 )
-from vlie.linalg import add_into, bilinear, clean, det, inverse_rows
+from vlie.linalg import Echelon, add_into, bilinear, clean, det, inverse_rows
 
 A2 = [[2, -1], [-1, 2]]
 PROPERTY = settings(derandomize=True, database=None, max_examples=60, deadline=None)
@@ -1306,3 +1306,165 @@ class TestRepeatedWorkOracles:
         for key in bk.basis:
             assert typed_vec(images[key]) == typed_vec(recomputing_map_element(alg, {key: 1}))
         assert bk_compare(k) == recomputing_bk_compare(k)
+
+
+# ---------------------------------------------------------------------------
+# The rank-one yardstick: its tables against the case analyses, and
+# orthogonal sums of two rank-one lattices against tensor products
+# ---------------------------------------------------------------------------
+
+def oracle_zpow(bk: BkAlgebra, d: int) -> dict:
+    return {("Z", d): 1} if d <= 2 * bk.k else {}
+
+
+def oracle_multiply_basis(bk: BkAlgebra, a: tuple, b: tuple) -> dict:
+    """The product of ``BkAlgebra`` as a case analysis over the kinds of
+    the two keys, the route before the tables."""
+    k = bk.k
+    if a[0] == "Z" and b[0] == "Z":
+        return oracle_zpow(bk, a[1] + b[1])
+    if a[0] == "Z" and b[0] in ("X", "Y"):
+        return {(b[0], 0): 1} if a[1] == 0 else {}
+    if b[0] == "Z":
+        return oracle_multiply_basis(bk, b, a)
+    if a[0] == b[0]:
+        return {}
+    out = oracle_zpow(bk, 2 * k)
+    return {key: Fraction(c, math.factorial(2 * k)) for key, c in out.items()}
+
+
+def oracle_bracket_basis(bk: BkAlgebra, a: tuple, b: tuple) -> dict:
+    """The bracket of ``BkAlgebra`` as a case analysis, the route before
+    the tables."""
+    k = bk.k
+    if a[0] == "Z" and b[0] == "Z":
+        return {}
+    if a[0] == "Z" and b[0] in ("X", "Y"):
+        # {Z^d, X} = d Z^{d-1} {Z,X} = 2k d Z^{d-1} X; X Z = 0 kills d > 1
+        d = a[1]
+        if d == 0:
+            return {}
+        if d == 1:
+            sign = 2 * k if b[0] == "X" else -2 * k
+            return {(b[0], 0): sign}
+        return {}
+    if b[0] == "Z":
+        return {key: -c for key, c in oracle_bracket_basis(bk, b, a).items()}
+    if a[0] == b[0]:
+        return {}
+    sign = 1 if (a[0], b[0]) == ("X", "Y") else -1
+    d = 2 * k - 1
+    return {("Z", d): Fraction(sign, math.factorial(d))}
+
+
+class TestBkTables:
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_tables_match_the_case_analysis(self, k):
+        bk = BkAlgebra(k)
+        for a in bk.basis:
+            for b in bk.basis:
+                assert typed_vec(bk.multiply_basis(a, b)) == typed_vec(
+                    oracle_multiply_basis(bk, a, b))
+                assert typed_vec(bk.bracket_basis(a, b)) == typed_vec(
+                    oracle_bracket_basis(bk, a, b))
+
+    def test_results_are_fresh_dicts(self):
+        bk = BkAlgebra(2)
+        bk.multiply_basis(("X", 0), ("Y", 0)).clear()
+        bk.bracket_basis(("Y", 0), ("X", 0)).clear()
+        bk.bracket_basis(("X", 0), ("Z", 1)).clear()
+        assert bk.multiply_basis(("X", 0), ("Y", 0)) == {("Z", 4): Fraction(1, 24)}
+        assert bk.bracket_basis(("Y", 0), ("X", 0)) == {("Z", 3): Fraction(-1, 6)}
+        assert bk.bracket_basis(("X", 0), ("Z", 1)) == {("X", 0): -4}
+
+    def test_a_class_times_a_power_of_z_reads_the_reversed_pair(self):
+        calls = []
+
+        class Recording(BkAlgebra):
+            def multiply_basis(self, a, b):
+                calls.append(("*", a, b))
+                return super().multiply_basis(a, b)
+
+            def bracket_basis(self, a, b):
+                calls.append(("{}", a, b))
+                return super().bracket_basis(a, b)
+
+        bk = Recording(1)
+        assert bk.multiply_basis(("Y", 0), ("Z", 0)) == {("Y", 0): 1}
+        assert bk.bracket_basis(("X", 0), ("Z", 1)) == {("X", 0): -2}
+        assert calls == [("*", ("Y", 0), ("Z", 0)), ("*", ("Z", 0), ("Y", 0)),
+                         ("{}", ("X", 0), ("Z", 1)), ("{}", ("Z", 1), ("X", 0))]
+
+
+def tensor_product(first: BkAlgebra, second: BkAlgebra):
+    """The basis, product and bracket of first (x) second: products are
+    taken factorwise, and {p(x)q, r(x)s} = {p,r}(x)qs + pr(x){q,s}."""
+    def tensor(u: dict, v: dict) -> dict:
+        return clean({(p, q): a * b for p, a in u.items() for q, b in v.items()})
+
+    def multiply(x, y):
+        (p, q), (r, s) = x, y
+        return tensor(first.multiply_basis(p, r), second.multiply_basis(q, s))
+
+    def bracket(x, y):
+        (p, q), (r, s) = x, y
+        return add_into(tensor(first.bracket_basis(p, r), second.multiply_basis(q, s)),
+                        tensor(first.multiply_basis(p, r), second.bracket_basis(q, s)))
+
+    return list(itertools.product(first.basis, second.basis)), multiply, bracket
+
+
+def orthogonal_sum_problems(first: BkAlgebra, second: BkAlgebra) -> list[str]:
+    """Compare the lattice algebra of the Gram diag(2a, 2b) with
+    first (x) second under Z1 -> Z(x)1, Z2 -> 1(x)Z, X_(+-1,0) -> X/Y(x)1
+    and X_(0,+-1) -> 1(x)X/Y; p(x)q maps to the product of the images of
+    p(x)1 and 1(x)q.  The map is bijective when the images are linearly
+    independent and as many as the dimension."""
+    alg = build_pl_algebra(EvenLattice([[2 * first.k, 0], [0, 2 * second.k]]))
+    factor_images = []
+    for i, bk in enumerate((first, second)):
+        unit = tuple(int(t == i) for t in range(2))
+        images = {("Z", 0): alg.one()}
+        for d in range(1, 2 * bk.k + 1):
+            images[("Z", d)] = alg.multiply(images[("Z", d - 1)], alg.z_gen(i))
+        images[("X", 0)] = alg.x_gen(unit)
+        images[("Y", 0)] = alg.x_gen(tuple(-x for x in unit))
+        factor_images.append(images)
+    basis, multiply, bracket = tensor_product(first, second)
+    images = {(p, q): alg.multiply(factor_images[0][p], factor_images[1][q]) for p, q in basis}
+
+    def map_element(el: dict) -> dict:
+        out: dict = {}
+        for key, c in el.items():
+            add_into(out, images[key], c)
+        return out
+
+    if alg.dim != len(basis):
+        return [f"dimension {alg.dim} differs from {len(basis)}"]
+    span = Echelon()
+    if not all(span.insert(img) for img in images.values()):
+        return ["correspondence not injective"]
+    problems = []
+    for x in basis:
+        for y in basis:
+            if map_element(multiply(x, y)) != alg.multiply(images[x], images[y]):
+                problems.append(f"product mismatch at {x} * {y}")
+            if map_element(bracket(x, y)) != alg.bracket(images[x], images[y]):
+                problems.append(f"bracket mismatch at {{{x},{y}}}")
+    return problems
+
+
+class TestOrthogonalSums:
+    @pytest.mark.parametrize("a, b", [(1, 1), (1, 2), (2, 1), (2, 2), (1, 3)])
+    def test_sum_of_two_rank_one_lattices_is_the_tensor_product(self, a, b):
+        assert orthogonal_sum_problems(BkAlgebra(a), BkAlgebra(b)) == []
+
+    def test_a_flipped_bracket_sign_is_a_mismatch(self):
+        class Flipped(BkAlgebra):
+            def bracket_basis(self, a, b):
+                out = super().bracket_basis(a, b)
+                return {key: -c for key, c in out.items()} if (a, b) == (("X", 0), ("Y", 0)) else out
+
+        problems = orthogonal_sum_problems(BkAlgebra(1), Flipped(2))
+        assert problems and all(p.startswith("bracket mismatch") for p in problems)
+        assert "bracket mismatch at {(('Z', 0), ('X', 0)),(('Z', 0), ('Y', 0))}" in problems

@@ -294,6 +294,32 @@ def test_comm_algebra_check_axioms_matches_dense_loop(t):
     assert alg.cube_is_zero() == cube_zero
 
 
+@st.composite
+def nilpotent_tables(draw):
+    """A tensor with e_i e_j in the span of the e_k with k > max(i, j), so
+    that triple products vanish often; commutative or not."""
+    r = draw(st.integers(1, 4))
+    commutative = draw(st.booleans())
+    t = [[None] * r for _ in range(r)]
+    for i in range(r):
+        for j in range(r):
+            t[i][j] = (t[j][i] if commutative and j < i
+                       else [draw(constants) if k > max(i, j) else 0 for k in range(r)])
+    return t
+
+
+@PROPERTY
+@given(st.one_of(dense_tables(), nilpotent_tables()))
+def test_cube_is_zero_matches_the_bilinear_loop(t):
+    """Against the loop over all r^3 triples that ``cube_is_zero`` ran
+    before it read ``compose``."""
+    r = len(t)
+    alg = CommAlgebra(names_of(t), sparse_table(t), check=False)
+    want = not any(bilinear(alg.table, alg.product_basis(i, j), {k: 1})
+                   for i in range(r) for j in range(r) for k in range(r))
+    assert alg.cube_is_zero() is want
+
+
 @PROPERTY
 @given(dense_tables(), st.data())
 def test_check_invariance_matches_dense_loop(t, data):

@@ -10,7 +10,7 @@ from vlie.formal_calc import DPoly, gen_binomial
 from vlie.linalg import add_into, clean
 from vlie.lie_core import sl2, sl2_form
 from vlie.poisson_c2 import c2_reduce, p2_structure
-from vlie.vacuum_module import VACUUM, VacuumModule, central_character
+from vlie.vacuum_module import VACUUM, UngradedError, VacuumModule, central_character
 from vlie.vertex_lie import VLStructure, affine, heisenberg, loop, virasoro, witt
 
 
@@ -700,3 +700,45 @@ class TestCentralCharacter:
         for build in (central_character, VacuumModule, p2_structure):
             with pytest.raises(ValueError, match=message):
                 build(structure, lam)
+
+
+def combination_centre(degrees):
+    """d a = d b = c and d x = a + b: ker d is spanned by the combination
+    (a - b), which is no basis vector, and U' = {x}."""
+    return VLStructure(("a", "b", "c", "x"), degrees, ("a", "b", "x"),
+                       {"a": {"c": 1}, "b": {"c": 1}, "x": {"a": 1, "b": 1}}, {}).certify()
+
+
+class TestCombinationGenerators:
+    """The grading test reads each central generator's vector: the name of
+    a kernel combination such as (a - b) is no basis name, and the module
+    raised KeyError('(a - b)')."""
+
+    def test_graded_module_over_a_combination_centre(self):
+        s = combination_centre((0, 0, 1, 1))
+        assert (s.u0_prime_names, s.u_prime_names) == (("(a - b)",), ("x",))
+        module = VacuumModule(s, {"(a - b)": 2})
+        assert module.character(6) == [1, 1, 2, 3, 5, 7, 11]
+        x = module.generator_state("x")
+        assert module.borcherds_check(x, x, 2, 3) == []
+        free = VacuumModule(s)
+        assert free.symbol_degree((-1, 0, 0)) == 0 and free.symbol_degree((-3, 1, 0)) == 3
+        assert free.state_degree({((-2, 1, 0), (-1, 0, 0)): 1}) == 2
+
+    def test_centre_of_positive_degree_is_ungraded(self):
+        s = combination_centre((1, 1, 2, 1))
+        module = VacuumModule(s)
+        assert not module._graded
+        with pytest.raises(UngradedError, match="^graded_dim needs a graded structure"):
+            module.character(3)
+        assert module.format_state(module.act("x", -1, module.vacuum())) == "x(-1)1"
+
+    def test_inhomogeneous_combination_is_ungraded(self):
+        s = combination_centre((1, 2, 3, 1))
+        module = VacuumModule(s)
+        assert not module._graded
+        with pytest.raises(UngradedError, match="^graded_dim needs a graded structure"):
+            module.character(3)
+        assert module.format_state(module.act("x", -1, module.vacuum())) == "x(-1)1"
+        with pytest.raises(ValueError, match="^structure is not graded$"):
+            VacuumModule(combination_centre(None)).symbol_degree((-1, 1, 0))

@@ -1679,3 +1679,28 @@ class TestPoRelationsFromJacobi:
                     assert relations == jacobi, (i, j, k)
                     verdicts.append(jacobi)
         assert all(verdicts) == all_hold and any(verdicts)
+
+
+class TestDMatrixNames:
+    """Every d_matrix name is read: a row outside the d-domain was dropped
+    (d_map == {}), and an image name outside the basis raised a bare
+    KeyError."""
+
+    def test_row_outside_the_domain_is_rejected(self):
+        with pytest.raises(ValueError, match=r"^d-matrix name 'a' not in the d-domain$"):
+            VLStructure(("a", "b"), None, (), {"a": {"b": 1}}, {})
+        with pytest.raises(ValueError, match=r"^d-matrix name 'z' not in the d-domain$"):
+            VLStructure(("a", "b"), None, ("a",), {"a": {"b": 1}, "z": {}}, {})
+
+    def test_image_outside_the_basis_is_rejected(self):
+        with pytest.raises(ValueError, match=r"^d-image name 'z' not in basis$"):
+            VLStructure(("a", "b"), None, ("a",), {"a": {"z": 1}}, {})
+
+    def test_domain_names_keep_their_check(self):
+        with pytest.raises(ValueError, match=r"^d-domain name 'z' not in basis$"):
+            VLStructure(("a", "b"), None, ("z",), {}, {})
+
+    def test_accepted_input_keeps_its_d(self):
+        s = VLStructure(("a", "b", "c"), None, ("a", "b"), {"a": {"c": 1}}, {})
+        assert s.d_map == {0: {2: 1}, 1: {}}
+        assert VLStructure(("a",), None, ("a",), None, {}).d_map == {0: {}}
