@@ -578,14 +578,14 @@ def cmd_decompose(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _nonnegative(text: str) -> int:
-    value = int(text)
+    value = integer(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
     return value
 
 
 def _positive(text: str) -> int:
-    value = int(text)
+    value = integer(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be positive, got {value}")
     return value
@@ -597,7 +597,7 @@ def _command(sub, name: str, fn, summary: str, report: bool = False):
     p = sub.add_parser(name, help=summary)
     p.add_argument("--format", choices=("text", "json"), default="text")
     if report:
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=integer, default=0)
         p.add_argument("--timing", action="store_true",
                        help="attach timings (breaks byte-identical output)")
     p.set_defaults(fn=fn)
@@ -632,9 +632,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = _command(sub, "bracket", cmd_bracket, "component bracket of two basis modes")
     _builder_flags(p, lam=False)
     p.add_argument("--a", required=True)
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=integer, required=True)
     p.add_argument("--b", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=integer, required=True)
 
     p = _command(sub, "character", cmd_character, "graded dimensions of a vacuum module")
     _builder_flags(p)
@@ -690,7 +690,12 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (ConfigError, UngradedError) as exc:
+    except UngradedError:
+        # named by the request, not by the module operation that refused it
+        request = f"check {args.suite}" if args.command == "check" else args.command
+        print(f"config error: {request} {UngradedError.reason}", file=sys.stderr)
+        return 2
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, KeyError) as exc:

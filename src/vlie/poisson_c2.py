@@ -220,14 +220,13 @@ def verify_p2_iso(
 
     def compare(a: State, b: State, label: str):
         prod_mod = p2_product(module, a, b)
-        prod_pol = reduce(c2_reduce(module, a) * c2_reduce(module, b))
+        pa, pb = c2_reduce(module, a), c2_reduce(module, b)
+        prod_pol = reduce(pa * pb)
         if reduce(prod_mod) != prod_pol:
             problems.append(f"product mismatch on {label}: "
                             f"{format_poly(prod_mod, names)} vs {format_poly(prod_pol, names)}")
         br_mod = p2_bracket(module, a, b)
-        br_pol = reduce(
-            pres.bracket_poly(c2_reduce(module, a), c2_reduce(module, b))
-        )
+        br_pol = reduce(pres.bracket_poly(pa, pb))
         if reduce(br_mod) != br_pol:
             problems.append(f"bracket mismatch on {label}: "
                             f"{format_poly(br_mod, names)} vs {format_poly(br_pol, names)}")

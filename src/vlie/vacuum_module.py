@@ -32,7 +32,11 @@ VACUUM: Monomial = ()
 
 
 class UngradedError(ValueError):
-    """A graded operation on a module that is not graded."""
+    """A graded operation on a module that is not graded; the message is the
+    operation's name followed by ``reason``."""
+
+    reason = ("needs a graded structure with degree-0 center and positive-degree "
+              "creators; this one is not")
 
 
 def central_character(structure: VLStructure, lam: Mapping[str, object]) -> dict[str, int | Fraction]:
@@ -61,26 +65,27 @@ class VacuumModule:
     and ``_degs[i]`` its first symbol, the id of the rest and its degree
     (graded modules only), and ``_ids`` maps a tuple back to its id; the
     vacuum is id 0.  Prepending a symbol to an id is a lookup in
-    ``_cons``.  Public methods take and return states keyed by monomial
-    tuples and convert once per call.  A tuple that is not yet interned is
-    checked on that miss: its symbols must be sorted, every complement
-    symbol a creator (n <= -1) of a complement generator, and a central
-    symbol sits at n = -1 in a module without ``lam``; anything else
-    raises ``ValueError``.  Normal ordering makes only canonical
-    monomials, so nothing else is checked.
+    ``_cons``, keyed by the symbol, then by the tail's id.  Public methods
+    take and return states keyed by monomial tuples and convert once per
+    call.  A tuple that is not yet interned is checked on that miss: its
+    symbols must be sorted, every complement symbol a creator (n <= -1) of
+    a complement generator, and a central symbol sits at n = -1 in a
+    module without ``lam``; anything else raises ``ValueError``.  Normal
+    ordering makes only canonical monomials, so nothing else is checked.
 
-    The only other mutable state is two get-or-compute memos over ids: the
-    action memo keyed by (mode symbol, monomial), and the vertex-operator
-    mode memo keyed by (monomial of a, n, monomial of b), shared by every
-    state that contains those monomials.  A single creator u(-1)1 has the
-    modes of u itself, so its entries are the action memo's own and the
-    mode memo holds only longer or deeper heads.  Memo values are shared,
-    never copied: they are read-only, and every public method returns a
-    fresh dict.  ``memo_sizes`` reports the three tables.  The structure's
-    own mode cache serves ``act``.  The column tables of
-    ``borcherds_check`` live for one call only and hold memo values or new
-    sums, so the two memos have the same keys and values whether or not a
-    check ran through them.
+    The only other mutable state is two get-or-compute memos over ids,
+    nested so that no lookup builds a tuple key: the action memo
+    ``{mode symbol: {monomial: u(n) monomial}}``, and the vertex-operator
+    mode memo ``{monomial of a: {n: {monomial of b: a_n b}}}``, shared by
+    every state that contains those monomials.  A single creator u(-1)1
+    has the modes of u itself, so its entries are the action memo's own
+    and the mode memo holds only longer or deeper heads.  Memo values are
+    shared, never copied: they are read-only, and every public method
+    returns a fresh dict.  ``memo_sizes`` counts the inner entries of each
+    memo and the interned monomials.  The structure's own mode cache
+    serves ``act``.  The column tables of ``borcherds_check`` live for one
+    call only and hold memo values or new sums, so the two memos have the
+    same keys and values whether or not a check ran through them.
     """
 
     def __init__(self, structure: VLStructure, lam: Mapping[str, object] | None = None):
@@ -103,23 +108,21 @@ class VacuumModule:
         self._tails: list[int] = [0]
         self._degs: list[int | None] = [0]
         self._ids: dict[Monomial, int] = {VACUUM: 0}
-        self._cons: dict[tuple[Symbol, int], int] = {}
-        self._act_memo: dict[tuple[Symbol, int], IdState] = {}
-        self._mode_memo: dict[tuple[int, int, int], IdState] = {}
+        self._cons: dict[Symbol, dict[int, int]] = {}
+        self._act_memo: dict[Symbol, dict[int, IdState]] = {}
+        self._mode_memo: dict[int, dict[int, dict[int, IdState]]] = {}
 
     def memo_sizes(self) -> dict[str, int]:
         """Entries in the action memo, the mode memo and the interning table."""
-        return {"act": len(self._act_memo), "mode": len(self._mode_memo),
+        return {"act": sum(map(len, self._act_memo.values())),
+                "mode": sum(len(t) for by_n in self._mode_memo.values() for t in by_n.values()),
                 "monomials": len(self._monos)}
 
     # -- degrees -------------------------------------------------------------
 
     def require_graded(self, what: str):
         if not self._graded:
-            raise UngradedError(
-                f"{what} needs a graded structure with degree-0 center and "
-                "positive-degree creators; this one is not"
-            )
+            raise UngradedError(f"{what} {UngradedError.reason}")
 
     def symbol_degree(self, sym: Symbol) -> int:
         # on a graded module every central generator, such as (a - b), has degree 0
@@ -140,10 +143,10 @@ class VacuumModule:
 
     def _prepend(self, sym: Symbol, tail: int) -> int:
         """The id of (sym,) + monomial tail, for sym <= the head of tail."""
-        key = (sym, tail)
-        i = self._cons.get(key)
+        cons = self._cons.setdefault(sym, {})
+        i = cons.get(tail)
         if i is None:
-            i = self._cons[key] = len(self._monos)
+            i = cons[tail] = len(self._monos)
             mono = (sym,) + self._monos[tail]
             self._monos.append(mono)
             self._heads.append(sym)
@@ -242,9 +245,10 @@ class VacuumModule:
 
     def _act_key(self, sym: Symbol, mono: int) -> IdState:
         """Single canonical mode applied to a canonical monomial."""
-        memo = self._act_memo
-        key = (sym, mono)
-        cached = memo.get(key)
+        table = self._act_memo.get(sym)
+        if table is None:
+            table = self._act_memo[sym] = {}
+        cached = table.get(mono)
         if cached is not None:
             return cached
         n, cls, idx = sym
@@ -254,7 +258,7 @@ class VacuumModule:
                 result = {mono: self.lam[self.structure.u0_prime_names[idx]]}
             else:
                 result = {self._id(tuple(sorted(self._monos[mono] + (sym,)))): 1}
-            memo[key] = result
+            table[mono] = result
             return result
 
         heads = self._heads
@@ -282,7 +286,7 @@ class VacuumModule:
                 for t, v in act(s, tail).items():
                     acc[t] = get(t, 0) + c * v
             result = {t: narrow(v) for t, v in acc.items() if v}
-        memo[key] = result
+        table[mono] = result
         return result
 
     # -- graded dimensions ----------------------------------------------------------
@@ -379,8 +383,8 @@ class VacuumModule:
         if hn == -1 and not tail:
             # (u(-1)1)_n = u(n): the action memo entry itself
             return self._act_key((n, 1, idx), b_mono)
-        key = (mono, n, b_mono)
-        cached = self._mode_memo.get(key)
+        table = self._mode_memo.setdefault(mono, {}).setdefault(n, {})
+        cached = table.get(b_mono)
         if cached is not None:
             return cached
 
@@ -392,7 +396,7 @@ class VacuumModule:
             result = add_into(
                 {}, self._act_key((n - k, 1, idx), b_mono), gen_binomial(k - n - 1, k)
             )
-            self._mode_memo[key] = result
+            table[b_mono] = result
             return result
         # b_mono is homogeneous, so its degree gives the exact cutoffs
         deg_b = self._degs[b_mono]
@@ -415,7 +419,7 @@ class VacuumModule:
                 for mono2, c2 in self._act_key((i, 1, idx), b_mono).items():
                     add_into(result, self._mode_of_monomial(tail, n - k - 1 - i, mono2),
                              sign * c * c2)
-        self._mode_memo[key] = result
+        table[b_mono] = result
         return result
 
     # -- derived operations -----------------------------------------------------------

@@ -794,6 +794,36 @@ class TestNumberStrings:
                             "--mode", mode, "--state", "[[[],1]]") == (
             "mode looks like name:n, e.g. omega:3")
 
+    @pytest.mark.parametrize("argv, flag", [
+        # bracket --m 1_0 --n ١ printed 9*omega(10) and exited 0
+        (("bracket", "--builder", "virasoro", "--a", "omega", "--m", "1_0", "--b", "omega",
+          "--n", "1"), "--m"),
+        (("bracket", "--builder", "virasoro", "--a", "omega", "--m", "1", "--b", "omega",
+          "--n", "١"), "--n"),
+        (("check", "delta", "--seed", "1_0"), "--seed"),
+        (("check", "vla", "--builder", "virasoro", "--window", "٢"), "--window"),
+        (("character", "--builder", "virasoro", "--lambda", "c=1/2", "--depth", " 3"), "--depth"),
+        (("borcherds-check", "--builder", "virasoro", "--lambda", "c=1/2", "--depth", "2.0"),
+         "--depth"),
+        (("check", "p2", "--samples", "1e1"), "--samples"),
+        # both exited 0
+        (("lattice", "bk-compare", "--k", "٢"), "--k"),
+        (("decompose", "--series", '[{"order":0,"coeff":{"1":"1"}}]', "--k", "٢"), "--k"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else v)
+    def test_integer_flags_read_the_grammar(self, capsys, argv, flag):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert f"argument {flag}: invalid " in err
+
+    @pytest.mark.parametrize("argv, want", [
+        (("bracket", "--builder", "virasoro", "--a", "omega", "--m", "+2", "--b", "omega",
+          "--n", "-1"), "3*omega(0)\n"),
+        (("character", "--builder", "virasoro", "--lambda", "c=1/2", "--depth", "003"),
+         "1,0,1,1\n"),
+    ], ids=" ".join)
+    def test_integer_flags_keep_ascii_integers(self, capsys, argv, want):
+        assert run(capsys, *argv) == (0, want, "")
+
     @pytest.mark.parametrize("n, message", [
         # read as omega(1): bad state: creation modes have n <= -1
         ("true", "bad state: a boolean is not a number: True"),
@@ -830,9 +860,9 @@ class TestVacuumModuleScope:
         assert code == 0 and json.loads(out) == {"state": [[[["a", -1]], "1"]]}
 
     @pytest.mark.parametrize("argv, what", [
-        (("character", "--depth", "3"), "graded_dim"),
-        (("borcherds-check",), "borcherds_check"),
-        (("check", "vacuum"), "basis enumeration"),
+        (("character", "--depth", "3"), "character"),
+        (("borcherds-check",), "borcherds-check"),
+        (("check", "vacuum"), "check vacuum"),
     ])
     @pytest.mark.parametrize("config, lam", [(UNGRADED, ()),
                                              (NON_INJECTIVE, ("--lambda", "(a - b)=1"))],

@@ -57,10 +57,13 @@ def test_vacuum_memos_hold_exact_types(builder, lam, a, b):
     values = structure_values(s)
     sizes = module.memo_sizes()
     assert sizes["act"] and sizes["mode"]
-    for memo in (module._act_memo, module._mode_memo):
+    act_values = [state for table in module._act_memo.values() for state in table.values()]
+    mode_values = [state for by_n in module._mode_memo.values()
+                   for table in by_n.values() for state in table.values()]
+    for memo in (act_values, mode_values):
         # memo values are keyed by monomial ids
-        assert all(type(t) is int for state in memo.values() for t in state)
-        values.extend(c for state in memo.values() for c in state.values())
+        assert all(type(t) is int for state in memo for t in state)
+        values.extend(c for state in memo for c in state.values())
     assert inexact(values) == []
     if builder == "affine-sl2":
         # level 1 and integral structure constants: nothing is a Fraction

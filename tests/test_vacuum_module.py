@@ -356,8 +356,8 @@ def tampered_affine():
     doubled, before anything reads it."""
     module = VacuumModule(affine(sl2(), sl2_form()), {"c": 1})
     [e0] = module.structure.mode("e", 0)
-    key = (e0, module._id(module.monomial([("f", -1)])))
-    module._act_memo[key] = {t: 2 * c for t, c in module._act_key(*key).items()}
+    f = module._id(module.monomial([("f", -1)]))
+    module._act_memo[e0][f] = {t: 2 * c for t, c in module._act_key(e0, f).items()}
     return module
 
 
@@ -369,7 +369,8 @@ def tampered_virasoro():
     would need n > 3, and at m = 0 the term has coefficient binom(0, 1) = 0."""
     module = VacuumModule(virasoro(), {"c": Fraction(1, 2)})
     vacuum = module._id(VACUUM)
-    module._mode_memo[(module._id(module.monomial([("omega", -2)])), 2, vacuum)] = {vacuum: 1}
+    assert module._mode_memo == {}
+    module._mode_memo[module._id(module.monomial([("omega", -2)]))] = {2: {vacuum: {vacuum: 1}}}
     return module
 
 
@@ -435,12 +436,12 @@ class TestBorcherds:
         e, f = module.generator_state("e"), module.generator_state("f")
         assert module.borcherds_check(e, f, 3, 5) == []
         assert module.memo_sizes()["act"] == 13247
-        heads = [module._monos[key[0]] for key in module._mode_memo]
+        heads = [module._monos[a] for a in module._mode_memo]
         assert not [mono for mono in heads if len(mono) == 1 and mono[0][0] == -1]
         a = module._id(module.monomial([("e", -1)]))
         b = module._id(module.monomial([("h", -1), ("f", -2)]))
         [e2] = module.structure.mode("e", 2)
-        assert module._mode_of_monomial(a, 2, b) is module._act_memo[(e2, b)]
+        assert module._mode_of_monomial(a, 2, b) is module._act_memo[e2][b]
 
     @pytest.mark.parametrize("case", ["affine-sl2", "virasoro-composite"])
     def test_act_memo_matches_oracle(self, case):
@@ -451,12 +452,13 @@ class TestBorcherds:
         module = make()
         assert module.borcherds_check(module.state(a), module.state(b), 3, 5) == []
         memo = {}
-        for (sym, t), value in module._act_memo.items():
-            # through the id map: the key's monomial and the value's keys
-            mono, got = module._monos[t], module._state_of(value)
-            want = oracle_act_key(module, sym, mono, memo)
-            assert len(got) == len(value) and got == want, (sym, mono)
-            assert {k: type(v) for k, v in got.items()} == {k: type(v) for k, v in want.items()}
+        for sym, table in module._act_memo.items():
+            for t, value in table.items():
+                # through the id map: the key's monomial and the value's keys
+                mono, got = module._monos[t], module._state_of(value)
+                want = oracle_act_key(module, sym, mono, memo)
+                assert len(got) == len(value) and got == want, (sym, mono)
+                assert {k: type(v) for k, v in got.items()} == {k: type(v) for k, v in want.items()}
         assert module.memo_sizes()["act"] > 500
 
     def test_right_side_list_shared_by_t(self):
@@ -617,11 +619,43 @@ class TestInterning:
                 assert mod._id(mono) == i
                 if i:
                     assert mod._heads[i] == mono[0] and monos[mod._tails[i]] == mono[1:]
-                    assert mod._cons[(mono[0], mod._tails[i])] == i
+                    assert mod._cons[mono[0]][mod._tails[i]] == i
                     assert list(mono) == sorted(mono)
                 if mod._graded:
                     assert mod._degs[i] == mod.monomial_degree(mono)
         assert any(sym[1] == 0 for mono in plain._monos for sym in mono)
+
+    def test_tables_are_keyed_by_symbols_and_ids(self):
+        # no key pairs a symbol with an id: the action memo and _cons are
+        # keyed by symbol, then by monomial id, the mode memo by ids and n
+        # alone, and memo_sizes counts the inner entries
+        make, a, b, _, _ = BORCHERDS_CASES["virasoro-composite"]
+        module = make()
+        assert module.borcherds_check(module.state(a), module.state(b), 2, 4) == []
+        plain = VacuumModule(virasoro())
+        plain.act("c", -1, plain.act("omega", -2, plain.generator_state("omega")))
+
+        def is_symbol(key):
+            return type(key) is tuple and len(key) == 3 and all(type(x) is int for x in key)
+
+        for mod in (module, plain):
+            for outer in (mod._act_memo, mod._cons):
+                for sym, inner in outer.items():
+                    assert is_symbol(sym) and all(type(t) is int for t in inner), sym
+            for a_id, by_n in mod._mode_memo.items():
+                assert type(a_id) is int
+                for n, table in by_n.items():
+                    assert type(n) is int and all(type(t) is int for t in table)
+            act = [v for inner in mod._act_memo.values() for v in inner.values()]
+            mode = [v for by_n in mod._mode_memo.values()
+                    for table in by_n.values() for v in table.values()]
+            # every monomial but the vacuum was made by exactly one prepend
+            cons = [i for inner in mod._cons.values() for i in inner.values()]
+            assert sorted(cons) == list(range(1, len(mod._monos)))
+            assert mod.memo_sizes() == {"act": len(act), "mode": len(mode),
+                                        "monomials": len(mod._monos)}
+        assert module.memo_sizes()["mode"] and plain.memo_sizes()["act"]
+        assert any(sym[1] == 0 for sym in plain._cons)
 
     def test_memo_sizes_of_the_affine_check(self):
         module = VacuumModule(affine(sl2(), sl2_form()), {"c": 1})
